@@ -9,9 +9,9 @@ identification, and the derivative calculus tying them together.
 from .timegrid import (Grid, Interval, TimeFunction, make_timefunction,
                        read_timefunction, restrict, shift_left, shift_right,
                        splice, write_timefunction)
-from .seminorm import (FittedFamily, NormReport, Weight, bounding_norm,
-                       check_ff_axioms, classify, classify_input_set, norm,
-                       future_norm, taper_certificate, taper_delta)
+from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
+                       classify, classify_input_set, taper_certificate,
+                       taper_delta)
 from .sysop import (LimsupConvolution, LTISystem, NPowerEstimate,
                     PolyIntegralOperator, SystemOp, TimeAdvance,
                     centered_truncation, check_causality, estimate_npower,
@@ -20,10 +20,9 @@ from .sysop import (LimsupConvolution, LTISystem, NPowerEstimate,
 from .kernel import (Permutation, PolyKernel, check_symmetrization_properties,
                      identify_kernels, kernel_from_cells,
                      permutation_change_of_variables, symmetrize)
-from .states import (NaturalState, StateDistance, drive,
-                     reachability_experiment, representative_independence,
-                     state_bound_check, state_distance, state_matching_ladder,
-                     trajectory)
+from .states import (NaturalState, drive, reachability_experiment,
+                     representative_independence, state_bound_check,
+                     state_distance, state_matching_ladder, trajectory)
 from .calculus import (FrechetPair, ShiftDerivative, SmoothInput,
                        fd_directional_order, frechet_of, gateaux_fd,
                        input_to_state_frechet, remainder_decay,

@@ -1,8 +1,10 @@
 """Derivatives: of operators, of states, and along state trajectories.
 
 Every derivative here is analytic per operator variant (linear operators are
-their own derivative; polynomial ones differentiate term by term), and every
-claim is validated against an independent finite-difference oracle.  Limit
+their own derivative; polynomial ones differentiate term by term, each term
+being the operator's own multilinear contraction with distinct inputs in its
+slots, at every degree and for time-varying kernels too), and every claim is
+validated against an independent finite-difference oracle.  Limit
 statements become decaying-ratio sweeps along geometric step sequences.
 
 Shifts by amounts smaller than the grid step arise throughout (the step
@@ -23,9 +25,9 @@ import numpy as np
 
 from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
-from .states import NaturalState
+from .states import NaturalState, _recenter
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import Grid, TimeFunction, shift_left, shift_right, splice
+from .timegrid import Grid, TimeFunction, shift_right, splice
 
 __all__ = [
     "SmoothInput",
@@ -198,44 +200,14 @@ class FrechetPair:
 
 def _poly_term(op: PolyIntegralOperator, ker: PolyKernel,
                slots: Sequence[TimeFunction]) -> TimeFunction:
-    """Multilinear term with one input per slot (symmetric kernel)."""
-    n = ker.degree
+    """Multilinear term with one input per slot (symmetric kernel).
+
+    Row ``i0`` of the term reads only the slots' constant tails, so it is
+    the output tail.
+    """
     g = slots[0].grid
-    dt = g.dt
-    Q = ker.grid_size(dt)
-    t_idx = np.arange(g.i0 + 1, g.i1 + 1)
-    mats = [op._past_matrix(s, t_idx, Q)[:, :, 0] for s in slots]
-    scale = dt ** n
-    if not ker.time_varying:
-        K = ker.grid_values(dt)[(0,) * n]
-        if n == 1:
-            vals = np.einsum("j,ij->i", K, mats[0])
-        elif n == 2:
-            vals = np.einsum("jk,ij,ik->i", K, mats[0], mats[1])
-        else:
-            vals = np.einsum("jkl,ij,ik,il->i", K, mats[0], mats[1], mats[2])
-        tails = [float(s.tail_value[0]) for s in slots]
-        ones = np.ones(Q)
-        if n == 1:
-            tail = float(np.einsum("j,j->", K, ones)) * tails[0]
-        elif n == 2:
-            tail = float(np.einsum("jk,j,k->", K, ones, ones)) * tails[0] * tails[1]
-        else:
-            tail = float(np.einsum("jkl,j,k,l->", K, ones, ones, ones)) \
-                * tails[0] * tails[1] * tails[2]
-        return TimeFunction(g, vals * scale, np.array([tail * scale]))
-    if any(np.any(s.tail_value) for s in slots):
-        raise ValueError("time-varying operator requires zero input tails")
-    if n > 2:
-        raise ValueError("time-varying mixed terms support degree <= 2")
-    vals = np.empty(t_idx.shape[0])
-    for i, ti in enumerate(t_idx):
-        K = ker.grid_values(dt, at_time=float(ti * dt))[(0,) * n]
-        if n == 1:
-            vals[i] = np.einsum("j,j->", K, mats[0][i])
-        else:
-            vals[i] = np.einsum("jk,j,k->", K, mats[0][i], mats[1][i])
-    return TimeFunction(g, vals * scale, np.zeros(1))
+    vals = op._term(ker, slots, np.arange(g.i0, g.i1 + 1))
+    return TimeFunction(g, vals[1:], vals[:1])
 
 
 def frechet_of(system: SystemOp) -> FrechetPair:
@@ -324,13 +296,6 @@ def fd_directional_order(system: SystemOp, fp: FrechetPair, u: TimeFunction,
 # -- state-level derivatives -----------------------------------------------------
 
 
-def _recenter_future(y: TimeFunction, t: float) -> TimeFunction:
-    t_idx = y.grid.index_of(t)
-    future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
-                          y.samples[t_idx - y.grid.i0:], y.tail_value)
-    return shift_left(future, t)
-
-
 def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:
     """Derivative of the state operator at a future input, from the system's.
 
@@ -345,12 +310,12 @@ def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:
     def L1(v, w):
         a = state.spliced_input(v)
         b = splice(zero_past, shift_right(w, t), t)
-        return _recenter_future(fp.L(a, b), t)
+        return _recenter(fp.L(a, b), t)
 
     def W1(v, w):
         a = state.spliced_input(v)
         b = splice(zero_past, shift_right(w, t), t)
-        return _recenter_future(fp.W(a, b), t)
+        return _recenter(fp.W(a, b), t)
 
     return FrechetPair(L1, W1, source=f"state({fp.source})")
 
@@ -370,12 +335,12 @@ def input_to_state_frechet(system: SystemOp, t: float, fp: FrechetPair) -> dict:
     def Lam(u, v, w):
         a = splice(u, shift_right(w, t), t)
         b = splice(v, 0.0 * shift_right(w, t), t)
-        return _recenter_future(fp.L(a, b), t)
+        return _recenter(fp.L(a, b), t)
 
     def Om(u, v, w):
         a = splice(u, shift_right(w, t), t)
         b = splice(v, 0.0 * shift_right(w, t), t)
-        return _recenter_future(fp.W(a, b), t)
+        return _recenter(fp.W(a, b), t)
 
     return {"refused": False, "Lambda": Lam, "Omega": Om}
 
@@ -406,7 +371,7 @@ class TrajectoryDerivative:
         dpast = self.source.derivative_sample(self.grid)
         zero_future = 0.0 * shift_right(v, self.t)
         b = splice(dpast, zero_future, self.t)
-        return _recenter_future(self.fp.L(a, b), self.t)
+        return _recenter(self.fp.L(a, b), self.t)
 
     def fd_check(self, v: TimeFunction, h0: float, k_range=range(3, 11)) -> dict:
         """Compare against the trajectory finite difference.

@@ -14,6 +14,7 @@ import concurrent.futures
 import json
 import os
 import sys
+import tomllib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -49,52 +50,28 @@ HYPOTHESES = {
 }
 
 
-# -- minimal TOML-style config ------------------------------------------------
+# -- TOML config ------------------------------------------------------------------
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        return [_parse_value(p) for p in inner.split(",")] if inner else []
-    if text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse config value {text!r}") from None
+def _flatten(table: dict, prefix: str = "") -> dict:
+    out: dict = {}
+    for key, val in table.items():
+        if isinstance(val, dict):
+            out.update(_flatten(val, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = val
+    return out
 
 
 def parse_config_text(text: str) -> dict:
-    """Key-value config with optional ``[section]`` headers.
+    """TOML config flattened to dotted keys.
 
-    Supports strings, numbers, booleans and flat lists; comments start
-    with ``#``.  Section names become key prefixes except for ``[run]``,
-    whose keys are top level.
+    Table names become key prefixes (``[family.x]`` key ``k`` becomes
+    ``family.x.k``) except for ``[run]``, whose keys are top level.  Syntax
+    errors raise ``ValueError`` (``tomllib.TOMLDecodeError``).
     """
-    out: dict = {}
-    section = ""
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {ln}: expected key = value")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if section and section != "run":
-            key = f"{section}.{key}"
-        out[key] = _parse_value(val)
-    return out
+    flat = _flatten(tomllib.loads(text))
+    return {k.removeprefix("run."): v for k, v in flat.items()}
 
 
 def _collect_sections(raw: dict, prefix: str) -> dict:

@@ -281,7 +281,7 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
     permutations on random index tuples).
     """
     from .seminorm import FittedFamily
-    from .sysop import PolyIntegralOperator
+    from .sysop import PolyIntegralOperator, _contract
 
     rng = np.random.default_rng(rng)
     fam_in = FittedFamily.unweighted_sup()
@@ -300,24 +300,19 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
     Q = Ks.shape[-1]
     M = k.input_dim
 
-    letters = "jkl"[:n]
-    spec = letters[0] if n == 1 else ",".join([letters] + list(letters)) + "->"
-    if n == 1:
-        spec = "j,j->"
-
-    def contract(sub, vecs):
-        return float(np.einsum(spec, sub, *vecs))
+    def term(ix, u):
+        # The summed term of component tuple ``ix`` with component signals u.
+        sub = Ks[tuple(i - 1 for i in ix)][(None,) * n]
+        return float(_contract(sub, [u[i - 1].reshape(1, Q, 1) for i in ix])[0])
 
     max_term_diff = 0.0
     for _ in range(6):
         rho = Permutation(tuple(int(v) for v in rng.permutation(n) + 1))
         idx = tuple(int(i) for i in rng.integers(1, M + 1, size=n))
         u = rng.standard_normal((M, Q))
-        t1 = contract(Ks[tuple(i - 1 for i in idx)],
-                      [u[idx[j] - 1] for j in range(n)])
+        t1 = term(idx, u)
         idx_r = tuple(idx[rho(j) - 1] for j in range(1, n + 1))
-        t2 = contract(Ks[tuple(i - 1 for i in idx_r)],
-                      [u[idx_r[j] - 1] for j in range(n)])
+        t2 = term(idx_r, u)
         scale = max(1.0, abs(t1))
         max_term_diff = max(max_term_diff, abs(t1 - t2) / scale)
     return {

@@ -28,9 +28,6 @@ __all__ = [
     "Weight",
     "FittedFamily",
     "NormReport",
-    "norm",
-    "bounding_norm",
-    "future_norm",
     "check_ff_axioms",
     "taper_delta",
     "taper_certificate",
@@ -414,21 +411,6 @@ class FittedFamily:
 
     def __repr__(self) -> str:
         return f"FittedFamily({self.name!r}, p={self.p}, weight={self.weight})"
-
-
-# -- free-function wrappers --------------------------------------------------
-
-
-def norm(f: TimeFunction, iv: Interval, fam: FittedFamily) -> float:
-    return fam.seminorm(f, iv)
-
-
-def bounding_norm(f: TimeFunction, fam: FittedFamily) -> float:
-    return fam.bounding_norm(f)
-
-
-def future_norm(f: TimeFunction, s: float, fam: FittedFamily) -> float:
-    return fam.future_norm(f, s)
 
 
 # -- axiom checking -----------------------------------------------------------

@@ -11,18 +11,16 @@ maximizations of a weighted operator distance on shared, seeded probe sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
-from .sysop import SystemOp
+from .sysop import NPowerEstimate, SystemOp, estimate_npower
 from .timegrid import Grid, TimeFunction, shift_left, shift_right, splice
 
 __all__ = [
     "NaturalState",
-    "StateDistance",
     "state_distance",
     "trajectory",
     "drive",
@@ -54,15 +52,7 @@ class NaturalState:
 
     def evaluate(self, v: TimeFunction) -> TimeFunction:
         """Centered future output on ``(0, H]`` for future input ``v`` on ``(0, H]``."""
-        full = self.spliced_input(v)
-        y = self.system.apply(full)
-        t_idx = full.grid.index_of(self.t)
-        future = TimeFunction(
-            Grid(y.grid.dt, t_idx, y.grid.i1),
-            y.samples[t_idx - y.grid.i0:],
-            y.tail_value,
-        )
-        return shift_left(future, self.t)
+        return _recenter(self.system.apply(self.spliced_input(v)), self.t)
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -75,26 +65,17 @@ class NaturalState:
         return f"NaturalState(t={self.t}, past={self.past!r})"
 
 
-@dataclass
-class StateDistance:
-    """Probe-maximized lower bound of the weighted distance between states."""
-
-    value: float
-    N: int
-    probe_index: int
-    probe_count: int
-    probe_set_id: str = ""
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "N": self.N,
-                "probe_index": self.probe_index,
-                "probe_count": self.probe_count,
-                "probe_set_id": self.probe_set_id}
+def _recenter(y: TimeFunction, t: float) -> TimeFunction:
+    """The part of ``y`` after ``t``, shifted back to start at 0."""
+    t_idx = y.grid.index_of(t)
+    future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
+                          y.samples[t_idx - y.grid.i0:], y.tail_value)
+    return shift_left(future, t)
 
 
 def state_distance(xi: NaturalState, eta: NaturalState, N: int,
                    futures: Sequence[TimeFunction],
-                   probe_set_id: str = "") -> StateDistance:
+                   probe_set_id: str = "") -> NPowerEstimate:
     """``max_v |xi(v) - eta(v)|_{0,inf} / (1 + |v|_{0,inf}^N)`` over probes.
 
     Both states must share the input/output families of their systems; the
@@ -103,15 +84,10 @@ def state_distance(xi: NaturalState, eta: NaturalState, N: int,
     """
     out_fam = xi.system.output_fam
     in_fam = xi.system.input_fam
-    best, arg = -1.0, -1
-    for i, v in enumerate(futures):
-        d = xi.evaluate(v) - eta.evaluate(v)
-        num = out_fam.future_norm(d, 0.0)
-        den = 1.0 + in_fam.future_norm(v, 0.0) ** N
-        r = num / den
-        if r > best:
-            best, arg = r, i
-    return StateDistance(best, N, arg, len(futures), probe_set_id)
+    return estimate_npower(lambda v: xi.evaluate(v) - eta.evaluate(v),
+                           futures, N, lambda v: in_fam.future_norm(v, 0.0),
+                           lambda d: out_fam.future_norm(d, 0.0),
+                           probe_set_id=probe_set_id)
 
 
 def trajectory(system: SystemOp, u: TimeFunction, times) -> list[NaturalState]:
@@ -285,9 +261,7 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
         fulls.append(y)
         est = max(est, out_fam.bounding_norm(y)
                   / (1.0 + in_fam.bounding_norm(z) ** N))
-        y_fut = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
-                             y.samples[t_idx - y.grid.i0:], y.tail_value)
-        y_fut = shift_left(y_fut, state.t)
+        y_fut = _recenter(y, state.t)
         evals.append(y_fut)
         ratios.append(out_fam.future_norm(y_fut, 0.0)
                       / (1.0 + in_fam.future_norm(v, 0.0) ** N))

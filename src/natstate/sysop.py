@@ -9,7 +9,10 @@ Three concrete operators are shipped:
   the exact matrix exponential of each cell (zero-order hold);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
-  kernels, optionally time varying.
+  kernels, optionally time varying.  Every term, of any degree, is one
+  contraction of the kernel grid against the inputs' lag matrices
+  (``_contract``: a matmul for the first slot, a row-wise reduction for
+  each further one).
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are probe maximizations and therefore
@@ -163,12 +166,12 @@ class LTISystem(SystemOp):
             raise ValueError("input dimension mismatch")
         g = u.grid
         Ad, Bd = self._stepper(g.dt)
-        x = self.initial_state(u)
+        x = x0 = self.initial_state(u)
         out = np.empty((g.n, self.output_dim))
         for k in range(g.n):
             x = Ad @ x + Bd @ u.samples[k]
             out[k] = x
-        return TimeFunction(g, out, self.initial_state(u))
+        return TimeFunction(g, out, x0)
 
 
 class PolyIntegralOperator(SystemOp):
@@ -209,62 +212,70 @@ class PolyIntegralOperator(SystemOp):
         vals = u.values_at_indices(flat)
         return vals.reshape(t_idx.shape[0], Q, u.dim)
 
+    def _term(self, ker: PolyKernel, slots: Sequence[TimeFunction],
+              t_idx: np.ndarray) -> np.ndarray:
+        """One multilinear term at the instants ``t_idx``, one input per slot.
+
+        ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
+        over the kernel grid.  A time-invariant kernel is contracted against
+        every instant at once; a time-varying one is sampled per instant.
+        """
+        if ker.time_varying and any(np.any(s.tail_value) for s in slots):
+            raise ValueError("time-varying operator requires zero input tail")
+        dt = slots[0].grid.dt
+        Q = ker.grid_size(dt)
+        pasts = {id(s): self._past_matrix(s, t_idx, Q) for s in slots}
+        mats = [pasts[id(s)] for s in slots]
+        scale = dt ** ker.degree
+        if not ker.time_varying:
+            return _contract(ker.grid_values(dt), mats) * scale
+        out = np.empty(t_idx.shape[0])
+        for i, t in enumerate(t_idx):
+            K = ker.grid_values(dt, at_time=float(t * dt))
+            out[i] = _contract(K, [m[i:i + 1] for m in mats])[0]
+        return out * scale
+
     def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
         if u.dim != self.input_dim:
             raise ValueError("input dimension mismatch")
         t_idx = np.asarray(t_indices, dtype=int)
-        if not self.time_invariant and np.any(u.tail_value):
-            raise ValueError("time-varying operator requires zero input tail")
-        dt = u.grid.dt
         y = np.full(t_idx.shape[0], self.constant, dtype=float)
         for n, ker in sorted(self.kernels.items()):
-            Q = ker.grid_size(dt)
-            P = self._past_matrix(u, t_idx, Q)
-            scale = dt ** n
-            if not ker.time_varying:
-                K = ker.grid_values(dt)
-                if n == 1:
-                    y += np.einsum("aj,ija->i", K, P) * scale
-                elif n == 2:
-                    y += np.einsum("abjk,ija,ikb->i", K, P, P) * scale
-                else:
-                    y += np.einsum("abcjkl,ija,ikb,ilc->i", K, P, P, P) * scale
-            else:
-                ts = t_idx * dt
-                for i, t in enumerate(ts):
-                    K = ker.grid_values(dt, at_time=float(t))
-                    p = P[i]
-                    if n == 1:
-                        y[i] += np.einsum("aj,ja->", K, p) * scale
-                    elif n == 2:
-                        y[i] += np.einsum("abjk,ja,kb->", K, p, p) * scale
-                    else:
-                        y[i] += np.einsum("abcjkl,ja,kb,lc->", K, p, p, p) * scale
+            y += self._term(ker, [u] * n, t_idx)
         return y[:, None]
 
-    def _tail_output(self, u: TimeFunction) -> float:
-        if not self.time_invariant:
-            return self.constant  # zero tail enforced in apply_at
-        dt = u.grid.dt
-        y = self.constant
-        tail = u.tail_value
-        for n, ker in sorted(self.kernels.items()):
-            Q = ker.grid_size(dt)
-            K = ker.grid_values(dt)
-            v = np.tile(tail[None, :], (Q, 1))
-            if n == 1:
-                y += float(np.einsum("aj,ja->", K, v)) * dt
-            elif n == 2:
-                y += float(np.einsum("abjk,ja,kb->", K, v, v)) * dt ** 2
-            else:
-                y += float(np.einsum("abcjkl,ja,kb,lc->", K, v, v, v)) * dt ** 3
-        return y
-
     def apply(self, u: TimeFunction) -> TimeFunction:
+        # At ``i0`` every lag reads the constant input tail, so the first row
+        # is the output tail.
         g = u.grid
-        t_idx = np.arange(g.i0 + 1, g.i1 + 1)
-        vals = self.apply_at(u, t_idx)
-        return TimeFunction(g, vals, np.array([self._tail_output(u)]))
+        y = self.apply_at(u, np.arange(g.i0, g.i1 + 1))
+        return TimeFunction(g, y[1:], y[0])
+
+
+def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum K[a.., j..] prod_m mats[m][i, j_m, a_m]`` for every row ``i``.
+
+    ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
+    ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
+    ``(QM, (QM)^(n-1))``; each further slot is one row-wise reduction.  Rows
+    go in blocks of ``QM``, so no temporary outgrows ``K``.
+    """
+    n = len(mats)
+    I, Q, M = mats[0].shape
+    D = Q * M
+    # (a_1..a_n, j_1..j_n) -> (j_1, a_1, .., j_n, a_n): each slot's (Q, M)
+    # pair in the order of a flattened matrix row.
+    axes = [ax for m in range(n) for ax in (n + m, m)]
+    Kt = K.transpose(axes).reshape(D, -1)
+    xs = [m.reshape(I, D) for m in mats]
+    out = np.empty(I)
+    for lo in range(0, I, D):
+        T = xs[0][lo:lo + D] @ Kt
+        for x in xs[1:]:
+            T = np.einsum("id,ide->ie", x[lo:lo + D],
+                          T.reshape(T.shape[0], D, -1))
+        out[lo:lo + D] = T[:, 0]
+    return out
 
 
 class TimeAdvance(SystemOp):

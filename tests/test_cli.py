@@ -60,6 +60,18 @@ def test_config_parsing():
     assert cfg["dt"] == 0.02 and cfg["seed"] == 99
     assert cfg["experiments"] == ["taper", "tail-separation"]
     assert cfg["out"] == "reports" and cfg["flag"] is True
+    # '#' inside a quoted string is data, and lists may span lines.
+    cfg = parse_config_text("""
+    [system.fromfile]
+    kernel_csv = "runs#1/k.csv"  # a comment
+    [run]
+    experiments = [
+        "taper",
+        "ff-axioms",
+    ]
+    """)
+    assert cfg["system.fromfile.kernel_csv"] == "runs#1/k.csv"
+    assert cfg["experiments"] == ["taper", "ff-axioms"]
     with pytest.raises(ValueError):
         parse_config_text("just some words\n")
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natstate import (FittedFamily, Grid, Interval, TimeFunction, Weight,
-                      bounding_norm, check_ff_axioms, classify,
-                      classify_input_set, norm, splice, taper_certificate,
-                      taper_delta)
+                      check_ff_axioms, classify, classify_input_set, splice,
+                      taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
 
@@ -21,8 +20,8 @@ SUP = FittedFamily.unweighted_sup()
 def test_unit_constant_on_unit_interval():
     g = Grid(0.01, -100, 200)
     one = TimeFunction(g, np.ones((g.n, 1)), np.array([1.0]))
-    assert norm(one, Interval(0.0, 1.0), UL2) == pytest.approx(1.0)
-    assert norm(one, Interval(0.0, 1.0), SUP) == 1.0
+    assert UL2.seminorm(one, Interval(0.0, 1.0)) == pytest.approx(1.0)
+    assert SUP.seminorm(one, Interval(0.0, 1.0)) == 1.0
 
 
 def test_weight_integrals_closed_form():
@@ -43,7 +42,7 @@ def test_constant_bounding_norm_matches_tail_integral():
     c = 0.7
     f = TimeFunction(g, c * np.ones((g.n, 1)), np.array([c]))
     w0 = Weight.exponential(1.0).integral(0.0, math.inf)
-    got = bounding_norm(f, EXP2)
+    got = EXP2.bounding_norm(f)
     assert got == pytest.approx(c * math.sqrt(w0), rel=1e-2)
     # At the far-past instant only the exact closed-form tail contributes.
     assert EXP2.past_norm(f, g.t_start) == pytest.approx(
@@ -66,7 +65,7 @@ def test_residual_triangles_squared_norm():
     t = g.times()
     e = (src.u(t + h) - src.u(t) - h * src.d(t))[:, None]
     ef = TimeFunction(g, e, np.zeros(1))
-    got = bounding_norm(ef, UL2) ** 2
+    got = UL2.bounding_norm(ef) ** 2
     # Base-grid rectangle rule: one-sided 3*dt/(2h) overestimate = 0.6%.
     assert got == pytest.approx(4.0 * h ** 3 / 3.0, rel=1e-2)
 

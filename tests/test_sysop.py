@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 
 from natstate import (FittedFamily, Grid, LimsupConvolution, LTISystem,
-                      TimeAdvance, TimeFunction, centered_truncation,
-                      check_causality, estimate_npower,
+                      PolyIntegralOperator, PolyKernel, TimeAdvance,
+                      TimeFunction, centered_truncation, check_causality,
+                      estimate_npower, frechet_of, gateaux_fd,
                       hypothesis_uniformity_check, npower_centered,
                       npower_global, shift_left, steer_to_state, truncation)
 from natstate import catalog
+from natstate.sysop import _contract
 
 DT = 0.02
 
@@ -334,3 +336,92 @@ def test_cubic_operator_runs():
     # Constant term shows through at zero input.
     z = TimeFunction(g, np.zeros((g.n, 1)), np.zeros(1))
     assert np.all(b.system.apply(z).samples == b.params["constant_term"])
+
+
+# -- the multilinear contraction ---------------------------------------------
+
+# Per-degree contractions written out index by index: the oracle for the
+# single matmul-and-reduce path.
+EINSUM_ORACLE = {1: "aj,ija->i", 2: "abjk,ija,ikb->i",
+                 3: "abcjkl,ija,ikb,ilc->i"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2])
+def test_contract_matches_einsum_oracle(n, M):
+    rng = np.random.default_rng(10 * n + M)
+    Q, I = 5, 37  # I spans several row blocks of Q*M rows
+    K = rng.standard_normal((M,) * n + (Q,) * n)
+    mats = [rng.standard_normal((I, Q, M)) for _ in range(n)]  # distinct slots
+    want = np.einsum(EINSUM_ORACLE[n], K, *mats)
+    got = _contract(K, mats)
+    assert got.shape == (I,)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def _cubic_tv_operator(S):
+    def f(t, a, b, c):
+        return (1.0 + 0.5 * np.sin(t)) * np.exp(-(a + 2.0 * b + 3.0 * c))
+
+    ker = PolyKernel(3, S, func=f, time_varying=True)
+    fam = catalog.family("uniform-l2")
+    return PolyIntegralOperator([ker], 0.0, fam, catalog.family("esssup")), ker
+
+
+def test_term_time_varying_degree3_distinct_slots():
+    dt, S = 0.05, 0.3
+    op, ker = _cubic_tv_operator(S)
+    g = Grid(dt, -20, 10)
+    u, v, w = _pasts(g, 31, 3)
+    t_idx = np.arange(g.i0, g.i1 + 1)
+    got = op._term(ker, [u, v, w], t_idx)
+    Q = ker.grid_size(dt)
+    lags = np.arange(1, Q + 1) * dt
+    mesh = np.meshgrid(lags, lags, lags, indexing="ij")
+    for i, t in enumerate(t_idx):
+        past = [s.values_at_indices(t - np.arange(1, Q + 1))[:, 0]
+                for s in (u, v, w)]
+        K = ker.func(t * dt, *mesh)
+        want = np.einsum("jkl,j,k,l->", K, *past) * dt ** 3
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_time_varying_degree3_derivative():
+    # The analytic differential of a degree-3 time-varying operator matches
+    # its central difference (O(h^2) apart).
+    op, _ = _cubic_tv_operator(0.3)
+    g = Grid(0.05, -20, 10)
+    u, v = _pasts(g, 32, 2)
+    L = frechet_of(op).L(u, v)
+    fd = gateaux_fd(op, u, v, h=1e-4)
+    assert np.max(np.abs(L.samples - fd.samples)) <= 1e-7
+    assert L.tail_value[0] == 0.0
+
+
+def test_poly_tail_value_is_constant_input_sum():
+    # Output tail of a constant-tail input: c0 + sum_n dt^n sum K ubar^n.
+    dt = 0.04
+    b = catalog.system("cubic-volterra", dt)
+    g = b.grid(dt)
+    ubar = 0.7
+    u = _pasts(g, 33, 1, tail=ubar)[0]
+    y = b.system.apply(u)
+    want = b.system.constant + sum(
+        dt ** n * ubar ** n * float(np.sum(k.grid_values(dt)))
+        for n, k in b.system.kernels.items())
+    assert y.tail_value[0] == pytest.approx(want, rel=1e-12)
+    # Vector input: each component axis of the kernel meets its tail level.
+    M, S = 2, 0.2
+    ker = PolyKernel(2, S, input_dim=M,
+                     func=lambda ix, s1, s2: (ix[0] - 0.4 * ix[1])
+                     * np.exp(-s1 - s2))
+    fam = catalog.family("uniform-l2")
+    op = PolyIntegralOperator([ker], 0.25, fam, catalog.family("esssup"),
+                              input_dim=M)
+    tail = np.array([0.6, -1.1])
+    gv = Grid(dt, -10, 10)
+    uv = TimeFunction(gv, np.ones((gv.n, M)), tail)
+    K = ker.grid_values(dt)
+    want = 0.25 + dt ** 2 * float(np.sum(
+        K * tail[:, None, None, None] * tail[None, :, None, None]))
+    assert op.apply(uv).tail_value[0] == pytest.approx(want, rel=1e-12)
