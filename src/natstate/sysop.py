@@ -207,10 +207,20 @@ class PolyIntegralOperator(SystemOp):
         self.time_invariant = not any(k.time_varying for k in kernels)
 
     def _past_matrix(self, u: TimeFunction, t_idx: np.ndarray, Q: int) -> np.ndarray:
-        """``P[i, j, a] = u_a(t_i - j dt)`` for ``j = 1..Q``."""
-        flat = (t_idx[:, None] - np.arange(1, Q + 1)[None, :]).ravel()
-        vals = u.values_at_indices(flat)
-        return vals.reshape(t_idx.shape[0], Q, u.dim)
+        """``P[i, j, a] = u_a(t_i - j dt)`` for ``j = 1..Q``.
+
+        Row ``i`` is one window over the samples in latest-first order
+        followed by ``Q`` tail rows, so an instant at or below ``i0`` reads
+        only the tail.
+        """
+        g = u.grid
+        if np.any(t_idx > g.i1 + 1):
+            raise IndexError("instant index beyond the represented horizon")
+        latest_first = np.concatenate(
+            [u.samples[::-1], np.broadcast_to(u.tail_value, (Q, u.dim))])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            latest_first, (Q, u.dim))[:, 0]
+        return windows[np.minimum(g.i1 + 1 - t_idx, g.n)]
 
     def _term(self, ker: PolyKernel, slots: Sequence[TimeFunction],
               t_idx: np.ndarray) -> np.ndarray:

@@ -267,7 +267,11 @@ def shift_left(f: TimeFunction, tau: float) -> TimeFunction:
     window moves, so shifted norms match unshifted ones bit for bit.
     """
     k = f.grid.index_of(tau)
-    return TimeFunction(f.grid.shifted(k), f.samples, f.tail_value)
+    # ``f``'s arrays are already validated and frozen: share, not copy.
+    out = object.__new__(TimeFunction)
+    out.grid, out.samples, out.tail_value = (f.grid.shifted(k), f.samples,
+                                             f.tail_value)
+    return out
 
 
 def shift_right(f: TimeFunction, tau: float) -> TimeFunction:

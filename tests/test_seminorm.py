@@ -6,15 +6,68 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natstate import (FittedFamily, Grid, Interval, TimeFunction, Weight,
-                      check_ff_axioms, classify, classify_input_set, splice,
-                      taper_certificate, taper_delta)
+                      catalog, check_ff_axioms, classify, classify_input_set,
+                      shift_left, splice, taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
+from natstate.seminorm import ConditionResult, NormReport, _random_triples
 
 UL2 = FittedFamily.weighted_lp(2.0, Weight.uniform(), name="uniform-l2")
 EXP2 = FittedFamily.weighted_lp(2.0, Weight.exponential(1.0), name="exp-l2")
 BOX2 = FittedFamily.weighted_lp(2.0, Weight.box(1.5), name="box-l2")
 SUP = FittedFamily.unweighted_sup()
+
+
+def _window_single(fam, f, si, ti):
+    """Direct O(window) oracle for ``|f|_{si, ti}`` (``si=None``: from -inf).
+
+    A finite-support weight clips the window to its support; the part of the
+    window at or before the grid start is the closed-form tail integral.
+    """
+    g = f.grid
+    if ti > g.i1:
+        raise ValueError("window end beyond represented horizon")
+    dt = g.dt
+    lo = g.i0 if si is None else max(si, g.i0)
+    if fam.weight.support < math.inf:
+        supp_idx = int(round(fam.weight.support / dt))
+        lo = max(lo, ti - supp_idx)
+        if si is None or si < ti - supp_idx:
+            si = ti - supp_idx
+    tail_mag = fam._scalar_tail(f.tail_value)
+    tail_term = 0.0
+    cut = min(ti, g.i0)
+    if (si is None or si < cut) and tail_mag > 0.0:
+        a = (ti - cut) * dt
+        if fam.p < math.inf:
+            b = math.inf if si is None else (ti - si) * dt
+            mass = fam.weight.integral(a, b)
+            if mass == math.inf:
+                raise ValueError("divergent tail")
+            tail_term = tail_mag ** fam.p * mass
+        else:
+            tail_term = tail_mag * float(fam.weight(np.array([a]))[0])
+    if ti > lo:
+        mags = fam._rownorm(f.samples[lo - g.i0: ti - g.i0])
+        wv = np.asarray(fam.weight((ti - np.arange(lo + 1, ti + 1)) * dt))
+        if fam.p < math.inf:
+            return float((np.dot(mags ** fam.p, wv) * dt + tail_term)
+                         ** (1.0 / fam.p))
+        return max(float(np.max(mags * wv)), tail_term)
+    return float(tail_term ** (1.0 / fam.p)) if fam.p < math.inf \
+        else tail_term
+
+
+def _oracle(fam, f, si, ti):
+    """``_window_single``, or its running sup over right ends for ``sup``."""
+    if fam.kind != "sup":
+        return _window_single(fam, f, si, ti)
+    g = f.grid
+    lo = g.i0 if si is None else max(si, g.i0)
+    vals = [_window_single(fam.base, f, si, u) for u in range(lo + 1, ti + 1)]
+    if si is None:
+        vals.append(_window_single(fam.base, f, None, g.i0))
+    return max(vals, default=0.0)
 
 
 def test_unit_constant_on_unit_interval():
@@ -98,8 +151,7 @@ def test_windowed_all_t_matches_single(rough):
         allt = fam.past_norms_all_t(f)
         g = f.grid
         for k, t_idx in enumerate(range(g.i0, g.i1 + 1, 11)):
-            want = fam._window_single(f, None, t_idx) if t_idx > g.i0 \
-                else fam._window_single(f, None, g.i0)
+            want = _window_single(fam, f, None, t_idx)
             assert allt[t_idx - g.i0] == pytest.approx(want, rel=1e-12)
 
 
@@ -244,3 +296,216 @@ def test_triangle_and_monotone_property(vals, s_idx, t_idx):
             if s_idx > r_idx else 0.0
         assert nst <= nrt + 1e-12 * max(1.0, nrt)
         assert nrt <= nrs + nst + 1e-12 * max(1.0, nrs + nst)
+
+
+# -- batched windows against the direct oracle ---------------------------------
+
+_UL2 = catalog.family("uniform-l2")
+_FAST_EXP = FittedFamily.weighted_lp(1.5, Weight.exponential(200.0),
+                                     name="exp-fast-l1.5")
+_SEMINORM_CASES = [catalog.family(name) for name in sorted(catalog.FAMILIES)] + [
+    FittedFamily.weighted_lp(2.0, Weight.table([0.0, 0.3, 1.1], [1.0, 0.4]),
+                             name="table-l2"),
+    FittedFamily.weighted_lp(math.inf, Weight.table([0.0, 0.5, 2.0],
+                                                    [1.0, 0.25]),
+                             name="table-linf"),
+    FittedFamily.weighted_lp(2.0, Weight.table([0.0, 1.0, 2.0, 3.0],
+                                               [1.0, 0.0, 1.0]),
+                             name="broken-dip", allow_nonmonotone=True),
+    _FAST_EXP,
+    FittedFamily.weighted_lp(math.inf, Weight.exponential(200.0),
+                             name="exp-fast-linf"),
+    FittedFamily.sup_family(_UL2),
+    FittedFamily.sup_family(catalog.family("box-l2")),
+    FittedFamily.sup_family(_FAST_EXP),
+    FittedFamily.sup_family(FittedFamily.weighted_lp(
+        math.inf, Weight.exponential(3.0), name="exp3-linf")),
+]
+# Magnitudes near the subnormal range lose relative precision in any
+# rounding order, so tiny draws are snapped to exact zeros.
+_VALUE = st.floats(min_value=-5, max_value=5).map(
+    lambda x: 0.0 if abs(x) < 1e-6 else x)
+
+
+def _divergent(fam, f):
+    base = fam.base if fam.kind == "sup" else fam
+    return base.p < math.inf and not base.weight.integrable \
+        and bool(np.any(f.tail_value))
+
+
+@st.composite
+def _windows_case(draw):
+    fam = draw(st.sampled_from(_SEMINORM_CASES))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    i0 = draw(st.integers(-40, 5))
+    n = draw(st.integers(1, 300))
+    dim = 2 if fam.vector_norm == "max" else draw(st.sampled_from([1, 2]))
+    cells = draw(st.lists(_VALUE, min_size=1, max_size=12))
+    reps = -(-n * dim // len(cells))
+    vals = np.resize(np.repeat(cells, reps), n * dim).reshape(n, dim)
+    tail = np.array(draw(st.lists(_VALUE, min_size=dim, max_size=dim)))
+    f = TimeFunction(Grid(dt, i0, i0 + n), vals, tail)
+    # Left ends before i0 need the closed-form tail, which the sup kind
+    # only has for the left-expanded window.
+    low = i0 if fam.kind == "sup" and np.any(tail) else i0 - 30
+    windows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()) and not _divergent(fam, f):
+            t = draw(st.integers(i0 - 20, i0 + n))
+            windows.append((-math.inf, t))
+        else:
+            s = draw(st.integers(low, i0 + n - 1))
+            windows.append((s, draw(st.integers(s + 1, i0 + n))))
+    return fam, f, windows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windows_case())
+def test_seminorms_match_direct_oracle(case):
+    fam, f, windows = case
+    s, t = map(np.array, zip(*windows))
+    got = fam.seminorms(f, s, t)
+    for k, (sk, tk) in enumerate(windows):
+        want = _oracle(fam, f, None if sk == -math.inf else int(sk), int(tk))
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0), (k, sk, tk)
+        # A batch entry is the one-window value, bit for bit.
+        assert got[k] == fam.seminorms(f, [sk], [tk])[0]
+    # The same on a copy whose grid reaches further into the past; windows
+    # inside the original grid keep their exact value off the sup kind.
+    g = f.grid
+    longer = f.with_window(g.i0 - 25, g.i1)
+    got2 = fam.seminorms(longer, s, t)
+    for k, (sk, tk) in enumerate(windows):
+        assert got2[k] == fam.seminorms(longer, [sk], [tk])[0]
+        if fam.kind != "sup" and sk >= g.i0:
+            assert got2[k] == got[k]
+    # Exact zero when the integrand vanishes on the window.
+    sk, tk = windows[0]
+    idx = np.arange(g.i0 + 1, g.i1 + 1)
+    zeroed = np.where(((idx > sk) & (idx <= tk))[:, None], 0.0, f.samples)
+    tail = np.zeros(f.dim) if sk < g.i0 else f.tail_value
+    z = TimeFunction(g, zeroed, tail)
+    assert fam.seminorms(z, [sk], [tk])[0] == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_exp_weight_long_span_stays_finite(p):
+    # rate * span = 1000 > 709: exp(+rate * span) overflows if the whole
+    # window is rescaled at once.
+    fam = FittedFamily.weighted_lp(p, Weight.exponential(5.0))
+    g = Grid(0.01, 0, 20000)
+    f = TimeFunction(g, np.random.default_rng(6).standard_normal((g.n, 1)),
+                     np.array([0.3]))
+    allt = fam.past_norms_all_t(f)
+    assert np.all(np.isfinite(allt))
+    for ti in range(g.i0, g.i1 + 1, 997):
+        assert allt[ti - g.i0] == pytest.approx(
+            _window_single(fam, f, None, ti), rel=1e-12)
+    assert fam.bounding_norm(f) == float(np.max(allt))
+    mags = fam._rownorm(f.samples)
+    for si in (g.i0, 4321):
+        row = fam._windowed(
+            np.where(np.arange(g.n) >= si - g.i0, mags, 0.0)[None], g.dt)[0]
+        assert np.all(np.isfinite(row))
+        for ti in range(si + 1, g.i1 + 1, 997):
+            assert row[ti - g.i0 - 1] == pytest.approx(
+                _window_single(fam, f, si, ti), rel=1e-12)
+        assert fam.future_norm(f, si * g.dt) == float(np.max(row))
+
+
+def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):
+    """The per-window form of ``check_ff_axioms``: one ``seminorm`` call per
+    window, the same random draws in the same order."""
+    rng = np.random.default_rng(rng)
+    report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
+    res = {name: ConditionResult(True, 0) for name in
+           ("locality", "shift_invariance", "monotone_in_s",
+            "triangle_over_split", "window_comparison")}
+    dt = probes[0].grid.dt
+    alpha_idx = None if fam.alpha == math.inf else max(2, int(fam.alpha / dt))
+    k_obs = 0.0
+
+    def fail(name, witness):
+        res[name].passed = False
+        res[name].witness = res[name].witness or witness
+
+    for pi, f in enumerate(probes):
+        g = f.grid
+        for (r, s, t) in _random_triples(rng, g, n_triples, None):
+            ivst = Interval(s * dt, t * dt)
+            other = np.array(f.samples)
+            idx = np.arange(g.i0 + 1, g.i1 + 1)
+            other[(idx <= s) | (idx > t)] += 1.0 + rng.random()
+            diff = TimeFunction(g, f.samples - other,
+                                f.tail_value - (f.tail_value + 1.0))
+            v = fam.seminorm(diff, ivst)
+            res["locality"].checks += 1
+            if v != 0.0:
+                fail("locality", {"probe": pi, "window": [s * dt, t * dt],
+                                  "value": v})
+            k = int(rng.integers(-g.n, g.n))
+            a = fam.seminorm(shift_left(f, k * dt),
+                             Interval((s - k) * dt, (t - k) * dt))
+            nst = fam.seminorm(f, ivst)
+            res["shift_invariance"].checks += 1
+            if a != nst:
+                fail("shift_invariance", {
+                    "probe": pi, "window": [s * dt, t * dt],
+                    "shift": k * dt, "lhs": a, "rhs": nst})
+            nrt = fam.seminorm(f, Interval(r * dt, t * dt))
+            res["monotone_in_s"].checks += 1
+            if nst > nrt + tol * max(1.0, nrt):
+                fail("monotone_in_s", {"probe": pi,
+                                       "triple": [r * dt, s * dt, t * dt],
+                                       "lhs": nst, "rhs": nrt})
+            nrs = fam.seminorm(f, Interval(r * dt, s * dt))
+            res["triangle_over_split"].checks += 1
+            if nrt > nrs + nst + tol * max(1.0, nrs + nst):
+                fail("triangle_over_split", {
+                    "probe": pi, "triple": [r * dt, s * dt, t * dt],
+                    "lhs": nrt, "rhs": nrs + nst})
+        for (r, s, t) in _random_triples(rng, g, n_triples, alpha_idx):
+            nrs = fam.seminorm(f, Interval(r * dt, s * dt))
+            nrt = fam.seminorm(f, Interval(r * dt, t * dt))
+            res["window_comparison"].checks += 1
+            if nrs > 0.0 and nrt == 0.0:
+                fail("window_comparison", {
+                    "probe": pi, "triple": [r * dt, s * dt, t * dt],
+                    "ratio": "inf"})
+            elif nrt > 0.0:
+                k_obs = max(k_obs, nrs / nrt)
+    if np.isfinite(fam.K) and k_obs > fam.K * (1.0 + 1e-9):
+        fail("window_comparison", {"K_observed": k_obs, "K_declared": fam.K})
+    report.conditions = res
+    report.K_observed = k_obs
+    return report
+
+
+def _assert_close_tree(got, want):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_close_tree(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_close_tree(a, b)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got == want
+
+
+def test_batched_axioms_keep_counts_and_report(grid):
+    probes = probe_set(grid, 23, count=8, tails=True)
+    broken = FittedFamily.weighted_lp(
+        2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
+        name="dip", allow_nonmonotone=True)
+    for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2), broken):
+        for m in (0, 1, 9):
+            rep = check_ff_axioms(fam, probes, rng=31, n_triples=m)
+            assert all(c.checks == len(probes) * m
+                       for c in rep.conditions.values())
+            _assert_close_tree(
+                rep.to_dict(),
+                _check_ff_axioms_per_window(fam, probes, 31, m).to_dict())

@@ -425,3 +425,24 @@ def test_poly_tail_value_is_constant_input_sum():
     want = 0.25 + dt ** 2 * float(np.sum(
         K * tail[:, None, None, None] * tail[None, :, None, None]))
     assert op.apply(uv).tail_value[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_past_matrix_matches_flat_gather(quad, M):
+    # The sliding-window lag matrix against the flat-index gather it
+    # replaced, at instants below i0, inside the grid and at i1 (+1).
+    g = Grid(DT, -7, 12)
+    rng = np.random.default_rng(34)
+    u = TimeFunction(g, rng.standard_normal((g.n, M)),
+                     rng.standard_normal(M))
+    Q = 5
+    t_idx = np.array([g.i0 - 9, g.i0 - 1, g.i0, g.i0 + 1, g.i0 + 3, 0,
+                      g.i1 - 1, g.i1, g.i1 + 1])
+    flat = (t_idx[:, None] - np.arange(1, Q + 1)[None, :]).ravel()
+    want = u.values_at_indices(flat).reshape(t_idx.shape[0], Q, M)
+    op = quad.system
+    got = op._past_matrix(u, t_idx, Q)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    with pytest.raises(IndexError, match="beyond the represented horizon"):
+        op._past_matrix(u, np.array([g.i1 + 2]), Q)
