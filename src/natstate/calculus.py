@@ -25,8 +25,9 @@ import numpy as np
 
 from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
-from .states import NaturalState, _recenter
-from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
+from .states import NaturalState
+from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
+                    SystemOp, _recenter)
 from .timegrid import Grid, TimeFunction, shift_right, splice
 
 __all__ = [

@@ -3,9 +3,14 @@
 The state of a causal system at time ``t`` induced by a past input ``u`` is
 the operator that takes a centered future input ``v`` (supported on
 ``(0, H]``), splices it onto the past ``u`` at ``t``, applies the system,
-and recenters the output future.  States are lazy: a state is just the
-triple (system, past representative, instant); all comparisons are probe
-maximizations of a weighted operator distance on shared, seeded probe sets.
+and recenters the output future.  A state holds the system, a past
+representative and the instant, plus what that past contributes to every
+future: the system's ``past_summary``, computed on the first evaluation
+and read by ``future_response`` for each future (the last support window
+and the eventual level for a convolution, the vector ``x(t)`` for a state
+equation, the past itself for the definitional splice-apply-recenter
+path).  All comparisons are probe maximizations of a weighted operator
+distance on shared, seeded probe sets.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
-from .sysop import NPowerEstimate, SystemOp, estimate_npower
-from .timegrid import Grid, TimeFunction, shift_left, shift_right, splice
+from .sysop import NPowerEstimate, SystemOp, _recenter, estimate_npower
+from .timegrid import TimeFunction, shift_left, shift_right, splice
 
 __all__ = [
     "NaturalState",
@@ -40,11 +45,22 @@ class NaturalState:
     """
 
     def __init__(self, system: SystemOp, past: TimeFunction, t: float):
-        if past.grid.index_of(t) > past.grid.i1:
+        t_idx = past.grid.index_of(t)
+        if t_idx > past.grid.i1:
             raise ValueError("past representative not defined up to t")
         self.system = system
         self.past = past
         self.t = float(t)
+        self._t_idx = t_idx
+        self._summary = None
+
+    @property
+    def summary(self):
+        """What the past contributes to every future (``past_summary`` of
+        the system), computed on first use."""
+        if self._summary is None:
+            self._summary = self.system.past_summary(self.past, self._t_idx)
+        return self._summary
 
     def spliced_input(self, v: TimeFunction) -> TimeFunction:
         """The full input ``past up to t, then v shifted out to start at t``."""
@@ -52,7 +68,7 @@ class NaturalState:
 
     def evaluate(self, v: TimeFunction) -> TimeFunction:
         """Centered future output on ``(0, H]`` for future input ``v`` on ``(0, H]``."""
-        return _recenter(self.system.apply(self.spliced_input(v)), self.t)
+        return self.system.future_response(self.summary, v)
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -63,14 +79,6 @@ class NaturalState:
 
     def __repr__(self) -> str:
         return f"NaturalState(t={self.t}, past={self.past!r})"
-
-
-def _recenter(y: TimeFunction, t: float) -> TimeFunction:
-    """The part of ``y`` after ``t``, shifted back to start at 0."""
-    t_idx = y.grid.index_of(t)
-    future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
-                          y.samples[t_idx - y.grid.i0:], y.tail_value)
-    return shift_left(future, t)
 
 
 def state_distance(xi: NaturalState, eta: NaturalState, N: int,

@@ -14,6 +14,12 @@ Three concrete operators are shipped:
   (``_contract``: a matmul for the first slot, a row-wise reduction for
   each further one).
 
+Every operator also answers for natural states (``past_summary`` and
+``future_response``): by default a summary is the past itself and a
+future response splices, applies and recenters; the convolution and the
+state equation keep only what the future reads of the past, and their
+future outputs equal the definitional ones bit for bit.
+
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are probe maximizations and therefore
 lower bounds, monotone under probe-set growth.
@@ -29,7 +35,7 @@ import scipy.linalg
 
 from .kernel import PolyKernel
 from .seminorm import FittedFamily
-from .timegrid import Grid, TimeFunction, shift_left, shift_right
+from .timegrid import Grid, TimeFunction, shift_left, shift_right, splice
 
 __all__ = [
     "SystemOp",
@@ -67,6 +73,25 @@ class SystemOp:
         y = self.apply(u)
         return y.values_at_indices(np.asarray(t_indices, dtype=int))
 
+    def past_summary(self, u: TimeFunction, t_idx: int):
+        """What ``u`` up to the instant ``t_idx * dt`` contributes to every
+        future output, in the form :meth:`future_response` reads.
+
+        By default the summary is the past itself with the instant.
+        """
+        return u, t_idx
+
+    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
+        """Centered output on ``(0, H]`` for the centered future input ``v``
+        on ``(0, H]`` after the past that ``summary`` describes.
+
+        By default this is the definition of a natural state: splice ``v``
+        onto the past at ``t``, apply the system and recenter the output.
+        """
+        u, t_idx = summary
+        t = t_idx * u.grid.dt
+        return _recenter(self.apply(splice(u, shift_right(v, t), t)), t)
+
     def __call__(self, u: TimeFunction) -> TimeFunction:
         return self.apply(u)
 
@@ -101,20 +126,46 @@ class LimsupConvolution(SystemOp):
     def l1_mass(self) -> float:
         return float(np.sum(np.abs(self.h.samples))) * self.h.grid.dt
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
+    def _check_input(self, u: TimeFunction) -> None:
         if u.dim != 1:
             raise ValueError("scalar input expected")
         if not u.grid.compatible(self.h.grid):
             raise ValueError("input grid step differs from impulse-response step")
-        g = u.grid
+
+    def _output(self, g: Grid, upad: np.ndarray, ubar: np.ndarray) -> TimeFunction:
+        """Output on ``g`` from ``upad``, the ``m`` inputs up to ``g``'s
+        start followed by its ``n`` samples, and the eventual level ``ubar``.
+
+        Output ``j`` reads ``upad[j .. j + m - 1]`` only.
+        """
         m = self.h.grid.n
         hv = self.h.samples[:, 0]
-        upad = u.values_at_indices(np.arange(g.i0 + 1 - m, g.i1 + 1))[:, 0]
-        conv = np.convolve(upad, hv)[m - 1: m - 1 + g.n] * g.dt
-        ubar = float(u.tail_value[0])
+        conv = np.convolve(upad[:, 0], hv)[m - 1: m - 1 + g.n] * g.dt
+        ubar = float(ubar[0])
         vals = conv + self.tail_gain * ubar
         tail = ubar * (float(np.sum(hv)) * g.dt + self.tail_gain)
         return TimeFunction(g, vals, np.array([tail]))
+
+    def apply(self, u: TimeFunction) -> TimeFunction:
+        self._check_input(u)
+        g = u.grid
+        m = self.h.grid.n
+        upad = u.values_at_indices(np.arange(g.i0 + 1 - m, g.i1 + 1))
+        return self._output(g, upad, u.tail_value)
+
+    def past_summary(self, u: TimeFunction, t_idx: int):
+        """The last ``m`` inputs up to ``t`` (tail-filled), the eventual
+        level and ``dt``: every past value a future output reads."""
+        self._check_input(u)
+        m = self.h.grid.n
+        window = u.values_at_indices(np.arange(t_idx + 1 - m, t_idx + 1))
+        return window, u.tail_value, u.grid.dt
+
+    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
+        window, ubar, dt = summary
+        self._check_input(v)
+        g = Grid(dt, 0, v.grid.i1)
+        return self._output(g, np.concatenate([window, v.values_after(0)]), ubar)
 
 
 class LTISystem(SystemOp):
@@ -161,17 +212,44 @@ class LTISystem(SystemOp):
                 "divergent tail: nonzero constant past input needs a Hurwitz A")
         return -np.linalg.solve(self.A, self.B @ ubar)
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
+    def _check_input(self, u: TimeFunction) -> None:
         if u.dim != self.input_dim:
             raise ValueError("input dimension mismatch")
-        g = u.grid
-        Ad, Bd = self._stepper(g.dt)
-        x = x0 = self.initial_state(u)
-        out = np.empty((g.n, self.output_dim))
-        for k in range(g.n):
-            x = Ad @ x + Bd @ u.samples[k]
+
+    def _steps(self, x: np.ndarray, samples: np.ndarray, dt: float) -> np.ndarray:
+        """The states after each input sample in turn, starting from ``x``.
+
+        The input term of every step is one matmul up front; for a scalar
+        input each of its entries is a single product, as in ``Bd @ u_k``.
+        """
+        Ad, Bd = self._stepper(dt)
+        Bu = samples @ Bd.T
+        out = np.empty((samples.shape[0], self.output_dim))
+        for k in range(samples.shape[0]):
+            x = Ad @ x + Bu[k]
             out[k] = x
-        return TimeFunction(g, out, x0)
+        return out
+
+    def apply(self, u: TimeFunction) -> TimeFunction:
+        self._check_input(u)
+        x0 = self.initial_state(u)
+        return TimeFunction(u.grid, self._steps(x0, u.samples, u.grid.dt), x0)
+
+    def past_summary(self, u: TimeFunction, t_idx: int):
+        """The state ``x(t)``, the window's starting state ``x0`` (the output
+        tail) and ``dt``."""
+        self._check_input(u)
+        x0 = self.initial_state(u)
+        xs = self._steps(x0, u.samples[:max(0, t_idx - u.grid.i0)], u.grid.dt)
+        return (xs[-1] if len(xs) else x0), x0, u.grid.dt
+
+    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
+        x, x0, dt = summary
+        self._check_input(v)
+        g = Grid(dt, 0, v.grid.i1)
+        if not g.compatible(v.grid):
+            raise ValueError("future input grid step differs from the past's")
+        return TimeFunction(g, self._steps(x, v.values_after(0), dt), x0)
 
 
 class PolyIntegralOperator(SystemOp):
@@ -305,6 +383,14 @@ class TimeAdvance(SystemOp):
         g = u.grid
         out = Grid(g.dt, g.i0 - self.k, g.i1 - self.k)
         return TimeFunction(out, u.samples, u.tail_value)
+
+
+def _recenter(y: TimeFunction, t: float) -> TimeFunction:
+    """The part of ``y`` after ``t``, shifted back to start at 0."""
+    t_idx = y.grid.index_of(t)
+    future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
+                          y.samples[t_idx - y.grid.i0:], y.tail_value)
+    return shift_left(future, t)
 
 
 # -- truncations -------------------------------------------------------------
@@ -477,11 +563,17 @@ def steer_to_state(system: LTISystem, x_target, t_end: float, duration: float,
     ``duration`` seconds, least-norm in the lifted discrete system.
 
     Exact at grid scale because the stepping and the lifted controllability
-    map use the same zero-order hold.
+    map use the same zero-order hold.  The window ``(t_end - duration,
+    t_end]`` must lie inside ``grid``'s, or no input on it reaches the target.
     """
     dt = grid.dt
-    Ad, Bd = system._stepper(dt)
     K = int(round(duration / dt))
+    te = grid.index_of(t_end)
+    if K < 1 or te - K < grid.i0 or te > grid.i1:
+        raise ValueError(
+            f"steering window ({t_end - duration}, {t_end}] does not fit in "
+            f"the grid window ({grid.t_start}, {grid.t_end}]")
+    Ad, Bd = system._stepper(dt)
     nx = system.A.shape[0]
     cols = []
     acc = np.eye(nx)
@@ -492,10 +584,6 @@ def steer_to_state(system: LTISystem, x_target, t_end: float, duration: float,
     C = np.hstack(cols)
     useq = np.linalg.pinv(C) @ np.asarray(x_target, dtype=float)
     useq = useq.reshape(K, system.input_dim)[::-1]
-    te = grid.index_of(t_end)
-    idx = np.arange(grid.i0 + 1, grid.i1 + 1)
     vals = np.zeros((grid.n, system.input_dim))
-    for k in range(K):
-        i = te - K + 1 + k
-        vals[idx == i] = useq[k]
+    vals[te - K - grid.i0: te - grid.i0] = useq
     return TimeFunction(grid, vals, np.zeros(system.input_dim))

@@ -175,6 +175,12 @@ class TimeFunction:
         out[~past] = self.samples[idx[~past] - self.grid.i0 - 1]
         return out
 
+    def values_after(self, i: int) -> np.ndarray:
+        """Values at the instants ``i + 1 .. grid.i1`` (none if ``i >=
+        grid.i1``), the tail filling those at or below ``grid.i0``."""
+        fill = np.broadcast_to(self.tail_value, (max(0, self.grid.i0 - i), self.dim))
+        return np.concatenate([fill, self.samples[max(0, i - self.grid.i0):]])
+
     def is_zero(self) -> bool:
         return not (np.any(self.samples) or np.any(self.tail_value))
 
@@ -295,14 +301,11 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
         raise ValueError("past operand is not defined up to the splice instant")
     if g.grid.i1 <= si:
         raise ValueError("future operand ends at or before the splice instant")
+    # The result starts at ``h``'s window or at ``si``, whichever is earlier,
+    # so its past part is the first ``si - i0`` samples of ``h``.
     i0 = min(h.grid.i0, si)
-    i1 = g.grid.i1
-    idx = np.arange(i0 + 1, i1 + 1)
-    vals = np.empty((idx.shape[0], h.dim))
-    past = idx <= si
-    vals[past] = h.values_at_indices(idx[past])
-    vals[~past] = g.values_at_indices(idx[~past])
-    return TimeFunction(Grid(h.grid.dt, i0, i1), vals, h.tail_value)
+    vals = np.concatenate([h.samples[:si - i0], g.values_after(si)])
+    return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, h.tail_value)
 
 
 def restrict(f: TimeFunction, iv: Interval, pad_with_tail: bool = False) -> TimeFunction:

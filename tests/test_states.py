@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natstate import (Grid, NaturalState, TimeFunction, drive,
                       reachability_experiment, representative_independence,
@@ -105,29 +107,105 @@ def test_representative_independence(averager, futures):
     assert representative_independence(st, futures[:4], rng=1) == 0.0
 
 
-def test_time_invariance_of_states(averager, futures):
-    g = averager.grid(DT)
-    u = _past(g, 19, tail=1.0)
+def _check_time_invariance(bundle, seed, futures):
+    u = _past(bundle.grid(DT), seed, tail=1.0)
     t = 0.6
-    st_t = NaturalState(averager.system, shift_right(u, t), t)
-    st_0 = NaturalState(averager.system, u, 0.0)
+    st_t = NaturalState(bundle.system, shift_right(u, t), t)
+    st_0 = NaturalState(bundle.system, u, 0.0)
     for v in futures[:4]:
         a = st_t.evaluate(v)
         b = st_0.evaluate(v)
         assert np.array_equal(a.samples, b.samples)
 
 
-def test_transition_property(averager, futures):
-    g = averager.grid(DT)
-    u = _past(g, 21, tail=1.0)
-    st = NaturalState(averager.system, u, -0.5)
-    seg = future_probes(DT, 1.0, 23, count=1)[0]
+def _check_transition(bundle, seed, futures):
+    u = _past(bundle.grid(DT), seed, tail=1.0)
+    st = NaturalState(bundle.system, u, -0.5)
+    seg = future_probes(DT, 1.0, seed + 2, count=1)[0]
     moved = drive(st, seg, 0.5)
     direct_past = splice(u, shift_right(seg, -0.5), -0.5)
-    direct = NaturalState(averager.system, direct_past, 0.5)
+    direct = NaturalState(bundle.system, direct_past, 0.5)
     for v in futures[:4]:
         assert np.array_equal(moved.evaluate(v).samples,
                               direct.evaluate(v).samples)
+
+
+def test_time_invariance_of_states(averager, futures):
+    _check_time_invariance(averager, 19, futures)
+
+
+def test_transition_property(averager, futures):
+    _check_transition(averager, 21, futures)
+
+
+def test_lti_time_invariance_of_states(futures):
+    _check_time_invariance(catalog.system("oscillator", DT), 51, futures)
+
+
+def test_lti_transition_property(futures):
+    _check_transition(catalog.system("oscillator", DT), 53, futures)
+
+
+def test_summary_computed_once_per_state(futures, monkeypatch):
+    b = catalog.system("oscillator", DT)
+    calls = []
+    summarize = b.system.past_summary
+    monkeypatch.setattr(
+        b.system, "past_summary",
+        lambda u, t_idx: calls.append(t_idx) or summarize(u, t_idx))
+    st = NaturalState(b.system, _past(b.grid(DT), 57, tail=1.0), 0.4)
+    assert calls == []
+    for v in futures:
+        st.evaluate(v)
+    assert calls == [20]
+
+
+def _by_splice(state, v):
+    """The definition: splice ``v`` onto the past at ``t``, apply, recenter."""
+    z = splice(state.past, shift_right(v, state.t), state.t)
+    y = state.system.apply(z)
+    return shift_left(y.with_window(y.grid.index_of(state.t), y.grid.i1),
+                      state.t)
+
+
+# (catalog system, tail levels of the past); the averagers' eventual-level
+# term, and the equilibrium start of a Hurwitz LTI, need nonzero tails.
+_ORACLE_SYSTEMS = [
+    ("averager-1x", (1.0, -2.5)),
+    ("averager-2x", (1.0, 0.75)),
+    ("reachable-conv", (0.0, 1.5)),
+    ("fading-conv", (0.0, -0.5)),
+    ("oscillator", (0.0, 1.0)),
+    ("leaky-integrator", (2.0, -1.0)),
+    ("integrator", (0.0,)),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_ORACLE_SYSTEMS), st.data())
+def test_evaluate_matches_splice_apply_recenter(case, data):
+    name, tails = case
+    b = catalog.system(name, DT)
+    i0 = data.draw(st.integers(-150, -1))
+    past = _past(Grid(DT, i0, i0 + data.draw(st.integers(1, 200))),
+                 data.draw(st.integers(0, 2**16)),
+                 tail=data.draw(st.sampled_from(tails)))
+    g = past.grid
+    # Before the past window, at its start, inside it, at its end.
+    t_idx = data.draw(st.one_of(st.integers(g.i0 - 40, g.i0 - 1),
+                                st.just(g.i0), st.integers(g.i0, g.i1),
+                                st.just(g.i1)))
+    state = NaturalState(b.system, past, t_idx * DT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        v0 = data.draw(st.integers(-30, 30))  # future windows start anywhere
+        v1 = max(v0, 0) + data.draw(st.integers(1, 120))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        v = TimeFunction(Grid(DT, v0, v1), rng.standard_normal((v1 - v0, 1)),
+                         rng.standard_normal(1))
+        got, want = state.evaluate(v), _by_splice(state, v)
+        assert got.grid == want.grid
+        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.tail_value, want.tail_value)
 
 
 def test_trajectory_constant_input(averager, futures):

@@ -327,6 +327,49 @@ def test_steering_reaches_target_exactly():
     assert np.allclose(got, x, atol=1e-10)
 
 
+def test_steering_refuses_window_outside_grid():
+    # 2 s before t_end = 0 reaches back to -2, past the window start -1:
+    # no input on the grid can steer there.
+    b = catalog.system("oscillator", 0.01)
+    g = Grid(0.01, -100, 50)
+    x = np.array([0.5, -0.3])
+    with pytest.raises(ValueError, match="does not fit"):
+        steer_to_state(b.system, x, 0.0, 2.0, g)
+    with pytest.raises(ValueError, match="does not fit"):
+        steer_to_state(b.system, x, 0.6, 0.5, g)  # t_end past the grid end
+    past = steer_to_state(b.system, x, 0.0, 1.0, g)  # exactly fills (-1, 0]
+    assert np.allclose(b.system.apply(past).value(0.0), x, atol=1e-10)
+    idx = np.arange(g.i0 + 1, g.i1 + 1)
+    assert not np.any(past.samples[idx > 0])
+
+
+def _lti_per_step(system, u):
+    """The step loop with the input term formed inside every step."""
+    Ad, Bd = system._stepper(u.grid.dt)
+    x = system.initial_state(u)
+    out = []
+    for k in range(u.grid.n):
+        x = Ad @ x + Bd @ u.samples[k]
+        out.append(x)
+    return np.array(out)
+
+
+def test_lti_steps_match_per_step_form():
+    fam = catalog.family("uniform-l2")
+    A = [[0.0, 1.0], [-1.0, -0.6]]
+    g = Grid(DT, -60, 140)
+    rng = np.random.default_rng(61)
+    # One input: every input term is a single product either way.
+    one = LTISystem(A, [[0.0], [1.0]], fam, fam)
+    u1 = TimeFunction(g, rng.standard_normal((g.n, 1)), np.array([0.4]))
+    assert np.array_equal(one.apply(u1).samples, _lti_per_step(one, u1))
+    # Two inputs: the hoisted matmul may round each input term differently.
+    two = LTISystem(A, [[0.3, -1.1], [1.0, 0.7]], fam, fam)
+    u2 = TimeFunction(g, rng.standard_normal((g.n, 2)), np.array([0.4, -0.2]))
+    got, want = two.apply(u2).samples, _lti_per_step(two, u2)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_cubic_operator_runs():
     b = catalog.system("cubic-volterra", 0.04)
     g = b.grid(0.04)

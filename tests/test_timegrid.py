@@ -156,3 +156,54 @@ def test_shift_group_law_property(a, b):
     rhs = shift_left(f, (a + b) * g.dt)
     assert lhs.grid == rhs.grid
     assert np.array_equal(lhs.samples, rhs.samples)
+
+
+def _splice_by_masks(h, g, s):
+    """Gather form of :func:`splice`: one instant index per sample, then a
+    boolean mask for each side."""
+    si = h.grid.index_of(s)
+    i0 = min(h.grid.i0, si)
+    idx = np.arange(i0 + 1, g.grid.i1 + 1)
+    vals = np.empty((idx.shape[0], h.dim))
+    past = idx <= si
+    vals[past] = h.values_at_indices(idx[past])
+    vals[~past] = g.values_at_indices(idx[~past])
+    return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, h.tail_value)
+
+
+# h lives on (-20, 10]; (splice index, g's i0, g's i1).
+@pytest.mark.parametrize("si, g0, g1", [
+    (-25, -30, 5),   # si < h.i0, g.i0 < si
+    (-25, -22, 5),   # si < h.i0, g.i0 > si: g's tail fills the gap
+    (-20, -20, 3),   # si == h.i0 == g.i0
+    (10, 0, 20),     # si == h.i1, g.i0 < si
+    (10, 15, 30),    # si == h.i1, g.i0 > si
+    (0, 3, 12),      # inside h, g.i0 > si
+    (0, -40, 1),     # inside h, g.i0 < si, one future sample
+])
+def test_splice_matches_mask_gather(si, g0, g1):
+    rng = np.random.default_rng([si + 50, g0 + 50])
+    dt = 0.05
+    h = TimeFunction(Grid(dt, -20, 10), rng.standard_normal((30, 2)),
+                     np.array([0.7, -1.2]))
+    g = TimeFunction(Grid(dt, g0, g1), rng.standard_normal((g1 - g0, 2)),
+                     np.array([-3.0, 2.5]))
+    got = splice(h, g, si * dt)
+    assert got.samples_equal(_splice_by_masks(h, g, si * dt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-30, 10), st.integers(1, 40), st.integers(-30, 30),
+       st.integers(1, 40), st.data())
+def test_splice_matches_mask_gather_random(h0, hn, g0, gn, data):
+    dt = 0.1
+    h = TimeFunction(Grid(dt, h0, h0 + hn),
+                     np.arange(hn, dtype=float) + 1.0, np.array([-1.0]))
+    g = TimeFunction(Grid(dt, g0, g0 + gn),
+                     -np.arange(gn, dtype=float) - 1.0, np.array([9.0]))
+    hi = min(h.grid.i1, g.grid.i1 - 1)
+    if hi < h0 - 15:
+        return
+    si = data.draw(st.integers(h0 - 15, hi))
+    assert splice(h, g, si * dt).samples_equal(
+        _splice_by_masks(h, g, si * dt))
