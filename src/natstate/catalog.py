@@ -28,7 +28,7 @@ __all__ = [
     "averager_pair",
     "hilbert_schmidt_bound",
     "quadratic_state_closed_form",
-    "quadratic_state_derivative_closed_form",
+    "poly_state_derivative_closed_form",
     "integrator_state_closed_form",
 ]
 
@@ -447,28 +447,48 @@ def quadratic_state_closed_form(ker: PolyKernel, time_varying: bool,
     return out
 
 
-def quadratic_state_derivative_closed_form(ker: PolyKernel, past: TimeFunction,
-                                           dpast: TimeFunction, v: TimeFunction,
-                                           t: float, sigma_indices) -> np.ndarray:
-    """Direct double sum for the state-trajectory derivative of the
-    time-invariant degree-2 operator: twice the kernel against the spliced
-    input and the spliced shift derivative of the past."""
+def poly_state_derivative_closed_form(op: PolyIntegralOperator,
+                                      past: TimeFunction, dpast: TimeFunction,
+                                      v: TimeFunction, t: float,
+                                      sigma_indices) -> np.ndarray:
+    """Direct lag sums for the state-trajectory derivative of a
+    time-invariant scalar polynomial integral operator.
+
+    A degree-``d`` kernel contributes the sum over its ``d`` slots of the
+    kernel with the spliced shift derivative ``b`` of the past in that slot
+    and the spliced input ``z`` in the others: ``K b`` for degree 1, three
+    slot terms for degree 3.  The slot sum is taken on the kernel (each slot
+    moved last, then added), so a symmetric degree-2 kernel gives exactly
+    twice the kernel against ``z`` and ``b``; the constant term drops out.
+    """
+    if not op.time_invariant or any(k.input_dim != 1
+                                    for k in op.kernels.values()):
+        raise ValueError("needs a time-invariant scalar-input operator")
     dt = past.grid.dt
-    Q = ker.grid_size(dt)
     t_idx = past.grid.index_of(t)
-    lags = np.arange(1, Q + 1)
-    out = np.empty(len(sigma_indices))
-    for row, m in enumerate(sigma_indices):
-        base = t_idx + m
-        args = base - lags  # absolute instants t + sigma - lag
-        z = np.where(args <= t_idx,
-                     past.values_at_indices(np.minimum(args, t_idx))[:, 0],
-                     v.values_at_indices(np.maximum(args - t_idx, 0))[:, 0])
-        b = np.where(args <= t_idx,
-                     dpast.values_at_indices(np.minimum(args, t_idx))[:, 0],
-                     0.0)
-        K = np.asarray(ker.func(lags[:, None] * dt, lags[None, :] * dt))
-        out[row] = 2.0 * float(np.einsum("jk,j,k->", K, z, b)) * dt * dt
+    out = np.zeros(len(sigma_indices))
+    for d, ker in sorted(op.kernels.items()):
+        lags = np.arange(1, ker.grid_size(dt) + 1)
+        K = np.asarray(ker.func(*np.meshgrid(*([lags * dt] * d),
+                                             indexing="ij")), dtype=float)
+        # C order: einsum's summation order follows the memory layout.
+        K_slots = np.ascontiguousarray(
+            sum(np.moveaxis(K, p, -1) for p in range(d)))
+        axes = "jklmnopqrstuvwxyz"[:d]
+        spec = f"{axes},{','.join(axes)}->"
+        for row, m in enumerate(sigma_indices):
+            args = t_idx + m - lags  # absolute instants t + sigma - lag
+            z = np.where(args <= t_idx,
+                         past.values_at_indices(np.minimum(args, t_idx))[:, 0],
+                         v.values_at_indices(np.maximum(args - t_idx, 0))[:, 0])
+            b = np.where(args <= t_idx,
+                         dpast.values_at_indices(np.minimum(args, t_idx))[:, 0],
+                         0.0)
+            term = float(np.einsum(spec, K_slots, *[z] * (d - 1), b))
+            # One dt per slot, multiplied in turn: dt ** d rounds otherwise.
+            for _ in range(d):
+                term *= dt
+            out[row] += term
     return out
 
 

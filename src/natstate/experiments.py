@@ -1169,16 +1169,16 @@ def exp_trajectory_derivative(cfg: RunConfig) -> ExperimentResult:
     metrics["fd_order"] = sweep["order"]
     ok &= 0.8 <= sweep["order"] <= 1.2
 
-    # Direct kernel-side double sum agrees with the evaluator (only the
-    # degree-2 integral operator ships this oracle).
-    if isinstance(sysq, PolyIntegralOperator) and 2 in sysq.kernels:
+    # Direct kernel-side lag sums agree with the evaluator (the polynomial
+    # integral operator ships this oracle for every kernel degree).
+    if isinstance(sysq, PolyIntegralOperator):
         past = src.sample(gq)
         dpast = src.derivative_sample(gq)
         sig = np.arange(1, v.grid.i1 + 1, max(1, v.grid.i1 // 10))
         got = td(v)
         got_vals = got.values_at_indices(sig)[:, 0]
-        want = catalog.quadratic_state_derivative_closed_form(
-            sysq.kernels[2], past, dpast, v, 0.0, sig)
+        want = catalog.poly_state_derivative_closed_form(
+            sysq, past, dpast, v, 0.0, sig)
         gap = float(np.max(np.abs(got_vals - want)))
         h_small = 32 * dt * 0.5 ** 7
         tol = max(10.0 * dt, 10.0 * h_small)

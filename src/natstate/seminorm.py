@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .timegrid import (Grid, Interval, TimeFunction, NEG_INF, POS_INF,
-                       shift_left)
+from .timegrid import Interval, TimeFunction, NEG_INF, POS_INF
 
 __all__ = [
     "Weight",
@@ -240,24 +239,31 @@ class FittedFamily:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
-        return self._seminorms(g, f.tail_value, self._rownorm(f.samples)[None],
-                               s, t)
+        return self._seminorms(g.i0, g.dt, f.tail_value,
+                               self._rownorm(f.samples)[None], s, t)
 
-    def _seminorms(self, g: Grid, tail_value: np.ndarray, mags: np.ndarray,
-                   s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`seminorms` from sample magnitudes on ``g``: one row of
+    def _seminorms(self, i0, dt: float, tail_value: np.ndarray,
+                   mags: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:meth:`seminorms` from sample magnitudes on the grid of step
+        ``dt`` whose first sample sits at instant ``i0 + 1``: one row of
         ``mags`` for every window, or one row per window (a stack of
-        functions sharing ``tail_value``)."""
+        functions sharing ``tail_value``).
+
+        ``i0`` is one grid origin or one per window.  A window read on
+        origin ``i0 - h`` with ends ``s - h``, ``t - h`` gets the arithmetic
+        of ``(s - h, t - h]`` on ``shift_left(f, h dt)``, which moves only
+        the origin.
+        """
         if not t.size:
             return np.zeros(0)
         if self.kind == "sup":
-            return self.base._running_sup(g, tail_value, mags, s, t)
-        dt, w = g.dt, self.weight
+            return self.base._running_sup(i0, dt, tail_value, mags, s, t)
+        w = self.weight
         if w.support < POS_INF:
             s = np.maximum(s, t - int(round(w.support / dt)))
         tail = 0.0
-        if tail_value.any() and (s < g.i0).any():
-            cut = np.minimum(t, g.i0)
+        if tail_value.any() and (s < i0).any():
+            cut = np.minimum(t, i0)
             need = s < cut
             tail_mag = self._scalar_tail(tail_value)
             a = (t[need] - cut[need]) * dt
@@ -273,60 +279,67 @@ class FittedFamily:
                 tail[need] = tail_mag * w(a)
         # Lags run back from each window end, with zero weight past the
         # window's own span; for p < inf they are summed in that order.
-        span = t - np.maximum(s, g.i0).astype(np.int64)
+        span = t - np.maximum(s, i0).astype(np.int64)
         lags = np.arange(max(span.max(), 1))
         wts = np.where(lags < span[:, None], w(lags * dt), 0.0)
         if self.p < POS_INF:
             mags = mags ** self.p
         row = np.arange(t.shape[0])[:, None] if mags.shape[0] > 1 else 0
-        terms = mags[row, np.maximum((t - (g.i0 + 1))[:, None] - lags, 0)] * wts
+        terms = mags[row, np.maximum((t - (i0 + 1))[:, None] - lags, 0)] * wts
         if self.p == POS_INF:
             return np.maximum(terms.max(axis=1), tail)
         return (terms.cumsum(axis=1)[:, -1] * dt + tail) ** (1.0 / self.p)
 
-    def _running_sup(self, g: Grid, tail_value: np.ndarray, mags: np.ndarray,
-                     s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def _running_sup(self, i0, dt: float, tail_value: np.ndarray,
+                     mags: np.ndarray, s: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
         """``max_{s < u <= t} |f|_{s,u}`` per window, as :meth:`_seminorms`.
 
         Row ``k`` holds the norm over ``(s_k, u]`` at every instant ``u``
-        from ``i0`` (the tail alone, for a left-expanded window) to ``i1``.
+        from its origin (the tail alone, for a left-expanded window) to the
+        end of the grid.
         """
+        i0 = np.broadcast_to(i0, t.shape)
         open_left = np.isneginf(s)
-        rows = self._rows_from(g, tail_value, mags,
-                               np.where(open_left, g.i0, s).astype(np.int64))
+        rows = self._rows_from(i0, tail_value, mags,
+                               np.where(open_left, i0, s).astype(np.int64))
         head = np.zeros((t.shape[0], 1))
         tail = None
         if open_left.any():
-            head[open_left] = self._seminorms(g, tail_value, mags[:1],
-                                              np.array([NEG_INF]),
-                                              np.array([g.i0]))[0]
+            o = i0[open_left]
+            head[open_left, 0] = self._seminorms(
+                o, dt, tail_value, mags[:1], np.full(o.shape, NEG_INF), o)
             tail = np.where(open_left[:, None],
-                            self._tail_terms(g, tail_value), 0.0)
+                            self._tail_terms(mags.shape[1], dt, tail_value),
+                            0.0)
         run = np.maximum.accumulate(
-            np.concatenate([head, self._windowed(rows, g.dt, tail)], axis=1),
+            np.concatenate([head, self._windowed(rows, dt, tail)], axis=1),
             axis=1)
-        return run[np.arange(t.shape[0]), np.maximum(t - g.i0, 0)]
+        return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
 
     # -- every right end at once -------------------------------------------------
     #
     # Positions 0..n-1 correspond to instants i0+1..i1.
 
     @staticmethod
-    def _rows_from(g: Grid, tail_value: np.ndarray, mags: np.ndarray,
+    def _rows_from(i0, tail_value: np.ndarray, mags: np.ndarray,
                    lefts: np.ndarray) -> np.ndarray:
-        """Magnitude rows zeroed at and before each left end in ``lefts``."""
-        if (lefts < g.i0).any() and tail_value.any():
+        """Magnitude rows zeroed at and before each left end in ``lefts``;
+        ``i0`` is the grid origin, one or one per left end."""
+        if (lefts < i0).any() and tail_value.any():
             raise ValueError(
                 "window starts before the represented past of a nonzero-tail "
                 "function; extend the window first")
-        return np.where(np.arange(g.n) >= (lefts - g.i0)[:, None], mags, 0.0)
+        return np.where(np.arange(mags.shape[1]) >= (lefts - i0)[:, None],
+                        mags, 0.0)
 
-    def _tail_terms(self, g: Grid, tail_value: np.ndarray) -> np.ndarray:
+    def _tail_terms(self, n: int, dt: float,
+                    tail_value: np.ndarray) -> np.ndarray:
         """Constant-tail contribution of |f|_{-inf, t} at every position."""
         tail_mag = self._scalar_tail(tail_value)
         if tail_mag == 0.0:
-            return np.zeros(g.n)
-        gaps = np.arange(1, g.n + 1) * g.dt
+            return np.zeros(n)
+        gaps = np.arange(1, n + 1) * dt
         if self.p < POS_INF:
             if not self.weight.integrable:
                 raise ValueError(
@@ -392,7 +405,7 @@ class FittedFamily:
         fam = self.base if self.kind == "sup" else self
         head = fam.seminorms(f, [NEG_INF], [g.i0])
         rows = fam._windowed(fam._rownorm(f.samples)[None], g.dt,
-                             fam._tail_terms(g, f.tail_value))
+                             fam._tail_terms(g.n, g.dt, f.tail_value))
         vals = np.concatenate([head, rows[0]])
         if self.kind == "sup":
             vals = np.maximum.accumulate(vals)
@@ -407,8 +420,8 @@ class FittedFamily:
         if si >= g.i1:
             raise ValueError("window start at or beyond the horizon")
         fam = self.base if self.kind == "sup" else self
-        rows = fam._rows_from(g, f.tail_value, fam._rownorm(f.samples)[None],
-                              np.array([si]))
+        rows = fam._rows_from(g.i0, f.tail_value,
+                              fam._rownorm(f.samples)[None], np.array([si]))
         return float(np.max(fam._windowed(rows, g.dt)))
 
     def bounding_norm(self, f: TimeFunction) -> float:
@@ -419,18 +432,24 @@ class FittedFamily:
         return f"FittedFamily({self.name!r}, p={self.p}, weight={self.weight})"
 
 
+_EXP_BLOCK = 64.0
+
+
 def _exp_running(x: np.ndarray, rate: float, dt: float, op) -> np.ndarray:
     """``op``-accumulate of ``x[..., j] exp(-rate (c - j) dt)`` over ``j <= c``.
 
     ``op`` is ``np.add`` (weighted running sums) or ``np.maximum`` (weighted
     running maxima), along the last axis.  Inside a block each term is scaled
-    by ``exp(rate (j - end) dt) <= 1`` and the accumulation scaled back;
-    blocks span at most 600 in ``rate * time`` so neither factor overflows,
-    and each block starts from the previous block's last value decayed
-    across it.  A single block is one scaled accumulation.
+    by ``exp(rate (j - end) dt) <= 1`` and the accumulation scaled back, and
+    each block starts from the previous block's last value decayed across
+    it.  A single block is one scaled accumulation.  Blocks span at most
+    ``_EXP_BLOCK`` in ``rate * time``, so a term is scaled down by at most
+    ``exp(-64)`` (about 1.6e-28): neither factor overflows, and only a term
+    below ~1e-280 itself is pushed into the subnormal range.
     """
     n = x.shape[-1]
-    block = n if rate * n * dt <= 600.0 else max(1, int(600.0 / (rate * dt)))
+    block = (n if rate * n * dt <= _EXP_BLOCK
+             else max(1, int(_EXP_BLOCK / (rate * dt))))
     out = np.empty_like(x)
     for b0 in range(0, n, block):
         m = min(block, n - b0)
@@ -528,8 +547,10 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None, n_triples: int = 50,
     monotonicity, split-triangle and window-comparison conditions get a
     relative ``tol`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
-    order, then triple order.  Each probe's windows go through
-    :meth:`FittedFamily.seminorms` in a few batched calls.
+    order, then triple order.  All five conditions are batched: each
+    probe's windows go through :meth:`FittedFamily.seminorms` (or its
+    private form on magnitudes) in four calls, one per group of windows,
+    and none builds a shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
@@ -563,7 +584,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None, n_triples: int = 50,
         outside = ((idx <= s[:, None]) | (idx > t[:, None]))[:, :, None]
         bump = np.array([e for e, _ in edits])[:, None, None]
         diff = f.samples - np.where(outside, f.samples + bump, f.samples)
-        v = fam._seminorms(g, f.tail_value - (f.tail_value + 1.0),
+        v = fam._seminorms(g.i0, g.dt, f.tail_value - (f.tail_value + 1.0),
                            fam._rownorm(diff.reshape(-1, f.dim)).reshape(m, -1),
                            s.astype(float), t)
         record("locality", v != 0.0, lambda k: {
@@ -572,10 +593,12 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None, n_triples: int = 50,
         nst, nrt, nrs = np.split(
             fam.seminorms(f, np.concatenate([s, r, r]),
                           np.concatenate([t, t, s])), 3)
-        # (2) shift invariance, exact.
-        a = np.array([fam.seminorms(shift_left(f, k * dt), [sk - k],
-                                    [tk - k])[0]
-                      for (_, sk, tk), (_, k) in zip(tri, edits)])
+        # (2) shift invariance, exact: window k of shift_left(f, sh_k dt) is
+        # window k read on the grid origin i0 - sh_k.
+        sh = np.array([e for _, e in edits])
+        a = fam._seminorms(g.i0 - sh, g.dt, f.tail_value,
+                           fam._rownorm(f.samples)[None],
+                           (s - sh).astype(float), t - sh)
         record("shift_invariance", a != nst, lambda k: {
             "probe": pi, "window": [tri[k][1] * dt, tri[k][2] * dt],
             "shift": edits[k][1] * dt, "lhs": float(a[k]),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from natstate import (Grid, NaturalState, PolyIntegralOperator, TimeFunction,
                       shift_derivative, state_frechet, trajectory_derivative)
 from natstate import catalog
 from natstate.calculus import SmoothInput
+from natstate.cli import main
 from natstate.probes import future_probes
 
 DT = 0.02
@@ -316,10 +318,53 @@ def test_trajectory_derivative_closed_form(quad):
     v = future_probes(DT, quad.horizon, 31, count=1)[0]
     sig = np.arange(1, v.grid.i1 + 1, 5)
     got = td(v).values_at_indices(sig)[:, 0]
-    want = catalog.quadratic_state_derivative_closed_form(
-        quad.system.kernels[2], src.sample(g), src.derivative_sample(g),
-        v, 0.0, sig)
+    want = catalog.poly_state_derivative_closed_form(
+        quad.system, src.sample(g), src.derivative_sample(g), v, 0.0, sig)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _quadratic_derivative_oracle(ker, past, dpast, v, t, sigma_indices):
+    """The degree-2-only closed form the general oracle replaced: twice the
+    kernel against the spliced input and the spliced shift derivative."""
+    dt = past.grid.dt
+    t_idx = past.grid.index_of(t)
+    lags = np.arange(1, ker.grid_size(dt) + 1)
+    out = np.empty(len(sigma_indices))
+    for row, m in enumerate(sigma_indices):
+        args = t_idx + m - lags
+        z = np.where(args <= t_idx,
+                     past.values_at_indices(np.minimum(args, t_idx))[:, 0],
+                     v.values_at_indices(np.maximum(args - t_idx, 0))[:, 0])
+        b = np.where(args <= t_idx,
+                     dpast.values_at_indices(np.minimum(args, t_idx))[:, 0],
+                     0.0)
+        K = np.asarray(ker.func(lags[:, None] * dt, lags[None, :] * dt))
+        out[row] = 2.0 * float(np.einsum("jk,j,k->", K, z, b)) * dt * dt
+    return out
+
+
+def test_general_derivative_oracle_keeps_quadratic_values(quad):
+    g = quad.grid(DT)
+    src = SmoothInput.sine(freq=0.25, amp=0.8)
+    v = future_probes(DT, quad.horizon, 31, count=1)[0]
+    sig = np.arange(1, v.grid.i1 + 1, 5)
+    args = (src.sample(g), src.derivative_sample(g), v, 0.0, sig)
+    new = catalog.poly_state_derivative_closed_form(quad.system, *args)
+    old = _quadratic_derivative_oracle(quad.system.kernels[2], *args)
+    # The symmetric kernel's slot sum is exactly twice one slot term, so
+    # the two agree bit for bit (well within 1e-15).
+    assert np.array_equal(new, old)
+
+
+def test_cubic_trajectory_derivative_matches_closed_form(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["run", "--experiment", "trajectory-derivative",
+                 "--system", "cubic-volterra", "--dt", "0.02",
+                 "--out", str(out)]) == 0
+    assert "PASS  trajectory-derivative" in capsys.readouterr().out
+    rep = json.loads((out / "trajectory-derivative.json").read_text())
+    assert rep["passed"] is True
+    assert rep["metrics"]["closed_form_gap"] <= 1e-12
 
 
 def test_trajectory_derivative_integrator_ramp():

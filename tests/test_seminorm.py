@@ -10,7 +10,8 @@ from natstate import (FittedFamily, Grid, Interval, TimeFunction, Weight,
                       shift_left, splice, taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
-from natstate.seminorm import ConditionResult, NormReport, _random_triples
+from natstate.seminorm import (_EXP_BLOCK, ConditionResult, NormReport,
+                               _random_triples)
 
 UL2 = FittedFamily.weighted_lp(2.0, Weight.uniform(), name="uniform-l2")
 EXP2 = FittedFamily.weighted_lp(2.0, Weight.exponential(1.0), name="exp-l2")
@@ -322,9 +323,13 @@ _SEMINORM_CASES = [catalog.family(name) for name in sorted(catalog.FAMILIES)] + 
         math.inf, Weight.exponential(3.0), name="exp3-linf")),
 ]
 # Magnitudes near the subnormal range lose relative precision in any
-# rounding order, so tiny draws are snapped to exact zeros.
+# rounding order, so tiny draws are snapped to exact zeros.  The rescaled
+# exponential recurrence scales a term ``|x|**p * dt`` down by at most
+# ``exp(-_EXP_BLOCK)``; the snap keeps that a normal float for every p <= 2
+# and dt >= 0.01 (about 1.2e-139).
+_SNAP = math.sqrt(np.finfo(float).tiny / (0.01 * math.exp(-_EXP_BLOCK)))
 _VALUE = st.floats(min_value=-5, max_value=5).map(
-    lambda x: 0.0 if abs(x) < 1e-6 else x)
+    lambda x: 0.0 if abs(x) < _SNAP else x)
 
 
 def _divergent(fam, f):
@@ -509,3 +514,82 @@ def test_batched_axioms_keep_counts_and_report(grid):
             _assert_close_tree(
                 rep.to_dict(),
                 _check_ff_axioms_per_window(fam, probes, 31, m).to_dict())
+
+
+# -- shift invariance on per-window grid origins -------------------------------
+
+_SHIFT_CASES = [catalog.family(name) for name in sorted(catalog.FAMILIES)] + [
+    FittedFamily.weighted_lp(2.0, Weight.table([0.0, 0.3, 1.1], [1.0, 0.4]),
+                             name="table-l2"),
+    FittedFamily.sup_family(_UL2),
+    FittedFamily.sup_family(FittedFamily.weighted_lp(
+        math.inf, Weight.exponential(3.0), name="exp3-linf")),
+]
+
+
+@pytest.mark.parametrize("fam", _SHIFT_CASES, ids=lambda fam: fam.name)
+def test_batched_shift_matches_shift_left(fam):
+    rng = np.random.default_rng(17)
+    g = Grid(0.05, -37, 43)
+    f = TimeFunction(g, rng.standard_normal((g.n, 2)), np.array([0.7, -0.4]))
+    # Left ends at the origin, inside, before it (the closed-form tail,
+    # which the sup kind has only for the left-expanded window) and at -inf.
+    lefts = [g.i0, g.i0, g.i0 + 5, g.i1 - 1, g.i0 - 7, g.i0 - 1]
+    if fam.kind == "sup":
+        lefts[-2:] = [g.i0 + 20, g.i0 + 1]
+    if not _divergent(fam, f):
+        lefts += [-math.inf, -math.inf]
+    s = np.array(lefts, dtype=float)
+    t = np.array([int(rng.integers(max(sk, g.i0 - 3) + 1, g.i1 + 1))
+                  for sk in s])
+    t[0] = g.i1
+    shifts = np.resize([g.n - 1, -(g.n - 1), 0, 13, -29], s.shape[0])
+    got = fam._seminorms(g.i0 - shifts, g.dt, f.tail_value,
+                         fam._rownorm(f.samples)[None], s - shifts,
+                         t - shifts)
+    want = np.array([fam.seminorms(shift_left(f, k * g.dt), [sk - k],
+                                   [tk - k])[0]
+                     for sk, tk, k in zip(s, t, shifts)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, fam.seminorms(f, s, t))
+
+
+class _OriginReading(FittedFamily):
+    """Window arithmetic that reads the absolute grid origin: a scale that
+    is the same for every window of one function, so only shifts see it."""
+
+    def _seminorms(self, i0, dt, tail_value, mags, s, t):
+        scale = 1.0 + 1e-3 * np.abs(np.asarray(i0, dtype=float))
+        return super()._seminorms(i0, dt, tail_value, mags, s, t) * scale
+
+
+def test_origin_reading_family_fails_shift_invariance(grid):
+    probes = probe_set(grid, 23, count=4, tails=True)
+    fam = _OriginReading("weighted_lp", 2.0, Weight.exponential(1.0),
+                         name="origin-reading")
+    rep = check_ff_axioms(fam, probes, rng=5, n_triples=6)
+    shift = rep.conditions["shift_invariance"]
+    assert not shift.passed
+    assert shift.witness["shift"] != 0.0
+    assert shift.witness["lhs"] != shift.witness["rhs"]
+    assert all(c.passed for name, c in rep.conditions.items()
+               if name != "shift_invariance")
+    # The same weight read on lags alone passes every condition.
+    assert check_ff_axioms(EXP2, probes, rng=5, n_triples=6).passed
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_exp_running_keeps_a_tiny_spike(p):
+    # A lone 1e-100 sample under a rate-200 weight: a block rescaling factor
+    # near exp(-600) pushes its term below the subnormal range, and
+    # past_norms_all_t would read 0.0 where past_norm reads 3.2e-101.
+    fam = FittedFamily.weighted_lp(p, Weight.exponential(200.0))
+    g = Grid(0.1, 0, 60)
+    x = np.zeros((g.n, 1))
+    x[0, 0] = 1e-100
+    f = TimeFunction(g, x, np.zeros(1))
+    allt = fam.past_norms_all_t(f)
+    assert allt[1] > 0.0
+    for ti in range(1, 6):
+        assert allt[ti] == pytest.approx(fam.past_norm(f, ti * g.dt),
+                                         rel=1e-12, abs=0.0)
