@@ -6,7 +6,7 @@ lazy future-to-future operators, polynomial-kernel symmetrization and
 identification, and the derivative calculus tying them together.
 """
 
-from .timegrid import (Grid, Interval, TimeFunction, make_timefunction,
+from .timegrid import (AlignmentError, Grid, Interval, TimeFunction,
                        read_timefunction, restrict, shift_left, shift_right,
                        splice, write_timefunction)
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,

@@ -56,13 +56,10 @@ class SmoothInput:
     whose shift derivatives would involve point masses and are refused.
     """
 
-    def __init__(self, u: Callable, d: Callable, breakpoints=(),
-                 has_jumps: bool = False, name: str = "smooth-input"):
+    def __init__(self, u: Callable, d: Callable, has_jumps: bool = False):
         self.u = u
         self.d = d
-        self.breakpoints = tuple(breakpoints)
         self.has_jumps = has_jumps
-        self.name = name
 
     def sample(self, grid: Grid, shift: float = 0.0) -> TimeFunction:
         """Grid samples of ``t -> u(t + shift)``; tail from the window start."""
@@ -78,11 +75,9 @@ class SmoothInput:
         return TimeFunction(grid, vals, np.array([tail]))
 
     @staticmethod
-    def trapezoid(rise=(-1.0, 0.0), fall=(10.0, 11.0), level: float = 1.0,
-                  name: str = "trapezoid") -> "SmoothInput":
-        """Ramp up over ``rise``, hold ``level``, ramp down over ``fall``."""
-        r0, r1 = rise
-        f0, f1 = fall
+    def trapezoid() -> "SmoothInput":
+        """Ramp up over ``(-1, 0]``, hold one, ramp down over ``(10, 11]``."""
+        r0, r1, f0, f1, level = -1.0, 0.0, 10.0, 11.0, 1.0
         slope_up = level / (r1 - r0)
         slope_dn = level / (f1 - f0)
 
@@ -101,36 +96,35 @@ class SmoothInput:
             out = np.where((t > f0) & (t <= f1), -slope_dn, out)
             return out
 
-        return SmoothInput(u, d, breakpoints=(r0, r1, f0, f1), name=name)
+        return SmoothInput(u, d)
 
     @staticmethod
-    def ramp(start: float = 0.0, name: str = "ramp") -> "SmoothInput":
+    def ramp(start: float = 0.0) -> "SmoothInput":
         """``max(t - start, 0)``: zero past, unit slope after ``start``."""
         return SmoothInput(
             lambda t: np.maximum(np.asarray(t, dtype=float) - start, 0.0),
-            lambda t: np.where(np.asarray(t, dtype=float) > start, 1.0, 0.0),
-            breakpoints=(start,), name=name)
+            lambda t: np.where(np.asarray(t, dtype=float) > start, 1.0, 0.0))
 
     @staticmethod
-    def sine(freq: float = 1.0, amp: float = 1.0, name: str = "sine") -> "SmoothInput":
+    def sine(freq: float = 1.0, amp: float = 1.0) -> "SmoothInput":
         w = 2.0 * math.pi * freq
         return SmoothInput(lambda t: amp * np.sin(w * np.asarray(t, dtype=float)),
-                           lambda t: amp * w * np.cos(w * np.asarray(t, dtype=float)),
-                           name=name)
+                           lambda t: amp * w * np.cos(w * np.asarray(t, dtype=float)))
 
     @staticmethod
-    def constant(level: float, name: str = "constant") -> "SmoothInput":
+    def constant(level: float) -> "SmoothInput":
         return SmoothInput(
             lambda t: np.full_like(np.asarray(t, dtype=float), level),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)), name=name)
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)))
 
     @staticmethod
-    def boxcar(a: float = 0.0, b: float = 10.0, name: str = "boxcar") -> "SmoothInput":
-        """Discontinuous step; kept only to exercise the refusal path."""
+    def boxcar() -> "SmoothInput":
+        """Unit step on ``(0, 10]``; kept only to exercise the refusal path."""
         return SmoothInput(
-            lambda t: np.where((np.asarray(t) > a) & (np.asarray(t) <= b), 1.0, 0.0),
+            lambda t: np.where((np.asarray(t) > 0.0) & (np.asarray(t) <= 10.0),
+                               1.0, 0.0),
             lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            breakpoints=(a, b), has_jumps=True, name=name)
+            has_jumps=True)
 
 
 @dataclass
@@ -147,9 +141,10 @@ class ShiftDerivative:
     fam: FittedFamily
     d: TimeFunction
 
-    def residual(self, h: float, refine: int = RESIDUAL_REFINE) -> TimeFunction:
+    def residual(self, h: float) -> TimeFunction:
         g = self.grid
-        fine = Grid(g.dt / refine, g.i0 * refine, g.i1 * refine)
+        fine = Grid(g.dt / RESIDUAL_REFINE, g.i0 * RESIDUAL_REFINE,
+                    g.i1 * RESIDUAL_REFINE)
         t = fine.times()
         e = (np.asarray(self.source.u(t + h)) - np.asarray(self.source.u(t))
              - h * np.asarray(self.source.d(t)))
@@ -161,11 +156,11 @@ class ShiftDerivative:
             return self.fam.bounding_norm(e)
         return self.fam.past_norm(e, t)
 
-    def ratio_sweep(self, h0: float, steps: int = 8, t: Optional[float] = None) -> list:
+    def ratio_sweep(self, h0: float, steps: int = 8) -> list:
         rows = []
         for k in range(steps):
             h = h0 * 0.5 ** k
-            rows.append({"h": h, "ratio": self.residual_norm(h, t) / h})
+            rows.append({"h": h, "ratio": self.residual_norm(h) / h})
         return rows
 
     def uniform_ratio(self, h: float, ts) -> float:
@@ -263,11 +258,11 @@ def gateaux_fd(system: SystemOp, u: TimeFunction, v: TimeFunction,
 def remainder_decay(W: Callable, u: TimeFunction, v: TimeFunction,
                     out_norm: Callable[[TimeFunction], float],
                     in_norm: Callable[[TimeFunction], float],
-                    steps: int = 8, factor: float = 0.5) -> list:
-    """Ratios ``|W(u, c v)| / |c v|`` along a geometric direction sequence."""
+                    steps: int = 8) -> list:
+    """Ratios ``|W(u, c v)| / |c v|`` for ``c = 2^-k``, ``k < steps``."""
     rows = []
     for k in range(steps):
-        c = factor ** k
+        c = 0.5 ** k
         w = W(u, c * v)
         rows.append({"scale": c, "ratio": out_norm(w) / in_norm(c * v)})
     return rows
@@ -284,17 +279,33 @@ def fd_directional_order(system: SystemOp, fp: FrechetPair, u: TimeFunction,
         fd = (system.apply(u + h * v) - base) * (1.0 / h)
         errs.append(out_norm(fd - Lv))
     hs = np.asarray(hs, dtype=float)
-    errs_a = np.asarray(errs)
-    ok = errs_a > 0
-    if ok.sum() >= 2:
-        slope = float(np.polyfit(np.log(hs[ok]), np.log(errs_a[ok]), 1)[0])
-    else:
-        slope = float("nan")  # exact differential: errors at rounding level
-    return {"h": hs.tolist(), "error": errs, "order": slope,
-            "exact": bool(ok.sum() < 2)}
+    order, exact = _loglog_order(hs, errs)
+    return {"h": hs.tolist(), "error": errs, "order": order, "exact": exact}
+
+
+def _loglog_order(hs, errs) -> tuple[float, bool]:
+    """Least-squares slope of log error against log step over the nonzero
+    errors, and whether fewer than two are nonzero (an exact differential,
+    errors at rounding level; the slope is then nan)."""
+    hs, errs = np.asarray(hs, dtype=float), np.asarray(errs)
+    ok = errs > 0
+    if ok.sum() < 2:
+        return float("nan"), True
+    return float(np.polyfit(np.log(hs[ok]), np.log(errs[ok]), 1)[0]), False
 
 
 # -- state-level derivatives -----------------------------------------------------
+
+
+def _at_splice(D: Callable, past: TimeFunction, dpast: TimeFunction,
+               future: TimeFunction, dfuture: TimeFunction,
+               t: float) -> TimeFunction:
+    """``D(a, b)`` recentred at ``t``: ``a`` is ``past`` spliced with the
+    centered ``future`` at ``t``, the direction ``b`` is ``dpast`` spliced
+    with the centered ``dfuture``."""
+    a = splice(past, shift_right(future, t), t)
+    b = splice(dpast, shift_right(dfuture, t), t)
+    return _recenter(D(a, b), t)
 
 
 def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:
@@ -305,18 +316,14 @@ def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:
     the system differential's on matched directions, since recentering only
     shrinks the norm window.
     """
-    t = state.t
-    zero_past = 0.0 * state.past
+    past, t = state.past, state.t
+    zero_past = 0.0 * past
 
     def L1(v, w):
-        a = state.spliced_input(v)
-        b = splice(zero_past, shift_right(w, t), t)
-        return _recenter(fp.L(a, b), t)
+        return _at_splice(fp.L, past, zero_past, v, w, t)
 
     def W1(v, w):
-        a = state.spliced_input(v)
-        b = splice(zero_past, shift_right(w, t), t)
-        return _recenter(fp.W(a, b), t)
+        return _at_splice(fp.W, past, zero_past, v, w, t)
 
     return FrechetPair(L1, W1, source=f"state({fp.source})")
 
@@ -334,14 +341,10 @@ def input_to_state_frechet(system: SystemOp, t: float, fp: FrechetPair) -> dict:
                 "detail": "input family must have unbounded comparison span"}
 
     def Lam(u, v, w):
-        a = splice(u, shift_right(w, t), t)
-        b = splice(v, 0.0 * shift_right(w, t), t)
-        return _recenter(fp.L(a, b), t)
+        return _at_splice(fp.L, u, v, w, 0.0 * w, t)
 
     def Om(u, v, w):
-        a = splice(u, shift_right(w, t), t)
-        b = splice(v, 0.0 * shift_right(w, t), t)
-        return _recenter(fp.W(a, b), t)
+        return _at_splice(fp.W, u, v, w, 0.0 * w, t)
 
     return {"refused": False, "Lambda": Lam, "Omega": Om}
 
@@ -366,18 +369,14 @@ class TrajectoryDerivative:
     fp: FrechetPair
 
     def __call__(self, v: TimeFunction) -> TimeFunction:
-        past = self.source.sample(self.grid)
-        state = NaturalState(self.system, past, self.t)
-        a = state.spliced_input(v)
-        dpast = self.source.derivative_sample(self.grid)
-        zero_future = 0.0 * shift_right(v, self.t)
-        b = splice(dpast, zero_future, self.t)
-        return _recenter(self.fp.L(a, b), self.t)
+        return _at_splice(self.fp.L, self.source.sample(self.grid),
+                          self.source.derivative_sample(self.grid),
+                          v, 0.0 * v, self.t)
 
-    def fd_check(self, v: TimeFunction, h0: float, k_range=range(3, 11)) -> dict:
+    def fd_check(self, v: TimeFunction, h0: float) -> dict:
         """Compare against the trajectory finite difference.
 
-        Steps run over ``h0 * 2^-k`` for ``k`` in ``k_range`` (skipping the
+        Steps run over ``h0 * 2^-k`` for ``k = 3 .. 10`` (skipping the
         largest shifts, which sit outside the first-order regime).  Time
         invariance turns the state at ``t + h`` into the state at ``t`` with
         the analytically shifted past, so sub-grid ``h`` is exact.
@@ -388,7 +387,7 @@ class TrajectoryDerivative:
         analytic = self(v)
         out_fam = self.system.output_fam
         rows = []
-        for k in k_range:
+        for k in range(3, 11):
             h = h0 * 0.5 ** k
             shifted = NaturalState(
                 self.system, self.source.sample(self.grid, shift=h), self.t)
@@ -397,16 +396,13 @@ class TrajectoryDerivative:
             prev = rows[-1]["error"] if rows else None
             rows.append({"h": h, "error": err,
                          "ratio": err / prev if prev else float("nan")})
-        hs = np.array([r["h"] for r in rows])
-        es = np.array([r["error"] for r in rows])
-        ok = es > 0
-        order = float(np.polyfit(np.log(hs[ok]), np.log(es[ok]), 1)[0]) \
-            if ok.sum() >= 2 else float("nan")
-        return {"rows": rows, "order": order, "exact": bool(ok.sum() < 2)}
+        order, exact = _loglog_order([r["h"] for r in rows],
+                                     [r["error"] for r in rows])
+        return {"rows": rows, "order": order, "exact": exact}
 
 
 def trajectory_derivative(system: SystemOp, source: SmoothInput, t: float,
-                          grid: Grid, fp: Optional[FrechetPair] = None):
+                          grid: Grid):
     """Build the trajectory-derivative evaluator, or refuse.
 
     Time-varying systems would need the trajectory-shift generator term,
@@ -418,5 +414,4 @@ def trajectory_derivative(system: SystemOp, source: SmoothInput, t: float,
     if source.has_jumps:
         return {"refused": True, "reason_code": "jump_discontinuity",
                 "detail": "past input is not shift differentiable"}
-    fp = fp or frechet_of(system)
-    return TrajectoryDerivative(system, source, t, grid, fp)
+    return TrajectoryDerivative(system, source, t, grid, frechet_of(system))

@@ -85,9 +85,9 @@ def _box_response(dt: float, T: float = 1.0) -> TimeFunction:
     return TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
 
 
-def _decay_response(dt: float, T: float) -> TimeFunction:
+def _decay_response(dt: float, T: float, rate: float) -> TimeFunction:
     g = Grid(dt, 0, int(round(T / dt)))
-    return TimeFunction(g, np.exp(-g.times()), np.zeros(1))
+    return TimeFunction(g, np.exp(-rate * g.times()), np.zeros(1))
 
 
 def averager_pair(dt: float) -> tuple[SystemBundle, SystemBundle]:
@@ -102,21 +102,19 @@ def averager_pair(dt: float) -> tuple[SystemBundle, SystemBundle]:
     h = _box_response(dt)
     fin = family("sup-linf")
     fout = family("esssup-window-2")
-    one = SystemBundle(
-        "averager-1x", LimsupConvolution(h, 1.0, fin, fout),
-        claim="moving average of the last second plus the eventual level",
-        past_window=4.0, horizon=4.0,
-        params={"response_support": 1.0, "tail_gain": 1.0,
-                "response_l1": 1.0, "input_family": "sup-linf",
-                "output_family": "esssup-window-2"})
-    two = SystemBundle(
-        "averager-2x", LimsupConvolution(h, 2.0, fin, fout),
-        claim="same moving average with twice the eventual level",
-        past_window=4.0, horizon=4.0,
-        params={"response_support": 1.0, "tail_gain": 2.0,
-                "response_l1": 1.0, "input_family": "sup-linf",
-                "output_family": "esssup-window-2"})
-    return one, two
+
+    def averager(name: str, gain: float, claim: str) -> SystemBundle:
+        return SystemBundle(
+            name, LimsupConvolution(h, gain, fin, fout),
+            claim=claim, past_window=4.0, horizon=4.0,
+            params={"response_support": 1.0, "tail_gain": gain,
+                    "response_l1": 1.0, "input_family": "sup-linf",
+                    "output_family": "esssup-window-2"})
+
+    return (averager("averager-1x", 1.0, "moving average of the last "
+                     "second plus the eventual level"),
+            averager("averager-2x", 2.0, "same moving average with twice "
+                     "the eventual level"))
 
 
 def _quadratic_kernel_func(support: float):
@@ -136,6 +134,15 @@ def _quadratic_kernel_func_tv(support: float):
     return f
 
 
+def _lti_bundle(name: str, A, B, claim: str,
+                past_window: float) -> SystemBundle:
+    """A state equation with a uniform-L2 input norm and ess-sup output."""
+    return SystemBundle(
+        name, LTISystem(A, B, family("uniform-l2"), family("esssup")),
+        claim=claim, past_window=past_window, horizon=4.0,
+        params={"A": A, "B": B})
+
+
 def _systems() -> dict:
     reg: dict = {}
 
@@ -153,43 +160,29 @@ def _systems() -> dict:
 
     @define
     def integrator(dt):
-        sys_ = LTISystem([[0.0]], [[1.0]], family("uniform-l2"), family("esssup"))
-        return SystemBundle(
-            "integrator", sys_,
-            claim="pure integrator: the state is the accumulated past input",
-            past_window=4.0, horizon=4.0,
-            params={"A": [[0.0]], "B": [[1.0]]})
+        return _lti_bundle(
+            "integrator", [[0.0]], [[1.0]],
+            "pure integrator: the state is the accumulated past input", 4.0)
 
     @define
     def leaky_integrator(dt):
-        sys_ = LTISystem([[-0.5]], [[1.0]], family("uniform-l2"), family("esssup"))
-        return SystemBundle(
-            "leaky-integrator", sys_,
-            claim="first-order lag: distinct dynamics, distinct state set",
-            past_window=4.0, horizon=4.0,
-            params={"A": [[-0.5]], "B": [[1.0]]})
+        return _lti_bundle(
+            "leaky-integrator", [[-0.5]], [[1.0]],
+            "first-order lag: distinct dynamics, distinct state set", 4.0)
 
     @define
     def oscillator(dt):
-        A = [[0.0, 1.0], [-1.0, -0.6]]
-        B = [[0.0], [1.0]]
-        sys_ = LTISystem(A, B, family("uniform-l2"), family("esssup"))
-        return SystemBundle(
-            "oscillator", sys_,
-            claim="controllable two-state system; vector states match "
-                  "natural states one for one",
-            past_window=6.0, horizon=4.0, params={"A": A, "B": B})
+        return _lti_bundle(
+            "oscillator", [[0.0, 1.0], [-1.0, -0.6]], [[0.0], [1.0]],
+            "controllable two-state system; vector states match natural "
+            "states one for one", 6.0)
 
     @define
     def oscillator_alt(dt):
-        A = [[0.0, 1.0], [-2.0, -1.0]]
-        B = [[0.0], [1.0]]
-        sys_ = LTISystem(A, B, family("uniform-l2"), family("esssup"))
-        return SystemBundle(
-            "oscillator-alt", sys_,
-            claim="second controllable pair; same reachable vectors, "
-                  "different natural states",
-            past_window=6.0, horizon=4.0, params={"A": A, "B": B})
+        return _lti_bundle(
+            "oscillator-alt", [[0.0, 1.0], [-2.0, -1.0]], [[0.0], [1.0]],
+            "second controllable pair; same reachable vectors, different "
+            "natural states", 6.0)
 
     @define
     def quadratic_volterra(dt):
@@ -253,7 +246,7 @@ def _systems() -> dict:
 
     @define
     def fading_conv(dt):
-        sys_ = LimsupConvolution(_decay_response(dt, 10.0), 0.0,
+        sys_ = LimsupConvolution(_decay_response(dt, 10.0, 1.0), 0.0,
                                  family("exp-l2"), family("esssup"))
         return SystemBundle(
             "fading-conv", sys_,
@@ -335,12 +328,10 @@ def system_from_spec(name: str, spec: dict, dt: float,
     variant = spec["variant"]
     if variant == "conv":
         S = float(spec.get("support", 1.0))
-        g = Grid(dt, 0, int(round(S / dt)))
         if spec.get("response_form", "box") == "box":
-            h = TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
+            h = _box_response(dt, S)
         else:
-            h = TimeFunction(g, np.exp(-float(spec.get("rate", 1.0))
-                                       * g.times()), np.zeros(1))
+            h = _decay_response(dt, S, float(spec.get("rate", 1.0)))
         op = LimsupConvolution(h, float(spec.get("tail_gain", 0.0)), fin, fout)
         return SystemBundle(name, op, "config-defined convolution",
                             pw, hz, params=dict(spec))
@@ -386,22 +377,18 @@ def system_from_spec(name: str, spec: dict, dt: float,
 # -- independent closed-form evaluators -----------------------------------------
 
 
-def hilbert_schmidt_bound(op: PolyIntegralOperator, dt: float,
-                          ts=(0.0,)) -> float:
-    """Grid Hilbert-Schmidt size of the degree-2 kernel, ``sup_t`` sampled.
+def hilbert_schmidt_bound(op: PolyIntegralOperator, dt: float) -> float:
+    """Grid Hilbert-Schmidt size of the degree-2 kernel (at the instant 0
+    for a time-varying kernel).
 
     This is the constant in the Cauchy-Schwarz chain bounding every windowed
     operator estimate at power two.
     """
-    ker = op.kernels[2]
-    best = 0.0
-    for t in (ts if not op.time_invariant else (0.0,)):
-        K = ker.grid_values(dt, at_time=None if op.time_invariant else t)
-        best = max(best, float(np.sqrt(np.sum(K ** 2) * dt ** 2)))
-    return best
+    K = op.kernels[2].grid_values(dt, at_time=0.0)
+    return float(np.sqrt(np.sum(K ** 2) * dt ** 2))
 
 
-def quadratic_state_closed_form(ker: PolyKernel, time_varying: bool,
+def quadratic_state_closed_form(ker: PolyKernel,
                                 past: TimeFunction, v: TimeFunction,
                                 t: float, sigma_indices) -> np.ndarray:
     """Three-term evaluation of the degree-2 state, directly from the kernel.
@@ -419,7 +406,7 @@ def quadratic_state_closed_form(ker: PolyKernel, time_varying: bool,
         np.arange(t_idx - Q, t_idx + 1))[:, 0]  # u(t - q dt), q = Q..0
 
     def kval(ti, a1, a2):
-        if time_varying:
+        if ker.time_varying:
             return np.asarray(ker.func(ti, a1, a2), dtype=float)
         return np.asarray(ker.func(a1, a2), dtype=float)
 

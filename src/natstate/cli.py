@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import tomllib
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import catalog
 from .experiments import EXPERIMENTS, ExperimentResult, RunConfig, run_experiment
+from .timegrid import AlignmentError
 
 __all__ = ["main", "parse_config_text"]
 
@@ -84,15 +86,48 @@ def _collect_sections(raw: dict, prefix: str) -> dict:
     return out
 
 
+_COUNTS = ("probes", "triples", "pasts", "futures", "bound_probes")
+# The RunConfig knobs a [run] key may set; family and system definitions
+# have sections of their own.
+_KNOBS = {f.name for f in fields(RunConfig)} - {"custom_families",
+                                                 "system_specs"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """Refuse a config no experiment can run with (``ValueError``)."""
+    if not (isinstance(cfg.dt, float) and math.isfinite(cfg.dt)
+            and cfg.dt > 0.0):
+        raise ValueError(f"dt must be a finite number > 0, got {cfg.dt!r}")
+    if not _is_int(cfg.seed):
+        raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
+    for name in _COUNTS:
+        v = getattr(cfg, name)
+        if not (_is_int(v) and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    for kind, name, known in (
+            ("family", cfg.family, [*catalog.FAMILIES, *cfg.custom_families]),
+            ("system", cfg.system, [*catalog.SYSTEMS, *cfg.system_specs])):
+        if name != "" and name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
+
+
 def _config_from_args(args) -> tuple[RunConfig, list, str]:
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
             raw = parse_config_text(fh.read())
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    overrides = {k: v for k, v in raw.items() if k in known}
-    cfg = replace(cfg, **overrides)
+    unknown = sorted(k for k in raw if "." not in k
+                     and k not in _KNOBS | {"experiments", "out"})
+    if unknown:
+        raise ValueError(f"unknown [run] keys: {unknown}")
+    overrides = {k: v for k, v in raw.items() if k in _KNOBS}
+    if _is_int(overrides.get("dt")):
+        overrides["dt"] = float(overrides["dt"])
+    cfg = replace(RunConfig(), **overrides)
     fam_specs = _collect_sections(raw, "family")
     customs = {n: catalog.family_from_spec(n, s) for n, s in fam_specs.items()}
     cfg = replace(cfg, custom_families=customs,
@@ -101,8 +136,6 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
         cfg = replace(cfg, dt=args.dt)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
     if getattr(args, "family", None):
         cfg = replace(cfg, family=args.family)
     if getattr(args, "system", None):
@@ -113,6 +146,7 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
     if args.experiment:
         names = [args.experiment]
     out_dir = args.out or raw.get("out") or ""
+    _check_config(cfg)
     return cfg, names, out_dir
 
 
@@ -195,14 +229,22 @@ def _cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     threads = max(1, int(os.environ.get("NATSTATE_THREADS", "1")))
+    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+            if threads > 1 and len(names) > 1 else None)
+    futs = [pool.submit(run_experiment, n, cfg) if pool else None
+            for n in names]
     results: list[ExperimentResult] = []
-    if threads == 1 or len(names) == 1:
-        for n in names:
-            results.append(run_experiment(n, cfg))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(run_experiment, n, cfg) for n in names]
-            results = [f.result() for f in futs]
+    try:
+        for n, fut in zip(names, futs):
+            try:
+                results.append(fut.result() if fut else run_experiment(n, cfg))
+            except AlignmentError as e:
+                # An instant or kernel support the chosen dt cannot hit.
+                print(f"config error: {n}: {e}", file=sys.stderr)
+                return 2
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark}  {r.name}")
@@ -275,7 +317,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", help="report directory", default=None)
     p_run.add_argument("--dt", type=float, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
     p_run.add_argument("--family", help="target a single norm family "
                        "(experiments that support it)", default=None)
     p_run.add_argument("--system", help="target a single system "

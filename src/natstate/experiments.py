@@ -31,7 +31,7 @@ from .states import (NaturalState, reachability_experiment,
 from .sysop import (PolyIntegralOperator, TimeAdvance,
                     centered_truncation, check_causality, estimate_npower,
                     hypothesis_uniformity_check, npower_centered,
-                    npower_global, steer_to_state)
+                    npower_global, steer_to_state, truncation)
 from .timegrid import Grid, Interval, TimeFunction, shift_left, splice
 
 __all__ = ["RunConfig", "ExperimentResult", "EXPERIMENTS", "run_experiment"]
@@ -47,7 +47,6 @@ class RunConfig:
     """
 
     dt: float = 0.01
-    horizon: float = 2.0
     seed: int = 12345
     probes: int = 60
     triples: int = 20
@@ -87,19 +86,30 @@ class ExperimentResult:
                 "metrics": self.metrics}
 
 
-def _past_probes(grid: Grid, seed, count, tail_levels=(0.0,), bound=1.0):
-    """Seeded pasts on ``grid``: bounded random samples with set tail levels."""
+def _past_probes(grid: Grid, seed, count, tail_levels=(0.0,)):
+    """Seeded pasts on ``grid``: random samples bounded by one, with set
+    tail levels."""
     rng = np.random.default_rng(seed)
-    return [random_timefunction(grid, rng, bound=bound,
+    return [random_timefunction(grid, rng,
                                 tail=tail_levels[i % len(tail_levels)])
             for i in range(count)]
 
 
-def _random_future(dt: float, horizon: float, seed,
-                   amplitude: float = 1.0) -> TimeFunction:
+def _random_future(dt: float, horizon: float, seed) -> TimeFunction:
     g = Grid(dt, 0, int(round(horizon / dt)))
-    return random_timefunction(g, np.random.default_rng(seed),
-                               bound=amplitude)
+    return random_timefunction(g, np.random.default_rng(seed))
+
+
+def _level_match(u: TimeFunction, tau: float, T: float,
+                 level: float) -> TimeFunction:
+    """``u`` on the last ``T`` seconds up to ``tau`` and the constant
+    ``level`` everywhere else, tail included: how one averager of the pair
+    realizes a state of the other."""
+    g = u.grid
+    idx = np.arange(g.i0 + 1, g.i1 + 1)
+    keep = (idx * g.dt > tau - T) & (idx <= g.index_of(tau))
+    return TimeFunction(g, np.where(keep[:, None], u.samples, level),
+                        np.array([level]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +216,7 @@ def exp_shared_state_set(cfg: RunConfig) -> ExperimentResult:
         level = float(rng.uniform(0.5, 2.0))
         u = _past_probes(grid, [cfg.seed, 33, k], 1, tail_levels=(level,))[0]
         # Match: same recent past, half the eventual level elsewhere.
-        w_level = 0.5 * level
-        idx = np.arange(grid.i0 + 1, grid.i1 + 1)
-        keep = (idx * cfg.dt > -T) & (idx <= grid.index_of(0.0))
-        vals = np.where(keep[:, None], u.samples, w_level)
-        w = TimeFunction(grid, vals, np.array([w_level]))
+        w = _level_match(u, 0.0, T, 0.5 * level)
         xi = NaturalState(one.system, u, 0.0)
         eta = NaturalState(two.system, w, 0.0)
         gap = max(one.system.output_fam.future_norm(
@@ -280,9 +286,14 @@ def exp_state_closed_form(cfg: RunConfig) -> ExperimentResult:
     ok &= metrics["integrator_max_err"] <= 1e-9
 
     # Quadratic operator: three-term kernel-side evaluation.
+    def quadratic_gap(b, past, v, t_eval, sigmas) -> float:
+        got = NaturalState(b.system, past, t_eval).evaluate_at(v, sigmas)
+        want = catalog.quadratic_state_closed_form(
+            b.system.kernels[2], past, v, t_eval, sigmas)
+        return float(np.max(np.abs(got[:, 0] - want)))
+
     qb = catalog.system("quadratic-volterra", dt)
     gq = qb.grid(dt)
-    ker = qb.system.kernels[2]
     tol_q = 10.0 * dt
     worst_q = 0.0
     rows = []
@@ -290,13 +301,8 @@ def exp_state_closed_form(cfg: RunConfig) -> ExperimentResult:
     for k in range(n_pairs):
         upq = _past_probes(gq, [cfg.seed, 45, k], 1)[0]
         vq = _random_future(dt, qb.horizon, [cfg.seed, 47, k])
-        t_eval = 0.0
         sigmas = np.arange(1, vq.grid.i1 + 1, max(1, vq.grid.i1 // 16))
-        xi_q = NaturalState(qb.system, upq, t_eval)
-        got_q = xi_q.evaluate_at(vq, sigmas)[:, 0]
-        want_q = catalog.quadratic_state_closed_form(
-            ker, False, upq, vq, t_eval, sigmas)
-        err = float(np.max(np.abs(got_q - want_q)))
+        err = quadratic_gap(qb, upq, vq, 0.0, sigmas)
         worst_q = max(worst_q, err)
         rows.append({"pair": k, "max_err": err})
     metrics["quadratic_max_err"] = worst_q
@@ -306,18 +312,14 @@ def exp_state_closed_form(cfg: RunConfig) -> ExperimentResult:
     # Time-varying variant, smaller sweep.
     qtv = catalog.system("quadratic-volterra-tv", dt)
     gtv = qtv.grid(dt)
-    kertv = qtv.system.kernels[2]
     worst_tv = 0.0
     for k in range(2):
         upq = _past_probes(gtv, [cfg.seed, 46, k], 1)[0]
         vq = _random_future(dt, qtv.horizon, [cfg.seed, 48, k])
         sigmas = np.arange(1, vq.grid.i1 + 1, max(1, vq.grid.i1 // 8))
         for t_eval in (0.0, 0.5):
-            xi_q = NaturalState(qtv.system, upq, t_eval)
-            got_q = xi_q.evaluate_at(vq, sigmas)[:, 0]
-            want_q = catalog.quadratic_state_closed_form(
-                kertv, True, upq, vq, t_eval, sigmas)
-            worst_tv = max(worst_tv, float(np.max(np.abs(got_q - want_q))))
+            worst_tv = max(worst_tv,
+                           quadratic_gap(qtv, upq, vq, t_eval, sigmas))
     metrics["quadratic_tv_max_err"] = worst_tv
     ok &= worst_tv <= tol_q
 
@@ -452,20 +454,14 @@ def exp_npower_bounds(cfg: RunConfig) -> ExperimentResult:
     ok &= glob.value <= matched * (1.0 + 1e-9)
 
     # Homogeneity of the estimate under output scaling.
-    class Scaled:
-        def __init__(self, s, c):
-            self.s, self.c = s, c
+    def at_zero(fam):
+        return lambda f: fam.past_norm(f, 0.0)
 
-        def __call__(self, u):
-            return self.c * self.s.apply(u)
-
+    in0, out0 = at_zero(sysq.input_fam), at_zero(sysq.output_fam)
+    base = estimate_npower(sysq.apply, probes, N, in0, out0)
     for c in (0.5, 2.0):
-        est_c = estimate_npower(Scaled(sysq, c), probes, N,
-                                lambda u: sysq.input_fam.past_norm(u, 0.0),
-                                lambda y: sysq.output_fam.past_norm(y, 0.0))
-        base = estimate_npower(Scaled(sysq, 1.0), probes, N,
-                               lambda u: sysq.input_fam.past_norm(u, 0.0),
-                               lambda y: sysq.output_fam.past_norm(y, 0.0))
+        est_c = estimate_npower(lambda u: c * sysq.apply(u), probes, N,
+                                in0, out0)
         ok &= abs(est_c.value - c * base.value) <= 1e-12 * max(1.0, est_c.value)
 
     # Zero operator.
@@ -482,13 +478,11 @@ def exp_npower_bounds(cfg: RunConfig) -> ExperimentResult:
 
     # Centered and uncentered windowed estimates agree exactly.
     t = 0.5
-    cen = centered_truncation(sysq, t)
+    cen, trunc = centered_truncation(sysq, t), truncation(sysq, t)
     agree = True
     for u in probes[:5]:
         y0 = cen(u)
-        u_shift = shift_left(u, -t)
-        y_full = sysq.apply(u_shift)
-        y_tr = y_full.with_window(y_full.grid.i0, y_full.grid.index_of(t))
+        y_tr = trunc(shift_left(u, -t))
         a = sysq.output_fam.past_norm(y0, 0.0)
         bnorm = sysq.output_fam.past_norm(y_tr, t)
         agree &= (a == bnorm)
@@ -854,11 +848,7 @@ def exp_state_set_identity(cfg: RunConfig) -> ExperimentResult:
     T_avg = one.params["response_support"]
 
     def match_avg(uu, tau):
-        lev = 2.0 * float(uu.tail_value[0])
-        idx = np.arange(ga.i0 + 1, ga.i1 + 1)
-        keep = (idx * dt > tau - T_avg) & (idx <= ga.index_of(tau))
-        vals = np.where(keep[:, None], uu.samples, lev)
-        return TimeFunction(ga, vals, np.array([lev]))
+        return _level_match(uu, tau, T_avg, 2.0 * float(uu.tail_value[0]))
 
     neg = state_matching_ladder(one.system, two.system, u, 1.0, 3,
                                 match_avg, futures)
@@ -1223,7 +1213,7 @@ def exp_trajectory_derivative(cfg: RunConfig) -> ExperimentResult:
         t_arr = np.asarray(t_arr, dtype=float)
         return np.where(t_arr > 0.0, src.u(t_arr) + 2.0, src.u(t_arr))
 
-    src_alt = SmoothInput(altered_u, src.d, name="altered-after-zero")
+    src_alt = SmoothInput(altered_u, src.d)
     td_alt = trajectory_derivative(sysq, src_alt, 0.0, gq)
     gap_nerode = float(np.max(np.abs((td_alt(v) - td(v)).samples)))
     metrics["nerode_gap"] = gap_nerode

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .timegrid import Grid, TimeFunction
+from .timegrid import AlignmentError, Grid, TimeFunction
 
 __all__ = [
     "Permutation",
@@ -57,17 +57,11 @@ class Permutation:
         """Left-to-right composition: ``(p.then(q))(i) = q(p(i))``."""
         return Permutation(tuple(other(self(i)) for i in range(1, self.n + 1)))
 
-    __mul__ = then
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i in range(1, self.n + 1):
             inv[self(i) - 1] = i
         return Permutation(tuple(inv))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
 
     @staticmethod
     def all(n: int):
@@ -114,10 +108,6 @@ class PolyKernel:
         scalar, time-invariant:  f(s1, ..., sn)
         scalar, time-varying:    f(t, s1, ..., sn)
         vector, time-invariant:  f(idx_tuple, s1, ..., sn)
-
-    ``flags`` carries the regularity metadata used by the identification
-    residual bounds: continuity, absolute integrability, and integrability
-    of partial sups of the symmetrized kernel.
     """
 
     MAX_SYM_DEGREE = 4
@@ -125,7 +115,7 @@ class PolyKernel:
     def __init__(self, degree: int, support: float, input_dim: int = 1,
                  func: Optional[Callable] = None,
                  data: Optional[np.ndarray] = None, data_dt: Optional[float] = None,
-                 time_varying: bool = False, flags: Optional[dict] = None):
+                 time_varying: bool = False):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if (func is None) == (data is None):
@@ -147,10 +137,6 @@ class PolyKernel:
                 raise ValueError("grid-backed kernels need data_dt")
             self.data = data
         self.time_varying = time_varying
-        self.flags = {"continuous": True, "abs_integrable": True,
-                      "sup_partial_integrable": True}
-        if flags:
-            self.flags.update(flags)
         self._cache: dict = {}
 
     # -- grid evaluation -----------------------------------------------------
@@ -158,7 +144,8 @@ class PolyKernel:
     def grid_size(self, dt: float) -> int:
         q = round(self.support / dt)
         if abs(self.support - q * dt) > 1e-9 * max(1.0, self.support):
-            raise ValueError("kernel support is not a multiple of dt")
+            raise AlignmentError(
+                f"kernel support {self.support} is not a multiple of dt={dt}")
         return int(q)
 
     def _mesh(self, dt: float):
@@ -215,12 +202,6 @@ class PolyKernel:
         absval = np.abs(K).sum(axis=tuple(range(self.degree)))
         return float(np.sum(absval[~mask]) * dt ** self.degree)
 
-    def is_symmetric(self, dt: float, tol: float = 1e-12) -> bool:
-        K = self.grid_values(dt)
-        Ks = _symmetrized_array(K, self.degree)
-        scale = max(1.0, float(np.max(np.abs(K))))
-        return bool(np.max(np.abs(K - Ks)) <= tol * scale)
-
 
 def _symmetrized_array(K: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros_like(K)
@@ -231,47 +212,37 @@ def _symmetrized_array(K: np.ndarray, n: int) -> np.ndarray:
     return out / math.factorial(n)
 
 
-def symmetrize(k: PolyKernel, dt: Optional[float] = None) -> PolyKernel:
+def symmetrize(k: PolyKernel) -> PolyKernel:
     """Average over simultaneous permutations of lags and component indices.
 
     Idempotent and linear in the kernel.  Grid-backed kernels symmetrize
-    their sample array; callables are wrapped.
+    their sample array; callables are wrapped.  A wrapped callable keeps
+    its leading argument: the output instant of a time-varying kernel is
+    passed through, the index tuple of a vector kernel is permuted with
+    the lags.
     """
     n = k.degree
     if n > PolyKernel.MAX_SYM_DEGREE:
         raise ValueError(f"degree {n} too large to enumerate permutations")
-    perms = Permutation.all(n)
     if k.data is not None:
         return PolyKernel(n, k.support, k.input_dim,
-                          data=_symmetrized_array(k.data, n), data_dt=k.data_dt,
-                          flags=k.flags)
-    if k.time_varying:
-        def sym_tv(t, *sig):
-            acc = 0.0
-            for pi in perms:
-                acc = acc + k.func(t, *[sig[pi(j) - 1] for j in range(1, n + 1)])
-            return acc / math.factorial(n)
-        return PolyKernel(n, k.support, 1, func=sym_tv, time_varying=True,
-                          flags=k.flags)
-    if k.input_dim == 1:
-        def sym_ti(*sig):
-            acc = 0.0
-            for pi in perms:
-                acc = acc + k.func(*[sig[pi(j) - 1] for j in range(1, n + 1)])
-            return acc / math.factorial(n)
-        return PolyKernel(n, k.support, 1, func=sym_ti, flags=k.flags)
+                          data=_symmetrized_array(k.data, n), data_dt=k.data_dt)
+    orders = [[pi(j) - 1 for j in range(1, n + 1)] for pi in Permutation.all(n)]
 
-    def sym_vec(idx, *sig):
+    def sym(*args):
+        lead, sig = args[:-n], args[-n:]
         acc = 0.0
-        for pi in perms:
-            acc = acc + k.func(tuple(idx[pi(j) - 1] for j in range(1, n + 1)),
-                               *[sig[pi(j) - 1] for j in range(1, n + 1)])
+        for order in orders:
+            if k.input_dim > 1:
+                lead = (tuple(args[0][o] for o in order),)
+            acc = acc + k.func(*lead, *[sig[o] for o in order])
         return acc / math.factorial(n)
-    return PolyKernel(n, k.support, k.input_dim, func=sym_vec, flags=k.flags)
+    return PolyKernel(n, k.support, k.input_dim, func=sym,
+                      time_varying=k.time_varying)
 
 
 def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
-                                    rng=None, tol: float = 1e-9) -> dict:
+                                    rng=None) -> dict:
     """The two defining facts about symmetrization, checked numerically.
 
     (i) the induced operator is unchanged: responses of the original and the
@@ -287,7 +258,7 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
     fam_in = FittedFamily.unweighted_sup()
     fam_out = FittedFamily.output_window(float("inf"))
     op = PolyIntegralOperator([k], 0.0, fam_in, fam_out, input_dim=k.input_dim)
-    op_s = PolyIntegralOperator([symmetrize(k, dt)], 0.0, fam_in, fam_out,
+    op_s = PolyIntegralOperator([symmetrize(k)], 0.0, fam_in, fam_out,
                                 input_dim=k.input_dim)
     max_diff = 0.0
     for u in probes:
@@ -317,7 +288,7 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
         max_term_diff = max(max_term_diff, abs(t1 - t2) / scale)
     return {
         "operator_invariance_max_diff": max_diff,
-        "operator_invariance_ok": max_diff <= tol,
+        "operator_invariance_ok": max_diff <= 1e-9,
         "reindexing_max_diff": max_term_diff,
         "reindexing_ok": max_term_diff <= 1e-10,
     }
@@ -484,9 +455,10 @@ def default_cell_lattice(dt: float, lo: float, hi: float,
     return [(j * dt, (j + k) * dt) for j in range(j_lo, j_hi - k + 1, k)]
 
 
-def kernel_from_cells(degree: int, cells, values, support: float, dt: float,
-                      input_dim: int = 1) -> PolyKernel:
-    """Piecewise-constant symmetric kernel holding the recovered averages.
+def kernel_from_cells(degree: int, cells, values, support: float,
+                      dt: float) -> PolyKernel:
+    """Piecewise-constant symmetric scalar kernel holding the recovered
+    averages.
 
     Each cell tuple fills its window product (in every argument order, so
     the result is symmetric); unprobed regions stay zero.  Quadrature of
@@ -494,7 +466,7 @@ def kernel_from_cells(degree: int, cells, values, support: float, dt: float,
     re-identification a fixed point.
     """
     Q = int(round(support / dt))
-    data = np.zeros((input_dim,) * degree + (Q,) * degree)
+    data = np.zeros((1,) * degree + (Q,) * degree)
     x = np.arange(1, Q + 1) * dt
     for tup, val in zip(cells, values):
         slices = []
@@ -504,4 +476,4 @@ def kernel_from_cells(degree: int, cells, values, support: float, dt: float,
         for order in itertools.permutations(range(degree)):
             ix = np.ix_(*[slices[o] for o in order])
             data[(0,) * degree][ix] = val
-    return PolyKernel(degree, support, input_dim, data=data, data_dt=dt)
+    return PolyKernel(degree, support, data=data, data_dt=dt)

@@ -4,44 +4,33 @@ Operator norms here are suprema estimated from below by maximizing over a
 finite probe set, so every inequality asserted between two estimates is
 computed on *matched* probes.  The generator is deterministic for a given
 seed and emits the standard mix: constants, indicators, ramps, sinusoids,
-smoothed noise, and optionally their pairwise splices.
+and smoothed noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .timegrid import Grid, TimeFunction, splice
+from .timegrid import Grid, TimeFunction
 
-__all__ = ["probe_set", "future_probes", "indicator"]
-
-
-def indicator(grid: Grid, a: float, b: float, height: float = 1.0,
-              dim: int = 1, component: int = 0) -> TimeFunction:
-    """``height`` on the window ``(a, b]``, zero elsewhere, zero tail."""
-    ia, ib = grid.index_of(a), grid.index_of(b)
-    idx = np.arange(grid.i0 + 1, grid.i1 + 1)
-    vals = np.zeros((grid.n, dim))
-    vals[(idx > ia) & (idx <= ib), component] = height
-    return TimeFunction(grid, vals, np.zeros(dim))
+__all__ = ["probe_set", "future_probes"]
 
 
-def _smooth_noise(rng, n: int, width: int = 9) -> np.ndarray:
-    raw = rng.standard_normal(n + width)
-    ker = np.hanning(width)
+def _smooth_noise(rng, n: int) -> np.ndarray:
+    """``n`` samples of white noise under a nine-point Hann window."""
+    raw = rng.standard_normal(n + 9)
+    ker = np.hanning(9)
     ker /= ker.sum()
     return np.convolve(raw, ker, mode="same")[:n]
 
 
 def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
-              amplitude: float = 1.0, tails: bool = True,
-              with_splices: bool = False) -> list[TimeFunction]:
+              tails: bool = True) -> list[TimeFunction]:
     """Deterministic list of probes on ``grid``.
 
     With ``tails`` the constant probes carry matching nonzero tails;
     otherwise every probe has zero tail (needed e.g. for inputs into
-    time-varying operators).  ``with_splices`` appends pairwise splices at
-    the window midpoint, the same functions the state machinery builds.
+    time-varying operators).
     """
     rng = np.random.default_rng(seed)
     n = grid.n
@@ -53,7 +42,7 @@ def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
         if vals.ndim == 1:
             vals = vals[:, None] * np.ones((1, dim))
         tail = np.zeros(dim) if tail is None else np.asarray(tail, dtype=float)
-        out.append(TimeFunction(grid, amplitude * vals, amplitude * tail))
+        out.append(TimeFunction(grid, vals, tail))
 
     add(np.zeros(n))
     add(np.ones(n), tail=np.ones(dim) if tails else None)
@@ -87,39 +76,30 @@ def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
             level = 2.0 * rng.random() - 1.0
             vals = level * np.ones((n, dim))
             add(vals, tail=level * np.ones(dim) if tails else None)
-    out = out[:count]
-    if with_splices:
-        mid = grid.dt * ((grid.i0 + grid.i1) // 2)
-        extra = []
-        for i in range(0, len(out) - 1, 2):
-            extra.append(splice(out[i], out[i + 1], mid))
-        out = out + extra
-    return out
+    return out[:count]
 
 
-def future_probes(dt: float, horizon: float, seed: int, count: int = 20,
-                  dim: int = 1, amplitude: float = 1.0) -> list[TimeFunction]:
+def future_probes(dt: float, horizon: float, seed: int,
+                  count: int = 20) -> list[TimeFunction]:
     """Probes supported on ``(0, horizon]`` with zero tails: future inputs."""
     g = Grid(dt, 0, int(round(horizon / dt)))
-    return probe_set(g, seed, count=count, dim=dim, amplitude=amplitude,
-                     tails=False)
+    return probe_set(g, seed, count=count, tails=False)
 
 
-def random_timefunction(grid: Grid, rng, dim: int = 1, bound: float = 1.0,
-                        tail: float = 0.0) -> TimeFunction:
-    """One genuinely random probe: smoothed noise plus a random bump,
-    rescaled to the pointwise ``bound`` and riding on a constant ``tail``.
+def random_timefunction(grid: Grid, rng, tail: float = 0.0) -> TimeFunction:
+    """One genuinely random scalar probe: smoothed noise plus a random bump,
+    rescaled to the pointwise bound one and riding on a constant ``tail``.
 
     Unlike :func:`probe_set`, whose first entries are fixed canonical
     shapes, every draw here depends on the generator state.
     """
     rng = np.random.default_rng(rng)
     n = grid.n
-    vals = np.stack([_smooth_noise(rng, n) for _ in range(dim)], axis=1)
+    vals = _smooth_noise(rng, n)
     lo = int(rng.integers(0, max(n - 2, 1)))
     hi = int(rng.integers(lo + 1, n + 1))
-    vals[lo:hi, int(rng.integers(dim))] += rng.uniform(-1.0, 1.0)
+    vals[lo:hi] += rng.uniform(-1.0, 1.0)
     m = float(np.max(np.abs(vals)))
     if m > 0:
-        vals *= bound / m
-    return TimeFunction(grid, vals + tail, np.full(dim, float(tail)))
+        vals *= 1.0 / m
+    return TimeFunction(grid, vals + tail, np.array([float(tail)]))

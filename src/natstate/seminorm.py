@@ -15,7 +15,6 @@ membership of samples is exact and shift invariance holds bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -522,9 +521,6 @@ class NormReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _random_triples(rng, g, n_triples: int, max_span_idx: Optional[int]):
     """Index triples r < s < t inside the grid window."""
@@ -539,13 +535,17 @@ def _random_triples(rng, g, n_triples: int, max_span_idx: Optional[int]):
     return triples
 
 
-def check_ff_axioms(fam: FittedFamily, probes, rng=None, n_triples: int = 50,
-                    tol: float = 1e-12) -> NormReport:
+# Relative slack of the monotonicity and split-triangle checks.
+_AXIOM_RTOL = 1e-12
+
+
+def check_ff_axioms(fam: FittedFamily, probes, rng=None,
+                    n_triples: int = 50) -> NormReport:
     """Exercise the five defining conditions on probes and random windows.
 
     Locality and shift invariance are required to hold exactly; the
-    monotonicity, split-triangle and window-comparison conditions get a
-    relative ``tol`` for floating-point rounding.  Failures carry a witness
+    monotonicity and split-triangle conditions get a relative slack of
+    ``_AXIOM_RTOL`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
     order, then triple order.  All five conditions are batched: each
     probe's windows go through :meth:`FittedFamily.seminorms` (or its
@@ -604,13 +604,14 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None, n_triples: int = 50,
             "shift": edits[k][1] * dt, "lhs": float(a[k]),
             "rhs": float(nst[k])})
         # (3) monotone in s.
-        record("monotone_in_s", nst > nrt + tol * np.maximum(1.0, nrt),
+        record("monotone_in_s",
+               nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
                lambda k: {"probe": pi, "triple": [x * dt for x in tri[k]],
                           "lhs": float(nst[k]), "rhs": float(nrt[k])})
         # (4) triangle over the split point.
         split = nrs + nst
         record("triangle_over_split",
-               nrt > split + tol * np.maximum(1.0, split),
+               nrt > split + _AXIOM_RTOL * np.maximum(1.0, split),
                lambda k: {"probe": pi, "triple": [x * dt for x in tri[k]],
                           "lhs": float(nrt[k]), "rhs": float(split[k])})
         # (5) window comparison within span alpha.

@@ -72,18 +72,15 @@ class NaturalState:
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
-        full = self.spliced_input(v)
-        t_idx = full.grid.index_of(self.t)
-        idx = t_idx + np.asarray(sigma_indices, dtype=int)
-        return self.system.apply_at(full, idx)
+        idx = self._t_idx + np.asarray(sigma_indices, dtype=int)
+        return self.system.apply_at(self.spliced_input(v), idx)
 
     def __repr__(self) -> str:
         return f"NaturalState(t={self.t}, past={self.past!r})"
 
 
 def state_distance(xi: NaturalState, eta: NaturalState, N: int,
-                   futures: Sequence[TimeFunction],
-                   probe_set_id: str = "") -> NPowerEstimate:
+                   futures: Sequence[TimeFunction]) -> NPowerEstimate:
     """``max_v |xi(v) - eta(v)|_{0,inf} / (1 + |v|_{0,inf}^N)`` over probes.
 
     Both states must share the input/output families of their systems; the
@@ -94,8 +91,7 @@ def state_distance(xi: NaturalState, eta: NaturalState, N: int,
     in_fam = xi.system.input_fam
     return estimate_npower(lambda v: xi.evaluate(v) - eta.evaluate(v),
                            futures, N, lambda v: in_fam.future_norm(v, 0.0),
-                           lambda d: out_fam.future_norm(d, 0.0),
-                           probe_set_id=probe_set_id)
+                           lambda d: out_fam.future_norm(d, 0.0))
 
 
 def trajectory(system: SystemOp, u: TimeFunction, times) -> list[NaturalState]:
@@ -114,7 +110,7 @@ def drive(state: NaturalState, v: TimeFunction, s: float) -> NaturalState:
     """
     if s <= state.t:
         raise ValueError("drive must move forward in time")
-    new_past = splice(state.past, shift_right(v, state.t), state.t)
+    new_past = state.spliced_input(v)
     if new_past.grid.index_of(s) > new_past.grid.i1:
         raise ValueError("drive segment too short to reach s")
     return NaturalState(state.system, new_past, s)
@@ -146,7 +142,7 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
 
 def reachability_experiment(system: SystemOp, source: TimeFunction,
                             target: TimeFunction, fam: FittedFamily,
-                            futures, N: int = 2, eps: float = 0.05,
+                            futures, eps: float = 0.05,
                             c: float = 1.0) -> dict:
     """Drive the state from the source past toward the target state.
 
@@ -155,7 +151,7 @@ def reachability_experiment(system: SystemOp, source: TimeFunction,
     match exactly; with a tapered family the drive length comes from the
     closed-form taper window for ``(eps, c)`` and the remaining distance
     must be at most ``eps``.  A family that is neither is refused: no drive
-    can shake off the distant past.
+    can shake off the distant past.  Distances are at weight power two.
     """
     cls = classify(fam)
     if cls["class"] == "neither":
@@ -172,13 +168,13 @@ def reachability_experiment(system: SystemOp, source: TimeFunction,
     driven_past = splice(shift_left(source, back), target, t_drive)
     reached = NaturalState(system, driven_past, 0.0)
     goal = NaturalState(system, target, 0.0)
-    dist = state_distance(reached, goal, N, futures)
+    dist = state_distance(reached, goal, 2, futures)
     out = {
         "refused": False,
         "memory_class": cls["class"],
         "drive_seconds": back,
         "distance": dist.value,
-        "N": N,
+        "N": 2,
     }
     if cls["class"] == "finite_memory":
         out["exact"] = dist.value == 0.0
@@ -194,8 +190,7 @@ def reachability_experiment(system: SystemOp, source: TimeFunction,
 def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
                           T: float, steps: int,
                           match_state: Callable[[TimeFunction, float], TimeFunction],
-                          futures, N: int = 2,
-                          match_tol: float = 1e-9) -> dict:
+                          futures, match_tol: float = 1e-9) -> dict:
     """Constructive agreement ladder for two systems sharing a state set.
 
     For descending instants ``tau_i = T + 1 - i``, ``match_state(u, tau)``
@@ -203,7 +198,8 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     ``sys2``-state of ``u`` there.  Splicing the match's past with ``u``'s
     future yields inputs whose ``sys1``-outputs agree with ``sys2(u)`` from
     ``tau_i`` on; whether ``|v_i - u|_T`` dies out is exactly the taper
-    question, and the final output gap at ``T`` is the verdict.
+    question, and the final output gap at ``T`` is the verdict.  State
+    matches are measured at weight power two.
     """
     fam_in, fam_out = sys1.input_fam, sys1.output_fam
     y2 = sys2.apply(u)
@@ -213,7 +209,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
         w = match_state(u, tau)
         state1 = NaturalState(sys1, w, tau)
         state2 = NaturalState(sys2, u, tau)
-        match_gap = state_distance(state1, state2, N, futures).value
+        match_gap = state_distance(state1, state2, 2, futures).value
         v_i = splice(w, u, tau)
         y1 = sys1.apply(v_i)
         d = y1 - y2

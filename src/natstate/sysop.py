@@ -28,7 +28,7 @@ lower bounds, monotone under probe-set growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -43,7 +43,6 @@ __all__ = [
     "LTISystem",
     "PolyIntegralOperator",
     "TimeAdvance",
-    "CenteredOp",
     "centered_truncation",
     "truncation",
     "check_causality",
@@ -396,29 +395,20 @@ def _recenter(y: TimeFunction, t: float) -> TimeFunction:
 # -- truncations -------------------------------------------------------------
 
 
-class CenteredOp:
-    """The window-``t`` view of ``F`` recentred at zero.
+def centered_truncation(system: SystemOp, t: float):
+    """Window view at ``t`` recentred to zero; meaningful for causal systems
+    (all shipped variants are, and :func:`check_causality` probes it).
 
     Maps a past input ending at 0 to the past output ending at 0 by shifting
-    to ``t``, applying ``F``, truncating, and shifting back.
+    to ``t``, applying the system, truncating, and shifting back.
     """
 
-    def __init__(self, system: SystemOp, t: float):
-        self.system = system
-        self.t = t
+    def run(u0: TimeFunction) -> TimeFunction:
+        t_idx = u0.grid.index_of(t)
+        y = system.apply(shift_right(u0, t))
+        return shift_left(y.with_window(y.grid.i0, t_idx + u0.grid.i1), t)
 
-    def __call__(self, u0: TimeFunction) -> TimeFunction:
-        t_idx = u0.grid.index_of(self.t)
-        u = shift_right(u0, self.t)
-        y = self.system.apply(u)
-        y_past = y.with_window(y.grid.i0, t_idx + u0.grid.i1)
-        return shift_left(y_past, self.t)
-
-
-def centered_truncation(system: SystemOp, t: float) -> CenteredOp:
-    """Window view at ``t`` recentred to zero; meaningful for causal systems
-    (all shipped variants are, and :func:`check_causality` probes it)."""
-    return CenteredOp(system, t)
+    return run
 
 
 def truncation(system: SystemOp, t: float):
@@ -471,56 +461,36 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
 
 @dataclass
 class NPowerEstimate:
-    """Probe-maximized lower bound for a weighted operator norm.
-
-    ``probe_set_id`` names the probe set, so inequalities between two
-    estimates can require matched sets explicitly.
-    """
+    """Probe-maximized lower bound for a weighted operator norm."""
 
     value: float
     N: int
     probe_index: int
     probe_count: int
-    probe_set_id: str = ""
-    ratios: Optional[list] = None
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "N": self.N,
-                "probe_index": self.probe_index,
-                "probe_count": self.probe_count,
-                "probe_set_id": self.probe_set_id}
 
 
 def estimate_npower(phi: Callable[[TimeFunction], TimeFunction], probes,
                     N: int, in_norm: Callable[[TimeFunction], float],
-                    out_norm: Callable[[TimeFunction], float],
-                    keep_ratios: bool = False,
-                    probe_set_id: str = "") -> NPowerEstimate:
+                    out_norm: Callable[[TimeFunction], float]) -> NPowerEstimate:
     best, arg = -1.0, -1
-    ratios = [] if keep_ratios else None
     for i, x in enumerate(probes):
         r = out_norm(phi(x)) / (1.0 + in_norm(x) ** N)
-        if keep_ratios:
-            ratios.append(r)
         if r > best:
             best, arg = r, i
-    return NPowerEstimate(best, N, arg, len(probes), probe_set_id, ratios)
+    return NPowerEstimate(best, N, arg, len(probes))
 
 
-def npower_global(system: SystemOp, probes, N: int,
-                  keep_ratios: bool = False) -> NPowerEstimate:
+def npower_global(system: SystemOp, probes, N: int) -> NPowerEstimate:
     return estimate_npower(system.apply, probes, N,
                            system.input_fam.bounding_norm,
-                           system.output_fam.bounding_norm, keep_ratios)
+                           system.output_fam.bounding_norm)
 
 
-def npower_centered(system: SystemOp, t: float, probes0, N: int,
-                    keep_ratios: bool = False) -> NPowerEstimate:
-    op = centered_truncation(system, t)
-    return estimate_npower(op, probes0, N,
+def npower_centered(system: SystemOp, t: float, probes0,
+                    N: int) -> NPowerEstimate:
+    return estimate_npower(centered_truncation(system, t), probes0, N,
                            lambda u: system.input_fam.past_norm(u, 0.0),
-                           lambda y: system.output_fam.past_norm(y, 0.0),
-                           keep_ratios)
+                           lambda y: system.output_fam.past_norm(y, 0.0))
 
 
 def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
@@ -533,11 +503,8 @@ def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
     per_t = []
     moduli = []
     for t in ts:
+        per_t.append(npower_centered(system, t, probes0, N).value)
         op = centered_truncation(system, t)
-        est = estimate_npower(op, probes0, N,
-                              lambda u: system.input_fam.past_norm(u, 0.0),
-                              lambda y: system.output_fam.past_norm(y, 0.0))
-        per_t.append(est.value)
         outs = [op(u) for u in probes0]
         for i in range(len(probes0)):
             for j in range(i + 1, len(probes0)):

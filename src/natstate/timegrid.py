@@ -21,7 +21,7 @@ __all__ = [
     "Grid",
     "Interval",
     "TimeFunction",
-    "make_timefunction",
+    "AlignmentError",
     "shift_left",
     "shift_right",
     "splice",
@@ -32,6 +32,10 @@ __all__ = [
 
 # Relative slack when snapping a float instant onto the integer lattice.
 _ALIGN_RTOL = 1e-9
+
+
+class AlignmentError(ValueError):
+    """An instant or length that is not a whole number of grid steps."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class Grid:
         """Snap instant ``t`` onto the lattice; reject misaligned instants."""
         k = round(t / self.dt)
         if abs(t - k * self.dt) > _ALIGN_RTOL * max(1.0, abs(t)):
-            raise ValueError(f"instant {t} is not a multiple of dt={self.dt}")
+            raise AlignmentError(f"instant {t} is not a multiple of dt={self.dt}")
         return int(k)
 
     def shifted(self, k: int) -> "Grid":
@@ -102,13 +106,6 @@ class Interval:
     def upto(t: float) -> "Interval":
         return Interval(NEG_INF, t)
 
-    @staticmethod
-    def onward(s: float) -> "Interval":
-        return Interval(s, POS_INF)
-
-    @staticmethod
-    def whole() -> "Interval":
-        return Interval(NEG_INF, POS_INF)
 
 
 class TimeFunction:
@@ -207,9 +204,6 @@ class TimeFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "TimeFunction":
-        return self * (-1.0)
-
     def with_window(self, i0: int, i1: int) -> "TimeFunction":
         """Re-window onto ``[i0, i1]``.
 
@@ -236,34 +230,6 @@ class TimeFunction:
             f"TimeFunction(dim={self.dim}, dt={g.dt}, window=({g.t_start}, {g.t_end}],"
             f" tail={np.array2string(self.tail_value, precision=3)})"
         )
-
-
-def make_timefunction(grid: Grid, samples, tail_value) -> TimeFunction:
-    """Build a :class:`TimeFunction`, validating lengths and finiteness."""
-    return TimeFunction(grid, np.asarray(samples, dtype=float), tail_value)
-
-
-def constant(grid: Grid, value) -> TimeFunction:
-    value = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
-    return TimeFunction(grid, np.tile(value, (grid.n, 1)), value)
-
-
-def zero(grid: Grid, dim: int = 1) -> TimeFunction:
-    return TimeFunction(grid, np.zeros((grid.n, dim)), np.zeros(dim))
-
-
-def from_callable(grid: Grid, fn, tail_value=None) -> TimeFunction:
-    """Sample a callable ``fn(t) -> value`` at the right cell endpoints.
-
-    ``fn`` may be scalar- or vector-valued and should accept numpy arrays.
-    If ``tail_value`` is omitted it is taken as ``fn`` at the grid start.
-    """
-    vals = np.asarray(fn(grid.times()), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if tail_value is None:
-        tail_value = np.atleast_1d(np.asarray(fn(np.array([grid.t_start])), dtype=float)).ravel()
-    return TimeFunction(grid, vals, tail_value)
 
 
 def shift_left(f: TimeFunction, tau: float) -> TimeFunction:

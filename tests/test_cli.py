@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +172,68 @@ def test_system_flag_refusal_route(capsys):
                "--system", "quadratic-volterra-tv"])
     assert rc == 0
     assert "refused" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment, dt", [
+    ("state-closed-form", "0.04"), ("npower-bounds", "0.04"),
+    ("reachability", "0.04"), ("trajectory-derivative", "0.04"),
+    ("causality", "0.03")])
+def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
+    out = tmp_path / "rep"
+    assert main(["run", "--experiment", experiment, "--dt", dt,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {experiment}: ")
+    assert "is not a multiple of dt" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_misaligned_dt_stops_the_run(tmp_path, capsys, monkeypatch, threads):
+    # The first experiment runs at dt 0.04; the second cannot.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('[run]\ndt = 0.04\nexperiments = '
+                       '["memory-causality", "trajectory-derivative"]\n')
+    monkeypatch.setenv("NATSTATE_THREADS", threads)
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: trajectory-derivative: ")
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, toml", [
+    (["--dt", "0"], ""),
+    (["--dt", "nan"], ""),
+    (["--dt", "-0.01"], ""),
+    ([], 'dt = "abc"'),
+    ([], "seed = 1.5"),
+    ([], "probes = 0"),
+    ([], "futures = true"),
+    (["--family", "nonesuch"], ""),
+    (["--system", "nonesuch"], ""),
+    ([], 'family = "nonesuch"'),
+    ([], "horizon = 2.0"),
+], ids=["dt-zero", "dt-nan", "dt-negative", "dt-string", "seed-float",
+        "probes-zero", "futures-bool", "family-flag", "system-flag",
+        "family-key", "unknown-key"])
+def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text(f"[run]\n{toml}\n")
+    out = tmp_path / "rep"
+    # taper reads none of these settings' bad values: only the validation
+    # can stop it.
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "PASS" not in captured.out and not out.exists()
+
+
+def test_readme_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert float(capsys.readouterr().out.split()[-1]) >= 1.0

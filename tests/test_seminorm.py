@@ -182,7 +182,7 @@ def test_axioms_pass_on_shipped_families(grid, rng):
     probes = probe_set(grid, 7, count=25, tails=True)
     for fam in (UL2, EXP2, BOX2, SUP, FittedFamily.sup_family(UL2)):
         rep = check_ff_axioms(fam, probes, rng=3, n_triples=12)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert rep.K_observed <= rep.K_declared * (1 + 1e-9)
 
 

@@ -9,6 +9,7 @@ from natstate import (Grid, NaturalState, TimeFunction, drive,
                       state_distance, state_matching_ladder, steer_to_state,
                       trajectory)
 from natstate import catalog
+from natstate.experiments import EXPERIMENTS, RunConfig
 from natstate.probes import future_probes
 
 DT = 0.02
@@ -68,7 +69,7 @@ def test_quadratic_state_closed_form(futures):
     sig = np.arange(1, v.grid.i1 + 1, 7)
     got = st.evaluate_at(v, sig)[:, 0]
     want = catalog.quadratic_state_closed_form(
-        b.system.kernels[2], False, u, v, 0.0, sig)
+        b.system.kernels[2], u, v, 0.0, sig)
     assert np.max(np.abs(got - want)) <= 10.0 * DT
     assert np.max(np.abs(got - want)) <= 1e-10  # same lattice, regrouped
 
@@ -350,3 +351,11 @@ def test_state_bound_chain_random_pasts(futures):
         rep = state_bound_check(st, 2, futures)
         assert rep["passed"], rep["violations"][:2]
         assert all(r["ok"] for r in rep["continuity"])
+
+
+def test_state_set_identity_experiment():
+    r = EXPERIMENTS["state-set-identity"](RunConfig())
+    assert r.passed
+    assert r.metrics["trivial_final_gap"] == 0.0
+    assert r.metrics["lti_ladder_final_gap"] <= 1e-9
+    assert r.metrics["negative_taper_met"] is False

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (Grid, Interval, TimeFunction, make_timefunction,
-                      read_timefunction, restrict, shift_left, shift_right,
-                      splice, write_timefunction)
+from natstate import (Grid, Interval, TimeFunction, read_timefunction,
+                      restrict, shift_left, shift_right, splice,
+                      write_timefunction)
 from natstate.calculus import SmoothInput
 
 
 def test_zero_function_tail_lookup():
     g = Grid(0.5, -4, 4)
-    f = make_timefunction(g, np.zeros(8), 0.0)
+    f = TimeFunction(g, np.zeros(8), 0.0)
     assert np.all(f.value(-10.0) == 0.0)
     assert f.is_zero()
 
@@ -19,9 +19,9 @@ def test_zero_function_tail_lookup():
 def test_constructor_validation():
     g = Grid(0.5, -4, 4)
     with pytest.raises(ValueError):
-        make_timefunction(g, np.zeros(7), 0.0)
+        TimeFunction(g, np.zeros(7), 0.0)
     with pytest.raises(ValueError):
-        make_timefunction(g, np.full(8, np.nan), 0.0)
+        TimeFunction(g, np.full(8, np.nan), 0.0)
     with pytest.raises(ValueError):
         Grid(0.5, 3, 3)
     with pytest.raises(ValueError):
@@ -42,7 +42,7 @@ def test_trapezoid_branch_values():
 
 def test_constant_tail_member():
     g = Grid(0.5, -4, 4)
-    one = make_timefunction(g, np.ones(8), 1.0)
+    one = TimeFunction(g, np.ones(8), 1.0)
     assert one.value(-99.0) == 1.0
     assert one.value(2.0) == 1.0
 
@@ -57,7 +57,7 @@ def test_shift_identity_and_group_law(rough):
 
 def test_shift_of_constant_is_itself():
     g = Grid(0.5, -4, 4)
-    c = make_timefunction(g, 3.0 * np.ones(8), 3.0)
+    c = TimeFunction(g, 3.0 * np.ones(8), 3.0)
     s = shift_left(c, 1.0)
     for t in (-1.0, 0.0, 1.0):
         assert s.value(t) == c.value(t) == 3.0
