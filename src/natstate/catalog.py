@@ -271,28 +271,38 @@ def system(name: str, dt: float) -> SystemBundle:
 # -- config-defined families and systems -----------------------------------------
 
 
+def _required(spec: dict, key: str, section: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise ValueError(f"[{section}] is missing key {key!r}") from None
+
+
 def family_from_spec(name: str, spec: dict) -> FittedFamily:
     """Build a norm family from flat config keys.
 
     Recognized keys: ``kind`` (weighted_lp, sup, unweighted_sup,
     output_window), ``p``, ``form`` (uniform, exp, box), ``rate``,
-    ``memory``, ``alpha``, ``window_b``, ``vector_norm``.
+    ``memory``, ``alpha``, ``window_b``, ``vector_norm``.  A missing
+    required key raises ``ValueError`` naming the section and the key.
     """
+    section = f"family.{name}"
     kind = spec.get("kind", "weighted_lp")
     if kind == "unweighted_sup":
         return FittedFamily.unweighted_sup(name=name)
     if kind == "output_window":
-        return FittedFamily.output_window(float(spec["window_b"]), name=name)
+        return FittedFamily.output_window(
+            float(_required(spec, "window_b", section)), name=name)
     form = spec.get("form", "uniform")
     if form == "uniform":
         w = Weight.uniform()
     elif form == "exp":
-        w = Weight.exponential(float(spec["rate"]),
+        w = Weight.exponential(float(_required(spec, "rate", section)),
                                alpha=float(spec.get("alpha", 1.0)))
     elif form == "box":
-        w = Weight.box(float(spec["memory"]))
+        w = Weight.box(float(_required(spec, "memory", section)))
     else:
-        raise ValueError(f"unknown weight form {form!r}")
+        raise ValueError(f"[{section}] has unknown weight form {form!r}")
     base = FittedFamily.weighted_lp(float(spec.get("p", 2.0)), w,
                                     vector_norm=spec.get("vector_norm",
                                                          "euclidean"),
@@ -301,13 +311,15 @@ def family_from_spec(name: str, spec: dict) -> FittedFamily:
         return FittedFamily.sup_family(base, name=name)
     if kind == "weighted_lp":
         return base
-    raise ValueError(f"unknown family kind {kind!r}")
+    raise ValueError(f"[{section}] has unknown kind {kind!r}")
 
 
-def _resolve_family(name_or_spec, customs: dict) -> FittedFamily:
-    if name_or_spec in customs:
-        return customs[name_or_spec]
-    return family(name_or_spec)
+def _resolve_family(name: str, customs: dict, section: str) -> FittedFamily:
+    if name in customs:
+        return customs[name]
+    if name not in FAMILIES:
+        raise ValueError(f"[{section}] names unknown family {name!r}")
+    return family(name)
 
 
 def system_from_spec(name: str, spec: dict, dt: float,
@@ -319,13 +331,18 @@ def system_from_spec(name: str, spec: dict, dt: float,
     ``n_states``), or ``poly`` (``degree``, ``kernel_form`` exp or box with
     ``rates``/``level``, ``support``, ``constant``; or ``kernel_csv``).
     ``input_family``/``output_family`` name built-ins or config families.
+    A missing required key or an unknown name raises ``ValueError`` naming
+    the section.
     """
+    section = f"system.{name}"
     customs = custom_families or {}
-    fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs)
-    fout = _resolve_family(spec.get("output_family", "esssup"), customs)
+    fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs,
+                          section)
+    fout = _resolve_family(spec.get("output_family", "esssup"), customs,
+                           section)
     pw = float(spec.get("past_window", 4.0))
     hz = float(spec.get("horizon", 2.0))
-    variant = spec["variant"]
+    variant = _required(spec, "variant", section)
     if variant == "conv":
         S = float(spec.get("support", 1.0))
         if spec.get("response_form", "box") == "box":
@@ -336,10 +353,13 @@ def system_from_spec(name: str, spec: dict, dt: float,
         return SystemBundle(name, op, "config-defined convolution",
                             pw, hz, params=dict(spec))
     if variant == "lti":
-        n = int(spec["n_states"])
-        A = np.asarray(spec["A"], dtype=float).reshape(n, n)
-        B = np.asarray(spec["B"], dtype=float).reshape(n, -1)
-        op = LTISystem(A, B, fin, fout)
+        n = int(_required(spec, "n_states", section))
+        A = np.asarray(_required(spec, "A", section), dtype=float).reshape(n, n)
+        B = np.asarray(_required(spec, "B", section), dtype=float).reshape(n, -1)
+        try:
+            op = LTISystem(A, B, fin, fout)
+        except ValueError as e:
+            raise ValueError(f"[{section}] {e}") from None
         return SystemBundle(name, op, "config-defined state equation",
                             pw, hz, params=dict(spec))
     if variant == "poly":
@@ -365,13 +385,13 @@ def system_from_spec(name: str, spec: dict, dt: float,
                 def f(*sig):
                     return np.full_like(np.asarray(sig[0], dtype=float), level)
             else:
-                raise ValueError(f"unknown kernel form {form!r}")
+                raise ValueError(f"[{section}] has unknown kernel form {form!r}")
             ker = PolyKernel(n, S, func=f)
         op = PolyIntegralOperator([ker], float(spec.get("constant", 0.0)),
                                   fin, fout)
         return SystemBundle(name, op, "config-defined integral operator",
                             pw, hz, params=dict(spec))
-    raise ValueError(f"unknown system variant {variant!r}")
+    raise ValueError(f"[{section}] has unknown variant {variant!r}")
 
 
 # -- independent closed-form evaluators -----------------------------------------

@@ -113,6 +113,10 @@ def _check_config(cfg: RunConfig) -> None:
             ("system", cfg.system, [*catalog.SYSTEMS, *cfg.system_specs])):
         if name != "" and name not in known:
             raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
+    # Config systems are otherwise built only when an experiment asks for
+    # one; a malformed section must stop the run before anything runs.
+    for name, spec in cfg.system_specs.items():
+        catalog.system_from_spec(name, spec, cfg.dt, cfg.custom_families)
 
 
 def _config_from_args(args) -> tuple[RunConfig, list, str]:
@@ -140,9 +144,11 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
         cfg = replace(cfg, family=args.family)
     if getattr(args, "system", None):
         cfg = replace(cfg, system=args.system)
-    names = list(EXPERIMENTS)
-    if isinstance(raw.get("experiments"), list) and raw["experiments"]:
-        names = [str(n) for n in raw["experiments"]]
+    names = raw.get("experiments", list(EXPERIMENTS))
+    if not (isinstance(names, list) and names
+            and all(isinstance(n, str) for n in names)):
+        raise ValueError("experiments must be a non-empty list of names, "
+                         f"got {names!r}")
     if args.experiment:
         names = [args.experiment]
     out_dir = args.out or raw.get("out") or ""
@@ -225,10 +231,14 @@ def _cmd_run(args) -> int:
         unknown = [n for n in names if n not in EXPERIMENTS]
         if unknown:
             raise ValueError(f"unknown experiments: {unknown}")
-    except (ValueError, OSError) as e:
+        env_threads = os.environ.get("NATSTATE_THREADS", "1")
+        if not (env_threads.isdigit() and int(env_threads) >= 1):
+            raise ValueError("NATSTATE_THREADS must be an integer >= 1, "
+                             f"got {env_threads!r}")
+        threads = int(env_threads)
+    except (ValueError, TypeError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    threads = max(1, int(os.environ.get("NATSTATE_THREADS", "1")))
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
             if threads > 1 and len(names) > 1 else None)
     futs = [pool.submit(run_experiment, n, cfg) if pool else None

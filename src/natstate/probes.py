@@ -10,6 +10,9 @@ and smoothed noise.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads its random module lazily; import it with the package so that
+# the first probe draw does not pay for it.
+import numpy.random  # noqa: F401
 
 from .timegrid import Grid, TimeFunction
 

@@ -6,7 +6,9 @@ Three concrete operators are shipped:
   input's eventual level (the limit superior of ``u(t)`` as ``t -> -inf``,
   exact here because inputs carry constant tails);
 * :class:`LTISystem` -- ``x' = Ax + Bu`` with full-state output, stepped by
-  the exact matrix exponential of each cell (zero-order hold);
+  the exact matrix exponential of each cell (zero-order hold), computed in
+  numpy by one Pade(13) approximant with scaling and squaring (``_expm``;
+  Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
   kernels, optionally time varying.  Every term, of any degree, is one
@@ -28,10 +30,10 @@ lower bounds, monotone under probe-set growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import PolyKernel
 from .seminorm import FittedFamily
@@ -167,11 +169,58 @@ class LimsupConvolution(SystemOp):
         return self._output(g, np.concatenate([window, v.values_after(0)]), ubar)
 
 
+# Higham (2005): the [13/13] Pade numerator coefficients
+# b_j = (26 - j)! 13! / (26! j! (13 - j)!), normalized to b_0 = 1 so that a
+# zero matrix gives the identity exactly, and theta_13, the largest 1-norm
+# for which the approximant's backward error stays below double-precision
+# round-off.
+_PADE13 = tuple(factorial(26 - j) * factorial(13)
+                / (factorial(26) * factorial(j) * factorial(13 - j))
+                for j in range(14))
+_THETA13 = 5.371920351148152
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """``exp(M)`` by one Pade(13) approximant with scaling and squaring.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005: scale ``M`` by
+    ``2**-s`` until its 1-norm is at most ``theta_13``, evaluate
+    ``r_13 = (V - U)^-1 (V + U)`` and square ``s`` times.  A non-finite
+    1-norm or an exponential that overflows is refused (``ValueError``).
+    """
+    norm = np.linalg.norm(M, 1)
+    if not np.isfinite(norm):
+        raise ValueError(
+            f"matrix exponential needs finite entries (1-norm {norm})")
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = M / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(M.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            R = R @ R
+    if not np.all(np.isfinite(R)):
+        raise ValueError(f"matrix exponential overflows (1-norm {norm})")
+    return R
+
+
 class LTISystem(SystemOp):
     """State equation ``x' = Ax + Bu`` with output ``y = x``.
 
     Stepping is by the exact exponential of each cell under a zero-order
-    hold, so constant-input responses carry no integration drift.  The state
+    hold, so constant-input responses carry no integration drift: the
+    exponential of ``[[A, B], [0, 0]] * dt`` holds both the state and the
+    input map of one step, and ``_expm`` evaluates it by Higham's (2005)
+    Pade(13) scaling and squaring.  ``A`` and ``B`` must be finite.  The state
     at the left edge of the window comes from the constant input tail: zero
     tail gives zero state; a nonzero tail needs a Hurwitz ``A`` and starts at
     the corresponding equilibrium.
@@ -184,6 +233,8 @@ class LTISystem(SystemOp):
             raise ValueError("A must be square")
         if self.B.shape[0] != self.A.shape[0]:
             raise ValueError("B row count must match A")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
+            raise ValueError("A and B must be finite")
         self.input_fam = input_fam
         self.output_fam = output_fam
         self.input_dim = self.B.shape[1]
@@ -197,7 +248,7 @@ class LTISystem(SystemOp):
             blk = np.zeros((n + m, n + m))
             blk[:n, :n] = self.A
             blk[:n, n:] = self.B
-            M = scipy.linalg.expm(blk * dt)
+            M = _expm(blk * dt)
             self._step_cache[dt] = (M[:n, :n], M[:n, n:])
         return self._step_cache[dt]
 

@@ -231,6 +231,45 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
     assert "PASS" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("toml, reason", [
+    ('[family.bad]\nform = "exp"', "[family.bad] is missing key 'rate'"),
+    ('[system.bad]\nvariant = "nonesuch"',
+     "[system.bad] has unknown variant 'nonesuch'"),
+    ('[system.bad]\nvariant = "lti"\nA = [-1.0]\nB = [1.0]',
+     "[system.bad] is missing key 'n_states'"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 1\nA = [[nan]]\nB = [[1.0]]',
+     "[system.bad] A and B must be finite"),
+    ('[system.bad]\nvariant = "conv"\ninput_family = "nonesuch"',
+     "[system.bad] names unknown family 'nonesuch'"),
+    ('[run]\nexperiments = "taper"', "experiments must be a non-empty list"),
+    ('[run]\nexperiments = ["taper", 1]',
+     "experiments must be a non-empty list"),
+], ids=["family-missing-key", "system-unknown-variant",
+        "system-missing-key", "system-nan-matrix", "system-unknown-family",
+        "experiments-string", "experiments-non-string"])
+def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text(toml + "\n")
+    out = tmp_path / "rep"
+    # The bad section is never used by taper: only the validation can
+    # stop the run.
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {reason}")
+    assert "PASS" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["two", "0"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("NATSTATE_THREADS", threads)
+    out = tmp_path / "rep"
+    assert main(["run", "--experiment", "taper", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: NATSTATE_THREADS")
+    assert "PASS" not in captured.out and not out.exists()
+
+
 def test_readme_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +14,7 @@ from natstate import (FittedFamily, Grid, LimsupConvolution, LTISystem,
                       hypothesis_uniformity_check, npower_centered,
                       npower_global, shift_left, steer_to_state, truncation)
 from natstate import catalog
-from natstate.sysop import _contract
+from natstate.sysop import _THETA13, _contract, _expm
 
 DT = 0.02
 
@@ -368,6 +373,72 @@ def test_lti_steps_match_per_step_form():
     u2 = TimeFunction(g, rng.standard_normal((g.n, 2)), np.array([0.4, -0.2]))
     got, want = two.apply(u2).samples, _lti_per_step(two, u2)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _zoh_block(A, B, dt):
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    n, m = B.shape
+    blk = np.zeros((n + m, n + m))
+    blk[:n, :n], blk[:n, n:] = A, B
+    return blk * dt
+
+
+_EXPM_CASES = {
+    "nilpotent": np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]),
+    "oscillator": np.array([[0.0, 1.0], [-(2.0 * np.pi) ** 2, 0.0]]) * 0.3,
+    # Eigenvalues -1e4 and -1 at dt 0.01: the 1-norm is past theta_13, so
+    # the result goes through the squaring.
+    "stiff": np.array([[-1.0e4, 1.0], [0.0, -1.0]]) * 0.01,
+    "two-input": _zoh_block([[0.0, 1.0], [-2.0, -0.3]],
+                            [[0.3, -1.1], [1.0, 0.7]], 0.01),
+    "scalar": np.array([[0.7]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPM_CASES))
+def test_expm_matches_scipy(name):
+    M = _EXPM_CASES[name]
+    want = scipy.linalg.expm(M)
+    got = _expm(M)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if name == "stiff":
+        assert np.linalg.norm(M, 1) > _THETA13
+
+
+def test_expm_closed_forms():
+    assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+    N = _EXPM_CASES["nilpotent"]
+    assert np.allclose(_expm(N), np.eye(3) + N + N @ N / 2.0,
+                       rtol=0.0, atol=1e-15)
+    c, s = np.cos(2.0 * np.pi * 0.3), np.sin(2.0 * np.pi * 0.3)
+    want = [[c, s / (2.0 * np.pi)], [-2.0 * np.pi * s, c]]
+    assert np.allclose(_expm(_EXPM_CASES["oscillator"]), want,
+                       rtol=0.0, atol=1e-14)
+    assert _expm(np.array([[0.7]]))[0, 0] == pytest.approx(np.exp(0.7),
+                                                         rel=1e-15)
+
+
+def test_non_finite_lti_matrices_are_refused():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="1-norm"):
+            _expm(np.array([[0.0, bad], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="overflows"):
+        _expm(np.array([[1000.0]]))
+    fam = catalog.family("uniform-l2")
+    with pytest.raises(ValueError, match="finite"):
+        LTISystem([[np.nan]], [[1.0]], fam, fam)
+    with pytest.raises(ValueError, match="finite"):
+        LTISystem([[-1.0]], [[np.inf]], fam, fam)
+
+
+def test_cli_import_leaves_scipy_out_and_loads_numpy_random():
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    code = ("import sys, natstate.cli; "
+            "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_cubic_operator_runs():
