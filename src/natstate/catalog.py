@@ -8,6 +8,7 @@ splice-apply-shift machinery is checked against.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -271,11 +272,21 @@ def system(name: str, dt: float) -> SystemBundle:
 # -- config-defined families and systems -----------------------------------------
 
 
-def _required(spec: dict, key: str, section: str):
+@contextlib.contextmanager
+def _section(section: str):
+    """Re-raise a bad value met while building ``[section]`` as a
+    ``ValueError`` that names the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"[{section}] {e}") from None
+
+
+def _required(spec: dict, key: str):
     try:
         return spec[key]
     except KeyError:
-        raise ValueError(f"[{section}] is missing key {key!r}") from None
+        raise ValueError(f"is missing key {key!r}") from None
 
 
 def family_from_spec(name: str, spec: dict) -> FittedFamily:
@@ -284,41 +295,42 @@ def family_from_spec(name: str, spec: dict) -> FittedFamily:
     Recognized keys: ``kind`` (weighted_lp, sup, unweighted_sup,
     output_window), ``p``, ``form`` (uniform, exp, box), ``rate``,
     ``memory``, ``alpha``, ``window_b``, ``vector_norm``.  A missing
-    required key raises ``ValueError`` naming the section and the key.
+    required key, an unknown name or a wrong-typed value raises
+    ``ValueError`` naming the section.
     """
-    section = f"family.{name}"
-    kind = spec.get("kind", "weighted_lp")
-    if kind == "unweighted_sup":
-        return FittedFamily.unweighted_sup(name=name)
-    if kind == "output_window":
-        return FittedFamily.output_window(
-            float(_required(spec, "window_b", section)), name=name)
-    form = spec.get("form", "uniform")
-    if form == "uniform":
-        w = Weight.uniform()
-    elif form == "exp":
-        w = Weight.exponential(float(_required(spec, "rate", section)),
-                               alpha=float(spec.get("alpha", 1.0)))
-    elif form == "box":
-        w = Weight.box(float(_required(spec, "memory", section)))
-    else:
-        raise ValueError(f"[{section}] has unknown weight form {form!r}")
-    base = FittedFamily.weighted_lp(float(spec.get("p", 2.0)), w,
-                                    vector_norm=spec.get("vector_norm",
-                                                         "euclidean"),
-                                    name=name)
-    if kind == "sup":
-        return FittedFamily.sup_family(base, name=name)
-    if kind == "weighted_lp":
-        return base
-    raise ValueError(f"[{section}] has unknown kind {kind!r}")
+    with _section(f"family.{name}"):
+        kind = spec.get("kind", "weighted_lp")
+        if kind == "unweighted_sup":
+            return FittedFamily.unweighted_sup(name=name)
+        if kind == "output_window":
+            return FittedFamily.output_window(
+                float(_required(spec, "window_b")), name=name)
+        form = spec.get("form", "uniform")
+        if form == "uniform":
+            w = Weight.uniform()
+        elif form == "exp":
+            w = Weight.exponential(float(_required(spec, "rate")),
+                                   alpha=float(spec.get("alpha", 1.0)))
+        elif form == "box":
+            w = Weight.box(float(_required(spec, "memory")))
+        else:
+            raise ValueError(f"has unknown weight form {form!r}")
+        base = FittedFamily.weighted_lp(float(spec.get("p", 2.0)), w,
+                                        vector_norm=spec.get("vector_norm",
+                                                             "euclidean"),
+                                        name=name)
+        if kind == "sup":
+            return FittedFamily.sup_family(base, name=name)
+        if kind == "weighted_lp":
+            return base
+        raise ValueError(f"has unknown kind {kind!r}")
 
 
-def _resolve_family(name: str, customs: dict, section: str) -> FittedFamily:
+def _resolve_family(name: str, customs: dict) -> FittedFamily:
     if name in customs:
         return customs[name]
     if name not in FAMILIES:
-        raise ValueError(f"[{section}] names unknown family {name!r}")
+        raise ValueError(f"names unknown family {name!r}")
     return family(name)
 
 
@@ -328,70 +340,75 @@ def system_from_spec(name: str, spec: dict, dt: float,
 
     ``variant`` picks the operator: ``conv`` (response_form box or exp with
     ``support``/``rate``/``tail_gain``), ``lti`` (row-major ``A``, ``B``,
-    ``n_states``), or ``poly`` (``degree``, ``kernel_form`` exp or box with
-    ``rates``/``level``, ``support``, ``constant``; or ``kernel_csv``).
-    ``input_family``/``output_family`` name built-ins or config families.
-    A missing required key or an unknown name raises ``ValueError`` naming
-    the section.
+    integer ``n_states`` >= 1; ``A`` holds ``n_states**2`` entries and ``B``
+    a multiple of ``n_states``), or ``poly`` (``degree``, ``kernel_form``
+    exp or box with ``rates``/``level``, ``support``, ``constant``; or
+    ``kernel_csv``).  ``input_family``/``output_family`` name built-ins or
+    config families.  A missing required key, an unknown name or a
+    wrong-typed value raises ``ValueError`` naming the section.
     """
-    section = f"system.{name}"
     customs = custom_families or {}
-    fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs,
-                          section)
-    fout = _resolve_family(spec.get("output_family", "esssup"), customs,
-                           section)
-    pw = float(spec.get("past_window", 4.0))
-    hz = float(spec.get("horizon", 2.0))
-    variant = _required(spec, "variant", section)
-    if variant == "conv":
-        S = float(spec.get("support", 1.0))
-        if spec.get("response_form", "box") == "box":
-            h = _box_response(dt, S)
-        else:
-            h = _decay_response(dt, S, float(spec.get("rate", 1.0)))
-        op = LimsupConvolution(h, float(spec.get("tail_gain", 0.0)), fin, fout)
-        return SystemBundle(name, op, "config-defined convolution",
-                            pw, hz, params=dict(spec))
-    if variant == "lti":
-        n = int(_required(spec, "n_states", section))
-        A = np.asarray(_required(spec, "A", section), dtype=float).reshape(n, n)
-        B = np.asarray(_required(spec, "B", section), dtype=float).reshape(n, -1)
-        try:
-            op = LTISystem(A, B, fin, fout)
-        except ValueError as e:
-            raise ValueError(f"[{section}] {e}") from None
-        return SystemBundle(name, op, "config-defined state equation",
-                            pw, hz, params=dict(spec))
-    if variant == "poly":
-        if "kernel_csv" in spec:
-            from .kernel import read_kernel_csv
-            ker = read_kernel_csv(spec["kernel_csv"])
-        else:
-            n = int(spec.get("degree", 2))
+    with _section(f"system.{name}"):
+        fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs)
+        fout = _resolve_family(spec.get("output_family", "esssup"), customs)
+        pw = float(spec.get("past_window", 4.0))
+        hz = float(spec.get("horizon", 2.0))
+        variant = _required(spec, "variant")
+        if variant == "conv":
             S = float(spec.get("support", 1.0))
-            form = spec.get("kernel_form", "exp")
-            if form == "exp":
-                rates = [float(r) for r in
-                         spec.get("rates", [1.0] * n)]
-
-                def f(*sig):
-                    acc = np.zeros_like(np.asarray(sig[0], dtype=float))
-                    for r, s in zip(rates, sig):
-                        acc = acc + r * np.asarray(s, dtype=float)
-                    return np.exp(-acc)
-            elif form == "box":
-                level = float(spec.get("level", 1.0))
-
-                def f(*sig):
-                    return np.full_like(np.asarray(sig[0], dtype=float), level)
+            if spec.get("response_form", "box") == "box":
+                h = _box_response(dt, S)
             else:
-                raise ValueError(f"[{section}] has unknown kernel form {form!r}")
-            ker = PolyKernel(n, S, func=f)
-        op = PolyIntegralOperator([ker], float(spec.get("constant", 0.0)),
-                                  fin, fout)
-        return SystemBundle(name, op, "config-defined integral operator",
-                            pw, hz, params=dict(spec))
-    raise ValueError(f"[{section}] has unknown variant {variant!r}")
+                h = _decay_response(dt, S, float(spec.get("rate", 1.0)))
+            op = LimsupConvolution(h, float(spec.get("tail_gain", 0.0)),
+                                   fin, fout)
+            return SystemBundle(name, op, "config-defined convolution",
+                                pw, hz, params=dict(spec))
+        if variant == "lti":
+            n = _required(spec, "n_states")
+            if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+                raise ValueError(
+                    f"n_states must be an integer >= 1, got {n!r}")
+            A = np.asarray(_required(spec, "A"), dtype=float)
+            B = np.asarray(_required(spec, "B"), dtype=float)
+            if A.size != n * n:
+                raise ValueError(f"A must hold {n * n} entries, got {A.size}")
+            if B.size == 0 or B.size % n:
+                raise ValueError(f"B must hold {n} x m entries, got {B.size}")
+            op = LTISystem(A.reshape(n, n), B.reshape(n, -1), fin, fout)
+            return SystemBundle(name, op, "config-defined state equation",
+                                pw, hz, params=dict(spec))
+        if variant == "poly":
+            if "kernel_csv" in spec:
+                from .kernel import read_kernel_csv
+                ker = read_kernel_csv(spec["kernel_csv"])
+            else:
+                n = int(spec.get("degree", 2))
+                S = float(spec.get("support", 1.0))
+                form = spec.get("kernel_form", "exp")
+                if form == "exp":
+                    rates = [float(r) for r in
+                             spec.get("rates", [1.0] * n)]
+
+                    def f(*sig):
+                        acc = np.zeros_like(np.asarray(sig[0], dtype=float))
+                        for r, s in zip(rates, sig):
+                            acc = acc + r * np.asarray(s, dtype=float)
+                        return np.exp(-acc)
+                elif form == "box":
+                    level = float(spec.get("level", 1.0))
+
+                    def f(*sig):
+                        return np.full_like(np.asarray(sig[0], dtype=float),
+                                            level)
+                else:
+                    raise ValueError(f"has unknown kernel form {form!r}")
+                ker = PolyKernel(n, S, func=f)
+            op = PolyIntegralOperator([ker], float(spec.get("constant", 0.0)),
+                                      fin, fout)
+            return SystemBundle(name, op, "config-defined integral operator",
+                                pw, hz, params=dict(spec))
+        raise ValueError(f"has unknown variant {variant!r}")
 
 
 # -- independent closed-form evaluators -----------------------------------------

@@ -1,6 +1,9 @@
 """Command-line front end: configure, run experiments, emit reports.
 
-Reports are JSON summaries plus CSV tables, written with stable key order
+``run`` prints each experiment's verdict and claim, and under a ``FAIL``
+one line per failed check: its name, observed value and bound.
+``describe <experiment>`` prints the claim.  Reports are JSON summaries
+plus CSV tables (check rows stay out), written with stable key order
 and shortest-round-trip float formatting, so identical configurations and
 seeds produce byte-identical files.  ``NATSTATE_THREADS`` caps how many
 experiments run concurrently; each experiment is internally deterministic,
@@ -21,8 +24,10 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import catalog
-from .experiments import EXPERIMENTS, ExperimentResult, RunConfig, run_experiment
-from .timegrid import AlignmentError
+from .experiments import (EXPERIMENTS, ExperimentResult, RunConfig, claim,
+                          run_experiment)
+from .sysop import LTISystem
+from .timegrid import AlignmentError, TimeFunction
 
 __all__ = ["main", "parse_config_text"]
 
@@ -115,8 +120,19 @@ def _check_config(cfg: RunConfig) -> None:
             raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
     # Config systems are otherwise built only when an experiment asks for
     # one; a malformed section must stop the run before anything runs.
+    # An unstable state equation is stepped once on a unit step over its
+    # own grid, so one that outgrows float64 stops the run here too.
     for name, spec in cfg.system_specs.items():
-        catalog.system_from_spec(name, spec, cfg.dt, cfg.custom_families)
+        b = catalog.system_from_spec(name, spec, cfg.dt, cfg.custom_families)
+        if isinstance(b.system, LTISystem):
+            g, m = b.grid(cfg.dt), b.system.input_dim
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    b.system.apply(TimeFunction(g, np.ones((g.n, m)),
+                                                np.zeros(m)))
+            except ValueError as e:
+                raise ValueError(f"[system.{name}] a unit step over its grid "
+                                 f"gives a {e}") from None
 
 
 def _config_from_args(args) -> tuple[RunConfig, list, str]:
@@ -259,6 +275,11 @@ def _cmd_run(args) -> int:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark}  {r.name}")
         print(f"      {r.claim}")
+        for c in r.checks:
+            if not c.passed:
+                print(f"      failed {c.name}: observed "
+                      f"{_jsonable(c.observed)!r}, bound {c.op} "
+                      f"{_jsonable(c.bound)!r}")
     if out_dir:
         _write_reports(results, out_dir)
         print(f"reports written to {out_dir}")
@@ -287,9 +308,7 @@ def _cmd_describe(args) -> int:
     if name in EXPERIMENTS:
         cfg = RunConfig()
         print(f"experiment: {name}")
-        doc = (EXPERIMENTS[name].__doc__ or "").strip()
-        if doc:
-            print(doc)
+        print(f"  {claim(name)}")
         for h in HYPOTHESES.get(name, []):
             print(f"  requires: {h}")
         print(f"  defaults: dt={cfg.dt}, seed={cfg.seed}")

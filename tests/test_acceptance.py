@@ -11,7 +11,7 @@ import os
 from dataclasses import replace
 
 from natstate.cli import main
-from natstate.experiments import EXPERIMENTS, RunConfig
+from natstate.experiments import RunConfig, run_experiment
 
 ACC = RunConfig(dt=0.01, probes=200, triples=50, pasts=20, futures=50,
                 bound_probes=125)
@@ -23,7 +23,7 @@ def run_cached(name: str, cfg: RunConfig = ACC):
     key = (name, cfg.dt, cfg.seed, cfg.probes, cfg.triples, cfg.pasts,
            cfg.futures, cfg.bound_probes)
     if key not in _cache:
-        _cache[key] = EXPERIMENTS[name](cfg)
+        _cache[key] = run_experiment(name, cfg)
     return _cache[key]
 
 

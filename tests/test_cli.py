@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from natstate.cli import main, parse_config_text
-from natstate.experiments import EXPERIMENTS
+from natstate.experiments import EXPERIMENTS, claim
 
 
 def test_list_commands(capsys):
@@ -26,6 +26,14 @@ def test_describe_system(capsys):
     out = capsys.readouterr().out
     assert "tail_gain = 1.0" in out
     assert "response_support = 1.0" in out
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_describe_prints_the_claim(capsys, name):
+    assert main(["describe", name]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"experiment: {name}"
+    assert out[1] == f"  {claim(name)}" and len(claim(name)) > 40
 
 
 def test_describe_experiment_hypotheses(capsys):
@@ -139,13 +147,16 @@ def test_registry_size():
 def test_exit_code_one_on_failure(monkeypatch, capsys):
     from natstate import experiments as ex
 
-    def failing(cfg):
-        return ex.ExperimentResult("taper", "deliberately failing stub",
-                                   False)
+    def failing(cfg, res):
+        """deliberately failing stub"""
+        res.metric("held", 0.0, "==", 0.0)
+        res.metric("stub_gap", 0.25, "<=", 1e-9)
 
     monkeypatch.setitem(ex.EXPERIMENTS, "taper", failing)
     assert main(["run", "--experiment", "taper"]) == 1
-    assert "FAIL  taper" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["FAIL  taper", "      deliberately failing stub",
+                   "      failed stub_gap: observed 0.25, bound <= 1e-09"]
 
 
 def test_family_flag_and_config_sections(tmp_path, capsys):
@@ -241,11 +252,23 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
      "[system.bad] A and B must be finite"),
     ('[system.bad]\nvariant = "conv"\ninput_family = "nonesuch"',
      "[system.bad] names unknown family 'nonesuch'"),
+    ('[family.bad]\nform = "exp"\nrate = [1.0]', "[family.bad] "),
+    ('[system.bad]\nvariant = "lti"\nn_states = 2.5\n'
+     'A = [0.0, 1.0, -1.0, -0.6]\nB = [0.0, 1.0]',
+     "[system.bad] n_states must be an integer >= 1"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 2\nA = [-1.0, 0.0, -1.0]\n'
+     'B = [0.0, 1.0]', "[system.bad] A must hold 4 entries"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 2\nA = [-1.0, 0.0, 0.0, -1.0]\n'
+     'B = [0.0, 1.0, 1.0]', "[system.bad] B must hold 2 x m entries"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 1\nA = [[1000.0]]\n'
+     'B = [[1.0]]', "[system.bad] a unit step over its grid"),
     ('[run]\nexperiments = "taper"', "experiments must be a non-empty list"),
     ('[run]\nexperiments = ["taper", 1]',
      "experiments must be a non-empty list"),
 ], ids=["family-missing-key", "system-unknown-variant",
         "system-missing-key", "system-nan-matrix", "system-unknown-family",
+        "family-wrong-type", "system-fractional-n-states",
+        "system-a-entries", "system-b-entries", "system-overflowing-lti",
         "experiments-string", "experiments-non-string"])
 def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     cfgfile = tmp_path / "run.toml"

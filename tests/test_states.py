@@ -9,7 +9,7 @@ from natstate import (Grid, NaturalState, TimeFunction, drive,
                       state_distance, state_matching_ladder, steer_to_state,
                       trajectory)
 from natstate import catalog
-from natstate.experiments import EXPERIMENTS, RunConfig
+from natstate.experiments import RunConfig, run_experiment
 from natstate.probes import future_probes
 
 DT = 0.02
@@ -354,7 +354,7 @@ def test_state_bound_chain_random_pasts(futures):
 
 
 def test_state_set_identity_experiment():
-    r = EXPERIMENTS["state-set-identity"](RunConfig())
+    r = run_experiment("state-set-identity", RunConfig())
     assert r.passed
     assert r.metrics["trivial_final_gap"] == 0.0
     assert r.metrics["lti_ladder_final_gap"] <= 1e-9
