@@ -12,11 +12,10 @@ from .timegrid import (AlignmentError, Grid, Interval, TimeFunction,
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
                        classify, classify_input_set, taper_certificate,
                        taper_delta)
-from .sysop import (LimsupConvolution, LTISystem, NPowerEstimate,
-                    PolyIntegralOperator, SystemOp, TimeAdvance,
-                    centered_truncation, check_causality, estimate_npower,
-                    hypothesis_uniformity_check, npower_centered,
-                    npower_global, steer_to_state, truncation)
+from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
+                    SystemOp, TimeAdvance, centered_truncation,
+                    check_causality, estimate_npower,
+                    hypothesis_uniformity_check, steer_to_state, truncation)
 from .kernel import (Permutation, PolyKernel, check_symmetrization_properties,
                      identify_kernels, kernel_from_cells,
                      permutation_change_of_variables, symmetrize)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 RESIDUAL_REFINE = 16  # sub-grid sampling factor for residual norms
+DECAY_STEPS = 8  # halvings in every decaying-ratio sweep
 
 
 class SmoothInput:
@@ -156,9 +157,11 @@ class ShiftDerivative:
             return self.fam.bounding_norm(e)
         return self.fam.past_norm(e, t)
 
-    def ratio_sweep(self, h0: float, steps: int = 8) -> list:
+    def ratio_sweep(self, h0: float) -> list:
+        """Residual ratios ``|r(h)| / h`` for ``h = h0 2^-k``,
+        ``k < DECAY_STEPS``."""
         rows = []
-        for k in range(steps):
+        for k in range(DECAY_STEPS):
             h = h0 * 0.5 ** k
             rows.append({"h": h, "ratio": self.residual_norm(h) / h})
         return rows
@@ -257,11 +260,10 @@ def gateaux_fd(system: SystemOp, u: TimeFunction, v: TimeFunction,
 
 def remainder_decay(W: Callable, u: TimeFunction, v: TimeFunction,
                     out_norm: Callable[[TimeFunction], float],
-                    in_norm: Callable[[TimeFunction], float],
-                    steps: int = 8) -> list:
-    """Ratios ``|W(u, c v)| / |c v|`` for ``c = 2^-k``, ``k < steps``."""
+                    in_norm: Callable[[TimeFunction], float]) -> list:
+    """Ratios ``|W(u, c v)| / |c v|`` for ``c = 2^-k``, ``k < DECAY_STEPS``."""
     rows = []
-    for k in range(steps):
+    for k in range(DECAY_STEPS):
         c = 0.5 ** k
         w = W(u, c * v)
         rows.append({"scale": c, "ratio": out_norm(w) / in_norm(c * v)})

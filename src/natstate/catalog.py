@@ -77,17 +77,22 @@ class SystemBundle:
     params: dict = field(default_factory=dict)
 
     def grid(self, dt: float) -> Grid:
-        return Grid(dt, -int(round(self.past_window / dt)),
-                    int(round(self.horizon / dt)))
+        return Grid(dt, -_cells(self.past_window, dt), _cells(self.horizon, dt))
+
+
+def _cells(length: float, dt: float) -> int:
+    """``length`` in grid steps; one that is not a whole number of steps is
+    refused (``AlignmentError``)."""
+    return Grid(dt, 0, 1).index_of(length)
 
 
 def _box_response(dt: float, T: float = 1.0) -> TimeFunction:
-    g = Grid(dt, 0, int(round(T / dt)))
+    g = Grid(dt, 0, _cells(T, dt))
     return TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
 
 
 def _decay_response(dt: float, T: float, rate: float) -> TimeFunction:
-    g = Grid(dt, 0, int(round(T / dt)))
+    g = Grid(dt, 0, _cells(T, dt))
     return TimeFunction(g, np.exp(-rate * g.times()), np.zeros(1))
 
 
@@ -341,11 +346,13 @@ def system_from_spec(name: str, spec: dict, dt: float,
     ``variant`` picks the operator: ``conv`` (response_form box or exp with
     ``support``/``rate``/``tail_gain``), ``lti`` (row-major ``A``, ``B``,
     integer ``n_states`` >= 1; ``A`` holds ``n_states**2`` entries and ``B``
-    a multiple of ``n_states``), or ``poly`` (``degree``, ``kernel_form``
-    exp or box with ``rates``/``level``, ``support``, ``constant``; or
-    ``kernel_csv``).  ``input_family``/``output_family`` name built-ins or
-    config families.  A missing required key, an unknown name or a
-    wrong-typed value raises ``ValueError`` naming the section.
+    a multiple of ``n_states``), or ``poly`` (integer ``degree`` from 1 to
+    ``MAX_DEGREE``, ``kernel_form`` exp with one of ``rates`` per degree or
+    box with ``level``, ``support``, ``constant``; or ``kernel_csv``).
+    ``input_family``/``output_family`` name built-ins or config families.
+    A missing required key, an unknown name or a wrong-typed value raises
+    ``ValueError`` naming the section, and so does a convolution support
+    that is not a whole number of ``dt`` steps.
     """
     customs = custom_families or {}
     with _section(f"system.{name}"):
@@ -383,12 +390,20 @@ def system_from_spec(name: str, spec: dict, dt: float,
                 from .kernel import read_kernel_csv
                 ker = read_kernel_csv(spec["kernel_csv"])
             else:
-                n = int(spec.get("degree", 2))
+                n = spec.get("degree", 2)
+                top = PolyIntegralOperator.MAX_DEGREE
+                if not (isinstance(n, int) and not isinstance(n, bool)
+                        and 1 <= n <= top):
+                    raise ValueError(
+                        f"degree must be an integer from 1 to {top}, got {n!r}")
                 S = float(spec.get("support", 1.0))
                 form = spec.get("kernel_form", "exp")
                 if form == "exp":
                     rates = [float(r) for r in
                              spec.get("rates", [1.0] * n)]
+                    if len(rates) != n:
+                        raise ValueError(f"rates must hold {n} numbers "
+                                         f"(one per lag), got {len(rates)}")
 
                     def f(*sig):
                         acc = np.zeros_like(np.asarray(sig[0], dtype=float))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
-from .sysop import NPowerEstimate, SystemOp, _recenter, estimate_npower
+from .sysop import SystemOp, _recenter, estimate_npower
 from .timegrid import TimeFunction, shift_left, shift_right, splice
 
 __all__ = [
@@ -80,7 +80,7 @@ class NaturalState:
 
 
 def state_distance(xi: NaturalState, eta: NaturalState, N: int,
-                   futures: Sequence[TimeFunction]) -> NPowerEstimate:
+                   futures: Sequence[TimeFunction]) -> float:
     """``max_v |xi(v) - eta(v)|_{0,inf} / (1 + |v|_{0,inf}^N)`` over probes.
 
     Both states must share the input/output families of their systems; the
@@ -89,8 +89,9 @@ def state_distance(xi: NaturalState, eta: NaturalState, N: int,
     """
     out_fam = xi.system.output_fam
     in_fam = xi.system.input_fam
-    return estimate_npower(lambda v: xi.evaluate(v) - eta.evaluate(v),
-                           futures, N, lambda v: in_fam.future_norm(v, 0.0),
+    return estimate_npower(futures,
+                           [xi.evaluate(v) - eta.evaluate(v) for v in futures],
+                           N, lambda v: in_fam.future_norm(v, 0.0),
                            lambda d: out_fam.future_norm(d, 0.0))
 
 
@@ -173,14 +174,14 @@ def reachability_experiment(system: SystemOp, source: TimeFunction,
         "refused": False,
         "memory_class": cls["class"],
         "drive_seconds": back,
-        "distance": dist.value,
+        "distance": dist,
         "N": 2,
     }
     if cls["class"] == "finite_memory":
-        out["exact"] = dist.value == 0.0
+        out["exact"] = dist == 0.0
     else:
         out["eps"] = eps
-        out["achieved"] = dist.value <= eps
+        out["achieved"] = dist <= eps
     return out
 
 
@@ -209,7 +210,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
         w = match_state(u, tau)
         state1 = NaturalState(sys1, w, tau)
         state2 = NaturalState(sys2, u, tau)
-        match_gap = state_distance(state1, state2, 2, futures).value
+        match_gap = state_distance(state1, state2, 2, futures)
         v_i = splice(w, u, tau)
         y1 = sys1.apply(v_i)
         d = y1 - y2
@@ -257,18 +258,14 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     P = float(np.max(all_past[: t_idx - g.i0 + 1]))
     bound_factor = 1.0 + sum(math.comb(N, k) * P ** k for k in range(N + 1))
 
-    fulls, evals, ratios = [], [], []
-    est = 0.0
-    for v in futures:
-        z = state.spliced_input(v)
-        y = state.system.apply(z)
-        fulls.append(y)
-        est = max(est, out_fam.bounding_norm(y)
-                  / (1.0 + in_fam.bounding_norm(z) ** N))
-        y_fut = _recenter(y, state.t)
-        evals.append(y_fut)
-        ratios.append(out_fam.future_norm(y_fut, 0.0)
-                      / (1.0 + in_fam.future_norm(v, 0.0) ** N))
+    zs = [state.spliced_input(v) for v in futures]
+    fulls = [state.system.apply(z) for z in zs]
+    est = estimate_npower(zs, fulls, N, in_fam.bounding_norm,
+                          out_fam.bounding_norm)
+    evals = [_recenter(y, state.t) for y in fulls]
+    ratios = [out_fam.future_norm(y_fut, 0.0)
+              / (1.0 + in_fam.future_norm(v, 0.0) ** N)
+              for v, y_fut in zip(futures, evals)]
     bound = est * bound_factor
     violations = [{"probe": i, "ratio": r, "bound": bound}
                   for i, r in enumerate(ratios) if r > bound * (1.0 + 1e-12)]

@@ -23,13 +23,13 @@ state equation keep only what the future reads of the past, and their
 future outputs equal the definitional ones bit for bit.
 
 Operator sizes are measured in the weighted supremum norm
-``sup |F(u)| / (1 + |u|^N)``; estimates are probe maximizations and therefore
-lower bounds, monotone under probe-set growth.
+``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
+and the outputs the caller computed for them, and therefore lower bounds,
+monotone under probe-set growth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Sequence
 
@@ -48,10 +48,7 @@ __all__ = [
     "centered_truncation",
     "truncation",
     "check_causality",
-    "NPowerEstimate",
     "estimate_npower",
-    "npower_global",
-    "npower_centered",
     "hypothesis_uniformity_check",
     "steer_to_state",
 ]
@@ -510,38 +507,13 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
 # -- weighted operator norms ---------------------------------------------------
 
 
-@dataclass
-class NPowerEstimate:
-    """Probe-maximized lower bound for a weighted operator norm."""
-
-    value: float
-    N: int
-    probe_index: int
-    probe_count: int
-
-
-def estimate_npower(phi: Callable[[TimeFunction], TimeFunction], probes,
+def estimate_npower(ins: Sequence[TimeFunction], outs: Sequence[TimeFunction],
                     N: int, in_norm: Callable[[TimeFunction], float],
-                    out_norm: Callable[[TimeFunction], float]) -> NPowerEstimate:
-    best, arg = -1.0, -1
-    for i, x in enumerate(probes):
-        r = out_norm(phi(x)) / (1.0 + in_norm(x) ** N)
-        if r > best:
-            best, arg = r, i
-    return NPowerEstimate(best, N, arg, len(probes))
-
-
-def npower_global(system: SystemOp, probes, N: int) -> NPowerEstimate:
-    return estimate_npower(system.apply, probes, N,
-                           system.input_fam.bounding_norm,
-                           system.output_fam.bounding_norm)
-
-
-def npower_centered(system: SystemOp, t: float, probes0,
-                    N: int) -> NPowerEstimate:
-    return estimate_npower(centered_truncation(system, t), probes0, N,
-                           lambda u: system.input_fam.past_norm(u, 0.0),
-                           lambda y: system.output_fam.past_norm(y, 0.0))
+                    out_norm: Callable[[TimeFunction], float]) -> float:
+    """``max |y| / (1 + |x|^N)`` over the pairs ``(x, y)`` of ``ins`` and
+    the outputs ``outs`` the caller computed for them; ``0.0`` for none."""
+    return max((out_norm(y) / (1.0 + in_norm(x) ** N)
+                for x, y in zip(ins, outs, strict=True)), default=0.0)
 
 
 def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
@@ -551,16 +523,18 @@ def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
     continuity modulus over probe pairs; for a time-invariant system the
     per-instant estimates must agree exactly.
     """
+    in_norm = lambda u: system.input_fam.past_norm(u, 0.0)
+    out_norm = lambda y: system.output_fam.past_norm(y, 0.0)
     per_t = []
     moduli = []
     for t in ts:
-        per_t.append(npower_centered(system, t, probes0, N).value)
         op = centered_truncation(system, t)
         outs = [op(u) for u in probes0]
+        per_t.append(estimate_npower(probes0, outs, N, in_norm, out_norm))
         for i in range(len(probes0)):
             for j in range(i + 1, len(probes0)):
-                du = system.input_fam.past_norm(probes0[i] - probes0[j], 0.0)
-                dy = system.output_fam.past_norm(outs[i] - outs[j], 0.0)
+                du = in_norm(probes0[i] - probes0[j])
+                dy = out_norm(outs[i] - outs[j])
                 if du > 0.0:
                     moduli.append(dy / du)
     spread = max(per_t) - min(per_t)

@@ -69,7 +69,7 @@ def test_residual_ratio_sweep_decays():
     g = Grid(1e-3, -2000, 12000)
     sd = shift_derivative(SmoothInput.trapezoid(), g,
                           catalog.family("uniform-l2"))
-    rows = sd.ratio_sweep(0.25, steps=8)
+    rows = sd.ratio_sweep(0.25)
     r = [row["ratio"] for row in rows]
     assert all(b <= a for a, b in zip(r[1:], r[2:]))
     assert r[-1] <= 0.1 * r[0]
@@ -123,7 +123,7 @@ def test_cubic_expansion():
     rhs = b.system.apply(u) + fp.L(u, v) + fp.W(u, v)
     assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-10
     rows = remainder_decay(fp.W, u, v, b.system.output_fam.bounding_norm,
-                           b.system.input_fam.bounding_norm, steps=8)
+                           b.system.input_fam.bounding_norm)
     r = [row["ratio"] for row in rows]
     assert all(bb <= aa for aa, bb in zip(r[1:], r[2:]))
     assert r[-1] <= 0.1 * r[0]
@@ -147,7 +147,7 @@ def test_remainder_bound_and_decay(quad):
     in_n = quad.system.input_fam.bounding_norm
     M = catalog.hilbert_schmidt_bound(quad.system, DT)
     assert out_n(fp.W(u, v)) <= M * in_n(v) ** 2 * (1.0 + 1e-9)
-    rows = remainder_decay(fp.W, u, v, out_n, in_n, steps=8)
+    rows = remainder_decay(fp.W, u, v, out_n, in_n)
     r = [row["ratio"] for row in rows]
     assert all(b <= a for a, b in zip(r[1:], r[2:]))
     assert r[-1] <= 0.1 * r[0]

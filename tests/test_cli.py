@@ -188,7 +188,7 @@ def test_system_flag_refusal_route(capsys):
 @pytest.mark.parametrize("experiment, dt", [
     ("state-closed-form", "0.04"), ("npower-bounds", "0.04"),
     ("reachability", "0.04"), ("trajectory-derivative", "0.04"),
-    ("causality", "0.03")])
+    ("causality", "0.03"), ("shared-state-set", "0.03")])
 def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
     out = tmp_path / "rep"
     assert main(["run", "--experiment", experiment, "--dt", dt,
@@ -262,6 +262,12 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
      'B = [0.0, 1.0, 1.0]', "[system.bad] B must hold 2 x m entries"),
     ('[system.bad]\nvariant = "lti"\nn_states = 1\nA = [[1000.0]]\n'
      'B = [[1.0]]', "[system.bad] a unit step over its grid"),
+    ('[system.bad]\nvariant = "poly"\ndegree = 2.5',
+     "[system.bad] degree must be an integer from 1 to 3"),
+    ('[system.bad]\nvariant = "poly"\ndegree = true',
+     "[system.bad] degree must be an integer from 1 to 3"),
+    ('[system.bad]\nvariant = "poly"\ndegree = 2\nrates = [3.0]',
+     "[system.bad] rates must hold 2 numbers"),
     ('[run]\nexperiments = "taper"', "experiments must be a non-empty list"),
     ('[run]\nexperiments = ["taper", 1]',
      "experiments must be a non-empty list"),
@@ -269,6 +275,8 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
         "system-missing-key", "system-nan-matrix", "system-unknown-family",
         "family-wrong-type", "system-fractional-n-states",
         "system-a-entries", "system-b-entries", "system-overflowing-lti",
+        "system-fractional-degree", "system-bool-degree",
+        "system-short-rates",
         "experiments-string", "experiments-non-string"])
 def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     cfgfile = tmp_path / "run.toml"

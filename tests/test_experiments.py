@@ -2,6 +2,7 @@ import pytest
 
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
+from natstate.sysop import PolyIntegralOperator
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -27,3 +28,20 @@ def test_checks_compare_observed_with_bound():
     assert not r.passed
     assert [c.name for c in r.checks if not c.passed] == ["slow", "bump",
                                                           "flat"]
+
+
+def test_npower_bounds_applies_each_unshifted_probe_once(monkeypatch):
+    calls = []
+    apply = PolyIntegralOperator.apply
+
+    def counting(self, u):
+        calls.append(u)
+        return apply(self, u)
+
+    monkeypatch.setattr(PolyIntegralOperator, "apply", counting)
+    assert run_experiment("npower-bounds", RunConfig()).passed
+    # 15 probes: one pass shared by every unshifted estimate (15), the
+    # centered views at three instants (45), the uniformity check on six
+    # probes at three instants (18) and the centered/uncentered pairs on
+    # five probes (10).
+    assert len(calls) == 15 + 45 + 18 + 10

@@ -77,7 +77,7 @@ def test_quadratic_state_closed_form(futures):
 def test_distance_to_self_zero(averager, futures):
     g = averager.grid(DT)
     st = NaturalState(averager.system, _past(g, 9, tail=1.0), 0.0)
-    assert state_distance(st, st, 2, futures).value == 0.0
+    assert state_distance(st, st, 2, futures) == 0.0
 
 
 def test_level_classes_separated(averager, futures):
@@ -85,7 +85,7 @@ def test_level_classes_separated(averager, futures):
     xi = NaturalState(averager.system, _past(g, 11, tail=1.0), 0.0)
     eta = NaturalState(averager.system, _past(g, 13, tail=2.0), 0.0)
     d = state_distance(xi, eta, 2, futures)
-    assert d.value >= 1.0 - 1e-9
+    assert d >= 1.0 - 1e-9
 
 
 def test_paired_system_same_states(averager, futures):
@@ -99,7 +99,7 @@ def test_paired_system_same_states(averager, futures):
                      np.array([0.5]))
     xi = NaturalState(one.system, u, 0.0)
     eta = NaturalState(two.system, w, 0.0)
-    assert state_distance(xi, eta, 2, futures).value == 0.0
+    assert state_distance(xi, eta, 2, futures) == 0.0
 
 
 def test_representative_independence(averager, futures):
@@ -323,11 +323,11 @@ def test_lti_state_sets_distinguish_dynamics(futures):
     p2 = steer_to_state(b2.system, x, 0.0, 2.0, g)
     cross = state_distance(NaturalState(b1.system, p1, 0.0),
                            NaturalState(b2.system, p2, 0.0), 2, futures)
-    assert cross.value > 1e-3
+    assert cross > 1e-3
     p1b = steer_to_state(b1.system, x, 0.0, 3.0, g)
     same = state_distance(NaturalState(b1.system, p1, 0.0),
                           NaturalState(b1.system, p1b, 0.0), 2, futures)
-    assert same.value <= 1e-8
+    assert same <= 1e-8
 
 
 def test_state_bound_chain_zero_past(futures):

@@ -11,8 +11,8 @@ from natstate import (FittedFamily, Grid, LimsupConvolution, LTISystem,
                       PolyIntegralOperator, PolyKernel, TimeAdvance,
                       TimeFunction, centered_truncation, check_causality,
                       estimate_npower, frechet_of, gateaux_fd,
-                      hypothesis_uniformity_check, npower_centered,
-                      npower_global, shift_left, steer_to_state, truncation)
+                      hypothesis_uniformity_check, shift_left, steer_to_state,
+                      truncation)
 from natstate import catalog
 from natstate.sysop import _THETA13, _contract, _expm
 
@@ -245,7 +245,10 @@ def test_centered_equals_truncated_estimate(quad):
     t = 0.5
     g0 = Grid(DT, -int(2.0 / DT), 0)
     probes0 = _pasts(g0, 17, 4)
-    cen = npower_centered(sysq, t, probes0, 2)
+    op = centered_truncation(sysq, t)
+    cen = estimate_npower(probes0, [op(u0) for u0 in probes0], 2,
+                          lambda u: sysq.input_fam.past_norm(u, 0.0),
+                          lambda y: sysq.output_fam.past_norm(y, 0.0))
     tr = truncation(sysq, t)
     best = 0.0
     for u0 in probes0:
@@ -253,7 +256,7 @@ def test_centered_equals_truncated_estimate(quad):
         y = tr(u)
         best = max(best, sysq.output_fam.past_norm(y, t)
                    / (1.0 + sysq.input_fam.past_norm(u, t) ** 2))
-    assert cen.value == best
+    assert cen == best
 
 
 def test_npower_zero_scaling_monotone(quad):
@@ -262,33 +265,35 @@ def test_npower_zero_scaling_monotone(quad):
     probes0 = _pasts(g0, 19, 6)
     in_n = lambda u: sysq.input_fam.past_norm(u, 0.0)
     out_n = lambda y: sysq.output_fam.past_norm(y, 0.0)
-    zero = estimate_npower(lambda u: 0.0 * sysq.apply(u), probes0, 2,
-                           in_n, out_n)
-    assert zero.value == 0.0
-    base = estimate_npower(sysq.apply, probes0, 2, in_n, out_n)
-    tripled = estimate_npower(lambda u: 3.0 * sysq.apply(u), probes0, 2,
-                              in_n, out_n)
-    assert tripled.value == pytest.approx(3.0 * base.value, rel=1e-12)
+    ys = [sysq.apply(u) for u in probes0]
+    zero = estimate_npower(probes0, [0.0 * y for y in ys], 2, in_n, out_n)
+    assert zero == 0.0
+    base = estimate_npower(probes0, ys, 2, in_n, out_n)
+    tripled = estimate_npower(probes0, [3.0 * y for y in ys], 2, in_n, out_n)
+    assert tripled == pytest.approx(3.0 * base, rel=1e-12)
     # Estimates grow with the probe set.
-    small = estimate_npower(sysq.apply, probes0[:3], 2, in_n, out_n)
-    assert small.value <= base.value
+    small = estimate_npower(probes0[:3], ys[:3], 2, in_n, out_n)
+    assert small <= base
+    # No pairs, no size.
+    assert estimate_npower([], [], 2, in_n, out_n) == 0.0
 
 
 def test_global_below_windowed_suprema(quad):
     sysq = quad.system
     g = quad.grid(DT)
     probes = _pasts(g, 21, 4)
-    glob = npower_global(sysq, probes, 2)
+    ys = [sysq.apply(u) for u in probes]
+    glob = estimate_npower(probes, ys, 2, sysq.input_fam.bounding_norm,
+                           sysq.output_fam.bounding_norm)
     matched = 0.0
-    for u in probes:
-        y = sysq.apply(u)
+    for u, y in zip(probes, ys):
         allt = sysq.output_fam.past_norms_all_t(y)
         pos = max(int(np.argmax(allt)), 1)
         t_star = (y.grid.i0 + pos) * DT
         num = sysq.output_fam.past_norm(y, t_star)
         den = 1.0 + sysq.input_fam.past_norm(u, t_star) ** 2
         matched = max(matched, num / den)
-    assert glob.value <= matched * (1.0 + 1e-9)
+    assert glob <= matched * (1.0 + 1e-9)
 
 
 def test_quadratic_pairwise_modulus(quad):
@@ -321,6 +326,18 @@ def test_hypothesis_uniformity(quad):
         sysq.input_fam.past_norm(a, 0.0) + sysq.input_fam.past_norm(b, 0.0)
         for a in probes0 for b in probes0)
     assert rep["modulus_bound"] <= M * pairs_bound * (1.0 + 1e-9)
+
+
+def test_hypothesis_uniformity_applies_once_per_instant_and_probe(
+        quad, monkeypatch):
+    sysq = quad.system
+    probes0 = _pasts(Grid(DT, -int(1.5 / DT), 0), 23, 4)
+    ts = (-0.4, 0.0, 0.4)
+    calls = []
+    apply = sysq.apply
+    monkeypatch.setattr(sysq, "apply", lambda u: calls.append(u) or apply(u))
+    hypothesis_uniformity_check(sysq, ts, probes0, 2)
+    assert len(calls) == len(ts) * len(probes0)
 
 
 def test_steering_reaches_target_exactly():
