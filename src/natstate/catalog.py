@@ -18,7 +18,7 @@ import numpy as np
 from .kernel import PolyKernel
 from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import Grid, TimeFunction
+from .timegrid import Grid, TimeFunction, to_cells
 
 __all__ = [
     "SystemBundle",
@@ -77,22 +77,17 @@ class SystemBundle:
     params: dict = field(default_factory=dict)
 
     def grid(self, dt: float) -> Grid:
-        return Grid(dt, -_cells(self.past_window, dt), _cells(self.horizon, dt))
-
-
-def _cells(length: float, dt: float) -> int:
-    """``length`` in grid steps; one that is not a whole number of steps is
-    refused (``AlignmentError``)."""
-    return Grid(dt, 0, 1).index_of(length)
+        return Grid(dt, -to_cells(self.past_window, dt),
+                    to_cells(self.horizon, dt))
 
 
 def _box_response(dt: float, T: float = 1.0) -> TimeFunction:
-    g = Grid(dt, 0, _cells(T, dt))
+    g = Grid(dt, 0, to_cells(T, dt))
     return TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
 
 
 def _decay_response(dt: float, T: float, rate: float) -> TimeFunction:
-    g = Grid(dt, 0, _cells(T, dt))
+    g = Grid(dt, 0, to_cells(T, dt))
     return TimeFunction(g, np.exp(-rate * g.times()), np.zeros(1))
 
 

@@ -75,9 +75,16 @@ def parse_config_text(text: str) -> dict:
 
     Table names become key prefixes (``[family.x]`` key ``k`` becomes
     ``family.x.k``) except for ``[run]``, whose keys are top level.  Syntax
-    errors raise ``ValueError`` (``tomllib.TOMLDecodeError``).
+    errors raise ``ValueError`` (``tomllib.TOMLDecodeError``), and so does
+    any table but ``[run]``, ``[family.<name>]`` and ``[system.<name>]``.
     """
     flat = _flatten(tomllib.loads(text))
+    dots = {"run": 0, "family": 1, "system": 1}
+    for key in flat:
+        table = key.rpartition(".")[0]
+        if table and table.count(".") != dots.get(table.split(".")[0]):
+            raise ValueError(f"unknown table [{table}]; tables are [run], "
+                             "[family.<name>] and [system.<name>]")
     return {k.removeprefix("run."): v for k, v in flat.items()}
 
 

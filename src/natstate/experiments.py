@@ -36,7 +36,8 @@ from .states import (NaturalState, reachability_experiment,
 from .sysop import (PolyIntegralOperator, TimeAdvance,
                     centered_truncation, check_causality, estimate_npower,
                     hypothesis_uniformity_check, steer_to_state, truncation)
-from .timegrid import Grid, Interval, TimeFunction, shift_left, splice
+from .timegrid import (Grid, Interval, TimeFunction, shift_left, splice,
+                       to_cells)
 
 __all__ = ["RunConfig", "ExperimentResult", "Check", "EXPERIMENTS", "claim",
            "run_experiment"]
@@ -145,7 +146,7 @@ def _past_probes(grid: Grid, seed, count, tail_levels=(0.0,)):
 
 
 def _random_future(dt: float, horizon: float, seed) -> TimeFunction:
-    g = Grid(dt, 0, int(round(horizon / dt)))
+    g = Grid(dt, 0, to_cells(horizon, dt))
     return random_timefunction(g, np.random.default_rng(seed))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 # the first probe draw does not pay for it.
 import numpy.random  # noqa: F401
 
-from .timegrid import Grid, TimeFunction
+from .timegrid import Grid, TimeFunction, to_cells
 
 __all__ = ["probe_set", "future_probes"]
 
@@ -27,9 +27,9 @@ def _smooth_noise(rng, n: int) -> np.ndarray:
     return np.convolve(raw, ker, mode="same")[:n]
 
 
-def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
+def probe_set(grid: Grid, seed: int, count: int = 20,
               tails: bool = True) -> list[TimeFunction]:
-    """Deterministic list of probes on ``grid``.
+    """Deterministic list of scalar probes on ``grid``.
 
     With ``tails`` the constant probes carry matching nonzero tails;
     otherwise every probe has zero tail (needed e.g. for inputs into
@@ -40,15 +40,12 @@ def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
     t = grid.times()
     out: list[TimeFunction] = []
 
-    def add(vals, tail=None):
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None] * np.ones((1, dim))
-        tail = np.zeros(dim) if tail is None else np.asarray(tail, dtype=float)
-        out.append(TimeFunction(grid, vals, tail))
+    def add(vals, tail=0.0):
+        out.append(TimeFunction(grid, np.asarray(vals, dtype=float)[:, None],
+                                np.array([tail])))
 
     add(np.zeros(n))
-    add(np.ones(n), tail=np.ones(dim) if tails else None)
+    add(np.ones(n), tail=1.0 if tails else 0.0)
     span = grid.t_end - grid.t_start
     add((t - grid.t_start) / span)  # ramp up from the window start
     add(np.sin(2.0 * np.pi * (t - grid.t_start) / span))
@@ -63,29 +60,26 @@ def probe_set(grid: Grid, seed: int, count: int = 20, dim: int = 1,
                 grid.index_of(grid.dt * round(b / grid.dt))
             if ib <= ia:
                 ib = ia + 1
-            vals = np.zeros((n, dim))
+            vals = np.zeros(n)
             idx = np.arange(grid.i0 + 1, grid.i1 + 1)
-            vals[(idx > ia) & (idx <= ib), int(rng.integers(dim))] = \
-                2.0 * rng.random() - 1.0
+            vals[(idx > ia) & (idx <= ib)] = 2.0 * rng.random() - 1.0
             add(vals)
         elif kind == 1:
-            vals = np.stack([_smooth_noise(rng, n) for _ in range(dim)], axis=1)
-            add(vals)
+            add(_smooth_noise(rng, n))
         elif kind == 2:
             freq = 1.0 + 3.0 * rng.random()
             phase = 2.0 * np.pi * rng.random()
             add(np.cos(2.0 * np.pi * freq * (t - grid.t_start) / span + phase))
         else:
             level = 2.0 * rng.random() - 1.0
-            vals = level * np.ones((n, dim))
-            add(vals, tail=level * np.ones(dim) if tails else None)
+            add(level * np.ones(n), tail=level if tails else 0.0)
     return out[:count]
 
 
 def future_probes(dt: float, horizon: float, seed: int,
                   count: int = 20) -> list[TimeFunction]:
     """Probes supported on ``(0, horizon]`` with zero tails: future inputs."""
-    g = Grid(dt, 0, int(round(horizon / dt)))
+    g = Grid(dt, 0, to_cells(horizon, dt))
     return probe_set(g, seed, count=count, tails=False)
 
 

@@ -125,6 +125,39 @@ class Weight:
                 out = out + np.where(hi > lo, values[k] * (hi - lo), 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def _accumulate(self, x: np.ndarray, dt: float, op) -> np.ndarray:
+        """``op``-accumulation of ``x[..., j] w((c - j) dt)`` over ``j <= c``
+        for every ``c`` (last axis); ``op`` is ``np.add`` (weighted running
+        sums) or ``np.maximum`` (weighted running maxima).
+
+        Uniform, box and exponential weights take O(n) recurrences; a table
+        weight takes one full convolution, or one maximum, per position.
+        """
+        n = x.shape[-1]
+        if self.form == "uniform":
+            return op.accumulate(x, axis=-1)
+        if self.form == "exp":
+            return _exp_running(x, self.params["rate"], dt, op)
+        if self.form == "box":
+            win = max(int(round(self.params["memory"] / dt)), 1)
+            if op is np.add:
+                c = np.cumsum(x, axis=-1)
+                out = c.copy()
+                if n > win:
+                    out[..., win:] = c[..., win:] - c[..., :-win]
+                return out
+            padded = np.concatenate(
+                [np.zeros(x.shape[:-1] + (win - 1,)), x], axis=-1)
+            return np.lib.stride_tricks.sliding_window_view(
+                padded, win, axis=-1).max(axis=-1)
+        wker = self(np.arange(n) * dt)
+        if op is np.add:
+            return np.stack([np.convolve(row, wker)[:n] for row in x])
+        out = np.empty_like(x)
+        for c in range(n):
+            out[..., c] = np.max(x[..., :c + 1] * wker[c::-1], axis=-1)
+        return out
+
     @property
     def support(self) -> float:
         if self.form == "box":
@@ -256,26 +289,12 @@ class FittedFamily:
         if not t.size:
             return np.zeros(0)
         if self.kind == "sup":
-            return self.base._running_sup(i0, dt, tail_value, mags, s, t)
+            run = self._running(i0, dt, tail_value, mags, s)
+            return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
         w = self.weight
         if w.support < POS_INF:
             s = np.maximum(s, t - int(round(w.support / dt)))
-        tail = 0.0
-        if tail_value.any() and (s < i0).any():
-            cut = np.minimum(t, i0)
-            need = s < cut
-            tail_mag = self._scalar_tail(tail_value)
-            a = (t[need] - cut[need]) * dt
-            tail = np.zeros(t.shape[0])
-            if self.p < POS_INF:
-                mass = w.integral(a, (t[need] - s[need]) * dt)
-                if np.any(mass == POS_INF):
-                    raise ValueError(
-                        "divergent tail: non-integrable weight with nonzero "
-                        "tail over an unbounded past")
-                tail[need] = tail_mag ** self.p * mass
-            else:
-                tail[need] = tail_mag * w(a)
+        tail = self._tail(dt, tail_value, s - i0, t - i0)
         # Lags run back from each window end, with zero weight past the
         # window's own span; for p < inf they are summed in that order.
         span = t - np.maximum(s, i0).astype(np.int64)
@@ -289,97 +308,62 @@ class FittedFamily:
             return np.maximum(terms.max(axis=1), tail)
         return (terms.cumsum(axis=1)[:, -1] * dt + tail) ** (1.0 / self.p)
 
-    def _running_sup(self, i0, dt: float, tail_value: np.ndarray,
-                     mags: np.ndarray, s: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-        """``max_{s < u <= t} |f|_{s,u}`` per window, as :meth:`_seminorms`.
+    def _tail(self, dt: float, tail_value: np.ndarray, s: np.ndarray,
+              t: np.ndarray) -> np.ndarray | float:
+        """Tail term of each window ``(s, t]``, its ends counted in steps
+        from the grid origin (arrays that broadcast): the closed-form weight
+        mass, against the constant tail, of the part of the window at or
+        before the origin (to the power ``p`` for ``p < inf``).  It is zero
+        where the window starts at or after the origin, and the scalar 0.0
+        when no window starts before it."""
+        if not (tail_value.any() and (s < 0).any()):
+            return 0.0
+        cut = np.minimum(t, 0)
+        need = s < cut
+        out = np.zeros(need.shape)
+        tail_mag = self._scalar_tail(tail_value)
+        a = np.broadcast_to((t - cut) * dt, need.shape)[need]
+        if self.p == POS_INF:
+            out[need] = tail_mag * self.weight(a)
+            return out
+        mass = self.weight.integral(
+            a, np.broadcast_to((t - s) * dt, need.shape)[need])
+        if np.any(mass == POS_INF):
+            raise ValueError("divergent tail: non-integrable weight with "
+                             "nonzero tail over an unbounded past")
+        out[need] = tail_mag ** self.p * mass
+        return out
 
-        Row ``k`` holds the norm over ``(s_k, u]`` at every instant ``u``
-        from its origin (the tail alone, for a left-expanded window) to the
-        end of the grid.
+    def _running(self, i0, dt: float, tail_value: np.ndarray,
+                 mags: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``|f|_{s_k, u}`` at every instant ``u`` from the origin, one row
+        per left end ``s_k`` (``-inf`` allowed), as :meth:`_seminorms`.
+
+        Column ``c`` is ``u = i0 + c`` up to the end of the grid; column 0
+        is the tail alone.  Samples at or before ``s_k`` are zeroed and the
+        weight accumulates the rest.  A sup family returns the running
+        maximum of its base's rows.  A finite left end before the origin
+        is refused when the tail is nonzero: the columns start at the
+        origin, so they miss the right ends between it and the left end.
         """
-        i0 = np.broadcast_to(i0, t.shape)
-        open_left = np.isneginf(s)
-        rows = self._rows_from(i0, tail_value, mags,
-                               np.where(open_left, i0, s).astype(np.int64))
-        head = np.zeros((t.shape[0], 1))
-        tail = None
-        if open_left.any():
-            o = i0[open_left]
-            head[open_left, 0] = self._seminorms(
-                o, dt, tail_value, mags[:1], np.full(o.shape, NEG_INF), o)
-            tail = np.where(open_left[:, None],
-                            self._tail_terms(mags.shape[1], dt, tail_value),
-                            0.0)
-        run = np.maximum.accumulate(
-            np.concatenate([head, self._windowed(rows, dt, tail)], axis=1),
-            axis=1)
-        return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
-
-    # -- every right end at once -------------------------------------------------
-    #
-    # Positions 0..n-1 correspond to instants i0+1..i1.
-
-    @staticmethod
-    def _rows_from(i0, tail_value: np.ndarray, mags: np.ndarray,
-                   lefts: np.ndarray) -> np.ndarray:
-        """Magnitude rows zeroed at and before each left end in ``lefts``;
-        ``i0`` is the grid origin, one or one per left end."""
-        if (lefts < i0).any() and tail_value.any():
+        if self.kind == "sup":
+            return np.maximum.accumulate(
+                self.base._running(i0, dt, tail_value, mags, s), axis=1)
+        n = mags.shape[1]
+        s0 = (s - i0)[:, None]  # left ends counted from the origin
+        if tail_value.any() and (np.isfinite(s0) & (s0 < 0)).any():
             raise ValueError(
                 "window starts before the represented past of a nonzero-tail "
                 "function; extend the window first")
-        return np.where(np.arange(mags.shape[1]) >= (lefts - i0)[:, None],
-                        mags, 0.0)
-
-    def _tail_terms(self, n: int, dt: float,
-                    tail_value: np.ndarray) -> np.ndarray:
-        """Constant-tail contribution of |f|_{-inf, t} at every position."""
-        tail_mag = self._scalar_tail(tail_value)
-        if tail_mag == 0.0:
-            return np.zeros(n)
-        gaps = np.arange(1, n + 1) * dt
-        if self.p < POS_INF:
-            if not self.weight.integrable:
-                raise ValueError(
-                    "divergent tail: non-integrable weight with nonzero tail "
-                    "over an unbounded past")
-            return tail_mag ** self.p * self.weight.integral(gaps, POS_INF)
-        return tail_mag * np.asarray(self.weight(gaps), dtype=float)
-
-    def _windowed(self, mags: np.ndarray, dt: float,
-                  tail: Optional[np.ndarray] = None) -> np.ndarray:
-        """Window norm at every position of each row of sample magnitudes.
-
-        A row reads from its first position on, so zeroing a row up to a
-        left end ``s`` gives ``|f|_{s, t}`` at every ``t``; ``tail`` adds the
-        tail terms of the left-expanded norm.
-        """
-        n, w = mags.shape[1], self.weight
-        if self.p < POS_INF:
-            acc = _weighted_running_sums(mags ** self.p * dt, w, dt)
-            if tail is not None:
-                acc = acc + tail
-            return acc ** (1.0 / self.p)
-        # p = inf: weighted trailing maxima.
-        if w.form == "uniform":
-            vals = np.maximum.accumulate(mags, axis=1)
-        elif w.form == "box":
-            win = max(int(round(w.params["memory"] / dt)), 1)
-            padded = np.concatenate([np.zeros((mags.shape[0], win - 1)), mags],
-                                    axis=1)
-            vals = np.lib.stride_tricks.sliding_window_view(
-                padded, win, axis=1).max(axis=2)
-        elif w.form == "exp":
-            vals = _exp_running(mags, w.params["rate"], dt, np.maximum)
-        else:
-            vals = np.empty_like(mags)
-            for c in range(n):
-                wv = np.asarray(w((c - np.arange(c + 1)) * dt), dtype=float)
-                vals[:, c] = np.max(mags[:, :c + 1] * wv, axis=1)
-        if tail is not None:
-            vals = np.maximum(vals, tail)
-        return vals
+        x = np.where(np.arange(n) >= s0, mags, 0.0)
+        tail = self._tail(dt, tail_value, s0, np.arange(n + 1))
+        run = np.zeros((s.shape[0], n + 1))
+        if self.p == POS_INF:
+            run[:, 1:] = self.weight._accumulate(x, dt, np.maximum)
+            return np.maximum(run, tail, out=run)
+        run[:, 1:] = self.weight._accumulate(x ** self.p * dt, dt, np.add)
+        run += tail
+        return np.power(run, 1.0 / self.p, out=run)
 
     # -- public norms ------------------------------------------------------------
 
@@ -401,14 +385,9 @@ class FittedFamily:
     def past_norms_all_t(self, f: TimeFunction) -> np.ndarray:
         """``past_norm`` at every grid instant ``i0 .. i1`` (length n + 1)."""
         g = f.grid
-        fam = self.base if self.kind == "sup" else self
-        head = fam.seminorms(f, [NEG_INF], [g.i0])
-        rows = fam._windowed(fam._rownorm(f.samples)[None], g.dt,
-                             fam._tail_terms(g.n, g.dt, f.tail_value))
-        vals = np.concatenate([head, rows[0]])
-        if self.kind == "sup":
-            vals = np.maximum.accumulate(vals)
-        return vals
+        return self._running(g.i0, g.dt, f.tail_value,
+                             self._rownorm(f.samples)[None],
+                             np.array([NEG_INF]))[0]
 
     def future_norm(self, f: TimeFunction, s: float) -> float:
         """``sup_{t > s} |f|_{s,t}`` with ``t`` running to the horizon."""
@@ -418,10 +397,9 @@ class FittedFamily:
         si = g.index_of(s)
         if si >= g.i1:
             raise ValueError("window start at or beyond the horizon")
-        fam = self.base if self.kind == "sup" else self
-        rows = fam._rows_from(g.i0, f.tail_value,
-                              fam._rownorm(f.samples)[None], np.array([si]))
-        return float(np.max(fam._windowed(rows, g.dt)))
+        return float(np.max(self._running(g.i0, g.dt, f.tail_value,
+                                          self._rownorm(f.samples)[None],
+                                          np.array([float(si)]))))
 
     def bounding_norm(self, f: TimeFunction) -> float:
         """``sup_t |f|_t``: the norm of the bounding space."""
@@ -460,28 +438,6 @@ def _exp_running(x: np.ndarray, rate: float, dt: float, op) -> np.ndarray:
         out[..., b0:b0 + m] = (op.accumulate(scaled, axis=-1)
                                * np.exp(rate * (m - j) * dt))
     return out
-
-
-def _weighted_running_sums(apw: np.ndarray, w: Weight, dt: float) -> np.ndarray:
-    """``sum_{j<=c} apw[..., j] w((c-j) dt)`` for every ``c`` (last axis).
-
-    Uniform, box and exponential weights admit O(n) cumulative-sum
-    evaluations; anything else falls back to one full convolution per row.
-    """
-    n = apw.shape[-1]
-    if w.form == "uniform":
-        return np.cumsum(apw, axis=-1)
-    if w.form == "box":
-        win = max(int(round(w.params["memory"] / dt)), 1)
-        c = np.cumsum(apw, axis=-1)
-        out = c.copy()
-        if n > win:
-            out[..., win:] = c[..., win:] - c[..., :-win]
-        return out
-    if w.form == "exp":
-        return _exp_running(apw, w.params["rate"], dt, np.add)
-    wker = np.asarray(w(np.arange(0, n) * dt), dtype=float)
-    return np.stack([np.convolve(row, wker)[:n] for row in apw])
 
 
 # -- axiom checking -----------------------------------------------------------

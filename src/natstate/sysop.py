@@ -37,7 +37,8 @@ import numpy as np
 
 from .kernel import PolyKernel
 from .seminorm import FittedFamily
-from .timegrid import Grid, TimeFunction, shift_left, shift_right, splice
+from .timegrid import (Grid, TimeFunction, shift_left, shift_right, splice,
+                       to_cells)
 
 __all__ = [
     "SystemOp",
@@ -556,10 +557,11 @@ def steer_to_state(system: LTISystem, x_target, t_end: float, duration: float,
 
     Exact at grid scale because the stepping and the lifted controllability
     map use the same zero-order hold.  The window ``(t_end - duration,
-    t_end]`` must lie inside ``grid``'s, or no input on it reaches the target.
+    t_end]`` must lie inside ``grid``'s, or no input on it reaches the target,
+    and ``duration`` must be a whole number of steps (``AlignmentError``).
     """
     dt = grid.dt
-    K = int(round(duration / dt))
+    K = to_cells(duration, dt)
     te = grid.index_of(t_end)
     if K < 1 or te - K < grid.i0 or te > grid.i1:
         raise ValueError(

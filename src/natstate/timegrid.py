@@ -22,6 +22,7 @@ __all__ = [
     "Interval",
     "TimeFunction",
     "AlignmentError",
+    "to_cells",
     "shift_left",
     "shift_right",
     "splice",
@@ -36,6 +37,19 @@ _ALIGN_RTOL = 1e-9
 
 class AlignmentError(ValueError):
     """An instant or length that is not a whole number of grid steps."""
+
+
+def _steps(x: float, dt: float, what: str) -> int:
+    k = round(x / dt)
+    if abs(x - k * dt) > _ALIGN_RTOL * max(1.0, abs(x)):
+        raise AlignmentError(f"{what} {x} is not a multiple of dt={dt}")
+    return int(k)
+
+
+def to_cells(length: float, dt: float) -> int:
+    """``length`` seconds as a whole number of ``dt`` steps; a length that
+    is not one is refused (``AlignmentError``), never snapped."""
+    return _steps(length, dt, "length")
 
 
 @dataclass(frozen=True)
@@ -74,10 +88,7 @@ class Grid:
 
     def index_of(self, t: float) -> int:
         """Snap instant ``t`` onto the lattice; reject misaligned instants."""
-        k = round(t / self.dt)
-        if abs(t - k * self.dt) > _ALIGN_RTOL * max(1.0, abs(t)):
-            raise AlignmentError(f"instant {t} is not a multiple of dt={self.dt}")
-        return int(k)
+        return _steps(t, self.dt, "instant")
 
     def shifted(self, k: int) -> "Grid":
         return Grid(self.dt, self.i0 - k, self.i1 - k)

@@ -188,7 +188,8 @@ def test_system_flag_refusal_route(capsys):
 @pytest.mark.parametrize("experiment, dt", [
     ("state-closed-form", "0.04"), ("npower-bounds", "0.04"),
     ("reachability", "0.04"), ("trajectory-derivative", "0.04"),
-    ("causality", "0.03"), ("shared-state-set", "0.03")])
+    ("causality", "0.03"), ("shared-state-set", "0.03"),
+    ("state-bounds", "0.04")])
 def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
     out = tmp_path / "rep"
     assert main(["run", "--experiment", experiment, "--dt", dt,
@@ -226,9 +227,13 @@ def test_misaligned_dt_stops_the_run(tmp_path, capsys, monkeypatch, threads):
     (["--system", "nonesuch"], ""),
     ([], 'family = "nonesuch"'),
     ([], "horizon = 2.0"),
+    ([], "[runn]\ndt = 0.02"),
+    ([], '[sytem.x]\nvariant = "nonesuch"'),
+    ([], "[family.q.sub]\nk = 1"),
 ], ids=["dt-zero", "dt-nan", "dt-negative", "dt-string", "seed-float",
         "probes-zero", "futures-bool", "family-flag", "system-flag",
-        "family-key", "unknown-key"])
+        "family-key", "unknown-key", "misspelled-run-table",
+        "misspelled-system-table", "family-sub-table"])
 def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text(f"[run]\n{toml}\n")
@@ -268,6 +273,8 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
      "[system.bad] degree must be an integer from 1 to 3"),
     ('[system.bad]\nvariant = "poly"\ndegree = 2\nrates = [3.0]',
      "[system.bad] rates must hold 2 numbers"),
+    ('[system.bad]\nvariant = "conv"\nsupport = 0.015',
+     "[system.bad] length 0.015 is not a multiple of dt=0.01"),
     ('[run]\nexperiments = "taper"', "experiments must be a non-empty list"),
     ('[run]\nexperiments = ["taper", 1]',
      "experiments must be a non-empty list"),
@@ -276,7 +283,7 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
         "family-wrong-type", "system-fractional-n-states",
         "system-a-entries", "system-b-entries", "system-overflowing-lti",
         "system-fractional-degree", "system-bool-degree",
-        "system-short-rates",
+        "system-short-rates", "system-misaligned-support",
         "experiments-string", "experiments-non-string"])
 def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     cfgfile = tmp_path / "run.toml"

@@ -119,7 +119,9 @@ def test_vector_kernel_operator_invariance():
         return np.exp(-(i * np.asarray(a) + 0.5 * j * np.asarray(b)))
     ker = PolyKernel(2, 0.4, input_dim=2, func=vec)
     g = Grid(DT, -15, 15)
-    probes = probe_set(g, 5, count=4, dim=2, tails=False)
+    # The scalar probes on both components: zeros, ones, ramp, sine.
+    probes = [TimeFunction(g, np.repeat(p.samples, 2, axis=1), np.zeros(2))
+              for p in probe_set(g, 5, count=4, tails=False)]
     rep = check_symmetrization_properties(ker, probes, DT, rng=9)
     assert rep["operator_invariance_max_diff"] <= 1e-10
     assert rep["reindexing_ok"]

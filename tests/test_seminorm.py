@@ -146,16 +146,6 @@ def test_norm_chain(rough):
         assert c <= d * (1 + 1e-12)
 
 
-def test_windowed_all_t_matches_single(rough):
-    f = TimeFunction(rough.grid, rough.samples, np.zeros(1))
-    for fam in (UL2, EXP2, BOX2, SUP):
-        allt = fam.past_norms_all_t(f)
-        g = f.grid
-        for k, t_idx in enumerate(range(g.i0, g.i1 + 1, 11)):
-            want = _window_single(fam, f, None, t_idx)
-            assert allt[t_idx - g.i0] == pytest.approx(want, rel=1e-12)
-
-
 def test_splice_norm_consistency(grid, rng):
     h = TimeFunction(grid, rng.standard_normal((grid.n, 1)), np.array([0.4]))
     g2 = TimeFunction(grid, rng.standard_normal((grid.n, 1)), np.array([0.0]))
@@ -407,15 +397,57 @@ def test_exp_weight_long_span_stays_finite(p):
         assert allt[ti - g.i0] == pytest.approx(
             _window_single(fam, f, None, ti), rel=1e-12)
     assert fam.bounding_norm(f) == float(np.max(allt))
-    mags = fam._rownorm(f.samples)
+    mags = fam._rownorm(f.samples)[None]
     for si in (g.i0, 4321):
-        row = fam._windowed(
-            np.where(np.arange(g.n) >= si - g.i0, mags, 0.0)[None], g.dt)[0]
+        row = fam._running(g.i0, g.dt, f.tail_value, mags,
+                           np.array([float(si)]))[0]
         assert np.all(np.isfinite(row))
         for ti in range(si + 1, g.i1 + 1, 997):
-            assert row[ti - g.i0 - 1] == pytest.approx(
+            assert row[ti - g.i0] == pytest.approx(
                 _window_single(fam, f, si, ti), rel=1e-12)
         assert fam.future_norm(f, si * g.dt) == float(np.max(row))
+
+
+@pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
+def test_windowed_all_t_matches_single(rough, fam):
+    # Every right end at once against the one-window oracle: the past norm
+    # at every instant, and the future norm from left ends at and after the
+    # grid start; the tail stays wherever its mass is finite.
+    f = rough if not _divergent(fam, rough) else TimeFunction(
+        rough.grid, rough.samples, np.zeros(1))
+    g = f.grid
+    allt = fam.past_norms_all_t(f)
+    assert allt.shape == (g.n + 1,)
+    for t_idx in range(g.i0, g.i1 + 1, 7):
+        assert allt[t_idx - g.i0] == pytest.approx(
+            _oracle(fam, f, None, t_idx), rel=1e-12, abs=0.0)
+    base = fam.base if fam.kind == "sup" else fam
+    for s_idx in (g.i0, g.i0 + 13, g.i1 - 5):
+        want = max(_window_single(base, f, s_idx, u)
+                   for u in range(s_idx + 1, g.i1 + 1))
+        assert fam.future_norm(f, s_idx * g.dt) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
+def test_running_refuses_finite_left_end_before_a_nonzero_tail(rough, fam):
+    # Every right end is read from the grid start on, so a finite left end
+    # before it would miss the right ends in between: refused, as is a sup
+    # window that starts there, even one that also ends before the grid.
+    g = rough.grid
+    with pytest.raises(ValueError, match="represented past"):
+        fam.future_norm(rough, (g.i0 - 5) * g.dt)
+    if fam.kind == "sup":
+        for t_idx in (g.i0 - 2, g.i0, g.i0 + 9):
+            with pytest.raises(ValueError, match="represented past"):
+                fam.seminorms(rough, [g.i0 - 5], [t_idx])
+    zero = TimeFunction(g, rough.samples, np.zeros(1))
+    base = fam.base if fam.kind == "sup" else fam
+    want = max(_window_single(base, zero, g.i0 - 5, u)
+               for u in range(g.i0 + 1, g.i1 + 1))
+    assert fam.future_norm(zero, (g.i0 - 5) * g.dt) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    assert fam.seminorms(zero, [g.i0 - 5], [g.i0 - 2])[0] == 0.0
 
 
 def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from natstate import (FittedFamily, Grid, LimsupConvolution, LTISystem,
-                      PolyIntegralOperator, PolyKernel, TimeAdvance,
+from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
+                      LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
                       TimeFunction, centered_truncation, check_causality,
                       estimate_npower, frechet_of, gateaux_fd,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
@@ -359,6 +359,10 @@ def test_steering_refuses_window_outside_grid():
         steer_to_state(b.system, x, 0.0, 2.0, g)
     with pytest.raises(ValueError, match="does not fit"):
         steer_to_state(b.system, x, 0.6, 0.5, g)  # t_end past the grid end
+    # A window of 1.5 steps is refused, not snapped to two.
+    with pytest.raises(AlignmentError,
+                       match="length 0.015 is not a multiple of dt=0.01"):
+        steer_to_state(b.system, x, 0.0, 0.015, g)
     past = steer_to_state(b.system, x, 0.0, 1.0, g)  # exactly fills (-1, 0]
     assert np.allclose(b.system.apply(past).value(0.0), x, atol=1e-10)
     idx = np.arange(g.i0 + 1, g.i1 + 1)
