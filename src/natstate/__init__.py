@@ -21,7 +21,8 @@ from .kernel import (Permutation, PolyKernel, check_symmetrization_properties,
                      permutation_change_of_variables, symmetrize)
 from .states import (NaturalState, drive, reachability_experiment,
                      representative_independence, state_bound_check,
-                     state_distance, state_matching_ladder, trajectory)
+                     state_distance, state_distances, state_matching_ladder,
+                     trajectory)
 from .calculus import (FrechetPair, ShiftDerivative, SmoothInput,
                        fd_directional_order, frechet_of, gateaux_fd,
                        input_to_state_frechet, remainder_decay,

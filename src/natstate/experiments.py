@@ -32,7 +32,7 @@ from .seminorm import (FittedFamily, Weight, check_ff_axioms, classify,
                        taper_certificate, taper_delta)
 from .states import (NaturalState, reachability_experiment,
                      representative_independence, state_bound_check,
-                     state_distance, state_matching_ladder)
+                     state_distances, state_matching_ladder)
 from .sysop import (PolyIntegralOperator, TimeAdvance,
                     centered_truncation, check_causality, estimate_npower,
                     hypothesis_uniformity_check, steer_to_state, truncation)
@@ -218,11 +218,11 @@ def exp_tail_separation(cfg: RunConfig, res: ExperimentResult) -> None:
     t0 = time.perf_counter()
     worst = math.inf
     rows = []
-    for i, u in enumerate(us):
-        for j, w in enumerate(ws):
-            xi = NaturalState(one.system, u, 0.0)
-            eta = NaturalState(one.system, w, 0.0)
-            d = state_distance(xi, eta, 2, futures)
+    dists = state_distances([NaturalState(one.system, u, 0.0) for u in us],
+                            [NaturalState(one.system, w, 0.0) for w in ws],
+                            2, futures)
+    for i, row in enumerate(dists):
+        for j, d in enumerate(row):
             worst = min(worst, d)
             rows.append({"u": i, "w": j, "distance": d})
     res.metrics.update(pairs=len(rows),
@@ -596,10 +596,10 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
     sysq = qb.system
     S = 2.0
     sigma = S + 0.25
-    gq = Grid(dt, -int(round(1.0 / dt)), int(round(sigma / dt)))
+    sig_idx = [to_cells(sigma, dt)]
+    gq = Grid(dt, -to_cells(1.0, dt), sig_idx[0])
     past = _past_probes(gq, [cfg.seed, 91], 1)[0]
     state = NaturalState(sysq, past, 0.0)
-    sig_idx = [int(round(sigma / dt))]
 
     def oracle(v):
         return float(state.evaluate_at(v, sig_idx)[0, 0])
@@ -674,7 +674,7 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
         (np.asarray(a) <= 3.0) & (np.asarray(b) <= 3.0),
         np.exp(-(np.asarray(a) + np.asarray(b))), 0.0))
     opw = PolyIntegralOperator([wide], 0.0, sysq.input_fam, sysq.output_fam)
-    gw = Grid(dt, -int(round(2.0 / dt)), int(round(sigma / dt)))
+    gw = Grid(dt, -to_cells(2.0, dt), sig_idx[0])
     pw = _past_probes(gw, [cfg.seed, 92], 1)[0]
     stw = NaturalState(opw, pw, 0.0)
     resw = identify_kernels(
@@ -725,16 +725,14 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
     res.check("refusal_reason_code", ref.get("reason_code"), "==",
               "family_not_tapered")
     # Separation persists under any drive: the eventual level survives splices.
-    persist_rows = []
-    target_state = NaturalState(one.system, u1, 0.0)
-    for D in (1.0, 2.0, 3.0):
-        driven = splice(shift_left(w2, D), u1, -D)
-        persist_rows.append({
-            "drive_seconds": D,
-            "tail_preserved": float(driven.tail_value[0]) == 2.0,
-            "distance": state_distance(
-                NaturalState(one.system, driven, 0.0), target_state,
-                2, futures)})
+    drives = (1.0, 2.0, 3.0)
+    driven = [splice(shift_left(w2, D), u1, -D) for D in drives]
+    dists = state_distances([NaturalState(one.system, d, 0.0) for d in driven],
+                            [NaturalState(one.system, u1, 0.0)], 2, futures)
+    persist_rows = [{"drive_seconds": D,
+                     "tail_preserved": float(past.tail_value[0]) == 2.0,
+                     "distance": row[0]}
+                    for D, past, row in zip(drives, driven, dists)]
     res.check("tails_lost", sum(not r["tail_preserved"] for r in persist_rows),
               "==", 0)
     res.metric("persistence_min_distance",
@@ -800,8 +798,7 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
         st2 = NaturalState(b2.system, p2, 0.0)
         st1b = NaturalState(
             b1.system, steer_to_state(b1.system, x, 0.0, 3.0, gl2), 0.0)
-        cross = state_distance(st1, st2, 2, futures)
-        same = state_distance(st1, st1b, 2, futures)
+        [[cross, same]] = state_distances([st1], [st2, st1b], 2, futures)
         min_cross = min(min_cross, cross)
         max_same = max(max_same, same)
         rows.append({"target": str(x.round(3).tolist()),

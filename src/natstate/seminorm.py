@@ -146,10 +146,18 @@ class Weight:
                 if n > win:
                     out[..., win:] = c[..., win:] - c[..., :-win]
                 return out
-            padded = np.concatenate(
-                [np.zeros(x.shape[:-1] + (win - 1,)), x], axis=-1)
-            return np.lib.stride_tricks.sliding_window_view(
-                padded, win, axis=-1).max(axis=-1)
+            # Sliding maximum over the zero-padded row by van Herk /
+            # Gil-Werman: cut the row into blocks of ``win``; the window of
+            # ``win`` samples from ``c`` is the suffix of one block joined
+            # to the prefix of the next, so O(n) whatever ``win`` is.
+            m = n + win - 1
+            padded = np.zeros(x.shape[:-1] + (-(-m // win) * win,))
+            padded[..., win - 1:m] = x
+            blocks = padded.reshape(x.shape[:-1] + (-1, win))
+            pre = np.maximum.accumulate(blocks, axis=-1)
+            suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+            return np.maximum(suf.reshape(padded.shape)[..., :n],
+                              pre.reshape(padded.shape)[..., win - 1:m])
         wker = self(np.arange(n) * dt)
         if op is np.add:
             return np.stack([np.convolve(row, wker)[:n] for row in x])

@@ -27,6 +27,7 @@ from .timegrid import TimeFunction, shift_left, shift_right, splice
 __all__ = [
     "NaturalState",
     "state_distance",
+    "state_distances",
     "trajectory",
     "drive",
     "representative_independence",
@@ -87,12 +88,32 @@ def state_distance(xi: NaturalState, eta: NaturalState, N: int,
     zero future should be in the probe set whenever a tail-separation bound
     is being certified.
     """
-    out_fam = xi.system.output_fam
-    in_fam = xi.system.input_fam
-    return estimate_npower(futures,
-                           [xi.evaluate(v) - eta.evaluate(v) for v in futures],
-                           N, lambda v: in_fam.future_norm(v, 0.0),
-                           lambda d: out_fam.future_norm(d, 0.0))
+    return state_distances([xi], [eta], N, futures)[0][0]
+
+
+def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
+                    N: int, futures: Sequence[TimeFunction]) -> list[list[float]]:
+    """``state_distance(xi, eta, N, futures)`` for every ``xi`` (rows) and
+    ``eta`` (columns).
+
+    Each state is evaluated once per future and each future's input norm is
+    taken once; every entry is the ``estimate_npower`` maximum over the
+    futures in order, bit for bit, and ``0.0`` when there are none.
+    """
+    if not xis:
+        return []
+    out_fam = xis[0].system.output_fam
+    in_fam = xis[0].system.input_fam
+    dens = [1.0 + in_fam.future_norm(v, 0.0) ** N for v in futures]
+    eta_outs = [[eta.evaluate(v) for v in futures] for eta in etas]
+    rows = []
+    for xi in xis:
+        xi_out = [xi.evaluate(v) for v in futures]
+        rows.append([max((out_fam.future_norm(a - b, 0.0) / den
+                          for a, b, den in zip(xi_out, outs, dens)),
+                         default=0.0)
+                     for outs in eta_outs])
+    return rows
 
 
 def trajectory(system: SystemOp, u: TimeFunction, times) -> list[NaturalState]:

@@ -189,7 +189,8 @@ def test_system_flag_refusal_route(capsys):
     ("state-closed-form", "0.04"), ("npower-bounds", "0.04"),
     ("reachability", "0.04"), ("trajectory-derivative", "0.04"),
     ("causality", "0.03"), ("shared-state-set", "0.03"),
-    ("state-bounds", "0.04")])
+    ("state-bounds", "0.04"), ("kernel-identify", "0.04"),
+    ("kernel-identify", "0.02")])
 def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
     out = tmp_path / "rep"
     assert main(["run", "--experiment", experiment, "--dt", dt,

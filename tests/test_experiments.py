@@ -2,7 +2,8 @@ import pytest
 
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
-from natstate.sysop import PolyIntegralOperator
+from natstate.seminorm import FittedFamily
+from natstate.sysop import LimsupConvolution, PolyIntegralOperator
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -45,3 +46,32 @@ def test_npower_bounds_applies_each_unshifted_probe_once(monkeypatch):
     # probes at three instants (18) and the centered/uncentered pairs on
     # five probes (10).
     assert len(calls) == 15 + 45 + 18 + 10
+
+
+def test_tail_separation_evaluates_each_state_once_per_future(monkeypatch):
+    responses, norms = [], []
+    future_response = LimsupConvolution.future_response
+    future_norm = FittedFamily.future_norm
+
+    def counting_response(self, summary, v):
+        responses.append(v)
+        return future_response(self, summary, v)
+
+    def counting_norm(self, f, s):
+        norms.append(self.name)
+        return future_norm(self, f, s)
+
+    monkeypatch.setattr(LimsupConvolution, "future_response",
+                        counting_response)
+    monkeypatch.setattr(FittedFamily, "future_norm", counting_norm)
+    r = run_experiment("tail-separation", RunConfig(pasts=6))
+    assert r.passed
+    # Three pasts of each level and eleven futures (the zero one and ten
+    # random): each state answers each future once, each future's input
+    # norm is taken once, and each pair's difference is normed once.
+    n_us = n_ws = 3
+    n_futures = 11
+    assert r.metrics["pairs"] == n_us * n_ws
+    assert len(responses) == (n_us + n_ws) * n_futures
+    assert norms.count("sup-linf") == n_futures
+    assert norms.count("esssup-window-2") == n_us * n_ws * n_futures

@@ -625,3 +625,70 @@ def test_exp_running_keeps_a_tiny_spike(p):
     for ti in range(1, 6):
         assert allt[ti] == pytest.approx(fam.past_norm(f, ti * g.dt),
                                          rel=1e-12, abs=0.0)
+
+
+def _sliding_max(x, win):
+    """The ``O(n win)`` running box maximum: the max of each zero-padded
+    window of ``win`` samples ending at every position (the test oracle of
+    ``Weight._accumulate``'s box branch with ``np.maximum``)."""
+    padded = np.concatenate([np.zeros(x.shape[:-1] + (win - 1,)), x], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(
+        padded, win, axis=-1).max(axis=-1)
+
+
+@pytest.mark.parametrize("rows, n, win", [
+    (1, 50, 1), (1, 1, 1), (1, 50, 50), (1, 50, 73), (1, 1, 9), (1, 50, 7),
+    (3, 50, 7), (4, 401, 200), (5, 401, 200)])
+def test_box_running_max_matches_sliding_window(rows, n, win):
+    # Block prefix/suffix maxima against the direct sliding window, bit for
+    # bit: win of 1, win of n or more, n not a multiple of win, several rows
+    # with the last one all zero.
+    dt = 0.01
+    x = np.abs(np.random.default_rng([rows, n, win]).standard_normal((rows, n)))
+    if rows > 1:
+        x[-1] = 0.0
+    got = Weight.box(win * dt)._accumulate(x, dt, np.maximum)
+    want = _sliding_max(x, win)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_box_running_max_fuzz():
+    rng = np.random.default_rng(2024)
+    dt = 0.01
+    for _ in range(300):
+        rows, n, win = rng.integers(1, 4), rng.integers(1, 120), rng.integers(1, 150)
+        x = np.abs(rng.standard_normal((rows, n)))
+        x[rng.random((rows, n)) < 0.3] = 0.0
+        got = Weight.box(win * dt)._accumulate(x, dt, np.maximum)
+        assert got.tobytes() == _sliding_max(x, win).tobytes()
+
+
+@pytest.mark.parametrize("fam", [
+    catalog.family("esssup-window-2"), FittedFamily.output_window(0.35),
+    FittedFamily.output_window(0.05)], ids=lambda fam: fam.name)
+def test_box_running_max_norms_match_sliding_window(rough, fam, monkeypatch):
+    # ``_running`` and ``future_norm`` of the windowed ess-sup families read
+    # the same bits as with the sliding-window maximum in its place.
+    assert fam.weight.form == "box" and fam.p == math.inf
+    g = rough.grid
+    mags = fam._rownorm(rough.samples)[None]
+    s = np.array([-math.inf, g.i0, g.i0 + 13, g.i1 - 5], dtype=float)
+    lefts = [-math.inf, g.i0 * g.dt, (g.i0 + 13) * g.dt, (g.i1 - 5) * g.dt]
+
+    def norms():
+        return (fam._running(g.i0, g.dt, rough.tail_value, mags, s),
+                [fam.future_norm(rough, t) for t in lefts])
+
+    got_run, got_fut = norms()
+    accumulate = Weight._accumulate
+
+    def oracle(self, x, dt, op):
+        if self.form == "box" and op is np.maximum:
+            return _sliding_max(
+                x, max(int(round(self.params["memory"] / dt)), 1))
+        return accumulate(self, x, dt, op)
+
+    monkeypatch.setattr(Weight, "_accumulate", oracle)
+    want_run, want_fut = norms()
+    assert got_run.tobytes() == want_run.tobytes()
+    assert got_fut == want_fut

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from natstate import (Grid, NaturalState, TimeFunction, drive,
                       reachability_experiment, representative_independence,
                       shift_left, shift_right, splice, state_bound_check,
-                      state_distance, state_matching_ladder, steer_to_state,
-                      trajectory)
+                      state_distance, state_distances, state_matching_ladder,
+                      steer_to_state, trajectory)
 from natstate import catalog
 from natstate.experiments import RunConfig, run_experiment
 from natstate.probes import future_probes
+from natstate.sysop import estimate_npower
 
 DT = 0.02
 
@@ -86,6 +87,32 @@ def test_level_classes_separated(averager, futures):
     eta = NaturalState(averager.system, _past(g, 13, tail=2.0), 0.0)
     d = state_distance(xi, eta, 2, futures)
     assert d >= 1.0 - 1e-9
+
+
+def test_state_distances_match_pairwise(averager, futures):
+    g = averager.grid(DT)
+    xis = [NaturalState(averager.system, _past(g, 40 + k, tail=1.0), 0.0)
+           for k in range(3)]
+    etas = [NaturalState(averager.system, _past(g, 50 + k, tail=tail), 0.0)
+            for k, tail in enumerate((2.0, 1.0))] + xis[:1]
+    fam_in, fam_out = averager.system.input_fam, averager.system.output_fam
+
+    def pairwise(xi, eta):
+        # The definition: both states evaluated afresh for this pair.
+        return estimate_npower(
+            futures, [xi.evaluate(v) - eta.evaluate(v) for v in futures], 2,
+            lambda v: fam_in.future_norm(v, 0.0),
+            lambda d: fam_out.future_norm(d, 0.0))
+
+    got = state_distances(xis, etas, 2, futures)
+    assert got == [[pairwise(xi, eta) for eta in etas] for xi in xis]
+    assert got == [[state_distance(xi, eta, 2, futures) for eta in etas]
+                   for xi in xis]
+    assert got[0][2] == 0.0 and min(got[k][0] for k in range(3)) >= 1.0 - 1e-9
+    assert state_distances(xis, etas, 2, []) == [[0.0] * 3] * 3
+    assert state_distance(xis[0], etas[0], 2, []) == 0.0
+    assert state_distances([], etas, 2, futures) == []
+    assert state_distances(xis, [], 2, futures) == [[], [], []]
 
 
 def test_paired_system_same_states(averager, futures):
