@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
 class Weight:
     """Closed-form weight ``w`` on ``[0, inf)`` with exact partial integrals.
 
@@ -51,6 +55,7 @@ class Weight:
         self.alpha = alpha
         self.K = K
         self.nonincreasing = nonincreasing
+        self._lag_tables: dict = {}
 
     @staticmethod
     def uniform() -> "Weight":
@@ -100,6 +105,19 @@ class Weight:
         out[ok] = values[idx[ok]]
         return out
 
+    def _at_lags(self, n: int, dt: float) -> np.ndarray:
+        """``w(j dt)`` for the lags ``j < n``, read-only: a prefix of one
+        table per step ``dt``, computed again only for a longer span.  A
+        uniform weight keeps no table and gives one 1.0 that broadcasts."""
+        if self.form == "uniform":
+            return _ONE
+        table = self._lag_tables.get(dt)
+        if table is None or table.shape[0] < n:
+            table = self(np.arange(n) * dt)
+            table.flags.writeable = False
+            self._lag_tables[dt] = table
+        return table[:n]
+
     def integral(self, a, b):
         """Exact ``int_a^b w(x) dx`` for ``0 <= a <= b <= inf``.
 
@@ -132,10 +150,12 @@ class Weight:
 
         Uniform, box and exponential weights take O(n) recurrences; a table
         weight takes one full convolution, or one maximum, per position.
+        Uniform and exponential weights accumulate in place and return
+        ``x``; the other forms leave it as it is.
         """
         n = x.shape[-1]
         if self.form == "uniform":
-            return op.accumulate(x, axis=-1)
+            return op.accumulate(x, axis=-1, out=x)
         if self.form == "exp":
             return _exp_running(x, self.params["rate"], dt, op)
         if self.form == "box":
@@ -257,6 +277,18 @@ class FittedFamily:
     def _scalar_tail(self, tail: np.ndarray) -> float:
         return float(self._rownorm(tail[None, :])[0])
 
+    def _tail_coef(self, tail_value: np.ndarray) -> float:
+        """The factor of a constant tail in every tail term (see
+        :meth:`_tail`): ``|tail| ** p``, or ``|tail|`` for ``p = inf``; 0.0
+        for a zero tail."""
+        if not tail_value.any():
+            return 0.0
+        mag = self._scalar_tail(tail_value)
+        coef = mag if self.p == POS_INF else mag ** self.p
+        # A nonzero tail whose factor underflows keeps the least positive
+        # one, so its unbounded past still diverges and is still refused.
+        return coef or math.ulp(0.0)
+
     # -- batched windows ---------------------------------------------------------
 
     def seminorms(self, f: TimeFunction, s_idx, t_idx) -> np.ndarray:
@@ -279,73 +311,98 @@ class FittedFamily:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
-        return self._seminorms(g.i0, g.dt, f.tail_value,
-                               self._rownorm(f.samples)[None], s, t)
+        return self._seminorms(g.i0, g.dt, self._tail_coef(f.tail_value),
+                               self._rownorm(f.samples)[None], 0, s, t)
 
-    def _seminorms(self, i0, dt: float, tail_value: np.ndarray,
-                   mags: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`seminorms` from sample magnitudes on the grid of step
-        ``dt`` whose first sample sits at instant ``i0 + 1``: one row of
-        ``mags`` for every window, or one row per window (a stack of
-        functions sharing ``tail_value``).
+    def _seminorms(self, i0, dt: float, tail, mags: np.ndarray, rows,
+                   s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:meth:`seminorms` from a stack of sample-magnitude rows on grids
+        of step ``dt``.  Window ``k`` reads row ``rows[k]``, whose first
+        sample sits at instant ``i0[k] + 1`` (a row may be zero-padded past
+        its grid's end), with tail coefficient ``tail[k]`` from
+        :meth:`_tail_coef`; ``rows``, ``i0`` and ``tail`` may each be one
+        value for every window.
 
-        ``i0`` is one grid origin or one per window.  A window read on
-        origin ``i0 - h`` with ends ``s - h``, ``t - h`` gets the arithmetic
-        of ``(s - h, t - h]`` on ``shift_left(f, h dt)``, which moves only
-        the origin.
+        A window read on origin ``i0 - h`` with ends ``s - h``, ``t - h``
+        gets the arithmetic of ``(s - h, t - h]`` on ``shift_left(f, h dt)``,
+        which moves only the origin.  The samples of every row up to the
+        latest window end are raised to the power ``p`` once, reversed and
+        zero-padded, so a window's lags, counted back from its end, are one
+        contiguous run of a strided view.  For ``p < inf`` the runs are
+        weighted in place and summed in lag order by one
+        ``np.add.accumulate``, which gives every window the sequential sum
+        of its own span whatever the other windows in the call.
         """
         if not t.size:
             return np.zeros(0)
         if self.kind == "sup":
-            run = self._running(i0, dt, tail_value, mags, s)
+            run = self._running(i0, dt, tail, mags if mags.shape[0] == 1
+                                else mags[rows], s)
             return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
         w = self.weight
         if w.support < POS_INF:
             s = np.maximum(s, t - int(round(w.support / dt)))
-        tail = self._tail(dt, tail_value, s - i0, t - i0)
-        # Lags run back from each window end, with zero weight past the
-        # window's own span; for p < inf they are summed in that order.
-        span = t - np.maximum(s, i0).astype(np.int64)
-        lags = np.arange(max(span.max(), 1))
-        wts = np.where(lags < span[:, None], w(lags * dt), 0.0)
+        s, t = s - i0, t - i0  # ends counted from the origin
+        tail = self._tail(dt, tail, s, t)
+        # Window k holds samples end[k] - span[k] .. end[k] - 1 of its row;
+        # one that ends at or before the origin holds none.
+        end = np.maximum(t, 0)
+        span = end - np.maximum(s, 0).astype(np.int64)
+        n_lags = max(int(span.max()), 1)
+        hi = int(end.max())  # no window reads a later sample
+        x = np.zeros((mags.shape[0], hi + n_lags))
+        x[:, :hi] = mags[:, :hi][:, ::-1]
         if self.p < POS_INF:
-            mags = mags ** self.p
-        row = np.arange(t.shape[0])[:, None] if mags.shape[0] > 1 else 0
-        terms = mags[row, np.maximum((t - (i0 + 1))[:, None] - lags, 0)] * wts
+            x[:, :hi] **= self.p
+        runs = np.ndarray((x.size - n_lags + 1, n_lags), x.dtype, x, 0,
+                          (x.itemsize, x.itemsize))
+        # Lag j of window k is column hi - end[k] + j of its reversed row,
+        # so a window without samples reads the zero padding.
+        terms = runs[rows * x.shape[1] + (hi - end)]
+        terms *= w._at_lags(n_lags, dt)
         if self.p == POS_INF:
+            # Zero past each window's span; a maximum needs no order.
+            np.copyto(terms, 0.0, where=np.arange(n_lags) >= span[:, None])
             return np.maximum(terms.max(axis=1), tail)
-        return (terms.cumsum(axis=1)[:, -1] * dt + tail) ** (1.0 / self.p)
+        np.add.accumulate(terms, axis=1, out=terms)
+        # Column -1 of a window without samples sums the padding: 0.0.
+        sums = terms[np.arange(span.shape[0]), span - 1]
+        return (sums * dt + tail) ** (1.0 / self.p)
 
-    def _tail(self, dt: float, tail_value: np.ndarray, s: np.ndarray,
+    def _tail(self, dt: float, tail, s: np.ndarray,
               t: np.ndarray) -> np.ndarray | float:
         """Tail term of each window ``(s, t]``, its ends counted in steps
-        from the grid origin (arrays that broadcast): the closed-form weight
-        mass, against the constant tail, of the part of the window at or
-        before the origin (to the power ``p`` for ``p < inf``).  It is zero
-        where the window starts at or after the origin, and the scalar 0.0
-        when no window starts before it."""
-        if not (tail_value.any() and (s < 0).any()):
+        from the grid origin and ``tail`` its :meth:`_tail_coef` (arrays
+        that broadcast): the closed-form weight mass of the part of the
+        window at or before the origin (its weight there for ``p = inf``),
+        times ``tail``.  It is zero where the window starts at or after the
+        origin or the tail is zero, and the scalar 0.0 when no window with a
+        nonzero tail starts before the origin."""
+        if not (np.count_nonzero(tail) and (s < 0).any()):
             return 0.0
         cut = np.minimum(t, 0)
-        need = s < cut
+        need = (s < cut) & (tail != 0.0)
+        if not need.any():
+            return 0.0
         out = np.zeros(need.shape)
-        tail_mag = self._scalar_tail(tail_value)
         a = np.broadcast_to((t - cut) * dt, need.shape)[need]
+        coef = np.broadcast_to(tail, need.shape)[need]
         if self.p == POS_INF:
-            out[need] = tail_mag * self.weight(a)
+            out[need] = coef * self.weight(a)
             return out
         mass = self.weight.integral(
             a, np.broadcast_to((t - s) * dt, need.shape)[need])
         if np.any(mass == POS_INF):
             raise ValueError("divergent tail: non-integrable weight with "
                              "nonzero tail over an unbounded past")
-        out[need] = tail_mag ** self.p * mass
+        out[need] = coef * mass
         return out
 
-    def _running(self, i0, dt: float, tail_value: np.ndarray,
-                 mags: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _running(self, i0, dt: float, tail, mags: np.ndarray,
+                 s: np.ndarray) -> np.ndarray:
         """``|f|_{s_k, u}`` at every instant ``u`` from the origin, one row
-        per left end ``s_k`` (``-inf`` allowed), as :meth:`_seminorms`.
+        per left end ``s_k`` (``-inf`` allowed), as :meth:`_seminorms` with
+        one row of ``mags`` for every left end or one per left end.
 
         Column ``c`` is ``u = i0 + c`` up to the end of the grid; column 0
         is the tail alone.  Samples at or before ``s_k`` are zeroed and the
@@ -355,22 +412,32 @@ class FittedFamily:
         origin, so they miss the right ends between it and the left end.
         """
         if self.kind == "sup":
-            return np.maximum.accumulate(
-                self.base._running(i0, dt, tail_value, mags, s), axis=1)
+            run = self.base._running(i0, dt, tail, mags, s)
+            return np.maximum.accumulate(run, axis=1, out=run)
         n = mags.shape[1]
         s0 = (s - i0)[:, None]  # left ends counted from the origin
-        if tail_value.any() and (np.isfinite(s0) & (s0 < 0)).any():
+        if isinstance(tail, np.ndarray):
+            tail = tail[:, None]
+        if np.count_nonzero(tail) and (
+                (s0 < 0) & np.isfinite(s0) & (tail != 0.0)).any():
             raise ValueError(
                 "window starts before the represented past of a nonzero-tail "
                 "function; extend the window first")
-        x = np.where(np.arange(n) >= s0, mags, 0.0)
-        tail = self._tail(dt, tail_value, s0, np.arange(n + 1))
+        tail = self._tail(dt, tail, s0, np.arange(n + 1))
         run = np.zeros((s.shape[0], n + 1))
+        x = run[:, 1:]
+        np.copyto(x, mags, where=np.arange(n) >= s0)
+        # Without a tail term the rows, all >= +0, are already final.
         if self.p == POS_INF:
             run[:, 1:] = self.weight._accumulate(x, dt, np.maximum)
-            return np.maximum(run, tail, out=run)
-        run[:, 1:] = self.weight._accumulate(x ** self.p * dt, dt, np.add)
-        run += tail
+            if isinstance(tail, np.ndarray):
+                np.maximum(run, tail, out=run)
+            return run
+        x **= self.p
+        x *= dt
+        run[:, 1:] = self.weight._accumulate(x, dt, np.add)
+        if isinstance(tail, np.ndarray):
+            run += tail
         return np.power(run, 1.0 / self.p, out=run)
 
     # -- public norms ------------------------------------------------------------
@@ -393,7 +460,7 @@ class FittedFamily:
     def past_norms_all_t(self, f: TimeFunction) -> np.ndarray:
         """``past_norm`` at every grid instant ``i0 .. i1`` (length n + 1)."""
         g = f.grid
-        return self._running(g.i0, g.dt, f.tail_value,
+        return self._running(g.i0, g.dt, self._tail_coef(f.tail_value),
                              self._rownorm(f.samples)[None],
                              np.array([NEG_INF]))[0]
 
@@ -405,7 +472,8 @@ class FittedFamily:
         si = g.index_of(s)
         if si >= g.i1:
             raise ValueError("window start at or beyond the horizon")
-        return float(np.max(self._running(g.i0, g.dt, f.tail_value,
+        return float(np.max(self._running(g.i0, g.dt,
+                                          self._tail_coef(f.tail_value),
                                           self._rownorm(f.samples)[None],
                                           np.array([float(si)]))))
 
@@ -430,12 +498,13 @@ def _exp_running(x: np.ndarray, rate: float, dt: float, op) -> np.ndarray:
     it.  A single block is one scaled accumulation.  Blocks span at most
     ``_EXP_BLOCK`` in ``rate * time``, so a term is scaled down by at most
     ``exp(-64)`` (about 1.6e-28): neither factor overflows, and only a term
-    below ~1e-280 itself is pushed into the subnormal range.
+    below ~1e-280 itself is pushed into the subnormal range.  The result
+    overwrites ``x``: each block is read before it is written.
     """
     n = x.shape[-1]
     block = (n if rate * n * dt <= _EXP_BLOCK
              else max(1, int(_EXP_BLOCK / (rate * dt))))
-    out = np.empty_like(x)
+    out = x
     for b0 in range(0, n, block):
         m = min(block, n - b0)
         j = np.arange(1, m + 1)
@@ -487,7 +556,7 @@ class NormReport:
 
 
 def _random_triples(rng, g, n_triples: int, max_span_idx: Optional[int]):
-    """Index triples r < s < t inside the grid window."""
+    """Index triples r < s < t inside the grid window, one row each."""
     triples = []
     span_cap = g.n if max_span_idx is None else min(g.n, max_span_idx)
     for _ in range(n_triples):
@@ -496,11 +565,16 @@ def _random_triples(rng, g, n_triples: int, max_span_idx: Optional[int]):
         t = r + span
         s = int(rng.integers(r + 1, t))
         triples.append((r, s, t))
-    return triples
+    return np.array(triples, dtype=np.int64).reshape(n_triples, 3)
 
 
 # Relative slack of the monotonicity and split-triangle checks.
 _AXIOM_RTOL = 1e-12
+
+# Elements (windows x lags) one batched window call of ``check_ff_axioms``
+# may hold, which sets how many consecutive probes share a call (at least
+# one): 2**16 float64 elements are half a MiB per temporary.
+_AXIOM_BUDGET = 1 << 16
 
 
 def check_ff_axioms(fam: FittedFamily, probes, rng=None,
@@ -511,10 +585,14 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     monotonicity and split-triangle conditions get a relative slack of
     ``_AXIOM_RTOL`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
-    order, then triple order.  All five conditions are batched: each
-    probe's windows go through :meth:`FittedFamily.seminorms` (or its
-    private form on magnitudes) in four calls, one per group of windows,
-    and none builds a shifted or edited :class:`TimeFunction`.
+    order, then triple order.  Probes go in chunks of consecutive probes,
+    as many as keep a call within ``_AXIOM_BUDGET`` (one for a sup family,
+    whose windows each span the whole row): a chunk makes its random draws
+    in the order of a per-probe loop, then evaluates every window through
+    :meth:`FittedFamily._seminorms` on its stacked magnitude rows in three
+    calls (locality on the edited differences; the monotonicity, split and
+    shifted windows; the window comparison).  None builds a shifted or
+    edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
@@ -523,70 +601,101 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
             "triangle_over_split", "window_comparison")}
     dt = probes[0].grid.dt
     alpha_idx = None if fam.alpha == POS_INF else max(2, int(fam.alpha / dt))
+    m = n_triples
+    width = max(f.grid.n for f in probes)
+    # The largest call holds four windows per triple, each at most a grid.
+    per = 1 if fam.kind == "sup" else max(
+        1, _AXIOM_BUDGET // max(1, 4 * m * width))
     k_obs = 0.0
+
+    def norms(i0, tail, mags, rows, s, t):
+        # One call for windows of any shape that the arguments broadcast to.
+        zero = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)),
+                        dtype=np.int64)
+        return fam._seminorms((i0 + zero).ravel(), dt,
+                              (tail + zero).ravel(), mags,
+                              (rows + zero).ravel(),
+                              (s + zero).ravel().astype(float),
+                              (t + zero).ravel()).reshape(zero.shape)
 
     def record(name, failed, witness):
         c = res[name]
-        c.checks += len(failed)
-        if np.any(failed):
+        c.checks += failed.size
+        if failed.any():
             c.passed = False
-            c.witness = c.witness or witness(int(np.argmax(failed)))
+            k, j = np.unravel_index(np.argmax(failed), failed.shape)
+            c.witness = c.witness or witness(int(k), int(j))
 
-    for pi, f in enumerate(probes):
-        g = f.grid
-        tri = _random_triples(rng, g, n_triples, None)
-        edits = [(1.0 + rng.random(), int(rng.integers(-g.n, g.n)))
-                 for _ in tri]
-        cmp_tri = _random_triples(rng, g, n_triples, alpha_idx)
-        if not tri:
-            continue
-        m = len(tri)
-        r, s, t = np.array(tri).T
-        # (1) locality: each edit is strictly outside its (s, t]; the edited
-        # differences go in as one stack, window k on difference k.
-        idx = np.arange(g.i0 + 1, g.i1 + 1)
-        outside = ((idx <= s[:, None]) | (idx > t[:, None]))[:, :, None]
-        bump = np.array([e for e, _ in edits])[:, None, None]
-        diff = f.samples - np.where(outside, f.samples + bump, f.samples)
-        v = fam._seminorms(g.i0, g.dt, f.tail_value - (f.tail_value + 1.0),
-                           fam._rownorm(diff.reshape(-1, f.dim)).reshape(m, -1),
-                           s.astype(float), t)
-        record("locality", v != 0.0, lambda k: {
-            "probe": pi, "window": [tri[k][1] * dt, tri[k][2] * dt],
-            "value": float(v[k])})
-        nst, nrt, nrs = np.split(
-            fam.seminorms(f, np.concatenate([s, r, r]),
-                          np.concatenate([t, t, s])), 3)
-        # (2) shift invariance, exact: window k of shift_left(f, sh_k dt) is
-        # window k read on the grid origin i0 - sh_k.
-        sh = np.array([e for _, e in edits])
-        a = fam._seminorms(g.i0 - sh, g.dt, f.tail_value,
-                           fam._rownorm(f.samples)[None],
-                           (s - sh).astype(float), t - sh)
-        record("shift_invariance", a != nst, lambda k: {
-            "probe": pi, "window": [tri[k][1] * dt, tri[k][2] * dt],
-            "shift": edits[k][1] * dt, "lhs": float(a[k]),
-            "rhs": float(nst[k])})
-        # (3) monotone in s.
+    for c0 in range(0, len(probes), per):
+        fs = probes[c0:c0 + per]
+        # Probe k of the chunk: its draws, in the order of a per-probe
+        # loop; row k of mags, zero past its grid; and in row k m + j of
+        # diffs its difference with edit j.
+        tri, cmp_tri = np.zeros((2, len(fs), m, 3), dtype=np.int64)
+        shift = np.zeros((len(fs), m), dtype=np.int64)
+        i0 = np.zeros((len(fs), 1), dtype=np.int64)
+        tail, diff_tail = np.zeros((2, len(fs), 1))
+        mags = np.zeros((len(fs), width))
+        diffs = np.zeros((len(fs) * m, width))
+        for k, f in enumerate(fs):
+            g = f.grid
+            tri[k] = _random_triples(rng, g, m, None)
+            bump = np.zeros(m)
+            for j in range(m):
+                bump[j] = 1.0 + rng.random()
+                shift[k, j] = rng.integers(-g.n, g.n)
+            cmp_tri[k] = _random_triples(rng, g, m, alpha_idx)
+            i0[k] = g.i0
+            tail[k] = fam._tail_coef(f.tail_value)
+            diff_tail[k] = fam._tail_coef(f.tail_value - (f.tail_value + 1.0))
+            mags[k, :g.n] = fam._rownorm(f.samples)
+            idx = np.arange(g.i0 + 1, g.i1 + 1)
+            outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
+            diff = f.samples - np.where(outside[:, :, None],
+                                        f.samples + bump[:, None, None],
+                                        f.samples)
+            diffs[k * m:(k + 1) * m, :g.n] = fam._rownorm(
+                diff.reshape(-1, f.dim)).reshape(m, g.n)
+        r, s, t = np.moveaxis(tri, 2, 0)
+        row = np.arange(len(fs))[:, None]
+
+        def window(k, j):
+            return {"probe": c0 + k, "window": [x * dt for x in
+                                                tri[k, j, 1:].tolist()]}
+
+        def triple(k, j, tris=tri):
+            return {"probe": c0 + k,
+                    "triple": [x * dt for x in tris[k, j].tolist()]}
+
+        # (1) locality: each edit is strictly outside its (s, t].
+        v = norms(i0, diff_tail, diffs, row * m + np.arange(m), s, t)
+        record("locality", v != 0.0, lambda k, j: {
+            **window(k, j), "value": float(v[k, j])})
+        # (2)-(4) on (s, t], (r, t], (r, s], and (s, t] on
+        # shift_left(f, h dt) for the drawn shift h, which is (s - h, t - h]
+        # read on the grid origin i0 - h.
+        h = np.stack([np.zeros_like(shift)] * 3 + [shift])
+        nst, nrt, nrs, a = norms(i0 - h, tail, mags, row,
+                                 np.stack([s, r, r, s]) - h,
+                                 np.stack([t, t, s, t]) - h)
+        record("shift_invariance", a != nst, lambda k, j: {
+            **window(k, j), "shift": int(shift[k, j]) * dt,
+            "lhs": float(a[k, j]), "rhs": float(nst[k, j])})
         record("monotone_in_s",
                nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
-               lambda k: {"probe": pi, "triple": [x * dt for x in tri[k]],
-                          "lhs": float(nst[k]), "rhs": float(nrt[k])})
-        # (4) triangle over the split point.
+               lambda k, j: {**triple(k, j), "lhs": float(nst[k, j]),
+                             "rhs": float(nrt[k, j])})
         split = nrs + nst
         record("triangle_over_split",
                nrt > split + _AXIOM_RTOL * np.maximum(1.0, split),
-               lambda k: {"probe": pi, "triple": [x * dt for x in tri[k]],
-                          "lhs": float(nrt[k]), "rhs": float(split[k])})
+               lambda k, j: {**triple(k, j), "lhs": float(nrt[k, j]),
+                             "rhs": float(split[k, j])})
         # (5) window comparison within span alpha.
-        r, s, t = np.array(cmp_tri).T
-        near, far = np.split(
-            fam.seminorms(f, np.concatenate([r, r]), np.concatenate([s, t])),
-            2)
+        r, s, t = np.moveaxis(cmp_tri, 2, 0)
+        near, far = norms(i0, tail, mags, row, np.stack([r, r]),
+                          np.stack([s, t]))
         record("window_comparison", (near > 0.0) & (far == 0.0),
-               lambda k: {"probe": pi,
-                          "triple": [x * dt for x in cmp_tri[k]],
-                          "ratio": "inf"})
+               lambda k, j: {**triple(k, j, cmp_tri), "ratio": "inf"})
         pos = far > 0.0
         if np.any(pos):
             k_obs = max(k_obs, float(np.max(near[pos] / far[pos])))

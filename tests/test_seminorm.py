@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natstate import (FittedFamily, Grid, Interval, TimeFunction, Weight,
                       catalog, check_ff_axioms, classify, classify_input_set,
-                      shift_left, splice, taper_certificate, taper_delta)
+                      seminorm, shift_left, splice, taper_certificate,
+                      taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
 from natstate.seminorm import (_EXP_BLOCK, ConditionResult, NormReport,
@@ -108,6 +109,12 @@ def test_divergent_tail_rejected():
     one = TimeFunction(g, np.ones((g.n, 1)), np.array([1.0]))
     with pytest.raises(ValueError, match="divergent tail"):
         UL2.past_norm(one, 0.0)
+    # A tail whose square underflows is still a nonzero tail.
+    tiny = TimeFunction(g, np.ones((g.n, 1)), np.array([1e-170]))
+    with pytest.raises(ValueError, match="divergent tail"):
+        UL2.past_norm(tiny, 0.0)
+    with pytest.raises(ValueError, match="represented past"):
+        UL2.future_norm(tiny, g.t_start - 0.5)
 
 
 def test_residual_triangles_squared_norm():
@@ -354,8 +361,19 @@ def _windows_case(draw):
     return fam, f, windows
 
 
+def _long_case():
+    # About 100k samples, like shift-derivative's residual grids: windows
+    # over the whole grid, from -inf, inside it and before its origin.
+    g = Grid(0.001, -40_000, 60_000)
+    vals = np.random.default_rng(12).uniform(-5.0, 5.0, (g.n, 1))
+    return _UL2, TimeFunction(g, vals, np.zeros(1)), [
+        (g.i0, g.i1), (-math.inf, g.i1), (g.i0 + 123, g.i1 - 4567),
+        (-17_000, 250), (g.i1 - 10, g.i1), (g.i0 - 30, g.i0 - 5)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_windows_case())
+@example(_long_case())
 def test_seminorms_match_direct_oracle(case):
     fam, f, windows = case
     s, t = map(np.array, zip(*windows))
@@ -399,7 +417,7 @@ def test_exp_weight_long_span_stays_finite(p):
     assert fam.bounding_norm(f) == float(np.max(allt))
     mags = fam._rownorm(f.samples)[None]
     for si in (g.i0, 4321):
-        row = fam._running(g.i0, g.dt, f.tail_value, mags,
+        row = fam._running(g.i0, g.dt, fam._tail_coef(f.tail_value), mags,
                            np.array([float(si)]))[0]
         assert np.all(np.isfinite(row))
         for ti in range(si + 1, g.i1 + 1, 997):
@@ -518,34 +536,51 @@ def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):
     return report
 
 
-def _assert_close_tree(got, want):
-    if isinstance(want, dict):
-        assert got.keys() == want.keys()
-        for key in want:
-            _assert_close_tree(got[key], want[key])
-    elif isinstance(want, list):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            _assert_close_tree(a, b)
-    elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    else:
-        assert got == want
-
-
-def test_batched_axioms_keep_counts_and_report(grid):
-    probes = probe_set(grid, 23, count=8, tails=True)
+def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
+    # Probes on two grids of one step, zero and nonzero tails side by side;
+    # under the second budget the nine-triple runs take chunks of three
+    # probes.
+    probes = (probe_set(grid, 23, count=8, tails=True)
+              + probe_set(Grid(grid.dt, -30, 25), 29, count=5, tails=True))
     broken = FittedFamily.weighted_lp(
         2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
         name="dip", allow_nonmonotone=True)
-    for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2), broken):
-        for m in (0, 1, 9):
-            rep = check_ff_axioms(fam, probes, rng=31, n_triples=m)
-            assert all(c.checks == len(probes) * m
-                       for c in rep.conditions.values())
-            _assert_close_tree(
-                rep.to_dict(),
-                _check_ff_axioms_per_window(fam, probes, 31, m).to_dict())
+    for budget in (seminorm._AXIOM_BUDGET, 3 * 4 * 9 * grid.n):
+        monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
+        for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
+                    broken):
+            for m in (0, 1, 9):
+                rep = check_ff_axioms(fam, probes, rng=31, n_triples=m)
+                assert all(c.checks == len(probes) * m
+                           for c in rep.conditions.values())
+                assert rep.to_dict() == _check_ff_axioms_per_window(
+                    fam, probes, 31, m).to_dict()
+
+
+@pytest.mark.parametrize("budget", [None, 4 * 20 * 400 * 3],
+                         ids=["default-budget", "three-probe-chunks"])
+def test_axioms_batch_probes_within_budget(budget, monkeypatch):
+    # A family that is not a sup family makes three window calls per chunk
+    # of probes, and no call holds more windows x lags than the budget.
+    if budget:
+        monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
+    grid = Grid(0.01, -200, 200)
+    probes = probe_set(grid, 41, count=13, tails=True)
+    sizes = []
+    seminorms = FittedFamily._seminorms
+
+    def counting(self, i0, dt, tail, mags, rows, s, t):
+        sizes.append(len(t) * int(np.max(t - s)))
+        return seminorms(self, i0, dt, tail, mags, rows, s, t)
+
+    monkeypatch.setattr(FittedFamily, "_seminorms", counting)
+    per = seminorm._AXIOM_BUDGET // (4 * 20 * grid.n)
+    assert per > 1
+    for fam in (SUP, UL2, EXP2, BOX2):
+        sizes.clear()
+        check_ff_axioms(fam, probes, rng=3, n_triples=20)
+        assert len(sizes) == 3 * math.ceil(len(probes) / per)
+        assert max(sizes) <= seminorm._AXIOM_BUDGET
 
 
 # -- shift invariance on per-window grid origins -------------------------------
@@ -576,8 +611,8 @@ def test_batched_shift_matches_shift_left(fam):
                   for sk in s])
     t[0] = g.i1
     shifts = np.resize([g.n - 1, -(g.n - 1), 0, 13, -29], s.shape[0])
-    got = fam._seminorms(g.i0 - shifts, g.dt, f.tail_value,
-                         fam._rownorm(f.samples)[None], s - shifts,
+    got = fam._seminorms(g.i0 - shifts, g.dt, fam._tail_coef(f.tail_value),
+                         fam._rownorm(f.samples)[None], 0, s - shifts,
                          t - shifts)
     want = np.array([fam.seminorms(shift_left(f, k * g.dt), [sk - k],
                                    [tk - k])[0]
@@ -590,9 +625,9 @@ class _OriginReading(FittedFamily):
     """Window arithmetic that reads the absolute grid origin: a scale that
     is the same for every window of one function, so only shifts see it."""
 
-    def _seminorms(self, i0, dt, tail_value, mags, s, t):
+    def _seminorms(self, i0, dt, tail, mags, rows, s, t):
         scale = 1.0 + 1e-3 * np.abs(np.asarray(i0, dtype=float))
-        return super()._seminorms(i0, dt, tail_value, mags, s, t) * scale
+        return super()._seminorms(i0, dt, tail, mags, rows, s, t) * scale
 
 
 def test_origin_reading_family_fails_shift_invariance(grid):
@@ -676,7 +711,8 @@ def test_box_running_max_norms_match_sliding_window(rough, fam, monkeypatch):
     lefts = [-math.inf, g.i0 * g.dt, (g.i0 + 13) * g.dt, (g.i1 - 5) * g.dt]
 
     def norms():
-        return (fam._running(g.i0, g.dt, rough.tail_value, mags, s),
+        return (fam._running(g.i0, g.dt, fam._tail_coef(rough.tail_value),
+                             mags, s),
                 [fam.future_norm(rough, t) for t in lefts])
 
     got_run, got_fut = norms()
