@@ -18,7 +18,7 @@ import numpy as np
 from .kernel import PolyKernel
 from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import Grid, TimeFunction, to_cells
+from .timegrid import Grid, TimeFunction
 
 __all__ = [
     "SystemBundle",
@@ -77,17 +77,16 @@ class SystemBundle:
     params: dict = field(default_factory=dict)
 
     def grid(self, dt: float) -> Grid:
-        return Grid(dt, -to_cells(self.past_window, dt),
-                    to_cells(self.horizon, dt))
+        return Grid.spanning(dt, -self.past_window, self.horizon)
 
 
 def _box_response(dt: float, T: float = 1.0) -> TimeFunction:
-    g = Grid(dt, 0, to_cells(T, dt))
+    g = Grid.spanning(dt, 0.0, T)
     return TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
 
 
 def _decay_response(dt: float, T: float, rate: float) -> TimeFunction:
-    g = Grid(dt, 0, to_cells(T, dt))
+    g = Grid.spanning(dt, 0.0, T)
     return TimeFunction(g, np.exp(-rate * g.times()), np.zeros(1))
 
 

@@ -136,18 +136,13 @@ class ExperimentResult:
         return self.check(name, value, op, bound)
 
 
-def _past_probes(grid: Grid, seed, count, tail_levels=(0.0,)):
-    """Seeded pasts on ``grid``: random samples bounded by one, with set
-    tail levels."""
+def _random_probes(grid: Grid, seed, count, tail_levels=(0.0,)):
+    """Seeded random samples on ``grid``, bounded by one, with set tail
+    levels: pasts, or futures on a grid that starts at zero."""
     rng = np.random.default_rng(seed)
     return [random_timefunction(grid, rng,
                                 tail=tail_levels[i % len(tail_levels)])
             for i in range(count)]
-
-
-def _random_future(dt: float, horizon: float, seed) -> TimeFunction:
-    g = Grid(dt, 0, to_cells(horizon, dt))
-    return random_timefunction(g, np.random.default_rng(seed))
 
 
 def _level_match(u: TimeFunction, tau: float, T: float,
@@ -156,8 +151,8 @@ def _level_match(u: TimeFunction, tau: float, T: float,
     ``level`` everywhere else, tail included: how one averager of the pair
     realizes a state of the other."""
     g = u.grid
-    idx = np.arange(g.i0 + 1, g.i1 + 1)
-    keep = (idx * g.dt > tau - T) & (idx <= g.index_of(tau))
+    lag = g.index_of(tau) - np.arange(g.i0 + 1, g.i1 + 1)
+    keep = (lag >= 0) & (lag < to_cells(T, g.dt))
     return TimeFunction(g, np.where(keep[:, None], u.samples, level),
                         np.array([level]))
 
@@ -165,7 +160,7 @@ def _level_match(u: TimeFunction, tau: float, T: float,
 def exp_ff_axioms(cfg: RunConfig, res: ExperimentResult) -> None:
     """the five window-seminorm conditions hold on every shipped family and
     fail with witnesses on a non-monotone weight"""
-    n2 = min(int(round(2.0 / cfg.dt)), 200)
+    n2 = min(to_cells(2.0, cfg.dt), 200)  # a cell count, capped at 200
     grid = Grid(cfg.dt, -n2, n2)
     probes = probe_set(grid, cfg.seed + 1, count=cfg.probes, tails=True)
     if cfg.family:
@@ -210,8 +205,8 @@ def exp_tail_separation(cfg: RunConfig, res: ExperimentResult) -> None:
     one, _ = catalog.averager_pair(cfg.dt)
     grid = one.grid(cfg.dt)
     n_each = max(3, cfg.pasts // 2)
-    us = _past_probes(grid, [cfg.seed, 21], n_each, tail_levels=(1.0,))
-    ws = _past_probes(grid, [cfg.seed, 22], n_each, tail_levels=(2.0,))
+    us = _random_probes(grid, [cfg.seed, 21], n_each, tail_levels=(1.0,))
+    ws = _random_probes(grid, [cfg.seed, 22], n_each, tail_levels=(2.0,))
     futures = [0.0 * f for f in future_probes(cfg.dt, one.horizon, cfg.seed + 23,
                                               count=1)]
     futures += future_probes(cfg.dt, one.horizon, cfg.seed + 24, count=10)
@@ -246,7 +241,7 @@ def exp_shared_state_set(cfg: RunConfig, res: ExperimentResult) -> None:
     rows = []
     for k in range(cfg.pasts):
         level = float(rng.uniform(0.5, 2.0))
-        u = _past_probes(grid, [cfg.seed, 33, k], 1, tail_levels=(level,))[0]
+        u = _random_probes(grid, [cfg.seed, 33, k], 1, tail_levels=(level,))[0]
         # Match: same recent past, half the eventual level elsewhere.
         w = _level_match(u, 0.0, T, 0.5 * level)
         xi = NaturalState(one.system, u, 0.0)
@@ -272,7 +267,7 @@ def exp_state_closed_form(cfg: RunConfig, res: ExperimentResult) -> None:
 
     # Moving-average system: past influence dies after the response support,
     # leaving exactly the eventual level.
-    u = _past_probes(grid, [cfg.seed, 41], 1, tail_levels=(1.0,))[0]
+    u = _random_probes(grid, [cfg.seed, 41], 1, tail_levels=(1.0,))[0]
     xi = NaturalState(one.system, u, 0.0)
     zero_future = 0.0 * future_probes(dt, one.horizon, 1, count=1)[0]
     y = xi.evaluate(zero_future)
@@ -282,9 +277,9 @@ def exp_state_closed_form(cfg: RunConfig, res: ExperimentResult) -> None:
 
     # Full three-term closed form for the box response: plain lattice sums
     # over the past and future segments plus the eventual level.
-    v = _random_future(dt, one.horizon, [cfg.seed, 42])
+    v = _random_probes(Grid.spanning(dt, 0.0, one.horizon), [cfg.seed, 42], 1)[0]
     y2 = xi.evaluate(v)
-    m = int(round(T / dt))
+    m = to_cells(T, dt)
     worst = 0.0
     for s_idx in range(1, y2.grid.n + 1):
         acc = 0.0
@@ -300,9 +295,10 @@ def exp_state_closed_form(cfg: RunConfig, res: ExperimentResult) -> None:
     # Integrator: accumulated past plus the running integral of the future.
     bundle_i = catalog.system("integrator", dt)
     gi = bundle_i.grid(dt)
-    up = _past_probes(gi, [cfg.seed, 43], 1)[0]
+    up = _random_probes(gi, [cfg.seed, 43], 1)[0]
     xi_i = NaturalState(bundle_i.system, up, 0.0)
-    vi = _random_future(dt, bundle_i.horizon, [cfg.seed, 44])
+    vi = _random_probes(Grid.spanning(dt, 0.0, bundle_i.horizon),
+                      [cfg.seed, 44], 1)[0]
     got = xi_i.evaluate(vi).samples[:, 0]
     want = catalog.integrator_state_closed_form(up, vi, 0.0)
     res.metric("integrator_max_err", float(np.max(np.abs(got - want))),
@@ -322,8 +318,9 @@ def exp_state_closed_form(cfg: RunConfig, res: ExperimentResult) -> None:
     rows = []
     n_pairs = max(4, cfg.pasts)
     for k in range(n_pairs):
-        upq = _past_probes(gq, [cfg.seed, 45, k], 1)[0]
-        vq = _random_future(dt, qb.horizon, [cfg.seed, 47, k])
+        upq = _random_probes(gq, [cfg.seed, 45, k], 1)[0]
+        vq = _random_probes(Grid.spanning(dt, 0.0, qb.horizon),
+                          [cfg.seed, 47, k], 1)[0]
         sigmas = np.arange(1, vq.grid.i1 + 1, max(1, vq.grid.i1 // 16))
         err = quadratic_gap(qb, upq, vq, 0.0, sigmas)
         worst_q = max(worst_q, err)
@@ -337,8 +334,9 @@ def exp_state_closed_form(cfg: RunConfig, res: ExperimentResult) -> None:
     gtv = qtv.grid(dt)
     worst_tv = 0.0
     for k in range(2):
-        upq = _past_probes(gtv, [cfg.seed, 46, k], 1)[0]
-        vq = _random_future(dt, qtv.horizon, [cfg.seed, 48, k])
+        upq = _random_probes(gtv, [cfg.seed, 46, k], 1)[0]
+        vq = _random_probes(Grid.spanning(dt, 0.0, qtv.horizon),
+                          [cfg.seed, 48, k], 1)[0]
         sigmas = np.arange(1, vq.grid.i1 + 1, max(1, vq.grid.i1 // 8))
         for t_eval in (0.0, 0.5):
             worst_tv = max(worst_tv,
@@ -356,7 +354,7 @@ def exp_causality(cfg: RunConfig, res: ExperimentResult) -> None:
     for name in names:
         b = cfg.get_system(name, dt)
         grid = b.grid(dt)
-        probes = _past_probes(grid, [cfg.seed, 51, hash(name) % 997], 6)
+        probes = _random_probes(grid, [cfg.seed, 51, hash(name) % 997], 6)
         ts = [grid.dt * (grid.i0 + grid.n // 3),
               0.0, grid.dt * (grid.i1 - grid.n // 4)]
         rep = check_causality(b.system, probes, ts, rng=cfg.rng(52))
@@ -368,7 +366,7 @@ def exp_causality(cfg: RunConfig, res: ExperimentResult) -> None:
     b = catalog.system("averager-1x", dt)
     grid = b.grid(dt)
     adv = TimeAdvance(5, b.system.input_fam, b.system.output_fam)
-    probes = _past_probes(grid, [cfg.seed, 53], 4)
+    probes = _random_probes(grid, [cfg.seed, 53], 4)
     rep = check_causality(adv, probes, [0.0], rng=cfg.rng(54))
     rows.append({"system": "time-advance", "causal": rep["causal"],
                  "checks": rep["checks"]})
@@ -389,9 +387,8 @@ def exp_memory_causality(cfg: RunConfig, res: ExperimentResult) -> None:
     M = box_fam.weight.support
     t = 0.0
     # Same samples within the memory window, different eventual levels.
-    base = _past_probes(grid, [cfg.seed, 62], 1, tail_levels=(1.0,))[0]
-    idx = np.arange(grid.i0 + 1, grid.i1 + 1)
-    far = idx * dt <= -M
+    base = _random_probes(grid, [cfg.seed, 62], 1, tail_levels=(1.0,))[0]
+    far = np.arange(grid.i0 + 1, grid.i1 + 1) <= -to_cells(M, dt)
     vals = np.where(far[:, None], 0.0, base.samples)
     other = TimeFunction(grid, vals, np.array([0.0]))
     hidden = res.metric("input_gap_finite_memory_norm",
@@ -414,7 +411,7 @@ def exp_npower_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     grid = qb.grid(dt)
     N = 2
     M = catalog.hilbert_schmidt_bound(sysq, dt)
-    probes = _past_probes(grid, [cfg.seed, 71], max(10, cfg.probes // 4))
+    probes = _random_probes(grid, [cfg.seed, 71], max(10, cfg.probes // 4))
     res.metrics["hs_bound"] = M
     in0 = lambda u: sysq.input_fam.past_norm(u, 0.0)
     out0 = lambda y: sysq.output_fam.past_norm(y, 0.0)
@@ -497,7 +494,7 @@ def exp_symmetrize(cfg: RunConfig, res: ExperimentResult) -> None:
     S = 1.0
     asym = PolyKernel(2, S, func=lambda a, b:
                       np.exp(-2.0 * np.asarray(a) - np.asarray(b)))
-    g = Grid(dt, -int(1.0 / dt), int(1.0 / dt))
+    g = Grid.spanning(dt, -1.0, 1.0)
     probes = probe_set(g, cfg.seed + 81, count=6, tails=False)
     rep = check_symmetrization_properties(asym, probes, dt, rng=cfg.rng(82))
     res.metric("asym_operator_max_diff", rep["operator_invariance_max_diff"],
@@ -596,15 +593,14 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
     sysq = qb.system
     S = 2.0
     sigma = S + 0.25
-    sig_idx = [to_cells(sigma, dt)]
-    gq = Grid(dt, -to_cells(1.0, dt), sig_idx[0])
-    past = _past_probes(gq, [cfg.seed, 91], 1)[0]
+    gq = Grid.spanning(dt, -1.0, sigma)
+    past = _random_probes(gq, [cfg.seed, 91], 1)[0]
     state = NaturalState(sysq, past, 0.0)
 
     def oracle(v):
-        return float(state.evaluate_at(v, sig_idx)[0, 0])
+        return float(state.evaluate_at(v, [gq.i1])[0, 0])
 
-    # Probing width near a quarter second, snapped to the grid.
+    # Probing width: the cell count nearest a quarter second, at least four.
     delta = max(4, round(0.25 / dt)) * dt
     cell_list = kernel_mod.default_cell_lattice(dt, delta, 5 * delta,
                                                 width=delta)
@@ -636,7 +632,7 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
     state2 = NaturalState(op2, 0.0 * past, 0.0)
 
     def oracle2(v):
-        return float(state2.evaluate_at(v, sig_idx)[0, 0])
+        return float(state2.evaluate_at(v, [gq.i1])[0, 0])
 
     res2 = identify_kernels(oracle2, dt, sigma, 2, {2: tuples2})
     got2 = np.array(res2["degrees"][2]["values"])
@@ -660,7 +656,7 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
                                    sysq.output_fam)
         sta = NaturalState(opa, 0.0 * past, 0.0)
         resa = identify_kernels(
-            lambda v: float(sta.evaluate_at(v, sig_idx)[0, 0]),
+            lambda v: float(sta.evaluate_at(v, [gq.i1])[0, 0]),
             dt, sigma, 2, {2: tuples2[:4]})
         res.metrics[f"uniqueness_{tag}"] = resa["degrees"][2]["values"]
     u_raw = np.array(res.metrics["uniqueness_raw"])
@@ -674,11 +670,11 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
         (np.asarray(a) <= 3.0) & (np.asarray(b) <= 3.0),
         np.exp(-(np.asarray(a) + np.asarray(b))), 0.0))
     opw = PolyIntegralOperator([wide], 0.0, sysq.input_fam, sysq.output_fam)
-    gw = Grid(dt, -to_cells(2.0, dt), sig_idx[0])
-    pw = _past_probes(gw, [cfg.seed, 92], 1)[0]
+    gw = Grid.spanning(dt, -2.0, sigma)
+    pw = _random_probes(gw, [cfg.seed, 92], 1)[0]
     stw = NaturalState(opw, pw, 0.0)
     resw = identify_kernels(
-        lambda v: float(stw.evaluate_at(v, sig_idx)[0, 0]),
+        lambda v: float(stw.evaluate_at(v, [gq.i1])[0, 0]),
         dt, sigma, 2, {1: [(c,) for c in cell_list[:2]]},
         tail_bounds={2: wide.tail_abs_mass(dt, sigma)},
         input_bound=2.0)
@@ -699,8 +695,8 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
 
     rb = catalog.system("reachable-conv", dt)
     g = rb.grid(dt)
-    src = _past_probes(g, [cfg.seed, 102], 1)[0]
-    tgt = _past_probes(g, [cfg.seed, 103], 1)[0]
+    src = _random_probes(g, [cfg.seed, 102], 1)[0]
+    tgt = _random_probes(g, [cfg.seed, 103], 1)[0]
     fin = reachability_experiment(rb.system, src, tgt, rb.system.input_fam,
                                   futures, eps=0.05)
     res.metrics["finite_memory"] = fin
@@ -708,8 +704,8 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
 
     fb = catalog.system("fading-conv", dt)
     gf = fb.grid(dt)
-    srcf = _past_probes(gf, [cfg.seed, 104], 1)[0]
-    tgtf = _past_probes(gf, [cfg.seed, 105], 1)[0]
+    srcf = _random_probes(gf, [cfg.seed, 104], 1)[0]
+    tgtf = _random_probes(gf, [cfg.seed, 105], 1)[0]
     tap = reachability_experiment(fb.system, srcf, tgtf, fb.system.input_fam,
                                   futures, eps=0.05, c=1.0)
     res.metrics["tapered"] = tap
@@ -717,8 +713,8 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
 
     one, _ = catalog.averager_pair(dt)
     ga = one.grid(dt)
-    u1 = _past_probes(ga, [cfg.seed, 106], 1, tail_levels=(1.0,))[0]
-    w2 = _past_probes(ga, [cfg.seed, 107], 1, tail_levels=(2.0,))[0]
+    u1 = _random_probes(ga, [cfg.seed, 106], 1, tail_levels=(1.0,))[0]
+    w2 = _random_probes(ga, [cfg.seed, 107], 1, tail_levels=(2.0,))[0]
     ref = reachability_experiment(one.system, w2, u1, one.system.input_fam,
                                   futures)
     res.metrics["refusal"] = ref
@@ -751,7 +747,7 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     # Identical systems, trivial matching.
     one, two = catalog.averager_pair(dt)
     ga = one.grid(dt)
-    u = _past_probes(ga, [cfg.seed, 112], 1, tail_levels=(1.0,))[0]
+    u = _random_probes(ga, [cfg.seed, 112], 1, tail_levels=(1.0,))[0]
     triv = state_matching_ladder(one.system, one.system, u, 1.0, 3,
                                  lambda uu, tau: uu, futures)
     res.metric("trivial_final_gap", triv["final_output_gap_at_T"], "==", 0.0)
@@ -764,8 +760,8 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     B = [[0.0], [1.0]]
     s1 = LTISystem(A, B, fam_in, fam_out)
     s2 = LTISystem(A, B, fam_in, fam_out)
-    gl = Grid(dt, -int(round(8.0 / dt)), int(round(2.0 / dt)))
-    ul = _past_probes(gl, [cfg.seed, 113], 1)[0]
+    gl = Grid.spanning(dt, -8.0, 2.0)
+    ul = _random_probes(gl, [cfg.seed, 113], 1)[0]
 
     def match(uu, tau):
         x = s2.apply(uu).value(tau)
@@ -835,7 +831,7 @@ def exp_state_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     for name, n_states in (("quadratic-volterra", 2), ("averager-1x", 2)):
         b = catalog.system(name, dt)
         g = b.grid(dt)
-        pasts = _past_probes(g, [cfg.seed, 122, hash(name) % 997], n_states,
+        pasts = _random_probes(g, [cfg.seed, 122, hash(name) % 997], n_states,
                              tail_levels=(0.0,) if "quad" in name else (1.0,))
         for si, past in enumerate(pasts):
             st = NaturalState(b.system, past, 0.0)
@@ -866,7 +862,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     for name in ("integrator", "averager-1x"):
         b = catalog.system(name, dt)
         g = b.grid(dt)
-        u, v = _past_probes(g, [cfg.seed, 131, hash(name) % 997], 2)
+        u, v = _random_probes(g, [cfg.seed, 131, hash(name) % 997], 2)
         fp = frechet_of(b.system)
         w = fp.W(u, v)
         l_gap = float(np.max(np.abs(
@@ -880,7 +876,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     gq = qb.grid(dt)
     M = catalog.hilbert_schmidt_bound(sysq, dt)
     fpq = frechet_of(sysq)
-    u, v = _past_probes(gq, [cfg.seed, 132], 2)
+    u, v = _random_probes(gq, [cfg.seed, 132], 2)
     out_norm = sysq.output_fam.bounding_norm
     in_norm = sysq.input_fam.bounding_norm
 
@@ -904,7 +900,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
         res.check("directional_fd_order", fd["order"], ">=", 0.9)
 
     # Additivity and homogeneity of the differential slot.
-    w2 = _past_probes(gq, [cfg.seed, 133], 1)[0]
+    w2 = _random_probes(gq, [cfg.seed, 133], 1)[0]
     add_gap = float(np.max(np.abs(
         (fpq.L(u, v + w2) - fpq.L(u, v) - fpq.L(u, w2)).samples)))
     hom_gap = float(np.max(np.abs(
@@ -913,7 +909,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     res.metric("L_homogeneity_gap", hom_gap, "<=", 1e-10)
 
     # State-level differential: norm never grows, finite differences agree.
-    pastq = _past_probes(gq, [cfg.seed, 134], 1)[0]
+    pastq = _random_probes(gq, [cfg.seed, 134], 1)[0]
     st = NaturalState(sysq, pastq, 0.0)
     sf = state_frechet(st, fpq)
     futs = future_probes(dt, qb.horizon, cfg.seed + 135, count=8)
@@ -954,7 +950,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     s_pair = input_to_state_frechet(sysq, 0.0, fpq)
     res.check("past_to_state_refused", s_pair["refused"], "==", False)
     Lam, Om = s_pair["Lambda"], s_pair["Omega"]
-    vpast = _past_probes(gq, [cfg.seed, 136], 1)[0]
+    vpast = _random_probes(gq, [cfg.seed, 136], 1)[0]
     lam_gap = float(np.max(np.abs(
         (Lam(pastq, 2.0 * vpast, ww) - 2.0 * Lam(pastq, vpast, ww)).samples)))
     res.metric("lambda_homogeneity_gap", lam_gap, "<=", 1e-10)
@@ -968,7 +964,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     N = 2
     est_S = 0.0
     est_F_matched = 0.0
-    pasts = _past_probes(gq, [cfg.seed, 137], 4)
+    pasts = _random_probes(gq, [cfg.seed, 137], 4)
     for pu in pasts:
         stu = NaturalState(sysq, pu, 0.0)
         xi_norm = estimate_npower(futs[:5], [stu.evaluate(f) for f in futs[:5]],
@@ -1000,7 +996,7 @@ def exp_shift_derivative(cfg: RunConfig, res: ExperimentResult) -> None:
     constant; jumps are refused"""
     dt = 1e-3  # pinned: the residual numbers are quoted at this resolution
     fam = catalog.family("uniform-l2")
-    g = Grid(dt, -int(round(2.0 / dt)), int(round(12.0 / dt)))
+    g = Grid.spanning(dt, -2.0, 12.0)
     trap = SmoothInput.trapezoid()
     sd = shift_derivative(trap, g, fam)
     rows = []
@@ -1036,7 +1032,7 @@ def exp_shift_derivative(cfg: RunConfig, res: ExperimentResult) -> None:
     res.metric("constant_residual", const.residual_norm(0.1), "==", 0.0)
 
     # Smooth input: second-order residual with the curvature constant.
-    g2 = Grid(dt, 0, int(round(2.0 / dt)))
+    g2 = Grid.spanning(dt, 0.0, 2.0)
     sine = SmoothInput.sine(freq=0.5)
     sd2 = shift_derivative(sine, g2, fam)
     w = 2.0 * math.pi * 0.5
@@ -1074,7 +1070,7 @@ def exp_trajectory_derivative(cfg: RunConfig, res: ExperimentResult) -> None:
                      "route and is refused with a machine-readable reason")
         res.metrics["refusal"] = td
         return
-    v = _random_future(dt, qb.horizon, [cfg.seed, 151])
+    v = _random_probes(Grid.spanning(dt, 0.0, qb.horizon), [cfg.seed, 151], 1)[0]
     sweep = td.fd_check(v, h0=32 * dt)
     res.metric("fd_order", sweep["order"], "within", (0.8, 1.2))
     res.tables["fd_sweep"] = sweep["rows"]
@@ -1149,7 +1145,7 @@ def exp_taper(cfg: RunConfig, res: ExperimentResult) -> None:
     res.metrics["exp_delta"] = d
     res.metrics["exp_delta_expected"] = expected
     res.check("exp_delta_error", abs(d - expected), "<=", 1e-9)
-    g = Grid(dt, -int(round(8.0 / dt)), 0)
+    g = Grid.spanning(dt, -8.0, 0.0)
     probes = probe_set(g, cfg.seed + 161, count=12, tails=True)
     cert = taper_certificate(fam, d, 0.1, 1.0, probes, 0.0)
     res.metrics["certificate"] = cert

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .timegrid import AlignmentError, Grid, TimeFunction
+from .timegrid import Grid, TimeFunction, to_cells
 
 __all__ = [
     "Permutation",
@@ -142,11 +142,7 @@ class PolyKernel:
     # -- grid evaluation -----------------------------------------------------
 
     def grid_size(self, dt: float) -> int:
-        q = round(self.support / dt)
-        if abs(self.support - q * dt) > 1e-9 * max(1.0, self.support):
-            raise AlignmentError(
-                f"kernel support {self.support} is not a multiple of dt={dt}")
-        return int(q)
+        return to_cells(self.support, dt)
 
     def _mesh(self, dt: float):
         key = ("mesh", dt)
@@ -188,19 +184,12 @@ class PolyKernel:
 
     def tail_abs_mass(self, dt: float, sigma: float) -> float:
         """Mass of ``|kernel|`` on cells with any lag beyond ``sigma``."""
-        K = self.grid_values(dt) if not self.time_varying else None
-        if K is None:
+        if self.time_varying:
             return float("nan")
-        Q = self.grid_size(dt)
-        x = np.arange(1, Q + 1) * dt
-        inside = x <= sigma
-        mask = np.ones((Q,) * self.degree, dtype=bool)
-        for ax in range(self.degree):
-            shape = [1] * self.degree
-            shape[ax] = Q
-            mask &= inside.reshape(shape)
-        absval = np.abs(K).sum(axis=tuple(range(self.degree)))
-        return float(np.sum(absval[~mask]) * dt ** self.degree)
+        absval = np.abs(self.grid_values(dt)).sum(axis=tuple(range(self.degree)))
+        outside = np.ones(absval.shape, dtype=bool)
+        outside[(slice(0, to_cells(sigma, dt)),) * self.degree] = False
+        return float(np.sum(absval[outside]) * dt ** self.degree)
 
 
 def _symmetrized_array(K: np.ndarray, n: int) -> np.ndarray:
@@ -330,19 +319,17 @@ def identify_kernels(oracle: Callable[[TimeFunction], float], dt: float,
     scalings = np.arange(1, N + 2) / (N + 1.0)
     vander_cond = float(np.linalg.cond(
         np.vander(scalings, N=N + 1, increasing=True)))
-    g = Grid(dt, 0, int(round(sigma / dt)))
-    idx = np.arange(1, g.n + 1)
+    g = Grid.spanning(dt, 0.0, sigma)
 
     def window_indicator(windows) -> TimeFunction:
         # Activate the lag cells tau_j in [lo, hi): the probe value seen at
         # lag j dt is the sample at instant sigma - j dt.
         vals = np.zeros((g.n, 1))
         for (lo, hi) in windows:
-            jlo, jhi = g.index_of(lo), g.index_of(hi)
+            jlo, jhi = to_cells(lo, dt), to_cells(hi, dt)
             if jlo < 1 or jhi > g.n:
                 raise ValueError("probe window must sit inside (0, sigma)")
-            for j in range(max(jlo, 1), jhi):
-                vals[g.n - j - 1, 0] = 1.0
+            vals[g.n - jhi:g.n - jlo, 0] = 1.0
         return TimeFunction(g, vals, np.zeros(1))
 
     coeff_cache: dict = {}
@@ -418,7 +405,9 @@ def write_kernel_csv(ker: PolyKernel, dt: float, path: str) -> None:
 
 
 def read_kernel_csv(path: str) -> PolyKernel:
-    """Rebuild a grid-backed kernel from :func:`write_kernel_csv` output."""
+    """Rebuild a grid-backed kernel from :func:`write_kernel_csv` output; a
+    support or lag that is not a whole number of the file's ``dt`` steps is
+    refused (``AlignmentError``)."""
     with open(path) as fh:
         header = fh.readline().strip()
         meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
@@ -427,13 +416,13 @@ def read_kernel_csv(path: str) -> PolyKernel:
         support = float(meta["support"])
         dt = float(meta["dt"])
         fh.readline()  # column names
-        Q = int(round(support / dt))
+        Q = to_cells(support, dt)
         data = np.zeros((M,) * n + (Q,) * n)
         for line in fh:
             parts = line.strip().split(",")
             lags = [float(x) for x in parts[:n]]
             idx = tuple(int(c) - 1 for c in parts[n])
-            jt = tuple(int(round(x / dt)) - 1 for x in lags)
+            jt = tuple(to_cells(x, dt) - 1 for x in lags)
             data[idx][jt] = float(parts[n + 1])
     return PolyKernel(n, support, M, data=data, data_dt=dt)
 
@@ -445,13 +434,12 @@ def default_cell_lattice(dt: float, lo: float, hi: float,
     The default window width is four grid cells (half-width two cells),
     the resolution floor for recovering continuous kernels; wider windows
     trade resolution for a tighter relative quadrature error ``2 dt / width``.
+    ``lo``, ``hi`` and ``width`` are lengths (:func:`to_cells`).
     """
-    width = 4.0 * dt if width is None else width
-    k = int(round(width / dt))
-    if k < 1 or abs(width - k * dt) > 1e-9 * max(1.0, width):
+    k = 4 if width is None else to_cells(width, dt)
+    if k < 1:
         raise ValueError("cell width must be a positive multiple of dt")
-    j_lo = int(round(lo / dt))
-    j_hi = int(round(hi / dt))
+    j_lo, j_hi = to_cells(lo, dt), to_cells(hi, dt)
     return [(j * dt, (j + k) * dt) for j in range(j_lo, j_hi - k + 1, k)]
 
 
@@ -465,14 +453,13 @@ def kernel_from_cells(degree: int, cells, values, support: float,
     such a kernel against aligned windows is exact, which is what makes
     re-identification a fixed point.
     """
-    Q = int(round(support / dt))
+    Q = to_cells(support, dt)
     data = np.zeros((1,) * degree + (Q,) * degree)
-    x = np.arange(1, Q + 1) * dt
     for tup, val in zip(cells, values):
-        slices = []
-        for (lo, hi) in tup:
-            sel = np.nonzero((x >= lo - 1e-12) & (x < hi - 1e-12))[0]
-            slices.append(sel)
+        # Sample j holds the lag (j + 1) dt.
+        slices = [np.arange(max(to_cells(lo, dt), 1),
+                            min(to_cells(hi, dt), Q + 1)) - 1
+                  for (lo, hi) in tup]
         for order in itertools.permutations(range(degree)):
             ix = np.ix_(*[slices[o] for o in order])
             data[(0,) * degree][ix] = val

@@ -14,7 +14,7 @@ import numpy as np
 # the first probe draw does not pay for it.
 import numpy.random  # noqa: F401
 
-from .timegrid import Grid, TimeFunction, to_cells
+from .timegrid import Grid, TimeFunction
 
 __all__ = ["probe_set", "future_probes"]
 
@@ -56,8 +56,8 @@ def probe_set(grid: Grid, seed: int, count: int = 20,
             a = grid.t_start + (0.1 + 0.6 * rng.random()) * span
             b = a + (0.05 + 0.3 * rng.random()) * span
             b = min(b, grid.t_end)
-            ia, ib = grid.index_of(grid.dt * round(a / grid.dt)), \
-                grid.index_of(grid.dt * round(b / grid.dt))
+            # Random breakpoints, each rounded to its nearest cell.
+            ia, ib = round(a / grid.dt), round(b / grid.dt)
             if ib <= ia:
                 ib = ia + 1
             vals = np.zeros(n)
@@ -79,7 +79,7 @@ def probe_set(grid: Grid, seed: int, count: int = 20,
 def future_probes(dt: float, horizon: float, seed: int,
                   count: int = 20) -> list[TimeFunction]:
     """Probes supported on ``(0, horizon]`` with zero tails: future inputs."""
-    g = Grid(dt, 0, to_cells(horizon, dt))
+    g = Grid.spanning(dt, 0.0, horizon)
     return probe_set(g, seed, count=count, tails=False)
 
 

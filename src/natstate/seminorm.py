@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .timegrid import Interval, TimeFunction, NEG_INF, POS_INF
+from .timegrid import Interval, TimeFunction, NEG_INF, POS_INF, to_cells
 
 __all__ = [
     "Weight",
@@ -45,7 +45,8 @@ class Weight:
     ``support`` is the supremum of ``{x : w(x) > 0}`` (``inf`` when the
     weight never dies); ``integrable`` says whether the total mass is
     finite.  ``alpha``/``K`` are the declared window-comparison constants of
-    the family built on this weight.
+    the family built on this weight.  On a grid, ``alpha`` and a finite
+    ``support`` (a box memory) must be whole cells (:func:`to_cells`).
     """
 
     def __init__(self, form: str, params: dict, alpha: float, K: float,
@@ -159,7 +160,7 @@ class Weight:
         if self.form == "exp":
             return _exp_running(x, self.params["rate"], dt, op)
         if self.form == "box":
-            win = max(int(round(self.params["memory"] / dt)), 1)
+            win = to_cells(self.params["memory"], dt)
             if op is np.add:
                 c = np.cumsum(x, axis=-1)
                 out = c.copy()
@@ -311,8 +312,13 @@ class FittedFamily:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
+        # Norm samples up to the latest window end; zeros after it keep a
+        # sup family's rows grid-long, as _exp_running's scaling needs.
+        hi = int(t.max(initial=g.i0)) - g.i0
+        mags = np.zeros((1, g.n))
+        mags[0, :hi] = self._rownorm(f.samples[:hi])
         return self._seminorms(g.i0, g.dt, self._tail_coef(f.tail_value),
-                               self._rownorm(f.samples)[None], 0, s, t)
+                               mags, 0, s, t)
 
     def _seminorms(self, i0, dt: float, tail, mags: np.ndarray, rows,
                    s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -341,7 +347,7 @@ class FittedFamily:
             return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
         w = self.weight
         if w.support < POS_INF:
-            s = np.maximum(s, t - int(round(w.support / dt)))
+            s = np.maximum(s, t - to_cells(w.support, dt))
         s, t = s - i0, t - i0  # ends counted from the origin
         tail = self._tail(dt, tail, s, t)
         # Window k holds samples end[k] - span[k] .. end[k] - 1 of its row;
@@ -600,7 +606,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
            ("locality", "shift_invariance", "monotone_in_s",
             "triangle_over_split", "window_comparison")}
     dt = probes[0].grid.dt
-    alpha_idx = None if fam.alpha == POS_INF else max(2, int(fam.alpha / dt))
+    alpha_idx = None if fam.alpha == POS_INF else max(2, to_cells(fam.alpha, dt))
     m = n_triples
     width = max(f.grid.n for f in probes)
     # The largest call holds four windows per triple, each at most a grid.
@@ -779,7 +785,7 @@ def taper_certificate(fam: FittedFamily, delta: float, eps: float, c: float,
     the grid (widening the window only strengthens the inequality).
     """
     dt = probes[0].grid.dt
-    delta_g = math.ceil(delta / dt - 1e-12) * dt
+    delta_g = math.ceil(delta / dt) * dt
     worst = 0.0
     for f in probes:
         m = max(float(np.max(np.abs(f.samples))),

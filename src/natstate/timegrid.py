@@ -70,6 +70,12 @@ class Grid:
         if self.i1 <= self.i0:
             raise ValueError(f"empty grid: i0={self.i0}, i1={self.i1}")
 
+    @staticmethod
+    def spanning(dt: float, t_start: float, t_end: float) -> "Grid":
+        """Step ``dt`` from ``t_start`` to ``t_end`` seconds, each end a
+        length from the origin (:func:`to_cells`): refused, never snapped."""
+        return Grid(dt, -to_cells(-t_start, dt), to_cells(t_end, dt))
+
     @property
     def t_start(self) -> float:
         return self.i0 * self.dt

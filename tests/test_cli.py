@@ -190,7 +190,8 @@ def test_system_flag_refusal_route(capsys):
     ("reachability", "0.04"), ("trajectory-derivative", "0.04"),
     ("causality", "0.03"), ("shared-state-set", "0.03"),
     ("state-bounds", "0.04"), ("kernel-identify", "0.04"),
-    ("kernel-identify", "0.02")])
+    ("kernel-identify", "0.02"), ("ff-axioms", "0.03"), ("ff-axioms", "0.04"),
+    ("memory-causality", "0.04")])
 def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
     out = tmp_path / "rep"
     assert main(["run", "--experiment", experiment, "--dt", dt,
@@ -206,7 +207,7 @@ def test_misaligned_dt_stops_the_run(tmp_path, capsys, monkeypatch, threads):
     # The first experiment runs at dt 0.04; the second cannot.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\ndt = 0.04\nexperiments = '
-                       '["memory-causality", "trajectory-derivative"]\n')
+                       '["taper", "trajectory-derivative"]\n')
     monkeypatch.setenv("NATSTATE_THREADS", threads)
     out = tmp_path / "rep"
     assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
@@ -296,6 +297,19 @@ def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {reason}")
+    assert "PASS" not in captured.out and not out.exists()
+
+
+def test_box_memory_off_the_grid_is_a_config_error(tmp_path, capsys):
+    # 0.015 s is a cell and a half at dt 0.01: refused, never snapped.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('[family.b]\nform = "box"\nmemory = 0.015\n')
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "ff-axioms",
+                 "--family", "b", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "config error: ff-axioms: length 0.015 is not a multiple of dt=0.01")
     assert "PASS" not in captured.out and not out.exists()
 
 

@@ -4,6 +4,7 @@ from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
 from natstate.seminorm import FittedFamily
 from natstate.sysop import LimsupConvolution, PolyIntegralOperator
+from natstate.timegrid import AlignmentError
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -12,6 +13,36 @@ def test_every_experiment_records_checks(name):
     assert r.name == name and r.checks
     assert r.passed == all(c.passed for c in r.checks)
     assert len({c.name for c in r.checks}) == len(r.checks)
+
+
+# The experiments that a dt refuses: each uses an instant or a length in
+# seconds, box memories included, that is not a whole number of its cells.
+# shift-derivative pins its own dt, so it runs at every one.
+_REFUSED_AT = {
+    0.02: {"kernel-identify"},
+    0.025: set(),
+    0.03: set(EXPERIMENTS) - {"shift-derivative"},
+    0.04: {"ff-axioms", "memory-causality", "state-closed-form",
+           "npower-bounds", "kernel-identify", "reachability", "state-bounds",
+           "trajectory-derivative"},
+    0.05: set(),
+}
+_SWEEP = dict(probes=12, triples=5, pasts=4, futures=6, bound_probes=20)
+
+
+@pytest.mark.parametrize("dt", sorted(_REFUSED_AT))
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_each_dt_passes_or_refuses(name, dt):
+    # A run either passes or refuses the dt: it never passes on a length
+    # snapped to the nearest cell.
+    try:
+        r = run_experiment(name, RunConfig(dt=dt, **_SWEEP))
+    except AlignmentError as e:
+        assert name in _REFUSED_AT[dt], str(e)
+        assert "is not a multiple of dt" in str(e)
+        return
+    assert name not in _REFUSED_AT[dt]
+    assert r.passed, [c for c in r.checks if not c.passed]
 
 
 def test_checks_compare_observed_with_bound():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from natstate import (Grid, NaturalState, Permutation, PolyIntegralOperator,
-                      PolyKernel, TimeFunction, check_symmetrization_properties,
-                      identify_kernels, kernel_from_cells,
-                      permutation_change_of_variables, symmetrize)
+from natstate import (AlignmentError, Grid, NaturalState, Permutation,
+                      PolyIntegralOperator, PolyKernel, TimeFunction,
+                      check_symmetrization_properties, identify_kernels,
+                      kernel_from_cells, permutation_change_of_variables,
+                      symmetrize)
 from natstate import catalog
 from natstate.kernel import _symmetrized_array
 from natstate.probes import probe_set
@@ -268,6 +269,11 @@ def test_default_cell_lattice():
     assert len(default_cell_lattice(0.01, 0.0, 2.0, width=0.25)) == 8
     with pytest.raises(ValueError):
         default_cell_lattice(0.01, 0.0, 1.0, width=0.015)
+    # Misaligned ends are refused, not snapped to the nearest cell.
+    with pytest.raises(AlignmentError, match="length 0.255"):
+        default_cell_lattice(0.01, 0.255, 0.5)
+    with pytest.raises(AlignmentError, match="length 0.505"):
+        default_cell_lattice(0.01, 0.25, 0.505)
 
 
 def test_kernel_csv_round_trip(tmp_path):
@@ -282,6 +288,21 @@ def test_kernel_csv_round_trip(tmp_path):
     assert np.array_equal(back.grid_values(dt), ker.grid_values(dt))
     lines = open(path).read().splitlines()
     assert lines[1] == "s1,s2,index,value"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("support=0.4 ", "support=0.45 "), ("\n0.2,0.1,", "\n0.25,0.1,")],
+    ids=["support", "lag"])
+def test_kernel_csv_refuses_lengths_off_its_grid(tmp_path, old, new):
+    from natstate.kernel import read_kernel_csv, write_kernel_csv
+    ker = PolyKernel(2, 0.4, func=lambda a, b: np.ones_like(np.asarray(a)))
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(ker, 0.1, str(path))
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(AlignmentError, match="is not a multiple of dt=0.1"):
+        read_kernel_csv(str(path))
 
 
 def test_symmetrize_degree_guard():

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from natstate import (FittedFamily, Grid, Interval, TimeFunction, Weight,
-                      catalog, check_ff_axioms, classify, classify_input_set,
-                      seminorm, shift_left, splice, taper_certificate,
-                      taper_delta)
+from natstate import (AlignmentError, FittedFamily, Grid, Interval,
+                      TimeFunction, Weight, catalog, check_ff_axioms,
+                      classify, classify_input_set, seminorm, shift_left,
+                      splice, taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
 from natstate.seminorm import (_EXP_BLOCK, ConditionResult, NormReport,
                                _random_triples)
+from natstate.timegrid import to_cells
 
 UL2 = FittedFamily.weighted_lp(2.0, Weight.uniform(), name="uniform-l2")
 EXP2 = FittedFamily.weighted_lp(2.0, Weight.exponential(1.0), name="exp-l2")
@@ -32,7 +33,7 @@ def _window_single(fam, f, si, ti):
     dt = g.dt
     lo = g.i0 if si is None else max(si, g.i0)
     if fam.weight.support < math.inf:
-        supp_idx = int(round(fam.weight.support / dt))
+        supp_idx = to_cells(fam.weight.support, dt)
         lo = max(lo, ti - supp_idx)
         if si is None or si < ti - supp_idx:
             si = ti - supp_idx
@@ -445,6 +446,51 @@ def test_windowed_all_t_matches_single(rough, fam):
                    for u in range(s_idx + 1, g.i1 + 1))
         assert fam.future_norm(f, s_idx * g.dt) == pytest.approx(
             want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
+def test_seminorms_take_magnitudes_up_to_the_latest_end(rough, fam,
+                                                        monkeypatch):
+    # Only the samples up to the latest window end are normed, and every
+    # window keeps its whole-row value bit for bit: calls whose windows end
+    # before the origin, inside the grid and at its end.
+    f = rough if not _divergent(fam, rough) else TimeFunction(
+        rough.grid, rough.samples, np.zeros(1))
+    g = f.grid
+    whole = fam._rownorm(f.samples)[None]
+    rows = []
+    rownorm = FittedFamily._rownorm
+
+    def counting(self, samples):
+        rows.append(samples.shape[0])
+        return rownorm(self, samples)
+
+    monkeypatch.setattr(FittedFamily, "_rownorm", counting)
+    # A sup family reads a nonzero tail only from -inf.
+    low = g.i0 if fam.kind == "sup" and f.tail_value.any() else g.i0 - 30
+    for t_max in (g.i0 - 3, g.i0 + 17, g.i1):
+        t = np.array([t_max, t_max - 2, t_max, t_max - 1])
+        s = np.array([-math.inf, -math.inf, t_max - 11, t_max - 6])
+        s[s < low] = -math.inf
+        rows.clear()
+        got = fam.seminorms(f, s, t)
+        assert max(rows) <= max(t_max - g.i0, 1)
+        want = fam._seminorms(g.i0, g.dt, fam._tail_coef(f.tail_value),
+                              whole, 0, s, t)
+        assert np.array_equal(got, want), t_max
+
+
+def test_box_memory_off_the_grid_is_refused_in_both_norm_paths(rough):
+    # 0.075 s is a cell and a half at dt 0.05: refused, never snapped.
+    g = rough.grid
+    for fam in (FittedFamily.weighted_lp(2.0, Weight.box(0.075)),
+                FittedFamily.output_window(0.075)):
+        with pytest.raises(AlignmentError, match="length 0.075"):
+            fam.seminorms(rough, [g.i0 + 4], [g.i0 + 9])
+        with pytest.raises(AlignmentError, match="length 0.075"):
+            fam.future_norm(rough, 0.0)
+        with pytest.raises(AlignmentError, match="length 0.075"):
+            _window_single(fam, rough, g.i0 + 4, g.i0 + 9)
 
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)

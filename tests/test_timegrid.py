@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (Grid, Interval, TimeFunction, read_timefunction,
-                      restrict, shift_left, shift_right, splice,
-                      write_timefunction)
+from natstate import (AlignmentError, Grid, Interval, TimeFunction,
+                      read_timefunction, restrict, shift_left, shift_right,
+                      splice, write_timefunction)
 from natstate.calculus import SmoothInput
 
 
@@ -26,6 +26,16 @@ def test_constructor_validation():
         Grid(0.5, 3, 3)
     with pytest.raises(ValueError):
         g.index_of(0.26)
+
+
+def test_spanning_refuses_ends_off_the_lattice():
+    assert Grid.spanning(0.01, -8.0, 2.0) == Grid(0.01, -800, 200)
+    assert Grid.spanning(0.03, 0.0, 0.3) == Grid(0.03, 0, 10)
+    # 2.0 s is 66.7 cells of 0.03 s and -1.5 s is -37.5 cells of 0.04 s.
+    with pytest.raises(AlignmentError, match="length 2.0 is not"):
+        Grid.spanning(0.03, 0.0, 2.0)
+    with pytest.raises(AlignmentError, match="length 1.5 is not"):
+        Grid.spanning(0.04, -1.5, 2.0)
 
 
 def test_trapezoid_branch_values():
