@@ -246,8 +246,9 @@ def exp_shared_state_set(cfg: RunConfig, res: ExperimentResult) -> None:
         w = _level_match(u, 0.0, T, 0.5 * level)
         xi = NaturalState(one.system, u, 0.0)
         eta = NaturalState(two.system, w, 0.0)
-        gap = max(one.system.output_fam.future_norm(
-            xi.evaluate(v) - eta.evaluate(v), 0.0) for v in futures)
+        gap = max(one.system.output_fam.future_norms(
+            [a - b for a, b in zip(xi.evaluate_all(futures),
+                                   eta.evaluate_all(futures))], 0.0))
         worst = max(worst, gap)
         rows.append({"past": k, "tail_level": level, "gap": gap})
     tol = 5.0 * cfg.dt * h_l1

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .timegrid import Interval, TimeFunction, NEG_INF, POS_INF, to_cells
+from .timegrid import (Grid, Interval, TimeFunction, NEG_INF, POS_INF,
+                       ceil_cells, to_cells)
 
 __all__ = [
     "Weight",
@@ -472,16 +473,26 @@ class FittedFamily:
 
     def future_norm(self, f: TimeFunction, s: float) -> float:
         """``sup_{t > s} |f|_{s,t}`` with ``t`` running to the horizon."""
-        g = f.grid
-        if s == NEG_INF:
-            return self.bounding_norm(f)
-        si = g.index_of(s)
-        if si >= g.i1:
-            raise ValueError("window start at or beyond the horizon")
-        return float(np.max(self._running(g.i0, g.dt,
-                                          self._tail_coef(f.tail_value),
-                                          self._rownorm(f.samples)[None],
-                                          np.array([float(si)]))))
+        return self.future_norms([f], s)[0]
+
+    def future_norms(self, fs: Sequence[TimeFunction], s: float) -> list[float]:
+        """:meth:`future_norm` of every function of ``fs``, in order: one
+        :meth:`_running` call per grid on the stacked rows, each with its
+        own tail, never padded (``_exp_running``'s bits depend on length)."""
+        groups: dict[Grid, list[int]] = {}
+        for k, f in enumerate(fs):
+            groups.setdefault(f.grid, []).append(k)
+        out = [0.0] * len(fs)
+        for g, ks in groups.items():
+            si = NEG_INF if s == NEG_INF else float(g.index_of(s))
+            if si >= g.i1:
+                raise ValueError("window start at or beyond the horizon")
+            tails = np.array([self._tail_coef(fs[k].tail_value) for k in ks])
+            mags = np.stack([self._rownorm(fs[k].samples) for k in ks])
+            run = self._running(g.i0, g.dt, tails, mags, np.full(len(ks), si))
+            for k, m in zip(ks, run.max(axis=1).tolist()):
+                out[k] = m
+        return out
 
     def bounding_norm(self, f: TimeFunction) -> float:
         """``sup_t |f|_t``: the norm of the bounding space."""
@@ -785,7 +796,7 @@ def taper_certificate(fam: FittedFamily, delta: float, eps: float, c: float,
     the grid (widening the window only strengthens the inequality).
     """
     dt = probes[0].grid.dt
-    delta_g = math.ceil(delta / dt) * dt
+    delta_g = ceil_cells(delta, dt) * dt
     worst = 0.0
     for f in probes:
         m = max(float(np.max(np.abs(f.samples))),

@@ -6,11 +6,11 @@ the operator that takes a centered future input ``v`` (supported on
 and recenters the output future.  A state holds the system, a past
 representative and the instant, plus what that past contributes to every
 future: the system's ``past_summary``, computed on the first evaluation
-and read by ``future_response`` for each future (the last support window
-and the eventual level for a convolution, the vector ``x(t)`` for a state
-equation, the past itself for the definitional splice-apply-recenter
-path).  All comparisons are probe maximizations of a weighted operator
-distance on shared, seeded probe sets.
+and read by ``future_responses`` for a batch of futures (the last support
+window and the eventual level for a convolution, the vector ``x(t)`` for
+a state equation, the past itself for the definitional
+splice-apply-recenter path).  All comparisons are probe maximizations of
+a weighted operator distance on shared, seeded probe sets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
 from .sysop import SystemOp, _recenter, estimate_npower
-from .timegrid import TimeFunction, shift_left, shift_right, splice
+from .timegrid import (TimeFunction, ceil_cells, shift_left, shift_right,
+                       splice)
 
 __all__ = [
     "NaturalState",
@@ -69,7 +70,12 @@ class NaturalState:
 
     def evaluate(self, v: TimeFunction) -> TimeFunction:
         """Centered future output on ``(0, H]`` for future input ``v`` on ``(0, H]``."""
-        return self.system.future_response(self.summary, v)
+        return self.evaluate_all([v])[0]
+
+    def evaluate_all(self, vs: Sequence[TimeFunction]) -> list[TimeFunction]:
+        """:meth:`evaluate` of every future input of ``vs``, in order, from
+        one ``future_responses`` call of the system."""
+        return self.system.future_responses(self.summary, vs)
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -96,23 +102,27 @@ def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
     """``state_distance(xi, eta, N, futures)`` for every ``xi`` (rows) and
     ``eta`` (columns).
 
-    Each state is evaluated once per future and each future's input norm is
-    taken once; every entry is the ``estimate_npower`` maximum over the
-    futures in order, bit for bit, and ``0.0`` when there are none.
+    Each state answers every future in one ``evaluate_all`` call, the
+    futures' input norms are one ``future_norms`` call and each pair's
+    output gaps one more; every entry is the ``estimate_npower`` maximum
+    over the futures in order, bit for bit, and ``0.0`` when there are none.
     """
     if not xis:
         return []
     out_fam = xis[0].system.output_fam
     in_fam = xis[0].system.input_fam
-    dens = [1.0 + in_fam.future_norm(v, 0.0) ** N for v in futures]
-    eta_outs = [[eta.evaluate(v) for v in futures] for eta in etas]
+    dens = [1.0 + n ** N for n in in_fam.future_norms(futures, 0.0)]
+    eta_outs = [eta.evaluate_all(futures) for eta in etas]
     rows = []
     for xi in xis:
-        xi_out = [xi.evaluate(v) for v in futures]
-        rows.append([max((out_fam.future_norm(a - b, 0.0) / den
-                          for a, b, den in zip(xi_out, outs, dens)),
-                         default=0.0)
-                     for outs in eta_outs])
+        xi_out = xi.evaluate_all(futures)
+        row = []
+        for outs in eta_outs:
+            gaps = out_fam.future_norms([a - b for a, b in zip(xi_out, outs)],
+                                        0.0)
+            row.append(max((d / den for d, den in zip(gaps, dens)),
+                           default=0.0))
+        rows.append(row)
     return rows
 
 
@@ -153,9 +163,8 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
     other = NaturalState(state.system,
                          TimeFunction(g, edited, state.past.tail_value), state.t)
     worst = 0.0
-    for v in futures:
-        d = state.evaluate(v) - other.evaluate(v)
-        worst = max(worst, float(np.max(np.abs(d.samples))))
+    for a, b in zip(state.evaluate_all(futures), other.evaluate_all(futures)):
+        worst = max(worst, float(np.max(np.abs((a - b).samples))))
     return worst
 
 
@@ -185,7 +194,7 @@ def reachability_experiment(system: SystemOp, source: TimeFunction,
     else:
         delta = taper_delta(fam, eps, c)
         dtt = source.grid.dt
-        back = math.ceil(delta / dtt) * dtt
+        back = ceil_cells(delta, dtt) * dtt
     t_drive = -back
     driven_past = splice(shift_left(source, back), target, t_drive)
     reached = NaturalState(system, driven_past, 0.0)

@@ -17,10 +17,11 @@ Three concrete operators are shipped:
   each further one).
 
 Every operator also answers for natural states (``past_summary`` and
-``future_response``): by default a summary is the past itself and a
+``future_responses``): by default a summary is the past itself and each
 future response splices, applies and recenters; the convolution and the
 state equation keep only what the future reads of the past, and their
-future outputs equal the definitional ones bit for bit.
+future outputs equal the definitional ones bit for bit.  The state
+equation steps a batch of futures on one grid together.
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
@@ -74,22 +75,23 @@ class SystemOp:
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """What ``u`` up to the instant ``t_idx * dt`` contributes to every
-        future output, in the form :meth:`future_response` reads.
+        future output, in the form :meth:`future_responses` reads.
 
         By default the summary is the past itself with the instant.
         """
         return u, t_idx
 
-    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
-        """Centered output on ``(0, H]`` for the centered future input ``v``
-        on ``(0, H]`` after the past that ``summary`` describes.
+    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
+        """Centered outputs on ``(0, H]``, one per centered future input
+        ``v`` on ``(0, H]`` of ``vs``, after the past ``summary`` describes.
 
-        By default this is the definition of a natural state: splice ``v``
+        By default each is the definition of a natural state: splice ``v``
         onto the past at ``t``, apply the system and recenter the output.
         """
         u, t_idx = summary
         t = t_idx * u.grid.dt
-        return _recenter(self.apply(splice(u, shift_right(v, t), t)), t)
+        return [_recenter(self.apply(splice(u, shift_right(v, t), t)), t)
+                for v in vs]
 
     def __call__(self, u: TimeFunction) -> TimeFunction:
         return self.apply(u)
@@ -160,11 +162,14 @@ class LimsupConvolution(SystemOp):
         window = u.values_at_indices(np.arange(t_idx + 1 - m, t_idx + 1))
         return window, u.tail_value, u.grid.dt
 
-    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
+    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
+        """One convolution per future, the call :meth:`apply` makes."""
         window, ubar, dt = summary
-        self._check_input(v)
-        g = Grid(dt, 0, v.grid.i1)
-        return self._output(g, np.concatenate([window, v.values_after(0)]), ubar)
+        for v in vs:
+            self._check_input(v)
+        return [self._output(Grid(dt, 0, v.grid.i1),
+                             np.concatenate([window, v.values_after(0)]), ubar)
+                for v in vs]
 
 
 # Higham (2005): the [13/13] Pade numerator coefficients
@@ -267,15 +272,19 @@ class LTISystem(SystemOp):
     def _steps(self, x: np.ndarray, samples: np.ndarray, dt: float) -> np.ndarray:
         """The states after each input sample in turn, starting from ``x``.
 
-        The input term of every step is one matmul up front; for a scalar
-        input each of its entries is a single product, as in ``Bd @ u_k``.
+        ``samples`` is ``(..., H, m)``, a trajectory per leading index, from
+        ``x`` of shape ``(n,)`` or ``(..., n)``.  The input terms of every
+        step are one matmul up front; for a scalar input each entry is a
+        single product, as in ``Bd @ u_k``.  Each step adds ``Ad @ x`` by
+        one stacked matmul, one matrix-vector product per trajectory, so a
+        batch equals its trajectories stepped one at a time, bit for bit.
         """
         Ad, Bd = self._stepper(dt)
-        Bu = samples @ Bd.T
-        out = np.empty((samples.shape[0], self.output_dim))
-        for k in range(samples.shape[0]):
-            x = Ad @ x + Bu[k]
-            out[k] = x
+        out = samples @ Bd.T
+        x = x[..., None]
+        for row in np.moveaxis(out, -2, 0)[..., None]:
+            row += Ad @ x
+            x = row
         return out
 
     def apply(self, u: TimeFunction) -> TimeFunction:
@@ -291,13 +300,22 @@ class LTISystem(SystemOp):
         xs = self._steps(x0, u.samples[:max(0, t_idx - u.grid.i0)], u.grid.dt)
         return (xs[-1] if len(xs) else x0), x0, u.grid.dt
 
-    def future_response(self, summary, v: TimeFunction) -> TimeFunction:
+    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
+        """One :meth:`_steps` call per output grid, from ``x(t)``."""
         x, x0, dt = summary
-        self._check_input(v)
-        g = Grid(dt, 0, v.grid.i1)
-        if not g.compatible(v.grid):
-            raise ValueError("future input grid step differs from the past's")
-        return TimeFunction(g, self._steps(x, v.values_after(0), dt), x0)
+        groups: dict[Grid, list[int]] = {}
+        for k, v in enumerate(vs):
+            self._check_input(v)
+            g = Grid(dt, 0, v.grid.i1)
+            if not g.compatible(v.grid):
+                raise ValueError("future input grid step differs from the past's")
+            groups.setdefault(g, []).append(k)
+        out = [None] * len(vs)
+        for g, ks in groups.items():
+            ys = self._steps(x, np.stack([vs[k].values_after(0) for k in ks]), dt)
+            for k, y in zip(ks, ys):
+                out[k] = TimeFunction(g, y, x0)
+        return out
 
 
 class PolyIntegralOperator(SystemOp):

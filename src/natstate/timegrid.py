@@ -13,6 +13,7 @@ eventually-constant functions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "TimeFunction",
     "AlignmentError",
     "to_cells",
+    "ceil_cells",
     "shift_left",
     "shift_right",
     "splice",
@@ -50,6 +52,12 @@ def to_cells(length: float, dt: float) -> int:
     """``length`` seconds as a whole number of ``dt`` steps; a length that
     is not one is refused (``AlignmentError``), never snapped."""
     return _steps(length, dt, "length")
+
+
+def ceil_cells(length: float, dt: float) -> int:
+    """A computed ``length`` in seconds rounded up to whole ``dt`` steps,
+    ``ceil(length / dt)``, where a longer window is always safe."""
+    return math.ceil(length / dt)
 
 
 @dataclass(frozen=True)
@@ -195,9 +203,6 @@ class TimeFunction:
         fill = np.broadcast_to(self.tail_value, (max(0, self.grid.i0 - i), self.dim))
         return np.concatenate([fill, self.samples[max(0, i - self.grid.i0):]])
 
-    def is_zero(self) -> bool:
-        return not (np.any(self.samples) or np.any(self.tail_value))
-
     # -- arithmetic (identical grids required) ----------------------------
 
     def _check_same_grid(self, other: "TimeFunction"):
@@ -233,13 +238,6 @@ class TimeFunction:
         g = Grid(self.grid.dt, i0, i1)
         idx = np.arange(i0 + 1, i1 + 1)
         return TimeFunction(g, self.values_at_indices(idx), self.tail_value)
-
-    def samples_equal(self, other: "TimeFunction") -> bool:
-        return (
-            self.grid == other.grid
-            and np.array_equal(self.samples, other.samples)
-            and np.array_equal(self.tail_value, other.tail_value)
-        )
 
     def __repr__(self) -> str:
         g = self.grid

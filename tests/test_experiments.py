@@ -79,22 +79,38 @@ def test_npower_bounds_applies_each_unshifted_probe_once(monkeypatch):
     assert len(calls) == 15 + 45 + 18 + 10
 
 
-def test_tail_separation_evaluates_each_state_once_per_future(monkeypatch):
+def _count_batches(monkeypatch):
+    """Record every ``LimsupConvolution.future_responses`` call (its number
+    of futures) and every ``FittedFamily.future_norms`` call (the family's
+    name and its number of functions)."""
     responses, norms = [], []
-    future_response = LimsupConvolution.future_response
-    future_norm = FittedFamily.future_norm
+    future_responses = LimsupConvolution.future_responses
+    future_norms = FittedFamily.future_norms
 
-    def counting_response(self, summary, v):
-        responses.append(v)
-        return future_response(self, summary, v)
+    def counting_responses(self, summary, vs):
+        responses.append(len(vs))
+        return future_responses(self, summary, vs)
 
-    def counting_norm(self, f, s):
-        norms.append(self.name)
-        return future_norm(self, f, s)
+    def counting_norms(self, fs, s):
+        norms.append((self.name, len(fs)))
+        return future_norms(self, fs, s)
 
-    monkeypatch.setattr(LimsupConvolution, "future_response",
-                        counting_response)
-    monkeypatch.setattr(FittedFamily, "future_norm", counting_norm)
+    monkeypatch.setattr(LimsupConvolution, "future_responses",
+                        counting_responses)
+    monkeypatch.setattr(FittedFamily, "future_norms", counting_norms)
+    return responses, norms
+
+
+def _rows(norms, name):
+    return sum(n for fam, n in norms if fam == name)
+
+
+def _calls(norms, name):
+    return sum(1 for fam, _ in norms if fam == name)
+
+
+def test_tail_separation_evaluates_each_state_once_per_future(monkeypatch):
+    responses, norms = _count_batches(monkeypatch)
     r = run_experiment("tail-separation", RunConfig(pasts=6))
     assert r.passed
     # Three pasts of each level and eleven futures (the zero one and ten
@@ -103,6 +119,23 @@ def test_tail_separation_evaluates_each_state_once_per_future(monkeypatch):
     n_us = n_ws = 3
     n_futures = 11
     assert r.metrics["pairs"] == n_us * n_ws
-    assert len(responses) == (n_us + n_ws) * n_futures
-    assert norms.count("sup-linf") == n_futures
-    assert norms.count("esssup-window-2") == n_us * n_ws * n_futures
+    assert sum(responses) == (n_us + n_ws) * n_futures
+    assert _rows(norms, "sup-linf") == n_futures
+    assert _rows(norms, "esssup-window-2") == n_us * n_ws * n_futures
+    # One batch per state, one for the input norms, one per pair.
+    assert len(responses) == n_us + n_ws
+    assert _calls(norms, "sup-linf") == 1
+    assert _calls(norms, "esssup-window-2") == n_us * n_ws
+
+
+def test_shared_state_set_evaluates_each_state_once_per_future(monkeypatch):
+    responses, norms = _count_batches(monkeypatch)
+    r = run_experiment("shared-state-set", RunConfig(pasts=5, futures=7))
+    assert r.passed
+    # Each past gives one state of each system; both answer all seven
+    # futures in one batch, and the past's output gaps are one norm call.
+    n_pasts, n_futures = 5, 7
+    assert r.metrics["pasts"] == n_pasts
+    assert r.metrics["futures"] == n_futures
+    assert responses == [n_futures] * (2 * n_pasts)
+    assert norms == [("esssup-window-2", n_futures)] * n_pasts

@@ -494,6 +494,37 @@ def test_box_memory_off_the_grid_is_refused_in_both_norm_paths(rough):
 
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
+def test_future_norms_match_one_function_calls(rough, fam):
+    # Rows on two grids, interleaved, with zero and nonzero tails in each:
+    # one batched call gives every function the bits of its own one-row
+    # ``_running`` call (a scalar tail coefficient), from a finite left end
+    # and from -inf.
+    rng = np.random.default_rng(73)
+    grids = [rough.grid, Grid(rough.grid.dt, -10, 57)]
+    fs = []
+    for k in range(9):
+        g = grids[k % 2]
+        tail = rng.standard_normal(2) if k % 3 and not _divergent(
+            fam, rough) else np.zeros(2)
+        fs.append(TimeFunction(g, rng.standard_normal((g.n, 2)), tail))
+    for s in (0.0, 1.1, -math.inf):
+        want = []
+        for f in fs:
+            g = f.grid
+            si = s if s == -math.inf else float(g.index_of(s))
+            want.append(float(np.max(fam._running(
+                g.i0, g.dt, fam._tail_coef(f.tail_value),
+                fam._rownorm(f.samples)[None], np.array([si])))))
+        got = fam.future_norms(fs, s)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [x.hex() for x in got] == [fam.future_norm(f, s).hex()
+                                          for f in fs]
+    assert [x.hex() for x in fam.future_norms(fs, -math.inf)] == [
+        fam.bounding_norm(f).hex() for f in fs]
+    assert fam.future_norms([], 0.0) == []
+
+
+@pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
 def test_running_refuses_finite_left_end_before_a_nonzero_tail(rough, fam):
     # Every right end is read from the grid start on, so a finite left end
     # before it would miss the right ends in between: refused, as is a sup

@@ -236,6 +236,38 @@ def test_evaluate_matches_splice_apply_recenter(case, data):
         assert np.array_equal(got.tail_value, want.tail_value)
 
 
+@pytest.mark.parametrize("case", _ORACLE_SYSTEMS, ids=lambda case: case[0])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_evaluate_all_matches_evaluate_and_splice(case, data):
+    # Futures on mixed grids, some sharing one: every answer of one batch
+    # equals the state's one-future answer and the definition, bit for bit.
+    name, tails = case
+    b = catalog.system(name, DT)
+    i0 = data.draw(st.integers(-150, -1))
+    past = _past(Grid(DT, i0, i0 + data.draw(st.integers(1, 200))),
+                 data.draw(st.integers(0, 2**16)),
+                 tail=data.draw(st.sampled_from(tails)))
+    t_idx = data.draw(st.integers(past.grid.i0 - 40, past.grid.i1))
+    state = NaturalState(b.system, past, t_idx * DT)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    vs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        v0 = data.draw(st.integers(-30, 30))
+        v1 = max(v0, 0) + data.draw(st.sampled_from([1, 40, 120]))
+        vs.append(TimeFunction(Grid(DT, v0, v1),
+                               rng.standard_normal((v1 - v0, 1)),
+                               rng.standard_normal(1)))
+    got = state.evaluate_all(vs)
+    assert len(got) == len(vs)
+    for y, v in zip(got, vs):
+        for want in (state.evaluate(v), _by_splice(state, v)):
+            assert y.grid == want.grid
+            assert y.samples.tobytes() == want.samples.tobytes()
+            assert y.tail_value.tobytes() == want.tail_value.tobytes()
+    assert state.evaluate_all([]) == []
+
+
 def test_trajectory_constant_input(averager, futures):
     g = averager.grid(DT)
     c = TimeFunction(g, np.ones((g.n, 1)), np.array([1.0]))

@@ -41,7 +41,9 @@ def _pasts(grid, seed, count, tail=0.0):
 def test_zero_input_zero_output(averager):
     g = averager.grid(DT)
     z = TimeFunction(g, np.zeros((g.n, 1)), np.zeros(1))
-    assert averager.system.apply(z).is_zero()
+    y = averager.system.apply(z)
+    assert y.grid == z.grid
+    assert not (np.any(y.samples) or np.any(y.tail_value))
 
 
 def test_zero_response_rejected():
@@ -394,6 +396,17 @@ def test_lti_steps_match_per_step_form():
     u2 = TimeFunction(g, rng.standard_normal((g.n, 2)), np.array([0.4, -0.2]))
     got, want = two.apply(u2).samples, _lti_per_step(two, u2)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # A stacked batch, from one start or from one start per trajectory,
+    # steps every trajectory exactly as its own call does.
+    for system in (one, two):
+        samples = rng.standard_normal((2, 3, 37, system.input_dim))
+        starts = rng.standard_normal((2, 3, 2))
+        alone = np.array([[system._steps(starts[0, 0], u, DT) for u in row]
+                          for row in samples])
+        assert np.array_equal(system._steps(starts[0, 0], samples, DT), alone)
+        alone = np.array([[system._steps(x, u, DT) for x, u in zip(xs, row)]
+                          for xs, row in zip(starts, samples)])
+        assert np.array_equal(system._steps(starts, samples, DT), alone)
 
 
 def _zoh_block(A, B, dt):
