@@ -27,7 +27,7 @@ from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
 from .states import NaturalState
 from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
-                    SystemOp, _recenter)
+                    SystemOp, _check_tails, _recenter)
 from .timegrid import Grid, TimeFunction, shift_right, splice
 
 __all__ = [
@@ -197,16 +197,28 @@ class FrechetPair:
     source: str
 
 
-def _poly_term(op: PolyIntegralOperator, ker: PolyKernel,
-               slots: Sequence[TimeFunction]) -> TimeFunction:
-    """Multilinear term with one input per slot (symmetric kernel).
+def _poly_terms(op: PolyIntegralOperator, inputs: Sequence[TimeFunction],
+                terms) -> list[TimeFunction]:
+    """Multilinear terms ``(ker, slots)`` with ``inputs[k]`` in each slot
+    ``k`` of ``slots`` (symmetric kernels), each on its first slot's grid.
 
-    Row ``i0`` of the term reads only the slots' constant tails, so it is
-    the output tail.
+    The terms share their lag matrices: one per input, grid and kernel grid
+    size, built on first use.  Row ``i0`` of a term reads only the slots'
+    constant tails, so it is the output tail.
     """
-    g = slots[0].grid
-    vals = op._term(ker, slots, np.arange(g.i0, g.i1 + 1))
-    return TimeFunction(g, vals[1:], vals[:1])
+    lags = {}
+    out = []
+    for ker, slots in terms:
+        _check_tails(ker, [inputs[k] for k in slots])
+        g = inputs[slots[0]].grid
+        t_idx = np.arange(g.i0, g.i1 + 1)
+        Q = ker.grid_size(g.dt)
+        for k in slots:
+            if (k, g, Q) not in lags:
+                lags[k, g, Q] = op._past_matrix(inputs[k], t_idx, Q)
+        vals = op._term(ker, [lags[k, g, Q] for k in slots], t_idx, g.dt)
+        out.append(TimeFunction(g, vals[1:], vals[:1]))
+    return out
 
 
 def frechet_of(system: SystemOp) -> FrechetPair:
@@ -232,19 +244,26 @@ def frechet_of(system: SystemOp) -> FrechetPair:
         # term-by-term expansion below needs interchangeable slots.
         kers = {n: symmetrize(k) for n, k in system.kernels.items()}
 
+        # Slot 0 is the expansion point u, slot 1 the direction v: each
+        # call builds u's and v's lag matrices once for all its terms.
         def L(u, v):
+            degs = sorted(kers)
+            terms = _poly_terms(system, (u, v),
+                                [(kers[n], [0] * (n - 1) + [1]) for n in degs])
             out = None
-            for n, ker in sorted(kers.items()):
-                term = _poly_term(system, ker, [u] * (n - 1) + [v]) * float(n)
+            for n, term in zip(degs, terms):
+                term = term * float(n)
                 out = term if out is None else out + term
             return out
 
         def W(u, v):
+            nks = [(n, k) for n in sorted(kers) for k in range(2, n + 1)]
+            terms = _poly_terms(system, (u, v),
+                                [(kers[n], [0] * (n - k) + [1] * k)
+                                 for n, k in nks])
             out = 0.0 * v
-            for n, ker in sorted(kers.items()):
-                for k in range(2, n + 1):
-                    term = _poly_term(system, ker, [u] * (n - k) + [v] * k)
-                    out = out + term * float(math.comb(n, k))
+            for (n, k), term in zip(nks, terms):
+                out = out + term * float(math.comb(n, k))
             return out
 
         return FrechetPair(L, W, source=f"polynomial-degree-{max(kers)}")

@@ -293,21 +293,22 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     est = estimate_npower(zs, fulls, N, in_fam.bounding_norm,
                           out_fam.bounding_norm)
     evals = [_recenter(y, state.t) for y in fulls]
-    ratios = [out_fam.future_norm(y_fut, 0.0)
-              / (1.0 + in_fam.future_norm(v, 0.0) ** N)
-              for v, y_fut in zip(futures, evals)]
+    ratios = [y / (1.0 + v ** N)
+              for v, y in zip(in_fam.future_norms(futures, 0.0),
+                              out_fam.future_norms(evals, 0.0), strict=True)]
     bound = est * bound_factor
     violations = [{"probe": i, "ratio": r, "bound": bound}
                   for i, r in enumerate(ratios) if r > bound * (1.0 + 1e-12)]
+    pairs = [(i, j) for i in range(min(len(futures), 6))
+             for j in range(i + 1, min(len(futures), 6))]
+    dys = out_fam.future_norms([evals[i] - evals[j] for i, j in pairs], 0.0)
     continuity_rows = []
-    for i in range(min(len(futures), 6)):
-        for j in range(i + 1, min(len(futures), 6)):
-            dy = out_fam.future_norm(evals[i] - evals[j], 0.0)
-            dfull = out_fam.bounding_norm(fulls[i] - fulls[j])
-            continuity_rows.append({
-                "pair": [i, j], "centered_gap": dy, "global_gap": dfull,
-                "ok": dy <= dfull * (1.0 + 1e-12) + 1e-300,
-            })
+    for (i, j), dy in zip(pairs, dys):
+        dfull = out_fam.bounding_norm(fulls[i] - fulls[j])
+        continuity_rows.append({
+            "pair": [i, j], "centered_gap": dy, "global_gap": dfull,
+            "ok": dy <= dfull * (1.0 + 1e-12) + 1e-300,
+        })
     return {
         "estimate": est,
         "bound": bound,

@@ -14,7 +14,8 @@ Three concrete operators are shipped:
   kernels, optionally time varying.  Every term, of any degree, is one
   contraction of the kernel grid against the inputs' lag matrices
   (``_contract``: a matmul for the first slot, a row-wise reduction for
-  each further one).
+  each further one).  A lag matrix is built once per input and kernel
+  grid size in each call and read by every slot and degree.
 
 Every operator also answers for natural states (``past_summary`` and
 ``future_responses``): by default a summary is the past itself and each
@@ -366,20 +367,18 @@ class PolyIntegralOperator(SystemOp):
             latest_first, (Q, u.dim))[:, 0]
         return windows[np.minimum(g.i1 + 1 - t_idx, g.n)]
 
-    def _term(self, ker: PolyKernel, slots: Sequence[TimeFunction],
-              t_idx: np.ndarray) -> np.ndarray:
-        """One multilinear term at the instants ``t_idx``, one input per slot.
+    def _term(self, ker: PolyKernel, mats: Sequence[np.ndarray],
+              t_idx: np.ndarray, dt: float) -> np.ndarray:
+        """One multilinear term at the instants ``t_idx``, one lag matrix
+        (:meth:`_past_matrix` at ``ker``'s grid size) per slot.
 
         ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
-        over the kernel grid.  A time-invariant kernel is contracted against
-        every instant at once; a time-varying one is sampled per instant.
+        over the kernel grid.  Slots that read one input take one matrix,
+        the same object repeated: callers build one matrix per input and
+        grid size and never rebuild it per slot or per degree.  A
+        time-invariant kernel is contracted against every instant at once; a
+        time-varying one is sampled per instant.
         """
-        if ker.time_varying and any(np.any(s.tail_value) for s in slots):
-            raise ValueError("time-varying operator requires zero input tail")
-        dt = slots[0].grid.dt
-        Q = ker.grid_size(dt)
-        pasts = {id(s): self._past_matrix(s, t_idx, Q) for s in slots}
-        mats = [pasts[id(s)] for s in slots]
         scale = dt ** ker.degree
         if not ker.time_varying:
             return _contract(ker.grid_values(dt), mats) * scale
@@ -390,12 +389,20 @@ class PolyIntegralOperator(SystemOp):
         return out * scale
 
     def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
+        """Output values at the instants ``t_indices``: one lag matrix of
+        ``u`` per distinct kernel grid size, read by every degree."""
         if u.dim != self.input_dim:
             raise ValueError("input dimension mismatch")
         t_idx = np.asarray(t_indices, dtype=int)
+        dt = u.grid.dt
         y = np.full(t_idx.shape[0], self.constant, dtype=float)
+        lags: dict[int, np.ndarray] = {}
         for n, ker in sorted(self.kernels.items()):
-            y += self._term(ker, [u] * n, t_idx)
+            _check_tails(ker, [u])
+            Q = ker.grid_size(dt)
+            if Q not in lags:
+                lags[Q] = self._past_matrix(u, t_idx, Q)
+            y += self._term(ker, [lags[Q]] * n, t_idx, dt)
         return y[:, None]
 
     def apply(self, u: TimeFunction) -> TimeFunction:
@@ -404,6 +411,12 @@ class PolyIntegralOperator(SystemOp):
         g = u.grid
         y = self.apply_at(u, np.arange(g.i0, g.i1 + 1))
         return TimeFunction(g, y[1:], y[0])
+
+
+def _check_tails(ker: PolyKernel, inputs: Sequence[TimeFunction]) -> None:
+    """Refuse a nonzero input tail under a time-varying kernel."""
+    if ker.time_varying and any(np.any(u.tail_value) for u in inputs):
+        raise ValueError("time-varying operator requires zero input tail")
 
 
 def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -544,18 +557,18 @@ def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
     """
     in_norm = lambda u: system.input_fam.past_norm(u, 0.0)
     out_norm = lambda y: system.output_fam.past_norm(y, 0.0)
+    # The probe pairs' input gaps do not depend on the instant.
+    gaps = [(i, j, in_norm(probes0[i] - probes0[j]))
+            for i in range(len(probes0)) for j in range(i + 1, len(probes0))]
     per_t = []
     moduli = []
     for t in ts:
         op = centered_truncation(system, t)
         outs = [op(u) for u in probes0]
         per_t.append(estimate_npower(probes0, outs, N, in_norm, out_norm))
-        for i in range(len(probes0)):
-            for j in range(i + 1, len(probes0)):
-                du = in_norm(probes0[i] - probes0[j])
-                dy = out_norm(outs[i] - outs[j])
-                if du > 0.0:
-                    moduli.append(dy / du)
+        for i, j, du in gaps:
+            if du > 0.0:
+                moduli.append(out_norm(outs[i] - outs[j]) / du)
     spread = max(per_t) - min(per_t)
     return {
         "uniform_bound": max(per_t),

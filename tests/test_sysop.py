@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
 from natstate import catalog
+from natstate.calculus import _poly_terms
+from natstate.kernel import symmetrize
 from natstate.sysop import _THETA13, _contract, _expm
 
 DT = 0.02
@@ -522,8 +525,9 @@ def test_term_time_varying_degree3_distinct_slots():
     g = Grid(dt, -20, 10)
     u, v, w = _pasts(g, 31, 3)
     t_idx = np.arange(g.i0, g.i1 + 1)
-    got = op._term(ker, [u, v, w], t_idx)
     Q = ker.grid_size(dt)
+    got = op._term(ker, [op._past_matrix(s, t_idx, Q) for s in (u, v, w)],
+                   t_idx, dt)
     lags = np.arange(1, Q + 1) * dt
     mesh = np.meshgrid(lags, lags, lags, indexing="ij")
     for i, t in enumerate(t_idx):
@@ -594,3 +598,143 @@ def test_past_matrix_matches_flat_gather(quad, M):
     assert np.array_equal(got, want)
     with pytest.raises(IndexError, match="beyond the represented horizon"):
         op._past_matrix(u, np.array([g.i1 + 2]), Q)
+
+
+# -- one lag matrix per input ---------------------------------------------------
+
+
+def _count_past_matrix(monkeypatch) -> list:
+    """Record the grid size of every ``_past_matrix`` call from now on."""
+    calls = []
+    build = PolyIntegralOperator._past_matrix
+
+    def counted(self, u, t_idx, Q):
+        calls.append(Q)
+        return build(self, u, t_idx, Q)
+
+    monkeypatch.setattr(PolyIntegralOperator, "_past_matrix", counted)
+    return calls
+
+
+def test_each_input_lag_matrix_is_built_once_per_call(monkeypatch):
+    calls = _count_past_matrix(monkeypatch)
+    for name in ("quadratic-volterra", "cubic-volterra"):
+        b = catalog.system(name, 0.05)
+        u = _pasts(b.grid(0.05), 40, 1, tail=0.3)[0]
+        calls.clear()
+        b.system.apply(u)
+        assert len(calls) == 1, name
+    # One matrix per distinct grid size, never a slice of a larger one.
+    calls.clear()
+    _two_support_operator().apply(u)
+    assert calls == [4, 8]
+    fp = frechet_of(b.system)  # cubic-volterra: degrees 1-3, one grid size
+    v = _pasts(u.grid, 41, 1)[0]
+    for D in (fp.L, fp.W):
+        calls.clear()
+        D(u, v)
+        assert len(calls) == 2
+    # Distinct inputs in the slots of one time-varying term: one matrix each.
+    op, ker = _cubic_tv_operator(0.3)
+    g = Grid(0.05, -20, 10)
+    calls.clear()
+    _poly_terms(op, _pasts(g, 42, 3), [(ker, [0, 1, 2])])
+    assert calls == [ker.grid_size(0.05)] * 3
+
+
+def _term_per_slot(op, ker, slots, t_idx, dt):
+    """The term with one ``_past_matrix`` per slot, then ``_contract``: the
+    oracle for terms whose slots share one lag matrix."""
+    Q = ker.grid_size(dt)
+    mats = [op._past_matrix(s, t_idx, Q) for s in slots]
+    if not ker.time_varying:
+        return _contract(ker.grid_values(dt), mats) * dt ** ker.degree
+    out = np.empty(t_idx.shape[0])
+    for i, t in enumerate(t_idx):
+        K = ker.grid_values(dt, at_time=float(t * dt))
+        out[i] = _contract(K, [m[i:i + 1] for m in mats])[0]
+    return out * dt ** ker.degree
+
+
+def _apply_at_per_slot(op, u, t_idx):
+    y = np.full(t_idx.shape[0], op.constant)
+    for n, ker in sorted(op.kernels.items()):
+        y += _term_per_slot(op, ker, [u] * n, t_idx, u.grid.dt)
+    return y[:, None]
+
+
+def _frechet_per_slot(op, u, v):
+    """``(L(u, v), W(u, v))`` term by term, each term on its first slot's
+    grid with one lag matrix per slot."""
+    kers = {n: symmetrize(k) for n, k in op.kernels.items()}
+
+    def term(ker, slots):
+        g = slots[0].grid
+        vals = _term_per_slot(op, ker, slots, np.arange(g.i0, g.i1 + 1), g.dt)
+        return TimeFunction(g, vals[1:], vals[:1])
+
+    L = None
+    W = 0.0 * v
+    for n, ker in sorted(kers.items()):
+        t = term(ker, [u] * (n - 1) + [v]) * float(n)
+        L = t if L is None else L + t
+        for k in range(2, n + 1):
+            W = W + term(ker, [u] * (n - k) + [v] * k) * float(math.comb(n, k))
+    return L, W
+
+
+def _same_bits(a: TimeFunction, b: TimeFunction) -> bool:
+    return (a.grid == b.grid and a.samples.tobytes() == b.samples.tobytes()
+            and a.tail_value.tobytes() == b.tail_value.tobytes())
+
+
+def _two_support_operator():
+    # Degree 1 on 0.2 s and degree 2 on 0.4 s: two grid sizes in one apply.
+    k1 = PolyKernel(1, 0.2, func=lambda s: np.cos(3.0 * np.asarray(s)))
+    k2 = PolyKernel(2, 0.4, func=lambda a, b: np.exp(-a - 2.0 * b))
+    return PolyIntegralOperator([k1, k2], -0.3, catalog.family("uniform-l2"),
+                                catalog.family("esssup"))
+
+
+def _vector_operator():
+    ker = PolyKernel(2, 0.2, input_dim=2,
+                     func=lambda ix, s1, s2: (ix[0] - 0.4 * ix[1])
+                     * np.exp(-s1 - 2.0 * s2))
+    return PolyIntegralOperator([ker], 0.25, catalog.family("uniform-l2"),
+                                catalog.family("esssup"), input_dim=2)
+
+
+@pytest.mark.parametrize("name", ["quadratic-volterra", "quadratic-volterra-tv",
+                                  "cubic-volterra", "vector", "two-supports"])
+def test_shared_lag_matrices_keep_every_bit(name):
+    dt = 0.05
+    if name == "vector":
+        op, M = _vector_operator(), 2
+    elif name == "two-supports":
+        op, M = _two_support_operator(), 1
+    else:
+        op, M = catalog.system(name, dt).system, 1
+    g = Grid(dt, -30, 25)
+    tail = 0.0 if not op.time_invariant else 0.4
+    rng = np.random.default_rng(43)
+    u, v = (TimeFunction(g, rng.standard_normal((g.n, M)) * 0.5,
+                         np.full(M, tail)) for _ in range(2))
+    y = op.apply(u)
+    want = _apply_at_per_slot(op, u, np.arange(g.i0, g.i1 + 1))
+    assert _same_bits(y, TimeFunction(g, want[1:], want[0]))
+    t_idx = np.array([g.i1 + 1, g.i0 - 7, 3, g.i0, 3, g.i1, -12, g.i0 + 1])
+    got = op.apply_at(u, t_idx)
+    assert got.tobytes() == _apply_at_per_slot(op, u, t_idx).tobytes()
+    if M == 1:
+        fp = frechet_of(op)
+        L, W = _frechet_per_slot(op, u, v)
+        assert _same_bits(fp.L(u, v), L)
+        assert _same_bits(fp.W(u, v), W)
+    if M == 1 and len(op.kernels) == 1:
+        # A direction on another grid: each term on its first slot's grid.
+        v = TimeFunction(Grid(dt, -10, 30), rng.standard_normal((40, 1)),
+                         np.zeros(1))
+        L, W = _frechet_per_slot(op, u, v)
+        assert L.grid == g and W.grid == v.grid
+        assert _same_bits(fp.L(u, v), L)
+        assert _same_bits(fp.W(u, v), W)
