@@ -6,12 +6,11 @@ lazy future-to-future operators, polynomial-kernel symmetrization and
 identification, and the derivative calculus tying them together.
 """
 
-from .timegrid import (AlignmentError, Grid, Interval, TimeFunction,
+from .timegrid import (AlignmentError, Grid, Interval, TimeBatch, TimeFunction,
                        read_timefunction, restrict, shift_left, shift_right,
                        splice, write_timefunction)
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
-                       classify, classify_input_set, taper_certificate,
-                       taper_delta)
+                       classify, taper_certificate, taper_delta)
 from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
                     SystemOp, TimeAdvance, centered_truncation,
                     check_causality, estimate_npower,

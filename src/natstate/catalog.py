@@ -18,7 +18,7 @@ import numpy as np
 from .kernel import PolyKernel
 from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import Grid, TimeFunction
+from .timegrid import Grid, TimeFunction, _positive
 
 __all__ = [
     "SystemBundle",
@@ -345,15 +345,16 @@ def system_from_spec(name: str, spec: dict, dt: float,
     box with ``level``, ``support``, ``constant``; or ``kernel_csv``).
     ``input_family``/``output_family`` name built-ins or config families.
     A missing required key, an unknown name or a wrong-typed value raises
-    ``ValueError`` naming the section, and so does a convolution support
-    that is not a whole number of ``dt`` steps.
+    ``ValueError`` naming the section, and so do a convolution support
+    that is not a whole number of ``dt`` steps and a ``past_window`` or
+    ``horizon`` that is not positive and finite.
     """
     customs = custom_families or {}
     with _section(f"system.{name}"):
         fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs)
         fout = _resolve_family(spec.get("output_family", "esssup"), customs)
-        pw = float(spec.get("past_window", 4.0))
-        hz = float(spec.get("horizon", 2.0))
+        pw = _positive(float(spec.get("past_window", 4.0)), "past_window")
+        hz = _positive(float(spec.get("horizon", 2.0)), "horizon")
         variant = _required(spec, "variant")
         if variant == "conv":
             S = float(spec.get("support", 1.0))

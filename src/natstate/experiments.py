@@ -36,8 +36,8 @@ from .states import (NaturalState, reachability_experiment,
 from .sysop import (PolyIntegralOperator, TimeAdvance,
                     centered_truncation, check_causality, estimate_npower,
                     hypothesis_uniformity_check, steer_to_state, truncation)
-from .timegrid import (Grid, Interval, TimeFunction, shift_left, splice,
-                       to_cells)
+from .timegrid import (Grid, Interval, TimeBatch, TimeFunction, shift_left,
+                       splice, to_cells)
 
 __all__ = ["RunConfig", "ExperimentResult", "Check", "EXPERIMENTS", "claim",
            "run_experiment"]
@@ -235,8 +235,8 @@ def exp_shared_state_set(cfg: RunConfig, res: ExperimentResult) -> None:
     T = one.params["response_support"]
     h_l1 = one.system.l1_mass
     rng = cfg.rng(31)
-    futures = future_probes(cfg.dt, one.horizon, cfg.seed + 32,
-                            count=cfg.futures)
+    futures = TimeBatch.stack(future_probes(cfg.dt, one.horizon, cfg.seed + 32,
+                                            count=cfg.futures))
     worst = 0.0
     rows = []
     for k in range(cfg.pasts):
@@ -247,8 +247,7 @@ def exp_shared_state_set(cfg: RunConfig, res: ExperimentResult) -> None:
         xi = NaturalState(one.system, u, 0.0)
         eta = NaturalState(two.system, w, 0.0)
         gap = max(one.system.output_fam.future_norms(
-            [a - b for a, b in zip(xi.evaluate_all(futures),
-                                   eta.evaluate_all(futures))], 0.0))
+            xi.evaluate_all(futures) - eta.evaluate_all(futures), 0.0))
         worst = max(worst, gap)
         rows.append({"past": k, "tail_level": level, "gap": gap})
     tol = 5.0 * cfg.dt * h_l1
@@ -692,7 +691,7 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
     under any drive"""
     dt = cfg.dt
     futures = future_probes(dt, 2.0, cfg.seed + 101, count=max(8, cfg.futures // 2))
-    futures = [0.0 * futures[0]] + futures
+    futures = TimeBatch.stack([0.0 * futures[0]] + futures)
 
     rb = catalog.system("reachable-conv", dt)
     g = rb.grid(dt)
@@ -743,7 +742,7 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     while the systems differ, and the failed premise is reported"""
     dt = cfg.dt
     futures = future_probes(dt, 2.0, cfg.seed + 111, count=10)
-    futures = [0.0 * futures[0]] + futures
+    futures = TimeBatch.stack([0.0 * futures[0]] + futures)
 
     # Identical systems, trivial matching.
     one, two = catalog.averager_pair(dt)
@@ -826,8 +825,8 @@ def exp_state_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     splice chain, with zero violations, and evaluations ignore the past
     beyond the state instant"""
     dt = cfg.dt
-    futures = future_probes(dt, 1.5, cfg.seed + 121,
-                            count=max(20, cfg.bound_probes))
+    futures = TimeBatch.stack(future_probes(dt, 1.5, cfg.seed + 121,
+                                            count=max(20, cfg.bound_probes)))
     total_probes = 0
     for name, n_states in (("quadratic-volterra", 2), ("averager-1x", 2)):
         b = catalog.system(name, dt)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .timegrid import (Grid, Interval, TimeFunction, NEG_INF, POS_INF,
-                       ceil_cells, to_cells)
+from .timegrid import (Interval, TimeBatch, TimeFunction, NEG_INF, POS_INF,
+                       _positive, ceil_cells, to_cells)
 
 __all__ = [
     "Weight",
@@ -32,7 +32,6 @@ __all__ = [
     "taper_delta",
     "taper_certificate",
     "classify",
-    "classify_input_set",
 ]
 
 
@@ -65,14 +64,18 @@ class Weight:
 
     @staticmethod
     def exponential(rate: float, alpha: float = 1.0) -> "Weight":
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return Weight("exp", {"rate": rate}, alpha=alpha, K=math.exp(rate * alpha))
+        """``exp(-rate x)`` with ``K = exp(rate * alpha)``, which must not
+        overflow."""
+        try:
+            K = math.exp(_positive(rate, "rate") * _positive(alpha, "alpha"))
+        except OverflowError:
+            raise ValueError(f"rate {rate!r} with alpha {alpha!r} overflows "
+                             "K = exp(rate * alpha)") from None
+        return Weight("exp", {"rate": rate}, alpha=alpha, K=K)
 
     @staticmethod
     def box(memory: float) -> "Weight":
-        if memory <= 0:
-            raise ValueError("memory length must be positive")
+        _positive(memory, "memory length")
         return Weight("box", {"memory": memory}, alpha=memory, K=1.0)
 
     @staticmethod
@@ -256,7 +259,8 @@ class FittedFamily:
         window end count, so the window identity ``|y|_t = |y|_{t-b,t}``
         holds exactly.
         """
-        w = Weight.uniform() if b == POS_INF else Weight.box(b)
+        w = (Weight.uniform() if b == POS_INF
+             else Weight.box(_positive(b, "window length b")))
         return FittedFamily("weighted_lp", POS_INF, w, "max",
                             name=name or f"esssup-window-{b}")
 
@@ -271,10 +275,11 @@ class FittedFamily:
         return self.weight.K
 
     def _rownorm(self, samples: np.ndarray) -> np.ndarray:
+        """Pointwise norm of each value along the last axis of ``samples``."""
         if self.vector_norm == "max":
-            return np.abs(samples).max(axis=1)
-        # np.linalg.norm(samples, axis=1), without its dispatch overhead.
-        return np.sqrt((samples * samples).sum(axis=1))
+            return np.abs(samples).max(axis=-1)
+        # np.linalg.norm(samples, axis=-1), without its dispatch overhead.
+        return np.sqrt((samples * samples).sum(axis=-1))
 
     def _scalar_tail(self, tail: np.ndarray) -> float:
         return float(self._rownorm(tail[None, :])[0])
@@ -473,26 +478,22 @@ class FittedFamily:
 
     def future_norm(self, f: TimeFunction, s: float) -> float:
         """``sup_{t > s} |f|_{s,t}`` with ``t`` running to the horizon."""
-        return self.future_norms([f], s)[0]
+        return self.future_norms(TimeBatch.stack([f]), s)[0]
 
-    def future_norms(self, fs: Sequence[TimeFunction], s: float) -> list[float]:
-        """:meth:`future_norm` of every function of ``fs``, in order: one
-        :meth:`_running` call per grid on the stacked rows, each with its
-        own tail, never padded (``_exp_running``'s bits depend on length)."""
-        groups: dict[Grid, list[int]] = {}
-        for k, f in enumerate(fs):
-            groups.setdefault(f.grid, []).append(k)
-        out = [0.0] * len(fs)
-        for g, ks in groups.items():
-            si = NEG_INF if s == NEG_INF else float(g.index_of(s))
-            if si >= g.i1:
-                raise ValueError("window start at or beyond the horizon")
-            tails = np.array([self._tail_coef(fs[k].tail_value) for k in ks])
-            mags = np.stack([self._rownorm(fs[k].samples) for k in ks])
-            run = self._running(g.i0, g.dt, tails, mags, np.full(len(ks), si))
-            for k, m in zip(ks, run.max(axis=1).tolist()):
-                out[k] = m
-        return out
+    def future_norms(self, fs: TimeBatch, s: float) -> list[float]:
+        """:meth:`future_norm` of every function of the batch ``fs``, in
+        order: one :meth:`_running` call on the rows of the stack, each
+        with its own tail coefficient."""
+        g = fs.grid
+        si = NEG_INF if s == NEG_INF else float(g.index_of(s))
+        if si >= g.i1:
+            raise ValueError("window start at or beyond the horizon")
+        if not len(fs):
+            return []
+        tails = np.array([self._tail_coef(tail) for tail in fs.tails])
+        run = self._running(g.i0, g.dt, tails, self._rownorm(fs.samples),
+                            np.full(len(fs), si))
+        return run.max(axis=1).tolist()
 
     def bounding_norm(self, f: TimeFunction) -> float:
         """``sup_t |f|_t``: the norm of the bounding space."""
@@ -736,17 +737,6 @@ def classify(fam: FittedFamily) -> dict:
     if w.integrable:
         return {"class": "tapered", "memory": None}
     return {"class": "neither", "memory": None}
-
-
-def classify_input_set(fns) -> dict:
-    """Shifted-zero check for an input set: zero tails, supported to the right."""
-    zero_tails = all(not np.any(f.tail_value) for f in fns)
-    starts = []
-    for f in fns:
-        nz = np.nonzero(np.any(f.samples != 0.0, axis=1))[0]
-        starts.append(None if nz.size == 0
-                      else (f.grid.i0 + 1 + int(nz[0])) * f.grid.dt)
-    return {"shifted_zero": zero_tails, "first_support": starts}
 
 
 def taper_delta(fam: FittedFamily, eps: float, c: float) -> Optional[float]:

@@ -10,7 +10,8 @@ and read by ``future_responses`` for a batch of futures (the last support
 window and the eventual level for a convolution, the vector ``x(t)`` for
 a state equation, the past itself for the definitional
 splice-apply-recenter path).  All comparisons are probe maximizations of
-a weighted operator distance on shared, seeded probe sets.
+a weighted operator distance on shared, seeded probe sets; futures and
+outputs travel as ``TimeBatch`` stacks, and two states' outputs subtract.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
 from .sysop import SystemOp, _recenter, estimate_npower
-from .timegrid import (TimeFunction, ceil_cells, shift_left, shift_right,
-                       splice)
+from .timegrid import (TimeBatch, TimeFunction, ceil_cells, shift_left,
+                       shift_right, splice)
 
 __all__ = [
     "NaturalState",
@@ -72,10 +73,10 @@ class NaturalState:
         """Centered future output on ``(0, H]`` for future input ``v`` on ``(0, H]``."""
         return self.evaluate_all([v])[0]
 
-    def evaluate_all(self, vs: Sequence[TimeFunction]) -> list[TimeFunction]:
-        """:meth:`evaluate` of every future input of ``vs``, in order, from
-        one ``future_responses`` call of the system."""
-        return self.system.future_responses(self.summary, vs)
+    def evaluate_all(self, vs) -> TimeBatch:
+        """:meth:`evaluate` of every future input of ``vs`` (a batch, or
+        functions on one grid), in order: one ``future_responses`` call."""
+        return self.system.future_responses(self.summary, TimeBatch.stack(vs))
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -87,7 +88,7 @@ class NaturalState:
 
 
 def state_distance(xi: NaturalState, eta: NaturalState, N: int,
-                   futures: Sequence[TimeFunction]) -> float:
+                   futures) -> float:
     """``max_v |xi(v) - eta(v)|_{0,inf} / (1 + |v|_{0,inf}^N)`` over probes.
 
     Both states must share the input/output families of their systems; the
@@ -98,17 +99,19 @@ def state_distance(xi: NaturalState, eta: NaturalState, N: int,
 
 
 def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
-                    N: int, futures: Sequence[TimeFunction]) -> list[list[float]]:
+                    N: int, futures) -> list[list[float]]:
     """``state_distance(xi, eta, N, futures)`` for every ``xi`` (rows) and
     ``eta`` (columns).
 
-    Each state answers every future in one ``evaluate_all`` call, the
-    futures' input norms are one ``future_norms`` call and each pair's
-    output gaps one more; every entry is the ``estimate_npower`` maximum
-    over the futures in order, bit for bit, and ``0.0`` when there are none.
+    Each state answers the batch of futures in one ``evaluate_all`` call,
+    the futures' input norms are one ``future_norms`` call and each pair's
+    output gaps one more, on the difference of the two output stacks; every
+    entry is the ``estimate_npower`` maximum over the futures in order, bit
+    for bit, and ``0.0`` for an empty batch.
     """
     if not xis:
         return []
+    futures = TimeBatch.stack(futures)
     out_fam = xis[0].system.output_fam
     in_fam = xis[0].system.input_fam
     dens = [1.0 + n ** N for n in in_fam.future_norms(futures, 0.0)]
@@ -116,13 +119,9 @@ def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
     rows = []
     for xi in xis:
         xi_out = xi.evaluate_all(futures)
-        row = []
-        for outs in eta_outs:
-            gaps = out_fam.future_norms([a - b for a, b in zip(xi_out, outs)],
-                                        0.0)
-            row.append(max((d / den for d, den in zip(gaps, dens)),
-                           default=0.0))
-        rows.append(row)
+        rows.append([max((d / den for d, den in zip(
+            out_fam.future_norms(xi_out - outs, 0.0), dens)), default=0.0)
+                     for outs in eta_outs])
     return rows
 
 
@@ -162,10 +161,9 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
         edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), state.past.dim))
     other = NaturalState(state.system,
                          TimeFunction(g, edited, state.past.tail_value), state.t)
-    worst = 0.0
-    for a, b in zip(state.evaluate_all(futures), other.evaluate_all(futures)):
-        worst = max(worst, float(np.max(np.abs((a - b).samples))))
-    return worst
+    futures = TimeBatch.stack(futures)
+    d = state.evaluate_all(futures) - other.evaluate_all(futures)
+    return float(np.max(np.abs(d.samples), initial=0.0))
 
 
 # -- reachability ---------------------------------------------------------------
@@ -233,6 +231,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     matches are measured at weight power two.
     """
     fam_in, fam_out = sys1.input_fam, sys1.output_fam
+    futures = TimeBatch.stack(futures)
     y2 = sys2.apply(u)
     rows = []
     for i in range(1, steps + 1):
@@ -288,11 +287,12 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     P = float(np.max(all_past[: t_idx - g.i0 + 1]))
     bound_factor = 1.0 + sum(math.comb(N, k) * P ** k for k in range(N + 1))
 
+    futures = TimeBatch.stack(futures)
     zs = [state.spliced_input(v) for v in futures]
     fulls = [state.system.apply(z) for z in zs]
     est = estimate_npower(zs, fulls, N, in_fam.bounding_norm,
                           out_fam.bounding_norm)
-    evals = [_recenter(y, state.t) for y in fulls]
+    evals = TimeBatch.stack([_recenter(y, state.t) for y in fulls])
     ratios = [y / (1.0 + v ** N)
               for v, y in zip(in_fam.future_norms(futures, 0.0),
                               out_fam.future_norms(evals, 0.0), strict=True)]
@@ -301,7 +301,8 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
                   for i, r in enumerate(ratios) if r > bound * (1.0 + 1e-12)]
     pairs = [(i, j) for i in range(min(len(futures), 6))
              for j in range(i + 1, min(len(futures), 6))]
-    dys = out_fam.future_norms([evals[i] - evals[j] for i, j in pairs], 0.0)
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    dys = out_fam.future_norms(evals[first] - evals[second], 0.0)
     continuity_rows = []
     for (i, j), dy in zip(pairs, dys):
         dfull = out_fam.bounding_norm(fulls[i] - fulls[j])

@@ -21,8 +21,8 @@ Every operator also answers for natural states (``past_summary`` and
 ``future_responses``): by default a summary is the past itself and each
 future response splices, applies and recenters; the convolution and the
 state equation keep only what the future reads of the past, and their
-future outputs equal the definitional ones bit for bit.  The state
-equation steps a batch of futures on one grid together.
+future outputs equal the definitional ones bit for bit.  A batch of
+futures and its responses are each one ``TimeBatch`` on one grid.
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
@@ -39,8 +39,8 @@ import numpy as np
 
 from .kernel import PolyKernel
 from .seminorm import FittedFamily
-from .timegrid import (Grid, TimeFunction, shift_left, shift_right, splice,
-                       to_cells)
+from .timegrid import (Grid, TimeBatch, TimeFunction, _values_after,
+                       shift_left, shift_right, splice, to_cells)
 
 __all__ = [
     "SystemOp",
@@ -82,17 +82,18 @@ class SystemOp:
         """
         return u, t_idx
 
-    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
-        """Centered outputs on ``(0, H]``, one per centered future input
-        ``v`` on ``(0, H]`` of ``vs``, after the past ``summary`` describes.
-
-        By default each is the definition of a natural state: splice ``v``
-        onto the past at ``t``, apply the system and recenter the output.
+    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+        """Centered outputs on ``(0, H]`` after the past ``summary``
+        describes, one per centered future input ``v`` on ``(0, H]`` of the
+        batch ``vs``.  By default each is the definition of a natural state:
+        splice ``v`` onto the past at ``t``, apply the system and recenter
+        the output.
         """
         u, t_idx = summary
         t = t_idx * u.grid.dt
-        return [_recenter(self.apply(splice(u, shift_right(v, t), t)), t)
-                for v in vs]
+        return TimeBatch.stack(
+            [_recenter(self.apply(splice(u, shift_right(v, t), t)), t)
+             for v in vs])
 
     def __call__(self, u: TimeFunction) -> TimeFunction:
         return self.apply(u)
@@ -128,32 +129,35 @@ class LimsupConvolution(SystemOp):
     def l1_mass(self) -> float:
         return float(np.sum(np.abs(self.h.samples))) * self.h.grid.dt
 
-    def _check_input(self, u: TimeFunction) -> None:
+    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
         if u.dim != 1:
             raise ValueError("scalar input expected")
         if not u.grid.compatible(self.h.grid):
             raise ValueError("input grid step differs from impulse-response step")
 
-    def _output(self, g: Grid, upad: np.ndarray, ubar: np.ndarray) -> TimeFunction:
-        """Output on ``g`` from ``upad``, the ``m`` inputs up to ``g``'s
-        start followed by its ``n`` samples, and the eventual level ``ubar``.
-
-        Output ``j`` reads ``upad[j .. j + m - 1]`` only.
+    def _output(self, upad: np.ndarray, ubar: np.ndarray, dt: float):
+        """Output samples ``(B, n, 1)`` and tail from the rows of ``upad``,
+        each the ``m`` inputs up to a grid's start followed by its ``n``
+        samples, and the eventual level ``ubar``.  Output ``j`` of a row
+        reads its ``upad[j .. j + m - 1]`` only.
         """
         m = self.h.grid.n
         hv = self.h.samples[:, 0]
-        conv = np.convolve(upad[:, 0], hv)[m - 1: m - 1 + g.n] * g.dt
+        vals = np.empty((upad.shape[0], upad.shape[1] - m, 1))
+        for row, out in zip(upad, vals):
+            out[:, 0] = np.convolve(row, hv)[m - 1: m - 1 + out.shape[0]]
         ubar = float(ubar[0])
-        vals = conv + self.tail_gain * ubar
-        tail = ubar * (float(np.sum(hv)) * g.dt + self.tail_gain)
-        return TimeFunction(g, vals, np.array([tail]))
+        vals *= dt
+        vals += self.tail_gain * ubar
+        return vals, ubar * (float(np.sum(hv)) * dt + self.tail_gain)
 
     def apply(self, u: TimeFunction) -> TimeFunction:
         self._check_input(u)
         g = u.grid
         m = self.h.grid.n
         upad = u.values_at_indices(np.arange(g.i0 + 1 - m, g.i1 + 1))
-        return self._output(g, upad, u.tail_value)
+        vals, tail = self._output(upad.T, u.tail_value, g.dt)
+        return TimeFunction(g, vals[0], np.array([tail]))
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """The last ``m`` inputs up to ``t`` (tail-filled), the eventual
@@ -163,14 +167,18 @@ class LimsupConvolution(SystemOp):
         window = u.values_at_indices(np.arange(t_idx + 1 - m, t_idx + 1))
         return window, u.tail_value, u.grid.dt
 
-    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
-        """One convolution per future, the call :meth:`apply` makes."""
+    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+        """One convolution per future, the call :meth:`apply` makes, on rows
+        that each start with the past window."""
         window, ubar, dt = summary
-        for v in vs:
-            self._check_input(v)
-        return [self._output(Grid(dt, 0, v.grid.i1),
-                             np.concatenate([window, v.values_after(0)]), ubar)
-                for v in vs]
+        self._check_input(vs)
+        g = Grid(dt, 0, vs.grid.i1)
+        m = window.shape[0]
+        upad = np.empty((len(vs), m + g.n))
+        upad[:, :m] = window[:, 0]
+        upad[:, m:] = _values_after(vs.grid, vs.samples, vs.tails, 0)[..., 0]
+        vals, tail = self._output(upad, ubar, dt)
+        return TimeBatch(g, vals, np.full((len(vs), 1), tail))
 
 
 # Higham (2005): the [13/13] Pade numerator coefficients
@@ -266,7 +274,7 @@ class LTISystem(SystemOp):
                 "divergent tail: nonzero constant past input needs a Hurwitz A")
         return -np.linalg.solve(self.A, self.B @ ubar)
 
-    def _check_input(self, u: TimeFunction) -> None:
+    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
         if u.dim != self.input_dim:
             raise ValueError("input dimension mismatch")
 
@@ -301,22 +309,16 @@ class LTISystem(SystemOp):
         xs = self._steps(x0, u.samples[:max(0, t_idx - u.grid.i0)], u.grid.dt)
         return (xs[-1] if len(xs) else x0), x0, u.grid.dt
 
-    def future_responses(self, summary, vs: Sequence) -> list[TimeFunction]:
-        """One :meth:`_steps` call per output grid, from ``x(t)``."""
+    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+        """One :meth:`_steps` call for the batch, from ``x(t)``."""
         x, x0, dt = summary
-        groups: dict[Grid, list[int]] = {}
-        for k, v in enumerate(vs):
-            self._check_input(v)
-            g = Grid(dt, 0, v.grid.i1)
-            if not g.compatible(v.grid):
-                raise ValueError("future input grid step differs from the past's")
-            groups.setdefault(g, []).append(k)
-        out = [None] * len(vs)
-        for g, ks in groups.items():
-            ys = self._steps(x, np.stack([vs[k].values_after(0) for k in ks]), dt)
-            for k, y in zip(ks, ys):
-                out[k] = TimeFunction(g, y, x0)
-        return out
+        self._check_input(vs)
+        g = Grid(dt, 0, vs.grid.i1)
+        if not g.compatible(vs.grid):
+            raise ValueError("future input grid step differs from the past's")
+        us = _values_after(vs.grid, vs.samples, vs.tails, 0)
+        return TimeBatch(g, self._steps(x, us, dt),
+                         np.broadcast_to(x0, (len(vs), x0.shape[0])))
 
 
 class PolyIntegralOperator(SystemOp):

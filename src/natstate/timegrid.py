@@ -7,7 +7,8 @@ the value at the *right* endpoint of its cell ``(s, s + dt]``; everything at
 or before the grid start takes a constant ``tail_value``.  The constant tail
 stands in for the infinite past, which makes eventual levels (the limit
 superior of the input as time runs to minus infinity) exact for
-eventually-constant functions.
+eventually-constant functions.  A :class:`TimeBatch` stacks functions on
+one grid, validated once as a whole.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "Grid",
     "Interval",
     "TimeFunction",
+    "TimeBatch",
     "AlignmentError",
     "to_cells",
     "ceil_cells",
@@ -46,6 +48,14 @@ def _steps(x: float, dt: float, what: str) -> int:
     if abs(x - k * dt) > _ALIGN_RTOL * max(1.0, abs(x)):
         raise AlignmentError(f"{what} {x} is not a multiple of dt={dt}")
     return int(k)
+
+
+def _positive(x: float, what: str) -> float:
+    """``x`` if it is positive and finite; ``ValueError`` otherwise, NaN
+    included."""
+    if not 0.0 < x < POS_INF:
+        raise ValueError(f"{what} must be positive and finite, got {x}")
+    return x
 
 
 def to_cells(length: float, dt: float) -> int:
@@ -73,8 +83,7 @@ class Grid:
     i1: int
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _positive(self.dt, "dt")
         if self.i1 <= self.i0:
             raise ValueError(f"empty grid: i0={self.i0}, i1={self.i1}")
 
@@ -197,12 +206,6 @@ class TimeFunction:
         out[~past] = self.samples[idx[~past] - self.grid.i0 - 1]
         return out
 
-    def values_after(self, i: int) -> np.ndarray:
-        """Values at the instants ``i + 1 .. grid.i1`` (none if ``i >=
-        grid.i1``), the tail filling those at or below ``grid.i0``."""
-        fill = np.broadcast_to(self.tail_value, (max(0, self.grid.i0 - i), self.dim))
-        return np.concatenate([fill, self.samples[max(0, i - self.grid.i0):]])
-
     # -- arithmetic (identical grids required) ----------------------------
 
     def _check_same_grid(self, other: "TimeFunction"):
@@ -247,17 +250,92 @@ class TimeFunction:
         )
 
 
+class TimeBatch:
+    """``B`` time functions on one :class:`Grid`: samples ``(B, grid.n,
+    dim)`` and tails ``(B, dim)``, checked finite once as a whole, copied
+    and frozen.  ``batch[k]`` is a :class:`TimeFunction` and a slice or an
+    index array gives a batch, both sharing the arrays.  Subtraction needs
+    identical grids.
+    """
+
+    __slots__ = ("grid", "samples", "tails")
+
+    def __init__(self, grid: Grid, samples: np.ndarray, tails: np.ndarray):
+        samples = np.array(samples, dtype=float)
+        tails = np.array(tails, dtype=float)
+        if (samples.ndim != 3 or samples.shape[1] != grid.n
+                or tails.shape != samples.shape[::2]):
+            raise ValueError(f"need samples (B, {grid.n}, dim) and tails (B, "
+                             f"dim), got {samples.shape} and {tails.shape}")
+        if not (np.isfinite(samples).all() and np.isfinite(tails).all()):
+            raise ValueError("non-finite sample or tail value")
+        _freeze(self, grid, samples, tails)
+
+    @staticmethod
+    def stack(fs) -> "TimeBatch":
+        """``fs`` as one batch: a batch as it is, or a non-empty sequence of
+        (already validated) functions on one grid, stacked."""
+        if isinstance(fs, TimeBatch):
+            return fs
+        if not fs or any(f.grid != fs[0].grid for f in fs):
+            raise ValueError("need one or more functions on one grid")
+        return _freeze(object.__new__(TimeBatch), fs[0].grid,
+                       np.stack([f.samples for f in fs]),
+                       np.stack([f.tail_value for f in fs]))
+
+    @property
+    def dim(self) -> int:
+        return self.samples.shape[2]
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            return _shared(self.grid, self.samples[k], self.tails[k])
+        return _freeze(object.__new__(TimeBatch), self.grid, self.samples[k],
+                       self.tails[k])
+
+    def __sub__(self, other: "TimeBatch") -> "TimeBatch":
+        if self.grid != other.grid:
+            raise ValueError("grids differ; align windows first")
+        return TimeBatch(self.grid, self.samples - other.samples,
+                         self.tails - other.tails)
+
+
+def _values_after(grid: Grid, samples: np.ndarray, tails: np.ndarray,
+                  i: int) -> np.ndarray:
+    """Values at the instants ``i + 1 .. grid.i1`` (none if ``i >=
+    grid.i1``) of one function or a stack of them (the second-to-last
+    axis), the tails filling those at or below ``grid.i0``."""
+    fill = np.broadcast_to(tails[..., None, :], tails.shape[:-1] + (
+        max(0, grid.i0 - i), tails.shape[-1]))
+    return np.concatenate([fill, samples[..., max(0, i - grid.i0):, :]], -2)
+
+
+def _freeze(batch: TimeBatch, grid: Grid, samples: np.ndarray,
+            tails: np.ndarray) -> TimeBatch:
+    samples.setflags(write=False)
+    tails.setflags(write=False)
+    batch.grid, batch.samples, batch.tails = grid, samples, tails
+    return batch
+
+
 def shift_left(f: TimeFunction, tau: float) -> TimeFunction:
     """Left shift: ``(shift_left(f, tau))(t) = f(t + tau)``.
 
     ``tau`` must be grid-aligned.  The sample array is untouched; only the
     window moves, so shifted norms match unshifted ones bit for bit.
     """
-    k = f.grid.index_of(tau)
-    # ``f``'s arrays are already validated and frozen: share, not copy.
+    return _shared(f.grid.shifted(f.grid.index_of(tau)), f.samples,
+                   f.tail_value)
+
+
+def _shared(grid: Grid, samples: np.ndarray, tail_value: np.ndarray):
+    """A function on arrays already validated and frozen: shared, not
+    copied or checked again."""
     out = object.__new__(TimeFunction)
-    out.grid, out.samples, out.tail_value = (f.grid.shifted(k), f.samples,
-                                             f.tail_value)
+    out.grid, out.samples, out.tail_value = grid, samples, tail_value
     return out
 
 
@@ -285,7 +363,8 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
     # The result starts at ``h``'s window or at ``si``, whichever is earlier,
     # so its past part is the first ``si - i0`` samples of ``h``.
     i0 = min(h.grid.i0, si)
-    vals = np.concatenate([h.samples[:si - i0], g.values_after(si)])
+    vals = np.concatenate([h.samples[:si - i0],
+                           _values_after(g.grid, g.samples, g.tail_value, si)])
     return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, h.tail_value)
 
 

@@ -300,6 +300,43 @@ def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     assert "PASS" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("toml, reason", [
+    ('[family.bad]\nform = "exp"\nrate = 1e300',
+     "[family.bad] rate 1e+300 with alpha 1.0 overflows K = exp(rate * alpha)"),
+    ('[family.bad]\nform = "exp"\nrate = nan',
+     "[family.bad] rate must be positive and finite, got nan"),
+    ('[family.bad]\nform = "exp"\nrate = 1.0\nalpha = -1.0',
+     "[family.bad] alpha must be positive and finite, got -1.0"),
+    ('[family.bad]\nform = "box"\nmemory = inf',
+     "[family.bad] memory length must be positive and finite, got inf"),
+    ('[family.bad]\nkind = "output_window"\nwindow_b = nan',
+     "[family.bad] window length b must be positive and finite, got nan"),
+    ('[family.bad]\nkind = "output_window"\nwindow_b = 0.0',
+     "[family.bad] window length b must be positive and finite, got 0.0"),
+    ('[system.bad]\nvariant = "conv"\npast_window = -1.0',
+     "[system.bad] past_window must be positive and finite, got -1.0"),
+    ('[system.bad]\nvariant = "conv"\npast_window = nan',
+     "[system.bad] past_window must be positive and finite, got nan"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 1\nA = [-1.0]\nB = [1.0]\n'
+     'horizon = 0.0', "[system.bad] horizon must be positive and finite, got 0.0"),
+    ('[system.bad]\nvariant = "conv"\nhorizon = inf',
+     "[system.bad] horizon must be positive and finite, got inf"),
+], ids=["exp-rate-overflows-K", "exp-rate-nan", "exp-alpha-negative",
+        "box-memory-inf", "window-b-nan", "window-b-zero",
+        "past-window-negative", "past-window-nan", "horizon-zero",
+        "horizon-inf"])
+def test_weights_and_system_windows_must_be_positive_and_finite(
+        tmp_path, capsys, toml, reason):
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text(toml + "\n")
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {reason}\n"
+    assert "PASS" not in captured.out and not out.exists()
+
+
 def test_box_memory_off_the_grid_is_a_config_error(tmp_path, capsys):
     # 0.015 s is a cell and a half at dt 0.01: refused, never snapped.
     cfgfile = tmp_path / "run.toml"

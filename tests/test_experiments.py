@@ -4,7 +4,7 @@ from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
 from natstate.seminorm import FittedFamily
 from natstate.sysop import LimsupConvolution, PolyIntegralOperator
-from natstate.timegrid import AlignmentError
+from natstate.timegrid import AlignmentError, TimeFunction
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -139,3 +139,25 @@ def test_shared_state_set_evaluates_each_state_once_per_future(monkeypatch):
     assert r.metrics["futures"] == n_futures
     assert responses == [n_futures] * (2 * n_pasts)
     assert norms == [("esssup-window-2", n_futures)] * n_pasts
+
+
+def test_linear_states_build_few_time_functions(monkeypatch):
+    # A batch of futures, a state's responses to it and the differences of
+    # two states' responses each travel as one validated stack, so no
+    # per-future TimeFunction is built.  At these sizes the four
+    # experiments build 156 (pasts, probes, ladder and steering inputs);
+    # with one TimeFunction per future output and per difference they
+    # built 1,060.
+    built = []
+    init = TimeFunction.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimeFunction, "__init__", counted)
+    cfg = RunConfig(dt=0.02, pasts=4, futures=6)
+    for name in ("tail-separation", "shared-state-set", "state-set-identity",
+                 "reachability"):
+        assert run_experiment(name, cfg).passed, name
+    assert len(built) <= 200

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, Interval,
-                      TimeFunction, Weight, catalog, check_ff_axioms,
-                      classify, classify_input_set, seminorm, shift_left,
+                      TimeBatch, TimeFunction, Weight, catalog,
+                      check_ff_axioms, classify, seminorm, shift_left,
                       splice, taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.probes import probe_set
@@ -249,6 +249,17 @@ def test_classification():
     assert classify(EXP2)["class"] == "tapered"
     assert classify(UL2)["class"] == "neither"
     assert classify(SUP)["class"] == "neither"
+
+
+def classify_input_set(fns) -> dict:
+    """Shifted-zero check for an input set: zero tails, supported to the right."""
+    zero_tails = all(not np.any(f.tail_value) for f in fns)
+    starts = []
+    for f in fns:
+        nz = np.nonzero(np.any(f.samples != 0.0, axis=1))[0]
+        starts.append(None if nz.size == 0
+                      else (f.grid.i0 + 1 + int(nz[0])) * f.grid.dt)
+    return {"shifted_zero": zero_tails, "first_support": starts}
 
 
 def test_shifted_zero_input_set(grid):
@@ -495,33 +506,29 @@ def test_box_memory_off_the_grid_is_refused_in_both_norm_paths(rough):
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
 def test_future_norms_match_one_function_calls(rough, fam):
-    # Rows on two grids, interleaved, with zero and nonzero tails in each:
+    # A batch on each of two grids, with zero and nonzero tails in each:
     # one batched call gives every function the bits of its own one-row
     # ``_running`` call (a scalar tail coefficient), from a finite left end
     # and from -inf.
     rng = np.random.default_rng(73)
-    grids = [rough.grid, Grid(rough.grid.dt, -10, 57)]
-    fs = []
-    for k in range(9):
-        g = grids[k % 2]
-        tail = rng.standard_normal(2) if k % 3 and not _divergent(
-            fam, rough) else np.zeros(2)
-        fs.append(TimeFunction(g, rng.standard_normal((g.n, 2)), tail))
-    for s in (0.0, 1.1, -math.inf):
-        want = []
-        for f in fs:
-            g = f.grid
-            si = s if s == -math.inf else float(g.index_of(s))
-            want.append(float(np.max(fam._running(
-                g.i0, g.dt, fam._tail_coef(f.tail_value),
-                fam._rownorm(f.samples)[None], np.array([si])))))
-        got = fam.future_norms(fs, s)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert [x.hex() for x in got] == [fam.future_norm(f, s).hex()
-                                          for f in fs]
-    assert [x.hex() for x in fam.future_norms(fs, -math.inf)] == [
-        fam.bounding_norm(f).hex() for f in fs]
-    assert fam.future_norms([], 0.0) == []
+    for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
+        fs = TimeBatch(g, rng.standard_normal((5, g.n, 2)), [
+            rng.standard_normal(2) if k % 3 and not _divergent(fam, rough)
+            else np.zeros(2) for k in range(5)])
+        for s in (0.0, 1.1, -math.inf):
+            want = []
+            for f in fs:
+                si = s if s == -math.inf else float(g.index_of(s))
+                want.append(float(np.max(fam._running(
+                    g.i0, g.dt, fam._tail_coef(f.tail_value),
+                    fam._rownorm(f.samples)[None], np.array([si])))))
+            got = fam.future_norms(fs, s)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert [x.hex() for x in got] == [fam.future_norm(f, s).hex()
+                                              for f in fs]
+        assert [x.hex() for x in fam.future_norms(fs, -math.inf)] == [
+            fam.bounding_norm(f).hex() for f in fs]
+        assert fam.future_norms(fs[:0], 0.0) == []
 
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (Grid, NaturalState, TimeFunction, drive,
+from natstate import (Grid, NaturalState, TimeBatch, TimeFunction, drive,
                       reachability_experiment, representative_independence,
                       shift_left, shift_right, splice, state_bound_check,
                       state_distance, state_distances, state_matching_ladder,
                       steer_to_state, trajectory)
-from natstate import catalog
+from natstate import LimsupConvolution, LTISystem, SystemOp, catalog
 from natstate.experiments import RunConfig, run_experiment
 from natstate.probes import future_probes
 from natstate.sysop import estimate_npower
@@ -109,8 +109,9 @@ def test_state_distances_match_pairwise(averager, futures):
     assert got == [[state_distance(xi, eta, 2, futures) for eta in etas]
                    for xi in xis]
     assert got[0][2] == 0.0 and min(got[k][0] for k in range(3)) >= 1.0 - 1e-9
-    assert state_distances(xis, etas, 2, []) == [[0.0] * 3] * 3
-    assert state_distance(xis[0], etas[0], 2, []) == 0.0
+    none = TimeBatch.stack(futures)[:0]
+    assert state_distances(xis, etas, 2, none) == [[0.0] * 3] * 3
+    assert state_distance(xis[0], etas[0], 2, none) == 0.0
     assert state_distances([], etas, 2, futures) == []
     assert state_distances(xis, [], 2, futures) == [[], [], []]
 
@@ -196,6 +197,44 @@ def _by_splice(state, v):
                       state.t)
 
 
+def _conv_with_tail_gain():
+    h = TimeFunction(Grid(DT, 0, 15), np.linspace(1.0, -0.4, 15), 0.0)
+    return LimsupConvolution(h, 0.7, catalog.family("sup-linf"),
+                             catalog.family("esssup"))
+
+
+def _lti_two_inputs():
+    return LTISystem([[-0.5, 1.0], [-1.0, -0.3]], [[1.0, 0.2], [-0.4, 0.9]],
+                     catalog.family("exp-l2"), catalog.family("esssup"))
+
+
+@pytest.mark.parametrize("make, dim", [(_conv_with_tail_gain, 1),
+                                       (_lti_two_inputs, 2)],
+                         ids=["conv-tail-gain", "lti-2x2"])
+@pytest.mark.parametrize("v0", [-6, 0, 4])
+def test_batched_future_responses_match_each_future(make, dim, v0):
+    # One batch of futures: the system's batched answer, row by row, has
+    # the bytes of the definition (splice, apply, recenter) for that row,
+    # and so has the default per-future path of the base class.
+    system = make()
+    rng = np.random.default_rng(7 + v0)
+    past = TimeFunction(Grid(DT, -60, 10), rng.standard_normal((70, dim)),
+                        rng.standard_normal(dim))
+    vs = TimeBatch(Grid(DT, v0, 45), rng.standard_normal((5, 45 - v0, dim)),
+                   rng.standard_normal((5, dim)))
+    state = NaturalState(system, past, -0.3)
+    t_idx = past.grid.index_of(-0.3)
+    got = system.future_responses(system.past_summary(past, t_idx), vs)
+    base = SystemOp.future_responses(system, (past, t_idx), vs)
+    assert len(got) == len(base) == len(vs)
+    for k, v in enumerate(vs):
+        want = _by_splice(state, v)
+        for y in (got[k], base[k]):
+            assert y.grid == want.grid
+            assert y.samples.tobytes() == want.samples.tobytes()
+            assert y.tail_value.tobytes() == want.tail_value.tobytes()
+
+
 # (catalog system, tail levels of the past); the averagers' eventual-level
 # term, and the equilibrium start of a Hurwitz LTI, need nonzero tails.
 _ORACLE_SYSTEMS = [
@@ -240,8 +279,8 @@ def test_evaluate_matches_splice_apply_recenter(case, data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_evaluate_all_matches_evaluate_and_splice(case, data):
-    # Futures on mixed grids, some sharing one: every answer of one batch
-    # equals the state's one-future answer and the definition, bit for bit.
+    # Batches of futures on mixed grids: every answer of one batch equals
+    # the state's one-future answer and the definition, bit for bit.
     name, tails = case
     b = catalog.system(name, DT)
     i0 = data.draw(st.integers(-150, -1))
@@ -251,21 +290,20 @@ def test_evaluate_all_matches_evaluate_and_splice(case, data):
     t_idx = data.draw(st.integers(past.grid.i0 - 40, past.grid.i1))
     state = NaturalState(b.system, past, t_idx * DT)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    vs = []
-    for _ in range(data.draw(st.integers(1, 6))):
+    for _ in range(data.draw(st.integers(1, 3))):
         v0 = data.draw(st.integers(-30, 30))
         v1 = max(v0, 0) + data.draw(st.sampled_from([1, 40, 120]))
-        vs.append(TimeFunction(Grid(DT, v0, v1),
-                               rng.standard_normal((v1 - v0, 1)),
-                               rng.standard_normal(1)))
-    got = state.evaluate_all(vs)
-    assert len(got) == len(vs)
-    for y, v in zip(got, vs):
-        for want in (state.evaluate(v), _by_splice(state, v)):
-            assert y.grid == want.grid
-            assert y.samples.tobytes() == want.samples.tobytes()
-            assert y.tail_value.tobytes() == want.tail_value.tobytes()
-    assert state.evaluate_all([]) == []
+        B = data.draw(st.integers(1, 4))
+        vs = TimeBatch(Grid(DT, v0, v1), rng.standard_normal((B, v1 - v0, 1)),
+                       rng.standard_normal((B, 1)))
+        got = state.evaluate_all(vs)
+        assert len(got) == B
+        for y, v in zip(got, vs):
+            for want in (state.evaluate(v), _by_splice(state, v)):
+                assert y.grid == want.grid
+                assert y.samples.tobytes() == want.samples.tobytes()
+                assert y.tail_value.tobytes() == want.tail_value.tobytes()
+        assert len(state.evaluate_all(vs[:0])) == 0
 
 
 def test_trajectory_constant_input(averager, futures):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (AlignmentError, Grid, Interval, TimeFunction,
+from natstate import (AlignmentError, Grid, Interval, TimeBatch, TimeFunction,
                       read_timefunction, restrict, shift_left, shift_right,
                       splice, write_timefunction)
 from natstate.calculus import SmoothInput
+from natstate.timegrid import _values_after
 
 
 def _same(a, b):
@@ -222,3 +223,84 @@ def test_splice_matches_mask_gather_random(h0, hn, g0, gn, data):
         return
     si = data.draw(st.integers(h0 - 15, hi))
     assert _same(splice(h, g, si * dt), _splice_by_masks(h, g, si * dt))
+
+
+# -- batches -------------------------------------------------------------------
+
+
+def _batch(grid, seed, B=3, dim=2):
+    rng = np.random.default_rng(seed)
+    return TimeBatch(grid, rng.standard_normal((B, grid.n, dim)),
+                     rng.standard_normal((B, dim)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["samples", "tails"])
+def test_batch_refuses_non_finite_values(bad, where):
+    g = Grid(0.5, -4, 4)
+    samples, tails = np.zeros((3, g.n, 2)), np.zeros((3, 2))
+    (samples if where == "samples" else tails)[2, -1, ...] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TimeBatch(g, samples, tails)
+
+
+def test_batch_difference_that_overflows_is_refused():
+    g = Grid(0.5, -4, 4)
+    big = TimeBatch(g, np.full((1, g.n, 1), 1e308), np.zeros((1, 1)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="non-finite"):
+        big - TimeBatch(g, np.full((1, g.n, 1), -1e308), np.zeros((1, 1)))
+
+
+def test_batch_refuses_bad_shapes_and_mixed_grids():
+    g = Grid(0.5, -4, 4)
+    with pytest.raises(ValueError, match="need samples"):
+        TimeBatch(g, np.zeros((3, g.n - 1, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="need samples"):
+        TimeBatch(g, np.zeros((3, g.n, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="grids differ"):
+        _batch(g, 1) - _batch(Grid(0.5, -3, 5), 2)
+    with pytest.raises(ValueError, match="one grid"):
+        TimeBatch.stack([TimeFunction(g, np.zeros(8), 0.0),
+                         TimeFunction(g.shifted(1), np.zeros(8), 0.0)])
+    with pytest.raises(ValueError, match="one grid"):
+        TimeBatch.stack([])
+
+
+def test_batch_arrays_are_read_only_and_shared():
+    g = Grid(0.5, -4, 4)
+    src = np.zeros((2, g.n, 1))
+    a = TimeBatch(g, src, np.zeros((2, 1)))
+    src[0, 0, 0] = 1.0  # the batch holds its own copy
+    assert a.samples[0, 0, 0] == 0.0
+    fs = [TimeFunction(g, np.arange(8.0), 1.0), TimeFunction(g, np.ones(8), 2.0)]
+    for b in (a, TimeBatch.stack(fs), a - a, a[1:], a[[1, 0]]):
+        for arr in (b.samples, b.tails):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1.0
+    stacked = TimeBatch.stack(fs)
+    assert TimeBatch.stack(stacked) is stacked
+    for k, f in enumerate(fs):
+        row = stacked[k]
+        assert _same(row, f)
+        # A row shares the stack's arrays and stays frozen.
+        assert np.shares_memory(row.samples, stacked.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            row.samples[0, 0] = 5.0
+    assert [_same(r, f) for r, f in zip(stacked, fs)] == [True, True]
+    assert len(stacked[:0]) == 0 and stacked[:0].grid == g
+
+
+@pytest.mark.parametrize("i", [-9, -4, -1, 0, 2, 4, 6])
+def test_values_after_reads_each_function_and_its_tail(i):
+    # For one function and for a stack: the value at every instant after
+    # i up to the grid end, the tail before the grid.
+    g = Grid(0.5, -4, 4)
+    b = _batch(g, 3)
+    idx = np.arange(i + 1, g.i1 + 1)
+    got = _values_after(g, b.samples, b.tails, i)
+    for k, f in enumerate(b):
+        want = f.values_at_indices(idx)
+        assert got[k].tobytes() == want.tobytes()
+        assert _values_after(g, f.samples, f.tail_value, i).tobytes() == \
+            want.tobytes()
