@@ -23,7 +23,7 @@ from .states import (NaturalState, drive, reachability_experiment,
                      state_distance, state_distances, state_matching_ladder,
                      trajectory)
 from .calculus import (FrechetPair, ShiftDerivative, SmoothInput,
-                       fd_directional_order, frechet_of, gateaux_fd,
+                       fd_directional_order, frechet_of,
                        input_to_state_frechet, remainder_decay,
                        shift_derivative, state_frechet, trajectory_derivative)
 

@@ -36,7 +36,6 @@ __all__ = [
     "shift_derivative",
     "FrechetPair",
     "frechet_of",
-    "gateaux_fd",
     "remainder_decay",
     "fd_directional_order",
     "state_frechet",
@@ -268,13 +267,6 @@ def frechet_of(system: SystemOp) -> FrechetPair:
 
         return FrechetPair(L, W, source=f"polynomial-degree-{max(kers)}")
     raise ValueError(f"no analytic derivative for {type(system).__name__}")
-
-
-def gateaux_fd(system: SystemOp, u: TimeFunction, v: TimeFunction,
-               h: float = 1e-4) -> TimeFunction:
-    """Central-difference directional derivative.  Non-certifying: a numeric
-    fallback for exploration, never used to assert a bound."""
-    return (system.apply(u + h * v) - system.apply(u - h * v)) * (0.5 / h)
 
 
 def remainder_decay(W: Callable, u: TimeFunction, v: TimeFunction,

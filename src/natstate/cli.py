@@ -20,13 +20,13 @@ import os
 import sys
 import tomllib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import catalog
 from .experiments import (EXPERIMENTS, ExperimentResult, RunConfig, claim,
                           run_experiment)
-from .sysop import LTISystem
 from .timegrid import AlignmentError, TimeFunction
 
 __all__ = ["main", "parse_config_text"]
@@ -60,42 +60,40 @@ HYPOTHESES = {
 # -- TOML config ------------------------------------------------------------------
 
 
-def _flatten(table: dict, prefix: str = "") -> dict:
-    out: dict = {}
+_UNKNOWN_TABLE = ("unknown table [{}]; tables are [run], [family.<name>] "
+                  "and [system.<name>]")
+
+
+def _keys(table, name: str) -> dict:
+    """``table`` as plain keys; a table nested in it is unknown."""
+    if not isinstance(table, dict):
+        raise ValueError(_UNKNOWN_TABLE.format(name.rpartition(".")[0]))
     for key, val in table.items():
         if isinstance(val, dict):
-            out.update(_flatten(val, f"{prefix}{key}."))
-        else:
-            out[f"{prefix}{key}"] = val
-    return out
+            raise ValueError(_UNKNOWN_TABLE.format(f"{name}.{key}"))
+    return table
 
 
 def parse_config_text(text: str) -> dict:
-    """TOML config flattened to dotted keys.
+    """TOML config as its tables: ``{"run": {...}, "family": {name: keys},
+    "system": {name: keys}}``.
 
-    Table names become key prefixes (``[family.x]`` key ``k`` becomes
-    ``family.x.k``) except for ``[run]``, whose keys are top level.  Syntax
-    errors raise ``ValueError`` (``tomllib.TOMLDecodeError``), and so does
-    any table but ``[run]``, ``[family.<name>]`` and ``[system.<name>]``.
+    Top-level keys are run keys, as are those of ``[run]``.  Syntax errors
+    raise ``ValueError`` (``tomllib.TOMLDecodeError``), and so does any
+    table but ``[run]``, ``[family.<name>]`` and ``[system.<name>]``.
     """
-    flat = _flatten(tomllib.loads(text))
-    dots = {"run": 0, "family": 1, "system": 1}
-    for key in flat:
-        table = key.rpartition(".")[0]
-        if table and table.count(".") != dots.get(table.split(".")[0]):
-            raise ValueError(f"unknown table [{table}]; tables are [run], "
-                             "[family.<name>] and [system.<name>]")
-    return {k.removeprefix("run."): v for k, v in flat.items()}
-
-
-def _collect_sections(raw: dict, prefix: str) -> dict:
-    """Group flattened ``prefix.<name>.<key>`` config entries by name."""
-    out: dict = {}
-    for key, val in raw.items():
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] == prefix:
-            out.setdefault(parts[1], {})[parts[2]] = val
-    return out
+    tables: dict = {"run": {}, "family": {}, "system": {}}
+    for key, val in tomllib.loads(text).items():
+        if not isinstance(val, dict):
+            tables["run"][key] = val
+        elif key == "run":
+            tables["run"].update(_keys(val, key))
+        elif key in ("family", "system"):
+            tables[key] = {name: _keys(sec, f"{key}.{name}")
+                           for name, sec in val.items()}
+        else:
+            raise ValueError(_UNKNOWN_TABLE.format(key))
+    return tables
 
 
 _COUNTS = ("probes", "triples", "pasts", "futures", "bound_probes")
@@ -127,38 +125,34 @@ def _check_config(cfg: RunConfig) -> None:
             raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
     # Config systems are otherwise built only when an experiment asks for
     # one; a malformed section must stop the run before anything runs.
-    # An unstable state equation is stepped once on a unit step over its
-    # own grid, so one that outgrows float64 stops the run here too.
+    # Each is applied once to a unit step over its own grid, so one whose
+    # output is not finite, or that cannot run at this dt, stops it too.
     for name, spec in cfg.system_specs.items():
         b = catalog.system_from_spec(name, spec, cfg.dt, cfg.custom_families)
-        if isinstance(b.system, LTISystem):
-            g, m = b.grid(cfg.dt), b.system.input_dim
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    b.system.apply(TimeFunction(g, np.ones((g.n, m)),
-                                                np.zeros(m)))
-            except ValueError as e:
-                raise ValueError(f"[system.{name}] a unit step over its grid "
-                                 f"gives a {e}") from None
+        g, m = b.grid(cfg.dt), b.system.input_dim
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                b.system.apply(TimeFunction(g, np.ones((g.n, m)),
+                                            np.zeros(m)))
+        except ValueError as e:
+            raise ValueError(f"[system.{name}] a unit step over its grid "
+                             f"gives a {e}") from None
 
 
 def _config_from_args(args) -> tuple[RunConfig, list, str]:
-    raw: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = parse_config_text(fh.read())
-    unknown = sorted(k for k in raw if "." not in k
-                     and k not in _KNOBS | {"experiments", "out"})
+    tables = parse_config_text(Path(args.config).read_text()
+                               if args.config else "")
+    raw = tables["run"]
+    unknown = sorted(set(raw) - _KNOBS - {"experiments", "out"})
     if unknown:
         raise ValueError(f"unknown [run] keys: {unknown}")
     overrides = {k: v for k, v in raw.items() if k in _KNOBS}
     if _is_int(overrides.get("dt")):
         overrides["dt"] = float(overrides["dt"])
-    cfg = replace(RunConfig(), **overrides)
-    fam_specs = _collect_sections(raw, "family")
-    customs = {n: catalog.family_from_spec(n, s) for n, s in fam_specs.items()}
-    cfg = replace(cfg, custom_families=customs,
-                  system_specs=_collect_sections(raw, "system"))
+    customs = {n: catalog.family_from_spec(n, s)
+               for n, s in tables["family"].items()}
+    cfg = replace(RunConfig(), **overrides, custom_families=customs,
+                  system_specs=tables["system"])
     if args.dt is not None:
         cfg = replace(cfg, dt=args.dt)
     if args.seed is not None:
@@ -294,19 +288,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    kind = args.kind
-    if kind == "experiments":
-        for name in EXPERIMENTS:
-            print(name)
-    elif kind == "systems":
-        for name in sorted(catalog.SYSTEMS):
-            print(name)
-    elif kind == "families":
-        for name in sorted(catalog.FAMILIES):
-            print(name)
-    else:
-        print(f"unknown kind {kind!r}", file=sys.stderr)
-        return 2
+    # argparse admits only these three kinds.
+    for name in {"experiments": EXPERIMENTS,
+                 "systems": sorted(catalog.SYSTEMS),
+                 "families": sorted(catalog.FAMILIES)}[args.kind]:
+        print(name)
     return 0
 
 

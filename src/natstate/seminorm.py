@@ -56,7 +56,6 @@ class Weight:
         self.alpha = alpha
         self.K = K
         self.nonincreasing = nonincreasing
-        self._lag_tables: dict = {}
 
     @staticmethod
     def uniform() -> "Weight":
@@ -111,17 +110,11 @@ class Weight:
         return out
 
     def _at_lags(self, n: int, dt: float) -> np.ndarray:
-        """``w(j dt)`` for the lags ``j < n``, read-only: a prefix of one
-        table per step ``dt``, computed again only for a longer span.  A
-        uniform weight keeps no table and gives one 1.0 that broadcasts."""
+        """``w(j dt)`` for the lags ``j < n``; a uniform weight gives one
+        read-only 1.0 that broadcasts."""
         if self.form == "uniform":
             return _ONE
-        table = self._lag_tables.get(dt)
-        if table is None or table.shape[0] < n:
-            table = self(np.arange(n) * dt)
-            table.flags.writeable = False
-            self._lag_tables[dt] = table
-        return table[:n]
+        return self(np.arange(n) * dt)
 
     def integral(self, a, b):
         """Exact ``int_a^b w(x) dx`` for ``0 <= a <= b <= inf``.
@@ -227,6 +220,9 @@ class FittedFamily:
                 raise ValueError("p must be in [1, inf]")
             if not weight.nonincreasing and not allow_nonmonotone:
                 raise ValueError("weight must be nonincreasing")
+        if vector_norm not in ("euclidean", "max"):
+            raise ValueError("vector_norm must be 'euclidean' or 'max', "
+                             f"got {vector_norm!r}")
         self.kind = kind
         self.p = p
         self.weight = weight

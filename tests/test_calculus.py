@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from natstate import (Grid, NaturalState, PolyIntegralOperator, TimeFunction,
-                      fd_directional_order, frechet_of, gateaux_fd,
+                      fd_directional_order, frechet_of,
                       input_to_state_frechet, remainder_decay,
                       shift_derivative, state_frechet, trajectory_derivative)
 from natstate import catalog
@@ -163,7 +163,7 @@ def test_directional_fd_order(quad):
     assert rep["exact"] or rep["order"] >= 0.9
 
 
-def test_gateaux_fallback_close(quad):
+def test_gateaux_fallback_close(quad, gateaux_fd):
     g = quad.grid(DT)
     u, v = _past(g, 14), _past(g, 15)
     fp = frechet_of(quad.system)

@@ -4,10 +4,13 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from natstate import PolyKernel
 from natstate.cli import main, parse_config_text
 from natstate.experiments import EXPERIMENTS, claim
+from natstate.kernel import write_kernel_csv
 
 
 def test_list_commands(capsys):
@@ -67,23 +70,38 @@ def test_config_parsing():
     out = "reports"
     flag = true
     """)
-    assert cfg["dt"] == 0.02 and cfg["seed"] == 99
-    assert cfg["experiments"] == ["taper", "tail-separation"]
-    assert cfg["out"] == "reports" and cfg["flag"] is True
-    # '#' inside a quoted string is data, and lists may span lines.
+    assert cfg == {"run": {"dt": 0.02, "seed": 99,
+                           "experiments": ["taper", "tail-separation"],
+                           "out": "reports", "flag": True},
+                   "family": {}, "system": {}}
+    # '#' inside a quoted string is data, lists may span lines, and a
+    # top-level key is a run key.
     cfg = parse_config_text("""
+    seed = 7
     [system.fromfile]
     kernel_csv = "runs#1/k.csv"  # a comment
+    [family.f]
+    form = "exp"
+    rate = 2.0
     [run]
     experiments = [
         "taper",
         "ff-axioms",
     ]
     """)
-    assert cfg["system.fromfile.kernel_csv"] == "runs#1/k.csv"
-    assert cfg["experiments"] == ["taper", "ff-axioms"]
+    assert cfg == {"run": {"seed": 7, "experiments": ["taper", "ff-axioms"]},
+                   "family": {"f": {"form": "exp", "rate": 2.0}},
+                   "system": {"fromfile": {"kernel_csv": "runs#1/k.csv"}}}
     with pytest.raises(ValueError):
         parse_config_text("just some words\n")
+    for text, table in (("[runn]\ndt = 0.02", "runn"),
+                        ("[run.sub]\nk = 1", "run.sub"),
+                        ("[family]\nk = 1", "family"),
+                        ("[system.x.sub]\nk = 1", "system.x.sub"),
+                        ('[system.x]\nA = {a = 1}', "system.x.A"),
+                        ("x = {a = 1}", "x")):
+        with pytest.raises(ValueError, match=re.escape(f"[{table}]")):
+            parse_config_text(text)
 
 
 def test_run_single_experiment_reports(tmp_path, capsys):
@@ -277,6 +295,15 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
      "[system.bad] rates must hold 2 numbers"),
     ('[system.bad]\nvariant = "conv"\nsupport = 0.015',
      "[system.bad] length 0.015 is not a multiple of dt=0.01"),
+    ('[system.bad]\nvariant = "poly"\nconstant = nan',
+     "[system.bad] a unit step over its grid gives a non-finite sample"),
+    ('[system.bad]\nvariant = "poly"\ndegree = 3\n'
+     'rates = [-300.0, -300.0, -300.0]',
+     "[system.bad] a unit step over its grid gives a non-finite sample"),
+    ('[system.bad]\nvariant = "poly"\nkernel_form = "box"\nlevel = 1e308',
+     "[system.bad] a unit step over its grid gives a non-finite sample"),
+    ('[family.bad]\nform = "exp"\nrate = 1.0\nvector_norm = "maxx"',
+     "[family.bad] vector_norm must be 'euclidean' or 'max', got 'maxx'"),
     ('[run]\nexperiments = "taper"', "experiments must be a non-empty list"),
     ('[run]\nexperiments = ["taper", 1]',
      "experiments must be a non-empty list"),
@@ -286,6 +313,8 @@ def test_bad_run_config_exits_2(tmp_path, capsys, flags, toml):
         "system-a-entries", "system-b-entries", "system-overflowing-lti",
         "system-fractional-degree", "system-bool-degree",
         "system-short-rates", "system-misaligned-support",
+        "system-nan-constant", "system-overflowing-kernel",
+        "system-overflowing-level", "family-unknown-vector-norm",
         "experiments-string", "experiments-non-string"])
 def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     cfgfile = tmp_path / "run.toml"
@@ -334,6 +363,27 @@ def test_weights_and_system_windows_must_be_positive_and_finite(
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error: {reason}\n"
+    assert "PASS" not in captured.out and not out.exists()
+
+
+def test_kernel_file_of_another_dt_is_a_config_error(tmp_path, capsys):
+    # A kernel written at dt 0.02 runs at dt 0.02, and cannot be read at
+    # the default dt 0.01.
+    ker = PolyKernel(2, 0.1, func=lambda s1, s2: np.exp(-s1 - s2))
+    write_kernel_csv(ker, 0.02, str(tmp_path / "k.csv"))
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('[system.s]\nvariant = "poly"\n'
+                       f'kernel_csv = "{tmp_path / "k.csv"}"\n')
+    argv = ["run", "--config", str(cfgfile), "--experiment", "causality",
+            "--system", "s"]
+    assert main([*argv, "--dt", "0.02"]) == 0
+    assert "PASS  causality" in capsys.readouterr().out
+    out = tmp_path / "rep"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [system.s] a unit step over its "
+                            "grid gives a grid-backed kernel sampled at a "
+                            "different dt\n")
     assert "PASS" not in captured.out and not out.exists()
 
 

@@ -11,7 +11,7 @@ import scipy.linalg
 from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
                       TimeFunction, centered_truncation, check_causality,
-                      estimate_npower, frechet_of, gateaux_fd,
+                      estimate_npower, frechet_of,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
 from natstate import catalog
@@ -538,7 +538,7 @@ def test_term_time_varying_degree3_distinct_slots():
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-def test_time_varying_degree3_derivative():
+def test_time_varying_degree3_derivative(gateaux_fd):
     # The analytic differential of a degree-3 time-varying operator matches
     # its central difference (O(h^2) apart).
     op, _ = _cubic_tv_operator(0.3)
