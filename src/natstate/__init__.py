@@ -7,8 +7,7 @@ identification, and the derivative calculus tying them together.
 """
 
 from .timegrid import (AlignmentError, Grid, Interval, TimeBatch, TimeFunction,
-                       read_timefunction, restrict, shift_left, shift_right,
-                       splice, write_timefunction)
+                       shift_left, shift_right, splice)
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
                        classify, taper_certificate, taper_delta)
 from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,

@@ -23,11 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
 from .states import NaturalState
 from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
-                    SystemOp, _check_tails, _recenter)
+                    SystemOp, _recenter)
 from .timegrid import Grid, TimeFunction, shift_right, splice
 
 __all__ = [
@@ -193,31 +192,6 @@ class FrechetPair:
 
     L: Callable[[TimeFunction, TimeFunction], TimeFunction]
     W: Callable[[TimeFunction, TimeFunction], TimeFunction]
-    source: str
-
-
-def _poly_terms(op: PolyIntegralOperator, inputs: Sequence[TimeFunction],
-                terms) -> list[TimeFunction]:
-    """Multilinear terms ``(ker, slots)`` with ``inputs[k]`` in each slot
-    ``k`` of ``slots`` (symmetric kernels), each on its first slot's grid.
-
-    The terms share their lag matrices: one per input, grid and kernel grid
-    size, built on first use.  Row ``i0`` of a term reads only the slots'
-    constant tails, so it is the output tail.
-    """
-    lags = {}
-    out = []
-    for ker, slots in terms:
-        _check_tails(ker, [inputs[k] for k in slots])
-        g = inputs[slots[0]].grid
-        t_idx = np.arange(g.i0, g.i1 + 1)
-        Q = ker.grid_size(g.dt)
-        for k in slots:
-            if (k, g, Q) not in lags:
-                lags[k, g, Q] = op._past_matrix(inputs[k], t_idx, Q)
-        vals = op._term(ker, [lags[k, g, Q] for k in slots], t_idx, g.dt)
-        out.append(TimeFunction(g, vals[1:], vals[:1]))
-    return out
 
 
 def frechet_of(system: SystemOp) -> FrechetPair:
@@ -235,37 +209,37 @@ def frechet_of(system: SystemOp) -> FrechetPair:
         def W(u, v):
             return 0.0 * system.apply(v)
 
-        return FrechetPair(L, W, source="linear")
+        return FrechetPair(L, W)
     if isinstance(system, PolyIntegralOperator):
         if system.input_dim != 1:
             raise ValueError("analytic derivative implemented for scalar inputs")
-        # Symmetrizing is idempotent and never changes the operator, and the
-        # term-by-term expansion below needs interchangeable slots.
-        kers = {n: symmetrize(k) for n, k in system.kernels.items()}
+        # The term-by-term expansion below needs interchangeable slots.
+        kers = sorted(system.symmetric_kernels.items())
 
-        # Slot 0 is the expansion point u, slot 1 the direction v: each
-        # call builds u's and v's lag matrices once for all its terms.
-        def L(u, v):
-            degs = sorted(kers)
-            terms = _poly_terms(system, (u, v),
-                                [(kers[n], [0] * (n - 1) + [1]) for n in degs])
-            out = None
-            for n, term in zip(degs, terms):
-                term = term * float(n)
+        def expand(u, v, parts, out):
+            """``out`` plus ``c`` times each term ``(c, ker, slots)`` of
+            ``parts``, with ``u`` in slot 0 and ``v`` in slot 1; zero if both
+            are empty.  Row ``i0`` of a term reads only the constant tails,
+            so it is the output tail."""
+            g = u.grid
+            ys = system._terms((u, v), [p[1:] for p in parts],
+                               np.arange(g.i0, g.i1 + 1))
+            for (c, _, _), y in zip(parts, ys):
+                term = TimeFunction(g, y[1:], y[:1]) * c
                 out = term if out is None else out + term
-            return out
+            return 0.0 * v if out is None else out
+
+        def L(u, v):
+            return expand(u, v, [(float(n), k, [0] * (n - 1) + [1])
+                                 for n, k in kers], None)
 
         def W(u, v):
-            nks = [(n, k) for n in sorted(kers) for k in range(2, n + 1)]
-            terms = _poly_terms(system, (u, v),
-                                [(kers[n], [0] * (n - k) + [1] * k)
-                                 for n, k in nks])
-            out = 0.0 * v
-            for (n, k), term in zip(nks, terms):
-                out = out + term * float(math.comb(n, k))
-            return out
+            return expand(u, v, [(float(math.comb(n, j)), k,
+                                  [0] * (n - j) + [1] * j)
+                                 for n, k in kers for j in range(2, n + 1)],
+                          0.0 * v)
 
-        return FrechetPair(L, W, source=f"polynomial-degree-{max(kers)}")
+        return FrechetPair(L, W)
     raise ValueError(f"no analytic derivative for {type(system).__name__}")
 
 
@@ -338,7 +312,7 @@ def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:
     def W1(v, w):
         return _at_splice(fp.W, past, zero_past, v, w, t)
 
-    return FrechetPair(L1, W1, source=f"state({fp.source})")
+    return FrechetPair(L1, W1)
 
 
 def input_to_state_frechet(system: SystemOp, t: float, fp: FrechetPair) -> dict:

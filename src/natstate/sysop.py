@@ -14,8 +14,10 @@ Three concrete operators are shipped:
   kernels, optionally time varying.  Every term, of any degree, is one
   contraction of the kernel grid against the inputs' lag matrices
   (``_contract``: a matmul for the first slot, a row-wise reduction for
-  each further one).  A lag matrix is built once per input and kernel
-  grid size in each call and read by every slot and degree.
+  each further one).  One evaluator (``_terms``) serves ``apply`` and the
+  Frechet pair: its inputs share one grid, and it builds a lag matrix once
+  per input and kernel grid size in each call, read by every slot and
+  degree.
 
 Every operator also answers for natural states (``past_summary`` and
 ``future_responses``): by default a summary is the past itself and each
@@ -32,12 +34,13 @@ monotone under probe-set growth.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import PolyKernel
+from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
 from .timegrid import (Grid, TimeBatch, TimeFunction, _values_after,
                        shift_left, shift_right, splice, to_cells)
@@ -94,9 +97,6 @@ class SystemOp:
         return TimeBatch.stack(
             [_recenter(self.apply(splice(u, shift_right(v, t), t)), t)
              for v in vs])
-
-    def __call__(self, u: TimeFunction) -> TimeFunction:
-        return self.apply(u)
 
 
 class LimsupConvolution(SystemOp):
@@ -353,6 +353,12 @@ class PolyIntegralOperator(SystemOp):
         self.output_dim = 1
         self.time_invariant = not any(k.time_varying for k in kernels)
 
+    @cached_property
+    def symmetric_kernels(self) -> dict[int, PolyKernel]:
+        """The kernels with interchangeable slots, each symmetrized once, on
+        first use.  Symmetrizing never changes the operator."""
+        return {n: symmetrize(k) for n, k in self.kernels.items()}
+
     def _past_matrix(self, u: TimeFunction, t_idx: np.ndarray, Q: int) -> np.ndarray:
         """``P[i, j, a] = u_a(t_i - j dt)`` for ``j = 1..Q``.
 
@@ -376,10 +382,9 @@ class PolyIntegralOperator(SystemOp):
 
         ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
         over the kernel grid.  Slots that read one input take one matrix,
-        the same object repeated: callers build one matrix per input and
-        grid size and never rebuild it per slot or per degree.  A
-        time-invariant kernel is contracted against every instant at once; a
-        time-varying one is sampled per instant.
+        the same object repeated.  A time-invariant kernel is contracted
+        against every instant at once; a time-varying one is sampled per
+        instant.
         """
         scale = dt ** ker.degree
         if not ker.time_varying:
@@ -390,21 +395,43 @@ class PolyIntegralOperator(SystemOp):
             out[i] = _contract(K, [m[i:i + 1] for m in mats])[0]
         return out * scale
 
-    def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
-        """Output values at the instants ``t_indices``: one lag matrix of
-        ``u`` per distinct kernel grid size, read by every degree."""
-        if u.dim != self.input_dim:
+    def _terms(self, inputs: Sequence[TimeFunction], terms,
+               t_idx: np.ndarray) -> list[np.ndarray]:
+        """Multilinear terms ``(ker, slots)`` at the instants ``t_idx``, with
+        ``inputs[k]`` in each slot ``k`` of ``slots``: one array per term.
+
+        The inputs share one grid.  Each input's lag matrix is built once
+        per kernel grid size and read by every slot and term.  A nonzero
+        input tail under a time-varying kernel is refused.
+        """
+        g = inputs[0].grid
+        if any(u.grid != g for u in inputs):
+            raise ValueError("grids differ; align windows first")
+        if any(u.dim != self.input_dim for u in inputs):
             raise ValueError("input dimension mismatch")
+        lags: dict[tuple[int, int], np.ndarray] = {}
+        out = []
+        for ker, slots in terms:
+            if ker.time_varying and any(np.any(inputs[k].tail_value)
+                                        for k in slots):
+                raise ValueError(
+                    "time-varying operator requires zero input tail")
+            Q = ker.grid_size(g.dt)
+            for k in slots:
+                if (k, Q) not in lags:
+                    lags[k, Q] = self._past_matrix(inputs[k], t_idx, Q)
+            out.append(self._term(ker, [lags[k, Q] for k in slots], t_idx,
+                                  g.dt))
+        return out
+
+    def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
+        """Output values at the instants ``t_indices``: the constant plus
+        each degree's term in turn."""
         t_idx = np.asarray(t_indices, dtype=int)
-        dt = u.grid.dt
         y = np.full(t_idx.shape[0], self.constant, dtype=float)
-        lags: dict[int, np.ndarray] = {}
-        for n, ker in sorted(self.kernels.items()):
-            _check_tails(ker, [u])
-            Q = ker.grid_size(dt)
-            if Q not in lags:
-                lags[Q] = self._past_matrix(u, t_idx, Q)
-            y += self._term(ker, [lags[Q]] * n, t_idx, dt)
+        kers = sorted(self.kernels.items())
+        for term in self._terms([u], [(k, [0] * n) for n, k in kers], t_idx):
+            y += term
         return y[:, None]
 
     def apply(self, u: TimeFunction) -> TimeFunction:
@@ -413,12 +440,6 @@ class PolyIntegralOperator(SystemOp):
         g = u.grid
         y = self.apply_at(u, np.arange(g.i0, g.i1 + 1))
         return TimeFunction(g, y[1:], y[0])
-
-
-def _check_tails(ker: PolyKernel, inputs: Sequence[TimeFunction]) -> None:
-    """Refuse a nonzero input tail under a time-varying kernel."""
-    if ker.time_varying and any(np.any(u.tail_value) for u in inputs):
-        raise ValueError("time-varying operator requires zero input tail")
 
 
 def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

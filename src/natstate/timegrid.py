@@ -13,7 +13,6 @@ one grid, validated once as a whole.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,6 @@ __all__ = [
     "shift_left",
     "shift_right",
     "splice",
-    "restrict",
-    "write_timefunction",
-    "read_timefunction",
 ]
 
 # Relative slack when snapping a float instant onto the integer lattice.
@@ -366,58 +362,3 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
     vals = np.concatenate([h.samples[:si - i0],
                            _values_after(g.grid, g.samples, g.tail_value, si)])
     return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, h.tail_value)
-
-
-def restrict(f: TimeFunction, iv: Interval, pad_with_tail: bool = False) -> TimeFunction:
-    """Zero ``f`` outside ``(iv.s, iv.t]`` (or keep the tail on the left).
-
-    With ``pad_with_tail`` the values at and before ``iv.s`` stay at
-    ``f.tail_value`` instead of zero; this realizes representatives of
-    equivalence classes that only constrain a window.
-    """
-    lo = f.grid.i0 if iv.s == NEG_INF else f.grid.index_of(iv.s)
-    hi = f.grid.i1 if iv.t == POS_INF else f.grid.index_of(iv.t)
-    idx = np.arange(f.grid.i0 + 1, f.grid.i1 + 1)
-    inside = (idx > lo) & (idx <= hi)
-    fill = f.tail_value if pad_with_tail and iv.s == NEG_INF else np.zeros(f.dim)
-    vals = np.where(inside[:, None], f.samples, fill)
-    tail = f.tail_value if (iv.s == NEG_INF) else np.zeros(f.dim)
-    return TimeFunction(f.grid, vals, tail)
-
-
-# -- serialization -------------------------------------------------------
-#
-# CSV carries a readable table (`t,x1..xM`) plus one metadata comment line;
-# the sidecar JSON stores every 64-bit value as a hexadecimal float so a
-# round trip is bit exact.
-
-
-def write_timefunction(f: TimeFunction, path: str) -> None:
-    g = f.grid
-    with open(path, "w") as fh:
-        fh.write(f"# dt={g.dt!r} i0={g.i0} i1={g.i1} tail={f.tail_value.tolist()!r}\n")
-        fh.write("t," + ",".join(f"x{k+1}" for k in range(f.dim)) + "\n")
-        for t, row in zip(g.times(), f.samples):
-            fh.write(f"{float(t)!r},"
-                     + ",".join(repr(float(v)) for v in row) + "\n")
-    meta = {
-        "dt": float(g.dt).hex(),
-        "i0": g.i0,
-        "i1": g.i1,
-        "dim": f.dim,
-        "tail_value": [float(v).hex() for v in f.tail_value],
-        "samples": [[float(v).hex() for v in row] for row in f.samples],
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-
-
-def read_timefunction(path: str) -> TimeFunction:
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    grid = Grid(float.fromhex(meta["dt"]), int(meta["i0"]), int(meta["i1"]))
-    samples = np.array(
-        [[float.fromhex(v) for v in row] for row in meta["samples"]], dtype=float
-    ).reshape(grid.n, meta["dim"])
-    tail = np.array([float.fromhex(v) for v in meta["tail_value"]])
-    return TimeFunction(grid, samples, tail)

@@ -129,6 +129,43 @@ def test_cubic_expansion():
     assert r[-1] <= 0.1 * r[0]
 
 
+def test_constant_polynomial_has_zero_pair():
+    # No kernels: a constant operator, whose differential and remainder are
+    # the zero function on the inputs' grid.
+    fam = catalog.family("uniform-l2")
+    op = PolyIntegralOperator([], 0.1, fam, catalog.family("esssup"))
+    g = Grid(DT, -20, 10)
+    u, v = _past(g, 10), _past(g, 11)
+    fp = frechet_of(op)
+    for D in (fp.L, fp.W):
+        w = D(u, v)
+        assert w.grid == g
+        assert np.all(w.samples == 0.0) and np.all(w.tail_value == 0.0)
+
+
+def test_operator_symmetrizes_each_kernel_once(monkeypatch):
+    # Two Frechet pairs and a trajectory derivative of one operator read the
+    # symmetric kernels it holds: each kernel is symmetrized once.
+    from natstate import sysop
+    degrees = []
+    symmetrize = sysop.symmetrize
+
+    def counted(k):
+        degrees.append(k.degree)
+        return symmetrize(k)
+
+    monkeypatch.setattr(sysop, "symmetrize", counted)
+    b = catalog.system("cubic-volterra", 0.04)
+    g = b.grid(0.04)
+    u, v = _past(g, 12, 0.3), _past(g, 13, 0.3)
+    for _ in range(2):
+        fp = frechet_of(b.system)
+        fp.L(u, v), fp.W(u, v)
+    td = trajectory_derivative(b.system, SmoothInput.sine(), 0.0, g)
+    td(_past(Grid(0.04, 0, 10), 14))
+    assert sorted(degrees) == [1, 2, 3]
+
+
 def test_L_slot_linear(quad):
     g = quad.grid(DT)
     u, v, w = _past(g, 7), _past(g, 8), _past(g, 9)

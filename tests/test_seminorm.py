@@ -167,11 +167,11 @@ def test_splice_norm_consistency(grid, rng):
 
 
 def test_restrict_then_splice_reproduces_past(grid, rng):
-    from natstate import restrict
+    # Splice reads its past operand up to the splice instant only, so ``f``
+    # itself is the past and its samples after 0.5 are ignored.
     f = TimeFunction(grid, rng.standard_normal((grid.n, 1)), np.array([0.2]))
-    kept = restrict(f, Interval.upto(0.5), pad_with_tail=True)
     fut = TimeFunction(grid, rng.standard_normal((grid.n, 1)), np.zeros(1))
-    sp = splice(kept, fut, 0.5)
+    sp = splice(f, fut, 0.5)
     d = sp.with_window(grid.i0, grid.i1) - f
     assert EXP2.past_norm(d, 0.5) == 0.0
 

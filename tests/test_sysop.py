@@ -15,7 +15,6 @@ from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
 from natstate import catalog
-from natstate.calculus import _poly_terms
 from natstate.kernel import symmetrize
 from natstate.sysop import _THETA13, _contract, _expm
 
@@ -638,7 +637,7 @@ def test_each_input_lag_matrix_is_built_once_per_call(monkeypatch):
     op, ker = _cubic_tv_operator(0.3)
     g = Grid(0.05, -20, 10)
     calls.clear()
-    _poly_terms(op, _pasts(g, 42, 3), [(ker, [0, 1, 2])])
+    op._terms(_pasts(g, 42, 3), [(ker, [0, 1, 2])], np.arange(g.i0, g.i1 + 1))
     assert calls == [ker.grid_size(0.05)] * 3
 
 
@@ -664,8 +663,8 @@ def _apply_at_per_slot(op, u, t_idx):
 
 
 def _frechet_per_slot(op, u, v):
-    """``(L(u, v), W(u, v))`` term by term, each term on its first slot's
-    grid with one lag matrix per slot."""
+    """``(L(u, v), W(u, v))`` term by term on ``u``'s grid, with one lag
+    matrix per slot."""
     kers = {n: symmetrize(k) for n, k in op.kernels.items()}
 
     def term(ker, slots):
@@ -730,11 +729,10 @@ def test_shared_lag_matrices_keep_every_bit(name):
         L, W = _frechet_per_slot(op, u, v)
         assert _same_bits(fp.L(u, v), L)
         assert _same_bits(fp.W(u, v), W)
-    if M == 1 and len(op.kernels) == 1:
-        # A direction on another grid: each term on its first slot's grid.
+        # A direction on another grid is refused by both, whatever the
+        # degrees: the expansion point and the direction share one grid.
         v = TimeFunction(Grid(dt, -10, 30), rng.standard_normal((40, 1)),
                          np.zeros(1))
-        L, W = _frechet_per_slot(op, u, v)
-        assert L.grid == g and W.grid == v.grid
-        assert _same_bits(fp.L(u, v), L)
-        assert _same_bits(fp.W(u, v), W)
+        for D in (fp.L, fp.W):
+            with pytest.raises(ValueError, match="grids differ"):
+                D(u, v)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (AlignmentError, Grid, Interval, TimeBatch, TimeFunction,
-                      read_timefunction, restrict, shift_left, shift_right,
-                      splice, write_timefunction)
+from natstate import (AlignmentError, Grid, TimeBatch, TimeFunction,
+                      shift_left, shift_right, splice)
 from natstate.calculus import SmoothInput
 from natstate.timegrid import _values_after
 
@@ -125,41 +124,12 @@ def test_splice_errors(grid):
         splice(f, other, 0.0)
 
 
-def test_restrict_zero_and_window(grid, rough):
-    z = TimeFunction(grid, np.zeros((grid.n, 1)), np.zeros(1))
-    assert _same(restrict(z, Interval(-1.0, 1.0)), z)
-    r = restrict(rough, Interval(0.0, 1.0))
-    assert r.value(0.5) == rough.value(0.5)
-    assert r.value(-0.5) == 0.0 and r.value(1.5) == 0.0
-    assert r.tail_value[0] == 0.0
-
-
-def test_restrict_keeps_past_with_tail(grid, rough):
-    r = restrict(rough, Interval.upto(0.0))
-    assert r.value(-0.5) == rough.value(-0.5)
-    assert r.tail_value[0] == rough.tail_value[0]
-    assert r.value(1.0) == 0.0
-
-
 def test_with_window_extends_past_not_future(rough):
     g = rough.grid
     wide = rough.with_window(g.i0 - 10, g.i1)
     assert np.all(wide.samples[:10] == rough.tail_value)
     with pytest.raises(ValueError):
         rough.with_window(g.i0, g.i1 + 1)
-
-
-def test_serialization_bit_exact(tmp_path, rough):
-    path = str(tmp_path / "fn.csv")
-    write_timefunction(rough, path)
-    back = read_timefunction(path)
-    assert back.grid == rough.grid
-    assert np.array_equal(back.samples, rough.samples)
-    assert np.array_equal(back.tail_value, rough.tail_value)
-    # CSV itself is readable, with metadata on the first line.
-    lines = open(path).read().splitlines()
-    assert lines[0].startswith("#") and "dt=" in lines[0]
-    assert lines[1] == "t,x1"
 
 
 @settings(max_examples=25, deadline=None)
