@@ -281,6 +281,26 @@ def _section(section: str):
         raise ValueError(f"[{section}] {e}") from None
 
 
+# The most cells that one config length (a convolution or kernel support,
+# a past window, a horizon) or one polynomial kernel (``Q**degree`` lag
+# cells) may take at the run's dt.  A section above it is refused before
+# anything is built or sampled.
+CELL_CAP = 10 ** 6
+
+
+def _capped(cells: float, what: str, dt: float) -> None:
+    if cells > CELL_CAP:
+        raise ValueError(f"{what} takes {cells:.4g} cells at dt={dt}, more "
+                         f"than the cap of {CELL_CAP:,}")
+
+
+def _length(spec: dict, key: str, default: float, dt: float) -> float:
+    """``spec[key]`` seconds, positive, finite and within ``CELL_CAP``."""
+    x = _positive(float(spec.get(key, default)), key)
+    _capped(x / dt, f"{key} {x}", dt)
+    return x
+
+
 def _required(spec: dict, key: str):
     try:
         return spec[key]
@@ -346,18 +366,20 @@ def system_from_spec(name: str, spec: dict, dt: float,
     ``input_family``/``output_family`` name built-ins or config families.
     A missing required key, an unknown name or a wrong-typed value raises
     ``ValueError`` naming the section, and so do a convolution support
-    that is not a whole number of ``dt`` steps and a ``past_window`` or
-    ``horizon`` that is not positive and finite.
+    that is not a whole number of ``dt`` steps, a ``support``,
+    ``past_window`` or ``horizon`` that is not positive and finite or takes
+    more than ``CELL_CAP`` cells, and a polynomial kernel of more than
+    ``CELL_CAP`` cells.
     """
     customs = custom_families or {}
     with _section(f"system.{name}"):
         fin = _resolve_family(spec.get("input_family", "uniform-l2"), customs)
         fout = _resolve_family(spec.get("output_family", "esssup"), customs)
-        pw = _positive(float(spec.get("past_window", 4.0)), "past_window")
-        hz = _positive(float(spec.get("horizon", 2.0)), "horizon")
+        pw = _length(spec, "past_window", 4.0, dt)
+        hz = _length(spec, "horizon", 2.0, dt)
         variant = _required(spec, "variant")
         if variant == "conv":
-            S = float(spec.get("support", 1.0))
+            S = _length(spec, "support", 1.0, dt)
             if spec.get("response_form", "box") == "box":
                 h = _box_response(dt, S)
             else:
@@ -391,7 +413,7 @@ def system_from_spec(name: str, spec: dict, dt: float,
                         and 1 <= n <= top):
                     raise ValueError(
                         f"degree must be an integer from 1 to {top}, got {n!r}")
-                S = float(spec.get("support", 1.0))
+                S = _length(spec, "support", 1.0, dt)
                 form = spec.get("kernel_form", "exp")
                 if form == "exp":
                     rates = [float(r) for r in
@@ -414,6 +436,9 @@ def system_from_spec(name: str, spec: dict, dt: float,
                 else:
                     raise ValueError(f"has unknown kernel form {form!r}")
                 ker = PolyKernel(n, S, func=f)
+            _capped((ker.support / dt) ** ker.degree,
+                    f"a degree-{ker.degree} kernel of support {ker.support}",
+                    dt)
             op = PolyIntegralOperator([ker], float(spec.get("constant", 0.0)),
                                       fin, fout)
             return SystemBundle(name, op, "config-defined integral operator",

@@ -569,17 +569,154 @@ class NormReport:
         }
 
 
-def _random_triples(rng, g, n_triples: int, max_span_idx: Optional[int]):
-    """Index triples r < s < t inside the grid window, one row each."""
-    triples = []
-    span_cap = g.n if max_span_idx is None else min(g.n, max_span_idx)
-    for _ in range(n_triples):
-        span = int(rng.integers(2, max(3, span_cap + 1)))
-        r = int(rng.integers(g.i0, g.i1 - span + 1))
-        t = r + span
-        s = int(rng.integers(r + 1, t))
-        triples.append((r, s, t))
-    return np.array(triples, dtype=np.int64).reshape(n_triples, 3)
+# Draws that one vectorized pass of ``_read_draws`` covers at most.
+_DRAW_BLOCK = 1024
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _read_draws(gen, double, lo, a, b, dep):
+    """Run scalar draws on a PCG64 generator from its raw words read in bulk.
+
+    Draw ``k`` is ``gen.random()`` where ``double[k]``, else
+    ``gen.integers(lo[k], lo[k] + n)`` with ``n = a[k] + b[k] *
+    ints[dep[k]]``: a range may read the result of one earlier draw whose
+    own range is fixed (``b == 0``).  Returns ``(ints, floats)``, each value
+    bit for bit what one numpy call per draw gives, and leaves ``gen`` in
+    the state those calls leave.  As in numpy, ``random()`` is a word's top
+    53 bits, and a range of ``n`` values is Lemire's method on 32-bit
+    halves: ``x * n >> 32``, drawing ``x`` again while ``x * n mod 2**32 <
+    (2**32 - n) mod n``.  A word's high half waits in the generator state
+    (``has_uint32``/``uinteger``) for the next 32-bit draw, and ``n == 1``
+    draws nothing.  A pass assumes every draw takes its nominal share of
+    the stream and keeps the prefix before the first one that does not (a
+    rejection, or one value through ``dep``), which takes a scalar step.
+    """
+    bg = gen.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise ValueError("random windows are read in bulk from a PCG64 "
+                         f"stream; this generator runs {type(bg).__name__}")
+    start = bg.state
+    has, u = start["has_uint32"], start["uinteger"]
+    N = len(double)
+    ints, floats = np.zeros(N, np.int64), np.zeros(N)
+    halves = ~double & ((b != 0) | (a != 1))  # nominally one 32-bit half
+    words = np.zeros(0, np.uint64)
+    p = k = 0  # words read, draws done
+
+    def word(i):
+        nonlocal words
+        if i >= len(words):
+            words = np.concatenate([words, bg.random_raw(N - k + 64)])
+        return words[i]
+
+    def bounded(n):
+        # One scalar draw of n values from the stream, as numpy takes it.
+        nonlocal p, has, u
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"ranges of 1 to 2**32 values only, got {n}")
+        m, least = 0, ((1 << 32) - n) % n
+        while n > 1:
+            if has:
+                x, has = u, 0
+            else:
+                v = int(word(p))
+                p, x, u, has = p + 1, v & 0xFFFFFFFF, v >> 32, 1
+            m = x * n
+            if m & 0xFFFFFFFF >= least:
+                break
+        return m >> 32
+
+    try:
+        while k < N:
+            e = min(N, k + _DRAW_BLOCK)
+            word(p + e - k)
+            sl, dbl, half = slice(k, e), double[k:e], halves[k:e]
+            # The c-th half of the pass is the buffered one for c = -1,
+            # else half c % 2 of the word fetched by the even c at or
+            # before it.
+            cc = np.cumsum(half) - 1 - has
+            fetch = dbl | (half & (cc % 2 == 0))
+            w = p + np.cumsum(fetch) - 1
+            hi = np.flatnonzero(half)
+            c = cc[hi]
+            wh = w[hi[np.arange(len(hi)) - (c & 1)]]
+            x = np.zeros(e - k, np.uint64)
+            x[hi] = words[wh] >> (32 * (c & 1)).astype(np.uint64) & _LOW
+            if has and len(hi):
+                x[hi[0]] = u
+            floats[sl][dbl] = (words[w[dbl]] >> np.uint64(11)) * 2.0 ** -53
+            for _ in range(2):  # the fixed ranges, then those that read them
+                n = a[sl] + b[sl] * ints[dep[sl]]
+                nn = np.maximum(n, 1).astype(np.uint64)
+                m = x * nn
+                ints[sl] = lo[sl] + (m >> np.uint64(32)).astype(np.int64)
+            bad = half & ((n < 2) | (n > 1 << 32)
+                          | (m & _LOW < (np.uint64(1 << 32) - nn) % nn))
+            q = int(np.argmax(bad)) if bad.any() else e - k
+            p += int(np.count_nonzero(fetch[:q]))
+            j = int(np.count_nonzero(half[:q])) - 1  # the last half read
+            if j >= 0:
+                has = int(c[j] % 2 == 0)
+                u = int(words[wh[j]] >> np.uint64(32)) if c[j] >= 0 else u
+            # The draw that broke the pass takes a scalar step, and so do
+            # the next _DRAW_BLOCK // 16 when it broke that early.
+            k += q
+            end = min(N, k + (1 if q > _DRAW_BLOCK // 16 else _DRAW_BLOCK // 16))
+            for i in range(k, end):
+                if double[i]:
+                    floats[i] = (int(word(p)) >> 11) * 2.0 ** -53
+                    p += 1
+                else:
+                    ints[i] = lo[i] + bounded(int(a[i] + b[i] * ints[dep[i]]))
+            k = end
+    finally:
+        # Rewind the read-ahead: the state after p words and the half
+        # waiting in it.
+        bg.state = start
+        bg.advance(p)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = has, u
+        bg.state = state
+    return ints, floats
+
+
+def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
+    """Every random draw of ``check_ff_axioms``, in the order of a loop over
+    probes: for each probe ``m`` triples ``r < s < t`` in its grid, ``m``
+    (bump, shift) edit pairs, and ``m`` triples of span at most
+    ``alpha_idx``.  A triple draws its span in ``[2, cap]``, ``r`` so that
+    ``t = r + span`` stays in the grid, then ``s`` in ``(r, t)``.  Probes
+    are read in groups of about ``_DRAW_BLOCK`` draws, which bounds the
+    memory the reader holds."""
+    # Roles: span, r, s - r, random(), shift, span within alpha.
+    role = np.concatenate([np.tile(x, m) for x in ([0, 1, 2], [3, 4],
+                                                    [5, 1, 2])])
+    b = np.array([0, -1, 1, 0, 0, 0])[role]
+    back = np.arange(8 * m) + np.array([0, -1, -2, 0, 0, 0])[role]
+    per = max(1, _DRAW_BLOCK // max(1, 8 * m))
+    parts = []
+    for c0 in range(0, len(probes), per):
+        fs = probes[c0:c0 + per]
+        n = np.array([[f.grid.n] for f in fs])
+        i0 = np.array([[f.grid.i0] for f in fs])
+        cap = n if alpha_idx is None else np.minimum(n, alpha_idx)
+        one = np.ones_like(n)
+        lo = np.hstack([2 * one, i0, one, 0 * one, -n, 2 * one])[:, role]
+        a = np.hstack([np.maximum(3, n + 1) - 2, n + 1, -one, one, 2 * n,
+                       np.maximum(3, cap + 1) - 2])[:, role]
+        dep = back + 8 * m * np.arange(len(fs))[:, None]
+        ints, floats = (x.reshape(len(fs), 8 * m) for x in _read_draws(
+            rng, np.tile(role == 3, len(fs)), lo.ravel(), a.ravel(),
+            np.tile(b, len(fs)), dep.ravel()))
+        parts.append((ints[:, :3 * m], 1.0 + floats[:, 3 * m:5 * m:2],
+                      ints[:, 3 * m + 1:5 * m:2], ints[:, 5 * m:]))
+    tri, bump, shift, cmp_tri = (np.concatenate(x) for x in zip(*parts))
+
+    def triples(x):
+        span, r, ds = np.moveaxis(x.reshape(len(x), m, 3), 2, 0)
+        return np.stack([r, r + ds, r + span], axis=2)
+
+    return triples(tri), bump, shift, triples(cmp_tri)
 
 
 # Relative slack of the monotonicity and split-triangle checks.
@@ -599,14 +736,17 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     monotonicity and split-triangle conditions get a relative slack of
     ``_AXIOM_RTOL`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
-    order, then triple order.  Probes go in chunks of consecutive probes,
-    as many as keep a call within ``_AXIOM_BUDGET`` (one for a sup family,
-    whose windows each span the whole row): a chunk makes its random draws
-    in the order of a per-probe loop, then evaluates every window through
-    :meth:`FittedFamily._seminorms` on its stacked magnitude rows in three
-    calls (locality on the edited differences; the monotonicity, split and
-    shifted windows; the window comparison).  None builds a shifted or
-    edited :class:`TimeFunction`.
+    order, then triple order.  The random draws of the whole check are read
+    first, in bulk from the generator's raw PCG64 words (``_read_draws``),
+    and come out as the scalar ``integers``/``random`` calls of a per-probe
+    loop would give them; any other bit generator is refused with a
+    ``ValueError``.  Probes then go in chunks of consecutive probes, as
+    many as keep a call within ``_AXIOM_BUDGET`` (one for a sup family,
+    whose windows each span the whole row): a chunk evaluates every window
+    through :meth:`FittedFamily._seminorms` on its stacked magnitude rows
+    in three calls (locality on the edited differences; the monotonicity,
+    split and shifted windows; the window comparison).  None builds a
+    shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
@@ -621,6 +761,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     per = 1 if fam.kind == "sup" else max(
         1, _AXIOM_BUDGET // max(1, 4 * m * width))
     k_obs = 0.0
+    draws = _axiom_draws(rng, probes, m, alpha_idx)
 
     def norms(i0, tail, mags, rows, s, t):
         # One call for windows of any shape that the arguments broadcast to.
@@ -642,23 +783,15 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
 
     for c0 in range(0, len(probes), per):
         fs = probes[c0:c0 + per]
-        # Probe k of the chunk: its draws, in the order of a per-probe
-        # loop; row k of mags, zero past its grid; and in row k m + j of
-        # diffs its difference with edit j.
-        tri, cmp_tri = np.zeros((2, len(fs), m, 3), dtype=np.int64)
-        shift = np.zeros((len(fs), m), dtype=np.int64)
+        # Probe k of the chunk: its draws; row k of mags, zero past its
+        # grid; and in row k m + j of diffs its difference with edit j.
+        tri, bump, shift, cmp_tri = (x[c0:c0 + per] for x in draws)
         i0 = np.zeros((len(fs), 1), dtype=np.int64)
         tail, diff_tail = np.zeros((2, len(fs), 1))
         mags = np.zeros((len(fs), width))
         diffs = np.zeros((len(fs) * m, width))
         for k, f in enumerate(fs):
             g = f.grid
-            tri[k] = _random_triples(rng, g, m, None)
-            bump = np.zeros(m)
-            for j in range(m):
-                bump[j] = 1.0 + rng.random()
-                shift[k, j] = rng.integers(-g.n, g.n)
-            cmp_tri[k] = _random_triples(rng, g, m, alpha_idx)
             i0[k] = g.i0
             tail[k] = fam._tail_coef(f.tail_value)
             diff_tail[k] = fam._tail_coef(f.tail_value - (f.tail_value + 1.0))
@@ -666,7 +799,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
             idx = np.arange(g.i0 + 1, g.i1 + 1)
             outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
             diff = f.samples - np.where(outside[:, :, None],
-                                        f.samples + bump[:, None, None],
+                                        f.samples + bump[k, :, None, None],
                                         f.samples)
             diffs[k * m:(k + 1) * m, :g.n] = fam._rownorm(
                 diff.reshape(-1, f.dim)).reshape(m, g.n)

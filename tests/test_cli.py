@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natstate import PolyKernel
+from natstate import PolyKernel, catalog
 from natstate.cli import main, parse_config_text
 from natstate.experiments import EXPERIMENTS, claim
 from natstate.kernel import write_kernel_csv
@@ -385,6 +385,65 @@ def test_kernel_file_of_another_dt_is_a_config_error(tmp_path, capsys):
                             "grid gives a grid-backed kernel sampled at a "
                             "different dt\n")
     assert "PASS" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("toml, reason", [
+    ('[system.bad]\nvariant = "conv"\nsupport = 1e6',
+     "[system.bad] support 1000000.0 takes 1e+08 cells at dt=0.01, more "
+     "than the cap of 1,000,000"),
+    ('[system.bad]\nvariant = "conv"\nsupport = inf',
+     "[system.bad] support must be positive and finite, got inf"),
+    ('[system.bad]\nvariant = "poly"\ndegree = 1\nsupport = 1e5',
+     "[system.bad] support 100000.0 takes 1e+07 cells at dt=0.01, more "
+     "than the cap of 1,000,000"),
+    ('[system.bad]\nvariant = "poly"\ndegree = 3\nsupport = 1.01',
+     "[system.bad] a degree-3 kernel of support 1.01 takes 1.03e+06 cells "
+     "at dt=0.01, more than the cap of 1,000,000"),
+    ('[system.bad]\nvariant = "poly"\nkernel_form = "box"\nsupport = 10.01',
+     "[system.bad] a degree-2 kernel of support 10.01 takes 1.002e+06 "
+     "cells at dt=0.01, more than the cap of 1,000,000"),
+    ('[system.bad]\nvariant = "lti"\nn_states = 1\nA = [-1.0]\nB = [1.0]\n'
+     'past_window = 1e5', "[system.bad] past_window 100000.0 takes 1e+07 "
+     "cells at dt=0.01, more than the cap of 1,000,000"),
+    ('[system.bad]\nvariant = "conv"\nhorizon = 2e4',
+     "[system.bad] horizon 20000.0 takes 2e+06 cells at dt=0.01, more than "
+     "the cap of 1,000,000"),
+], ids=["conv-support", "conv-support-inf", "poly-support",
+        "degree-3-kernel", "degree-2-kernel", "past-window", "horizon"])
+def test_config_lengths_above_the_cell_cap_exit_2(tmp_path, capsys, toml,
+                                                   reason):
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text(toml + "\n")
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {reason}\n"
+    assert "PASS" not in captured.out and not out.exists()
+
+
+def test_shipped_systems_and_demo_config_stay_under_the_cell_cap():
+    # The refusal is for config sections; no built-in system, nor the
+    # example config, comes near it at the benchmark's dt.
+    dt, cap = 0.01, catalog.CELL_CAP
+    for name in catalog.SYSTEMS:
+        b = catalog.system(name, dt)
+        assert b.grid(dt).n <= cap, name
+        op = b.system
+        for ker in getattr(op, "kernels", {}).values():
+            assert ker.grid_size(dt) ** ker.degree <= cap, name
+        if hasattr(op, "h"):
+            assert op.h.grid.n <= cap, name
+    # A degree-3 kernel of one second, the default support, is at the cap.
+    at_cap = {"variant": "poly", "degree": 3}
+    assert catalog.system_from_spec("s", at_cap, dt).system.kernels[
+        3].grid_size(dt) ** 3 == cap
+    demo = parse_config_text(
+        (Path(__file__).resolve().parents[1] / "demo.toml").read_text())
+    fams = {name: catalog.family_from_spec(name, spec)
+            for name, spec in demo["family"].items()}
+    for name, spec in demo["system"].items():
+        catalog.system_from_spec(name, spec, dt, fams)
 
 
 def test_box_memory_off_the_grid_is_a_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from natstate import (AlignmentError, FittedFamily, Grid, Interval,
                       check_ff_axioms, classify, seminorm, shift_left,
                       splice, taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
+from natstate.cli import main
 from natstate.probes import probe_set
 from natstate.seminorm import (_EXP_BLOCK, ConditionResult, NormReport,
-                               _random_triples)
+                               _read_draws)
 from natstate.timegrid import to_cells
 
 UL2 = FittedFamily.weighted_lp(2.0, Weight.uniform(), name="uniform-l2")
@@ -552,9 +554,24 @@ def test_running_refuses_finite_left_end_before_a_nonzero_tail(rough, fam):
     assert fam.seminorms(zero, [g.i0 - 5], [g.i0 - 2])[0] == 0.0
 
 
+def _random_triples(rng, g, n_triples, max_span_idx):
+    """Index triples r < s < t inside the grid window, one row each, by one
+    scalar numpy call per draw."""
+    triples = []
+    span_cap = g.n if max_span_idx is None else min(g.n, max_span_idx)
+    for _ in range(n_triples):
+        span = int(rng.integers(2, max(3, span_cap + 1)))
+        r = int(rng.integers(g.i0, g.i1 - span + 1))
+        t = r + span
+        s = int(rng.integers(r + 1, t))
+        triples.append((r, s, t))
+    return np.array(triples, dtype=np.int64).reshape(n_triples, 3)
+
+
 def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):
     """The per-window form of ``check_ff_axioms``: one ``seminorm`` call per
-    window, the same random draws in the same order."""
+    window, the same random draws in the same order, each one scalar numpy
+    ``integers``/``random`` call."""
     rng = np.random.default_rng(rng)
     report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
     res = {name: ConditionResult(True, 0) for name in
@@ -665,6 +682,164 @@ def test_axioms_batch_probes_within_budget(budget, monkeypatch):
         check_ff_axioms(fam, probes, rng=3, n_triples=20)
         assert len(sizes) == 3 * math.ceil(len(probes) / per)
         assert max(sizes) <= seminorm._AXIOM_BUDGET
+
+
+# -- random draws read in bulk -------------------------------------------------
+
+
+def _scalar_draws(gen, double, lo, a, b, dep):
+    """``_read_draws``' contract, one numpy call per draw."""
+    ints, floats = np.zeros(len(double), np.int64), np.zeros(len(double))
+    for k in range(len(double)):
+        if double[k]:
+            floats[k] = gen.random()
+        else:
+            ints[k] = gen.integers(lo[k], lo[k] + a[k] + b[k] * ints[dep[k]])
+    return ints, floats
+
+
+def _draw_program(seed, n_draws, ranges):
+    """Interleaved ``random()`` and ``integers`` draws over ``ranges``.  At
+    every third draw that follows an integer draw of 2 to 400 values, that
+    draw becomes a span from 2 and this one reads it as a triple's ``r``
+    does (one value at the largest span) or as ``s - r`` does (one value
+    at span 2)."""
+    rng = np.random.default_rng(seed)
+    double = rng.random(n_draws) < 0.2
+    lo = rng.integers(-50, 50, n_draws)
+    a = rng.choice(ranges, n_draws)
+    b = np.zeros(n_draws, np.int64)
+    dep = np.arange(n_draws)
+    for k in range(2, n_draws, 3):
+        if not (double[k] or double[k - 1]) and 2 <= a[k - 1] <= 400:
+            lo[k - 1] = 2
+            b[k], dep[k] = (-1 if k % 2 else 1), k - 1
+            a[k] = a[k - 1] + 2 if k % 2 else -1
+    return double, lo, a, b, dep
+
+
+def _same_stream(g1, g2):
+    assert g1.bit_generator.state == g2.bit_generator.state
+    assert np.array_equal(g1.integers(0, 1000, 9), g2.integers(0, 1000, 9))
+    assert g1.random() == g2.random()
+
+
+@pytest.mark.parametrize("block", [16, 1024])
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["aligned", "buffered-half"])
+@pytest.mark.parametrize("seed", range(5))
+def test_read_draws_match_scalar_calls(seed, buffered, block, monkeypatch):
+    # Ranges of one value, small ones, 3e9 and 2**31 + 5 (above 2**31, so
+    # words get rejected) and 2**32; a start with a buffered 32-bit half
+    # (one prior 32-bit draw); passes of 16 draws or one.
+    monkeypatch.setattr(seminorm, "_DRAW_BLOCK", block)
+    prog = _draw_program(seed + 100, 400,
+                         [1, 2, 3, 7, 400, 2**31 + 5, 3_000_000_000, 2**32])
+    assert np.any((prog[3] == 0) & (prog[2] == 1) & ~prog[0])
+    gens = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        for g in gens:
+            g.integers(0, 5)
+    assert gens[0].bit_generator.state["has_uint32"] == buffered
+    want = _scalar_draws(gens[0], *prog)
+    got = _read_draws(gens[1], *prog)
+    double, lo, a, b, dep = prog
+    assert np.any((b != 0) & (a + b * want[0][dep] == 1) & ~double)
+    ints = ~prog[0]
+    assert np.array_equal(got[0][ints], want[0][ints])
+    assert np.array_equal(got[1][~ints], want[1][~ints])
+    _same_stream(*gens)
+
+
+def test_read_draws_reject_words_as_numpy_does():
+    # A range of 3e9 rejects about 30% of 32-bit halves: reading consecutive
+    # halves without the rejection gives other values.
+    n = 3_000_000_000
+    gens = np.random.default_rng(8), np.random.default_rng(8)
+    want = np.array([gens[0].integers(5, 5 + n) for _ in range(2000)])
+    ones = np.ones(2000, np.int64)
+    got, _ = _read_draws(gens[1], ones < 0, 5 * ones, n * ones, 0 * ones,
+                         np.arange(2000))
+    assert np.array_equal(got, want)
+    _same_stream(*gens)
+    raw = np.random.default_rng(8).bit_generator.random_raw(1000)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    assert not np.array_equal(5 + (halves * np.uint64(n) >> np.uint64(32))
+                              .astype(np.int64), want)
+
+
+def _scalar_axiom_draws(rng, probes, m, alpha_idx):
+    """The draws of ``check_ff_axioms`` as a per-probe loop of scalar calls."""
+    out = []
+    for f in probes:
+        g = f.grid
+        tri = _random_triples(rng, g, m, None)
+        edits = [(1.0 + rng.random(), int(rng.integers(-g.n, g.n)))
+                 for _ in range(m)]
+        out.append((tri, edits, _random_triples(rng, g, m, alpha_idx)))
+    return out
+
+
+@pytest.mark.parametrize("alpha_idx", [None, 2, 3, 40])
+def test_axiom_draws_match_the_scalar_loop(alpha_idx):
+    # Grids of 2 and 3 cells give one-value ranges at both triple
+    # positions: r when the span is the grid, s - r at span 2.
+    probes = [TimeFunction(Grid(0.1, i0, i1), np.zeros((i1 - i0, 1)), 0.0)
+              for i0, i1 in ((0, 2), (-1, 2), (-30, 25), (3, 6), (-5, 80))]
+    for seed in range(4):
+        gens = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            for g in gens:
+                g.integers(0, 5)
+        want = _scalar_axiom_draws(gens[0], probes, 11, alpha_idx)
+        tri, bump, shift, cmp_tri = seminorm._axiom_draws(
+            gens[1], probes, 11, alpha_idx)
+        for k, (t, edits, c) in enumerate(want):
+            assert np.array_equal(tri[k], t) and np.array_equal(cmp_tri[k], c)
+            assert bump[k].tolist() == [e[0] for e in edits]
+            assert shift[k].tolist() == [e[1] for e in edits]
+        _same_stream(*gens)
+
+
+def test_check_ff_axioms_leaves_the_generator_as_the_scalar_loop(grid):
+    probes = probe_set(grid, 19, count=6, tails=True)
+    for fam in (UL2, BOX2):
+        gens = np.random.default_rng(4), np.random.default_rng(4)
+        for g in gens:
+            g.integers(0, 3)
+        check_ff_axioms(fam, probes, rng=gens[1], n_triples=7)
+        alpha_idx = (None if fam.alpha == math.inf
+                     else max(2, to_cells(fam.alpha, grid.dt)))
+        _scalar_axiom_draws(gens[0], probes, 7, alpha_idx)
+        _same_stream(*gens)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                           np.random.Philox,
+                                           np.random.SFC64,
+                                           np.random.PCG64DXSM])
+def test_check_ff_axioms_refuses_other_bit_generators(grid, bit_generator):
+    probes = probe_set(grid, 19, count=2, tails=True)
+    gen = np.random.Generator(bit_generator(3))
+    with pytest.raises(ValueError, match=f"PCG64 stream; this generator "
+                                         f"runs {bit_generator.__name__}"):
+        check_ff_axioms(UL2, probes, rng=gen, n_triples=4)
+
+
+def test_small_ff_axioms_report_is_pinned(tmp_path, capsys):
+    # sha256 of the report that one scalar numpy call per draw wrote.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text("[run]\nprobes = 12\ntriples = 6\n")
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "ff-axioms",
+                 "--seed", "12345", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ff-axioms.json", "ff-axioms_conditions.csv")}
+    assert digests == {
+        "ff-axioms.json": "612853bef8b3d1b3f393f8d3d6388d57"
+                          "7314a810e2d76b13e1eb7041530e768d",
+        "ff-axioms_conditions.csv": "73e73d40bfb865d2462c5cde82fccdf3"
+                                    "070aa9a8d7749ddf03e23158236aa75e"}
 
 
 # -- shift invariance on per-window grid origins -------------------------------
