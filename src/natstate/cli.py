@@ -5,15 +5,13 @@ one line per failed check: its name, observed value and bound.
 ``describe <experiment>`` prints the claim.  Reports are JSON summaries
 plus CSV tables (check rows stay out), written with stable key order
 and shortest-round-trip float formatting, so identical configurations and
-seeds produce byte-identical files.  ``NATSTATE_THREADS`` caps how many
-experiments run concurrently; each experiment is internally deterministic,
-and results are written in a fixed order regardless of scheduling.
+seeds produce byte-identical files.  Experiments run one after another
+in the order selected.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -168,6 +166,9 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
                          f"got {names!r}")
     if args.experiment:
         names = [args.experiment]
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiments: {unknown}")
     out_dir = args.out or raw.get("out") or ""
     _check_config(cfg)
     return cfg, names, out_dir
@@ -245,33 +246,17 @@ def _write_reports(results: list[ExperimentResult], out_dir: str) -> None:
 def _cmd_run(args) -> int:
     try:
         cfg, names, out_dir = _config_from_args(args)
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            raise ValueError(f"unknown experiments: {unknown}")
-        env_threads = os.environ.get("NATSTATE_THREADS", "1")
-        if not (env_threads.isdigit() and int(env_threads) >= 1):
-            raise ValueError("NATSTATE_THREADS must be an integer >= 1, "
-                             f"got {env_threads!r}")
-        threads = int(env_threads)
     except (ValueError, TypeError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-            if threads > 1 and len(names) > 1 else None)
-    futs = [pool.submit(run_experiment, n, cfg) if pool else None
-            for n in names]
     results: list[ExperimentResult] = []
-    try:
-        for n, fut in zip(names, futs):
-            try:
-                results.append(fut.result() if fut else run_experiment(n, cfg))
-            except AlignmentError as e:
-                # An instant or kernel support the chosen dt cannot hit.
-                print(f"config error: {n}: {e}", file=sys.stderr)
-                return 2
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for n in names:
+        try:
+            results.append(run_experiment(n, cfg))
+        except AlignmentError as e:
+            # An instant or kernel support the chosen dt cannot hit.
+            print(f"config error: {n}: {e}", file=sys.stderr)
+            return 2
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark}  {r.name}")

@@ -72,11 +72,11 @@ class RunConfig:
             return self.custom_families[name]
         return catalog.family(name)
 
-    def get_system(self, name: str, dt: float):
+    def get_system(self, name: str):
         if name in self.system_specs:
             return catalog.system_from_spec(name, self.system_specs[name],
-                                            dt, self.custom_families)
-        return catalog.system(name, dt)
+                                            self.dt, self.custom_families)
+        return catalog.system(name, self.dt)
 
 
 def _decays(ratios, factor) -> bool:
@@ -352,7 +352,7 @@ def exp_causality(cfg: RunConfig, res: ExperimentResult) -> None:
     names = (cfg.system,) if cfg.system else (
         "averager-1x", "integrator", "quadratic-volterra")
     for name in names:
-        b = cfg.get_system(name, dt)
+        b = cfg.get_system(name)
         grid = b.grid(dt)
         probes = _random_probes(grid, [cfg.seed, 51, hash(name) % 997], 6)
         ts = [grid.dt * (grid.i0 + grid.n // 3),
@@ -1058,7 +1058,7 @@ def exp_trajectory_derivative(cfg: RunConfig, res: ExperimentResult) -> None:
     trajectory, the integrator recovers its input level, and time-varying
     trajectories are refused"""
     dt = cfg.dt
-    qb = cfg.get_system(cfg.system or "quadratic-volterra", dt)
+    qb = cfg.get_system(cfg.system or "quadratic-volterra")
     sysq = qb.system
     gq = qb.grid(dt)
     src = SmoothInput.sine(freq=0.25, amp=0.8)

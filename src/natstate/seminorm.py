@@ -82,14 +82,21 @@ class Weight:
         """Piecewise-constant weight, mainly for counterexample families.
 
         ``values[k]`` holds on ``[edges[k], edges[k+1])``; zero beyond the
-        last edge.
+        last edge.  Edges are finite, start at 0 and rise strictly; values
+        are finite and nonnegative.
         """
         edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
-        if edges.ndim != 1 or values.shape[0] != edges.shape[0] - 1:
+        if edges.ndim != 1 or values.shape != (edges.shape[0] - 1,):
             raise ValueError("need len(values) == len(edges) - 1")
-        if np.any(values < 0):
-            raise ValueError("weight must be nonnegative")
+        for ok, rule in ((np.all(np.isfinite(edges)), "edges must be finite"),
+                         (edges[0] == 0.0, "edges must start at 0"),
+                         (np.all(np.diff(edges) > 0), "edges must rise strictly"),
+                         (np.all(np.isfinite(values)), "values must be finite"),
+                         (np.all(values >= 0), "values must be >= 0")):
+            if not ok:
+                raise ValueError(f"table {rule}, got edges {edges.tolist()}, "
+                                 f"values {values.tolist()}")
         noninc = bool(np.all(np.diff(values) <= 0))
         return Weight("table", {"edges": edges, "values": values},
                       alpha=POS_INF, K=POS_INF, nonincreasing=noninc)
@@ -874,37 +881,23 @@ def taper_delta(fam: FittedFamily, eps: float, c: float) -> Optional[float]:
     Returns the closed-form ``delta`` such that functions pointwise bounded
     by ``c`` satisfy ``|f|_t <= |f|_{t-delta,t} + eps``, or ``None`` when the
     weight is not integrable (no finite window works; a single far-past
-    spike keeps a unit gap forever).
+    spike keeps a unit gap forever).  ``eps`` and ``c`` must be positive and
+    finite.
     """
-    if eps <= 0 or c <= 0:
-        raise ValueError("eps and c must be positive")
+    _positive(eps, "eps")
+    _positive(c, "c")
     w = fam.weight
     if w.support < POS_INF:
         return float(w.support)
     if not w.integrable:
         return None
+    # Box and table weights have finite support, a uniform one is not
+    # integrable: only an exponential weight is left.
+    r = w.params["rate"]
     if fam.p == POS_INF:
-        if w.form == "exp":
-            r = w.params["rate"]
-            return max(0.0, math.log(c / eps) / r)
-        return None
-    target = (eps / c) ** fam.p
-    if w.form == "exp":
-        r = w.params["rate"]
-        # c * (int_delta^inf w)^(1/p) <= eps  <=>  e^{-r delta}/r <= (eps/c)^p
-        return max(0.0, -math.log(r * target) / r)
-    lo, hi = 0.0, 1.0
-    while w.integral(hi, POS_INF) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if w.integral(mid, POS_INF) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        return max(0.0, math.log(c / eps) / r)
+    # c * (int_delta^inf w)^(1/p) <= eps  <=>  e^{-r delta}/r <= (eps/c)^p
+    return max(0.0, -math.log(r * (eps / c) ** fam.p) / r)
 
 
 def taper_certificate(fam: FittedFamily, delta: float, eps: float, c: float,

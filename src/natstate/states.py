@@ -258,10 +258,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     return {
         "rows": rows,
         "final_output_gap_at_T": final,
-        "input_family_class": cls["class"],
         "taper_hypothesis_met": cls["class"] in ("finite_memory", "tapered"),
-        "input_gaps_vanish": rows[-1]["input_gap_at_T"] <= 10 * match_tol
-        if rows else None,
     }
 
 
@@ -313,7 +310,6 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     return {
         "estimate": est,
         "bound": bound,
-        "bound_factor": bound_factor,
         "max_ratio": max(ratios) if ratios else 0.0,
         "violations": violations,
         "passed": not violations and all(r["ok"] for r in continuity_rows),

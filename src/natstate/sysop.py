@@ -595,7 +595,6 @@ def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
     spread = max(per_t) - min(per_t)
     return {
         "uniform_bound": max(per_t),
-        "per_t": per_t,
         "modulus_bound": max(moduli) if moduli else 0.0,
         "time_invariant_consistent": (not system.time_invariant) or spread == 0.0,
     }

@@ -55,9 +55,17 @@ def test_describe_unknown(capsys):
     assert main(["describe", "nonesuch"]) == 2
 
 
-def test_run_unknown_experiment(capsys):
+def test_run_unknown_experiment(tmp_path, capsys):
     assert main(["run", "--experiment", "nonesuch"]) == 2
     assert "config error" in capsys.readouterr().err
+    # An unknown name in the list stops the run before any experiment runs.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('experiments = ["taper", "nonesuch"]\n')
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: unknown experiments: ['nonesuch']\n"
+    assert "PASS" not in captured.out and not out.exists()
 
 
 def test_config_parsing():
@@ -143,17 +151,20 @@ def test_seed_determinism_bytes(tmp_path):
                            os.path.join(outs[1], n), shallow=False), n
 
 
-def test_threaded_run_same_bytes(tmp_path):
+@pytest.mark.parametrize("threads", ["2", "two"])
+def test_thread_variable_is_ignored(tmp_path, monkeypatch, threads):
+    # Experiments run one after another; a NATSTATE_THREADS left in the
+    # environment changes neither the exit code nor a report byte.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('experiments = ["taper", "memory-causality"]\n')
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    monkeypatch.delenv("NATSTATE_THREADS", raising=False)
     assert main(["run", "--config", str(cfgfile), "--out", out1]) == 0
-    os.environ["NATSTATE_THREADS"] = "2"
-    try:
-        assert main(["run", "--config", str(cfgfile), "--out", out2]) == 0
-    finally:
-        del os.environ["NATSTATE_THREADS"]
-    for n in sorted(os.listdir(out1)):
+    monkeypatch.setenv("NATSTATE_THREADS", threads)
+    assert main(["run", "--config", str(cfgfile), "--out", out2]) == 0
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    for n in names:
         assert filecmp.cmp(os.path.join(out1, n), os.path.join(out2, n),
                            shallow=False), n
 
@@ -220,13 +231,11 @@ def test_misaligned_dt_is_a_config_error(tmp_path, capsys, experiment, dt):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_misaligned_dt_stops_the_run(tmp_path, capsys, monkeypatch, threads):
+def test_misaligned_dt_stops_the_run(tmp_path, capsys):
     # The first experiment runs at dt 0.04; the second cannot.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\ndt = 0.04\nexperiments = '
                        '["taper", "trajectory-derivative"]\n')
-    monkeypatch.setenv("NATSTATE_THREADS", threads)
     out = tmp_path / "rep"
     assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -456,16 +465,6 @@ def test_box_memory_off_the_grid_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(
         "config error: ff-axioms: length 0.015 is not a multiple of dt=0.01")
-    assert "PASS" not in captured.out and not out.exists()
-
-
-@pytest.mark.parametrize("threads", ["two", "0"])
-def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("NATSTATE_THREADS", threads)
-    out = tmp_path / "rep"
-    assert main(["run", "--experiment", "taper", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: NATSTATE_THREADS")
     assert "PASS" not in captured.out and not out.exists()
 
 

@@ -228,6 +228,38 @@ def test_taper_delta_closed_forms():
     assert taper_delta(BOX2, 1e-6, 10.0) == 1.5
     assert taper_delta(SUP, 0.1, 1.0) is None
     assert taper_delta(UL2, 0.1, 1.0) is None
+    # A table weight has finite support; an exponential one at p=inf
+    # solves c e^{-rate delta} = eps.  The floats are pinned bit for bit.
+    table = FittedFamily.weighted_lp(2.0, Weight.table([0.0, 0.3, 1.1],
+                                                       [1.0, 0.4]))
+    assert taper_delta(table, 0.1, 1.0) == 1.1
+    fast_linf = FittedFamily.weighted_lp(math.inf, Weight.exponential(200.0))
+    assert taper_delta(fast_linf, 0.1, 1.0) == math.log(1.0 / 0.1) / 200.0
+    assert taper_delta(fast_linf, 0.1, 1.0) == 0.01151292546497023
+    assert taper_delta(fast_linf, 1e-3, 2.5) == 0.03912023005428146
+    assert taper_delta(EXP2, 0.1, 1.0) == 4.605170185988091
+
+
+@pytest.mark.parametrize("eps, c", [
+    (math.nan, 1.0), (0.1, math.nan), (math.inf, 1.0), (0.1, math.inf),
+    (0.0, 1.0), (0.1, -1.0)])
+def test_taper_delta_refuses_bad_eps_and_c(eps, c):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        taper_delta(EXP2, eps, c)
+
+
+@pytest.mark.parametrize("edges, values, rule", [
+    ([0.0, 1.0, 2.0], [1.0, math.nan], "values must be finite"),
+    ([0.0, 1.0], [-0.5], "values must be >= 0"),
+    ([0.0, 2.0, 1.0], [1.0, 0.5], "edges must rise strictly"),
+    ([0.0, 1.0, 1.0], [1.0, 0.5], "edges must rise strictly"),
+    ([0.5, 1.0], [1.0], "edges must start at 0"),
+    ([0.0, 1.0, math.inf], [1.0, 0.0], "edges must be finite"),
+    ([0.0, 1.0], [1.0, 0.5], "len"),
+])
+def test_malformed_table_refused(edges, values, rule):
+    with pytest.raises(ValueError, match=rule):
+        Weight.table(edges, values)
 
 
 def test_taper_certificate_and_spike_witness():
