@@ -317,14 +317,14 @@ class FittedFamily:
         t = np.asarray(t_idx, dtype=np.int64).ravel()
         if s.shape != t.shape:
             raise ValueError("need one left end per window end")
-        if (t > g.i1).any():
-            raise ValueError("window end beyond represented horizon")
-        if not (s < t).all():
-            raise ValueError("empty window")
         # Norm samples up to the latest window end; zeros after it keep a
         # sup family's rows grid-long, as _exp_running's scaling needs.
         hi = int(t.max(initial=g.i0)) - g.i0
-        mags = np.zeros((1, g.n))
+        if hi > g.n:
+            raise ValueError("window end beyond represented horizon")
+        if not (s < t).all():
+            raise ValueError("empty window")
+        mags = np.zeros((1, g.n if self.kind == "sup" else hi))
         mags[0, :hi] = self._rownorm(f.samples[:hi])
         return self._seminorms(g.i0, g.dt, self._tail_coef(f.tail_value),
                                mags, 0, s, t)
@@ -340,49 +340,133 @@ class FittedFamily:
 
         A window read on origin ``i0 - h`` with ends ``s - h``, ``t - h``
         gets the arithmetic of ``(s - h, t - h]`` on ``shift_left(f, h dt)``,
-        which moves only the origin.  The samples of every row up to the
-        latest window end are raised to the power ``p`` once, reversed and
-        zero-padded, so a window's lags, counted back from its end, are one
-        contiguous run of a strided view.  For ``p < inf`` the runs are
-        weighted in place and summed in lag order by one
-        ``np.add.accumulate``, which gives every window the sequential sum
-        of its own span whatever the other windows in the call.
+        which moves only the origin.  The rows up to the latest window end
+        are raised to the power ``p`` once and laid back to back reversed,
+        so a window's lags, counted back from its end, are one contiguous
+        run of a strided view.  The windows go in buckets of similar span
+        (:func:`_buckets`); a bucket gathers each window's run cut at the
+        bucket's longest span and weights it, and for ``p < inf`` one
+        ``np.add.accumulate`` sums every run in lag order, read at the
+        window's own span.  So every window gets the sequential sum of its
+        own span, whatever the other windows in the call; one without
+        samples sums to 0.0.  The sup kind reads :meth:`_sup_windows`.
         """
         if not t.size:
             return np.zeros(0)
         if self.kind == "sup":
-            run = self._running(i0, dt, tail, mags if mags.shape[0] == 1
-                                else mags[rows], s)
-            return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
+            return self._sup_windows(i0, dt, tail, mags, rows, s, t)
+        s, t, end, span = self._spans(i0, dt, s, t)
+        tail = self._tail(dt, tail, s, t)
+        buckets = _buckets(span, _PIECE)
+        n_lags = buckets[0][1] if buckets else 0
+        hi = int(end.max())  # no window reads a later sample
+        # Lag j of window k is runs[start[k], j].  A run past its window's
+        # span reads the pad or the next row, which the window's sum or
+        # maximum never takes in.
+        runs = _runs(mags[:, :hi][:, ::-1], n_lags,
+                     self.p if self.p < POS_INF else 1.0)
+        start = rows * hi + (hi - end)
+        wts = self.weight._at_lags(n_lags, dt)
+        vals = np.zeros(span.shape)
+        for idx, n in buckets:
+            terms = runs[start[idx], :n]
+            terms *= wts[:n]
+            if self.p == POS_INF:
+                np.copyto(terms, 0.0, where=np.arange(n) >= span[idx, None])
+                vals[idx] = terms.max(axis=1)
+            else:
+                np.add.accumulate(terms, axis=1, out=terms)
+                vals[idx] = terms[np.arange(terms.shape[0]), span[idx] - 1]
+        if self.p == POS_INF:
+            return np.maximum(vals, tail)
+        return (vals * dt + tail) ** (1.0 / self.p)
+
+    def _spans(self, i0, dt: float, s: np.ndarray, t: np.ndarray):
+        """Window ends counted from the origin, the left end clipped to a
+        finite support, with each window's sample end ``max(t, 0)`` and
+        span: it holds samples ``end - span .. end - 1`` of its row."""
         w = self.weight
         if w.support < POS_INF:
             s = np.maximum(s, t - to_cells(w.support, dt))
-        s, t = s - i0, t - i0  # ends counted from the origin
-        tail = self._tail(dt, tail, s, t)
-        # Window k holds samples end[k] - span[k] .. end[k] - 1 of its row;
-        # one that ends at or before the origin holds none.
+        s, t = s - i0, t - i0
         end = np.maximum(t, 0)
-        span = end - np.maximum(s, 0).astype(np.int64)
-        n_lags = max(int(span.max()), 1)
-        hi = int(end.max())  # no window reads a later sample
-        x = np.zeros((mags.shape[0], hi + n_lags))
-        x[:, :hi] = mags[:, :hi][:, ::-1]
-        if self.p < POS_INF:
-            x[:, :hi] **= self.p
-        runs = np.ndarray((x.size - n_lags + 1, n_lags), x.dtype, x, 0,
-                          (x.itemsize, x.itemsize))
-        # Lag j of window k is column hi - end[k] + j of its reversed row,
-        # so a window without samples reads the zero padding.
-        terms = runs[rows * x.shape[1] + (hi - end)]
-        terms *= w._at_lags(n_lags, dt)
-        if self.p == POS_INF:
-            # Zero past each window's span; a maximum needs no order.
-            np.copyto(terms, 0.0, where=np.arange(n_lags) >= span[:, None])
-            return np.maximum(terms.max(axis=1), tail)
-        np.add.accumulate(terms, axis=1, out=terms)
-        # Column -1 of a window without samples sums the padding: 0.0.
-        sums = terms[np.arange(span.shape[0]), span - 1]
-        return (sums * dt + tail) ** (1.0 / self.p)
+        return s, t, end, end - np.maximum(s, 0).astype(np.int64)
+
+    def _needs(self, i0, dt: float, tail, rows, s: np.ndarray,
+               t: np.ndarray, width: int) -> np.ndarray:
+        """The elements :meth:`_seminorms` holds for each window on rows of
+        ``width`` samples: its span, or for the sup kind its running row's
+        (:meth:`_sup_rows`), counted at one window of the row."""
+        if self.kind != "sup":
+            return self._spans(i0, dt, s, t)[3]
+        _, first, _, _, held = self._sup_rows(i0, tail, rows, s, t, width)
+        need = np.zeros(t.shape, dtype=np.int64)
+        need[first] = held
+        return need
+
+    def _sup_rows(self, i0, tail, rows, s: np.ndarray, t: np.ndarray,
+                  width: int):
+        """The running rows of the sup kind for windows on rows of ``width``
+        samples: one per row, origin-relative left end and tail.
+
+        Returns ``(group, first, keys, lo, held)``: window ``k`` reads
+        running row ``group[k]`` at column ``t[k] - i0[k] - lo``; window
+        ``first[g]`` is the first to read row ``g``, whose row, left end
+        and tail are ``keys[:, g]``.  On a uniform or box weight, whose
+        recurrence only carries a prefix on, a row runs from its left end
+        ``lo`` to the last column ``hi`` its windows read; on any other the
+        whole row, since an exponential one scales by the row's own end.  A
+        row holds ``held = 2 (hi - lo) + 1`` elements: its samples and its
+        running cells."""
+        keys = np.zeros((3, t.shape[0]))
+        keys[0], keys[1], keys[2] = rows, s - i0, tail
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        new = np.ones(t.shape, dtype=bool)
+        new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        group = np.empty(t.shape, dtype=np.int64)
+        group[order] = np.cumsum(new) - 1
+        keys = keys[:, new]
+        if self.weight.form in ("uniform", "box"):
+            lo = np.maximum(keys[1], 0).astype(np.int64)  # -inf: column 0
+            hi = np.maximum(np.maximum.reduceat(
+                np.maximum(t - i0, 0)[order], np.flatnonzero(new)), lo + 1)
+        else:
+            lo, hi = np.zeros(keys.shape[1], dtype=np.int64), width
+        return group, order[new], keys, lo, 2 * (hi - lo) + 1
+
+    def _sup_windows(self, i0, dt: float, tail, mags: np.ndarray, rows,
+                     s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:meth:`_seminorms` of the sup kind: windows that share a row, an
+        origin-relative left end and a tail share one :meth:`_running` row
+        (a window and its shifted copy; ``(r, t]`` and ``(r, s]``), read at
+        each window's end.  The running rows go in buckets of similar
+        length (:func:`_buckets`), gathered from the rows laid back to back
+        with one pad; a row cut at its left end starts from a zero tail
+        term, as the whole row has there."""
+        if t.shape[0] == 1:  # one window reads its whole running row
+            run = self._running(i0, dt, tail, mags if mags.shape[0] == 1
+                                else mags[rows], s)
+            return run[np.arange(1), np.maximum(t - i0, 0)]
+        group, _, (row, left, tail), lo, held = self._sup_rows(
+            i0, tail, rows, s, t, mags.shape[1])
+        start = row.astype(np.int64) * mags.shape[1] + lo
+        col = np.maximum(t - i0, 0) - lo[group]
+        # A piece's samples and running cells are two arrays.
+        buckets = _buckets(held, 2 * _PIECE)
+        runs = _runs(mags, buckets[0][1] // 2)  # the longest row's samples
+        # Running row g is row pos[g] of bucket which[g].
+        which, pos = np.full((2, held.shape[0]), -1)
+        vals = np.empty(t.shape)
+        for b, (idx, c) in enumerate(buckets):
+            run = self._running(0, dt, tail[idx], runs[start[idx], :c // 2],
+                                left[idx] - lo[idx])
+            if isinstance(idx, slice):  # every row, in order
+                return run[group, col]
+            which[idx], pos[idx] = b, np.arange(idx.shape[0])
+            sel = np.flatnonzero(which[group] == b)
+            vals[sel] = run[pos[group[sel]], col[sel]]
+        return vals
 
     def _tail(self, dt: float, tail, s: np.ndarray,
               t: np.ndarray) -> np.ndarray | float:
@@ -441,7 +525,10 @@ class FittedFamily:
         tail = self._tail(dt, tail, s0, np.arange(n + 1))
         run = np.zeros((s.shape[0], n + 1))
         x = run[:, 1:]
-        np.copyto(x, mags, where=np.arange(n) >= s0)
+        if (s0 > 0).any():  # else no sample is at or before a left end
+            np.copyto(x, mags, where=np.arange(n) >= s0)
+        else:
+            x[...] = mags
         # Without a tail term the rows, all >= +0, are already final.
         if self.p == POS_INF:
             run[:, 1:] = self.weight._accumulate(x, dt, np.maximum)
@@ -535,6 +622,59 @@ def _exp_running(x: np.ndarray, rate: float, dt: float, op) -> np.ndarray:
                                 out[..., b0 - 1] * math.exp(-rate * m * dt))
         out[..., b0:b0 + m] = (op.accumulate(scaled, axis=-1)
                                * np.exp(rate * (m - j) * dt))
+    return out
+
+
+def _runs(rows: np.ndarray, n: int, p: float = 1.0) -> np.ndarray:
+    """Runs of ``n`` consecutive elements of ``rows`` raised to the power
+    ``p``, laid back to back and followed by ``n`` zeros, one from each
+    element: a strided view."""
+    x = np.zeros(rows.size + n)
+    x[:rows.size].reshape(rows.shape)[...] = rows
+    if p != 1.0:
+        x **= p
+    return np.ndarray((rows.size + 1, n), x.dtype, x, 0,
+                      (x.itemsize, x.itemsize))
+
+
+# Bucket lengths of the window kernels: powers of two, at least
+# _BUCKET_FLOOR.  A call whose items fit in one bucket of _ONE_BUCKET
+# elements keeps one, since a bucket costs a few numpy calls; any other
+# gathers at most _PIECE elements (64 KiB) at a time, which the allocator
+# recycles instead of mapping fresh pages for each call.
+_BUCKET_FLOOR = 32
+_ONE_BUCKET = 1 << 14
+_PIECE = 1 << 13
+
+
+def _bucket_cap(need: np.ndarray) -> np.ndarray:
+    """The longest bucket :func:`_buckets` puts each positive ``need`` in:
+    the power of two at or above it, at least ``_BUCKET_FLOOR``; 0 for 0."""
+    return (need > 0) * np.maximum(_BUCKET_FLOOR, np.left_shift(
+        1, np.frexp(need - 1)[1], dtype=np.int64))
+
+
+def _buckets(need: np.ndarray, piece: int) -> list:
+    """The items of positive ``need`` in buckets ``(idx, n)``, the longest
+    first, ``n`` the largest need in ``idx``, by :func:`_bucket_cap` and in
+    pieces of at most ``piece`` elements (or one item): a call holds
+    ``sum(len(idx) * n)`` elements, at most the sum of the caps or
+    ``_ONE_BUCKET`` in one bucket.  One bucket of every item has the index
+    ``slice(None)``."""
+    top = int(need.max())
+    if need.shape[0] * top <= _ONE_BUCKET and need.min() > 0:
+        return [(slice(None), top)]
+    order = np.argsort(-need)[:np.count_nonzero(need)]
+    srt = need[order]
+    if order.shape[0] * top <= _ONE_BUCKET:
+        return [(order, top)] if order.size else []
+    cap = _bucket_cap(srt)
+    cut = [0, *(np.flatnonzero(cap[1:] != cap[:-1]) + 1).tolist(), srt.size]
+    out = []
+    for a, b in zip(cut, cut[1:]):
+        step = max(1, piece // int(srt[a]))
+        out += [(order[c:min(c + step, b)], int(srt[c]))
+                for c in range(a, b, step)]
     return out
 
 
@@ -729,9 +869,10 @@ def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
 # Relative slack of the monotonicity and split-triangle checks.
 _AXIOM_RTOL = 1e-12
 
-# Elements (windows x lags) one batched window call of ``check_ff_axioms``
-# may hold, which sets how many consecutive probes share a call (at least
-# one): 2**16 float64 elements are half a MiB per temporary.
+# Elements one window call of ``check_ff_axioms`` may hold (gathered terms,
+# or running rows' samples and cells, as :func:`_bucket_cap` bounds them),
+# which sets how many consecutive probes share a call (at least one): 2**16
+# float64 elements are half a MiB.
 _AXIOM_BUDGET = 1 << 16
 
 
@@ -748,11 +889,11 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     and come out as the scalar ``integers``/``random`` calls of a per-probe
     loop would give them; any other bit generator is refused with a
     ``ValueError``.  Probes then go in chunks of consecutive probes, as
-    many as keep a call within ``_AXIOM_BUDGET`` (one for a sup family,
-    whose windows each span the whole row): a chunk evaluates every window
-    through :meth:`FittedFamily._seminorms` on its stacked magnitude rows
-    in three calls (locality on the edited differences; the monotonicity,
-    split and shifted windows; the window comparison).  None builds a
+    many as keep a call within ``_AXIOM_BUDGET`` by the caps of what their
+    drawn windows need (:meth:`FittedFamily._needs`): a chunk stacks its
+    probes' magnitude rows with the rows of their edited differences and
+    evaluates every window of every condition, each on its own row, origin
+    and tail, in one :meth:`FittedFamily._seminorms` call.  None builds a
     shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
@@ -764,21 +905,46 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     alpha_idx = None if fam.alpha == POS_INF else max(2, to_cells(fam.alpha, dt))
     m = n_triples
     width = max(f.grid.n for f in probes)
-    # The largest call holds four windows per triple, each at most a grid.
-    per = 1 if fam.kind == "sup" else max(
-        1, _AXIOM_BUDGET // max(1, 4 * m * width))
     k_obs = 0.0
-    draws = _axiom_draws(rng, probes, m, alpha_idx)
+    tri, bump, shift, cmp_tri = _axiom_draws(rng, probes, m, alpha_idx)
+    i0s = np.array([f.grid.i0 for f in probes])
+    tails = np.array([[fam._tail_coef(f.tail_value),
+                       fam._tail_coef(f.tail_value - (f.tail_value + 1.0))]
+                      for f in probes])
 
-    def norms(i0, tail, mags, rows, s, t):
-        # One call for windows of any shape that the arguments broadcast to.
-        zero = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)),
-                        dtype=np.int64)
-        return fam._seminorms((i0 + zero).ravel(), dt,
-                              (tail + zero).ravel(), mags,
-                              (rows + zero).ravel(),
-                              (s + zero).ravel().astype(float),
-                              (t + zero).ravel()).reshape(zero.shape)
+    def windows(c0, c1):
+        # The 7 m windows of each probe k of c0 .. c1 - 1, m at a time:
+        # locality's (s, t] on the edited differences; (s, t], (r, t] and
+        # (r, s]; (s, t] on shift_left(f, h dt) for the drawn shift h, which
+        # is (s - h, t - h] read on the grid origin i0 - h; the comparison
+        # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
+        # of its chunk's stack: its magnitudes, then its difference with
+        # edit j in row k (m + 1) + 1 + j.
+        r, s, t = tri[c0:c1].transpose(2, 0, 1)
+        rc, sc, tc = cmp_tri[c0:c1].transpose(2, 0, 1)
+        h = shift[c0:c1]
+        i0 = np.repeat(i0s[c0:c1, None], 7 * m, axis=1)
+        i0[:, 4 * m:5 * m] -= h
+        tail = np.repeat(tails[c0:c1, :1], 7 * m, axis=1)
+        tail[:, :m] = tails[c0:c1, 1:]
+        rows = np.zeros((c1 - c0, 7 * m), dtype=np.int64)
+        rows[:, :m] = 1 + np.arange(m)
+        rows += (m + 1) * np.arange(c1 - c0)[:, None]
+        return (i0.ravel(), tail.ravel(), rows.ravel(),
+                np.concatenate([s, s, r, r, s - h, rc, rc], axis=1).ravel()
+                .astype(float),
+                np.concatenate([t, t, t, s, t - h, sc, tc], axis=1).ravel())
+
+    # cost[k]: the caps of what the windows of the first k probes need,
+    # counted in groups of about _DRAW_BLOCK windows.
+    group = max(1, _DRAW_BLOCK // max(1, 7 * m))
+    cost = [0]
+    for b0 in range(0, len(probes), group):
+        b1 = min(len(probes), b0 + group)
+        i0, tail, rows, s, t = windows(b0, b1)
+        cost.extend(np.cumsum(_bucket_cap(fam._needs(
+            i0, dt, tail, rows, s, t, width)).reshape(b1 - b0, 7 * m)
+            .sum(axis=1)) + cost[-1])
 
     def record(name, failed, witness):
         c = res[name]
@@ -788,52 +954,46 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
             k, j = np.unravel_index(np.argmax(failed), failed.shape)
             c.witness = c.witness or witness(int(k), int(j))
 
-    for c0 in range(0, len(probes), per):
-        fs = probes[c0:c0 + per]
-        # Probe k of the chunk: its draws; row k of mags, zero past its
-        # grid; and in row k m + j of diffs its difference with edit j.
-        tri, bump, shift, cmp_tri = (x[c0:c0 + per] for x in draws)
-        i0 = np.zeros((len(fs), 1), dtype=np.int64)
-        tail, diff_tail = np.zeros((2, len(fs), 1))
-        mags = np.zeros((len(fs), width))
-        diffs = np.zeros((len(fs) * m, width))
+    ends = [0]  # chunk c0 .. c1 - 1 for every two consecutive ends
+    while ends[-1] < len(probes):
+        ends.append(max(ends[-1] + 1, int(np.searchsorted(
+            cost, cost[ends[-1]] + _AXIOM_BUDGET, side="right")) - 1))
+    # One stack for every chunk, zero past each probe's grid.
+    whole = np.zeros((max(np.diff(ends)), m + 1, width))
+    for c0, c1 in zip(ends, ends[1:]):
+        fs = probes[c0:c1]
+        stack = whole[:len(fs)]
+        stack[...] = 0.0
         for k, f in enumerate(fs):
             g = f.grid
-            i0[k] = g.i0
-            tail[k] = fam._tail_coef(f.tail_value)
-            diff_tail[k] = fam._tail_coef(f.tail_value - (f.tail_value + 1.0))
-            mags[k, :g.n] = fam._rownorm(f.samples)
+            stack[k, 0, :g.n] = fam._rownorm(f.samples)
             idx = np.arange(g.i0 + 1, g.i1 + 1)
-            outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
+            outside = ((idx <= tri[c0 + k, :, 1:2])
+                       | (idx > tri[c0 + k, :, 2:]))
             diff = f.samples - np.where(outside[:, :, None],
-                                        f.samples + bump[k, :, None, None],
+                                        f.samples + bump[c0 + k, :, None, None],
                                         f.samples)
-            diffs[k * m:(k + 1) * m, :g.n] = fam._rownorm(
+            stack[k, 1:, :g.n] = fam._rownorm(
                 diff.reshape(-1, f.dim)).reshape(m, g.n)
-        r, s, t = np.moveaxis(tri, 2, 0)
-        row = np.arange(len(fs))[:, None]
+        i0, tail, rows, s, t = windows(c0, c1)
+        v, nst, nrt, nrs, a, near, far = np.moveaxis(fam._seminorms(
+            i0, dt, tail, stack.reshape(-1, width), rows, s, t
+        ).reshape(len(fs), 7, m), 1, 0)
 
         def window(k, j):
             return {"probe": c0 + k, "window": [x * dt for x in
-                                                tri[k, j, 1:].tolist()]}
+                                                tri[c0 + k, j, 1:].tolist()]}
 
         def triple(k, j, tris=tri):
             return {"probe": c0 + k,
-                    "triple": [x * dt for x in tris[k, j].tolist()]}
+                    "triple": [x * dt for x in tris[c0 + k, j].tolist()]}
 
         # (1) locality: each edit is strictly outside its (s, t].
-        v = norms(i0, diff_tail, diffs, row * m + np.arange(m), s, t)
         record("locality", v != 0.0, lambda k, j: {
             **window(k, j), "value": float(v[k, j])})
-        # (2)-(4) on (s, t], (r, t], (r, s], and (s, t] on
-        # shift_left(f, h dt) for the drawn shift h, which is (s - h, t - h]
-        # read on the grid origin i0 - h.
-        h = np.stack([np.zeros_like(shift)] * 3 + [shift])
-        nst, nrt, nrs, a = norms(i0 - h, tail, mags, row,
-                                 np.stack([s, r, r, s]) - h,
-                                 np.stack([t, t, s, t]) - h)
+        # (2)-(4) shift invariance, monotonicity and the split triangle.
         record("shift_invariance", a != nst, lambda k, j: {
-            **window(k, j), "shift": int(shift[k, j]) * dt,
+            **window(k, j), "shift": int(shift[c0 + k, j]) * dt,
             "lhs": float(a[k, j]), "rhs": float(nst[k, j])})
         record("monotone_in_s",
                nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
@@ -845,9 +1005,6 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
                lambda k, j: {**triple(k, j), "lhs": float(nrt[k, j]),
                              "rhs": float(split[k, j])})
         # (5) window comparison within span alpha.
-        r, s, t = np.moveaxis(cmp_tri, 2, 0)
-        near, far = norms(i0, tail, mags, row, np.stack([r, r]),
-                          np.stack([s, t]))
         record("window_comparison", (near > 0.0) & (far == 0.0),
                lambda k, j: {**triple(k, j, cmp_tri), "ratio": "inf"})
         pos = far > 0.0
@@ -893,11 +1050,19 @@ def taper_delta(fam: FittedFamily, eps: float, c: float) -> Optional[float]:
         return None
     # Box and table weights have finite support, a uniform one is not
     # integrable: only an exponential weight is left.
-    r = w.params["rate"]
-    if fam.p == POS_INF:
-        return max(0.0, math.log(c / eps) / r)
-    # c * (int_delta^inf w)^(1/p) <= eps  <=>  e^{-r delta}/r <= (eps/c)^p
-    return max(0.0, -math.log(r * (eps / c) ** fam.p) / r)
+    # delta = log(c / eps) / r at p = inf; else it solves
+    # c * (int_delta^inf w)^(1/p) = eps, i.e. e^{-r delta} / r = (eps / c)^p.
+    # Where that ratio or its power under- or overflows, the same closed
+    # form is taken in logs.
+    r, sup_p = w.params["rate"], fam.p == POS_INF
+    try:
+        x = c / eps if sup_p else r * (eps / c) ** fam.p
+    except OverflowError:
+        x = POS_INF
+    if 0.0 < x < POS_INF:
+        return max(0.0, (math.log(x) if sup_p else -math.log(x)) / r)
+    logs = math.log(c) - math.log(eps)
+    return max(0.0, (logs if sup_p else fam.p * logs - math.log(r)) / r)
 
 
 def taper_certificate(fam: FittedFamily, delta: float, eps: float, c: float,

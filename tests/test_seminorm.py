@@ -1,9 +1,10 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, Interval,
@@ -246,6 +247,29 @@ def test_taper_delta_closed_forms():
 def test_taper_delta_refuses_bad_eps_and_c(eps, c):
     with pytest.raises(ValueError, match="must be positive and finite"):
         taper_delta(EXP2, eps, c)
+
+
+def test_taper_delta_takes_logs_where_the_power_under_or_overflows():
+    # (eps / c) ** 2 underflows to 0 and c / eps overflows to inf: the
+    # closed form in logs, delta = (log r + p (log eps - log c)) / -r.
+    fast_linf = FittedFamily.weighted_lp(math.inf, Weight.exponential(200.0))
+    big = 200 * math.log(10)
+    assert taper_delta(EXP2, 1e-200, 1e200) == pytest.approx(4 * big)
+    assert taper_delta(EXP2, 1e-170, 1.0) == pytest.approx(2 * 170 * math.log(10))
+    assert taper_delta(fast_linf, 1e-200, 1e200) == pytest.approx(2 * big / 200)
+    # A power or ratio past the other end: the window is empty.
+    for fam in (EXP2, fast_linf):
+        for eps, c in ((1e200, 1e-200), (1e300, 1e-10)):
+            assert taper_delta(fam, eps, c) == 0.0
+    # Ordinary inputs keep the bits of the direct expressions.
+    fast = FittedFamily.weighted_lp(1.5, Weight.exponential(200.0))
+    for fam in (EXP2, fast, fast_linf):
+        r = fam.weight.params["rate"]
+        for eps in (1e-12, 1e-6, 0.01, 0.1, 0.5, 1.0, 3.0):
+            for c in (1e-3, 0.1, 1.0, 2.5, 10.0, 1e6):
+                want = (max(0.0, math.log(c / eps) / r) if fam.p == math.inf
+                        else max(0.0, -math.log(r * (eps / c) ** fam.p) / r))
+                assert taper_delta(fam, eps, c) == want
 
 
 @pytest.mark.parametrize("edges, values, rule", [
@@ -525,6 +549,132 @@ def test_seminorms_take_magnitudes_up_to_the_latest_end(rough, fam,
         assert np.array_equal(got, want), t_max
 
 
+def _padded_seminorms(fam, i0, dt, tail, mags, rows, s, t):
+    """``FittedFamily._seminorms`` as one padded pass: every window summed
+    over the longest span of the call from its row reversed with its own
+    zero pad, and for the sup kind one whole ``_running`` row per window."""
+    if fam.kind == "sup":
+        run = fam._running(i0, dt, tail, mags[rows], s)
+        return run[np.arange(t.shape[0]), np.maximum(t - i0, 0)]
+    w = fam.weight
+    if w.support < math.inf:
+        s = np.maximum(s, t - to_cells(w.support, dt))
+    s, t = s - i0, t - i0
+    tail = fam._tail(dt, tail, s, t)
+    end = np.maximum(t, 0)
+    span = end - np.maximum(s, 0).astype(np.int64)
+    n_lags = max(int(span.max()), 1)
+    hi = int(end.max())
+    x = np.zeros((mags.shape[0], hi + n_lags))
+    x[:, :hi] = mags[:, :hi][:, ::-1]
+    if fam.p < math.inf:
+        x[:, :hi] **= fam.p
+    runs = np.ndarray((x.size - n_lags + 1, n_lags), x.dtype, x, 0,
+                      (x.itemsize, x.itemsize))
+    terms = runs[rows * x.shape[1] + (hi - end)]
+    terms *= w._at_lags(n_lags, dt)
+    if fam.p == math.inf:
+        np.copyto(terms, 0.0, where=np.arange(n_lags) >= span[:, None])
+        return np.maximum(terms.max(axis=1), tail)
+    np.add.accumulate(terms, axis=1, out=terms)
+    sums = terms[np.arange(span.shape[0]), span - 1]
+    return (sums * dt + tail) ** (1.0 / fam.p)
+
+
+# Rate 200 at dt 0.01 spans more than _EXP_BLOCK in rate * time past 32
+# cells, so its running rows take several blocks.
+_KERNEL_WEIGHTS = [Weight.uniform(), Weight.exponential(1.0),
+                   Weight.exponential(200.0), Weight.box(0.2),
+                   Weight.table([0.0, 0.3, 1.1], [1.0, 0.4])]
+_MAG = st.floats(min_value=0.0, max_value=5.0).map(
+    lambda x: 0.0 if x < _SNAP else x)
+
+
+@st.composite
+def _kernel_batch(draw):
+    """A ``_seminorms`` batch: rows of magnitudes, and windows each on a row,
+    a shifted origin and a tail coefficient, with ``-inf`` left ends, left
+    ends before the origin, windows without samples, and windows that share
+    a running row (a shifted copy, or another end from the same left end)."""
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, math.inf]))
+    fam = FittedFamily.weighted_lp(p, draw(st.sampled_from(_KERNEL_WEIGHTS)))
+    if draw(st.booleans()):
+        fam = FittedFamily.sup_family(fam)
+    dt = draw(st.sampled_from([0.01, 0.05]))
+    n = draw(st.integers(1, 120))
+    n_rows = draw(st.integers(1, 4))
+    cells = draw(st.lists(_MAG, min_size=1, max_size=12))
+    mags = np.resize(np.array(cells), n_rows * n).reshape(n_rows, n)
+    i0 = draw(st.integers(-40, 5))
+    # A uniform weight has no finite mass over an unbounded past.
+    finite_mass = p == math.inf or fam.weight.form != "uniform"
+    windows = []
+    for _ in range(draw(st.integers(1, 12))):
+        h = draw(st.integers(-n, n))
+        share = draw(st.sampled_from([None, "shift", "end"])) if windows \
+            else None
+        if share == "shift":
+            row, tail, s, t, _ = windows[-1]
+        elif share == "end":
+            row, tail, s, _, h = windows[-1]
+            t = draw(st.integers(int(max(s, i0 - 5)) + 1, i0 + n))
+        else:
+            row = draw(st.integers(0, n_rows - 1))
+            tail = draw(st.sampled_from([0.0, 0.4, 3.0]))
+            t = draw(st.integers(i0 - 5, i0 + n))
+            # A sup window with a tail starts at -inf or inside the grid.
+            lo = i0 if fam.kind == "sup" and tail else t - 40
+            if draw(st.booleans()) or lo >= t:
+                if tail and not finite_mass:
+                    continue
+                s = -math.inf
+            else:
+                s = draw(st.integers(lo, t - 1))
+        windows.append((row, tail, s, t, h))
+    assume(windows)
+    row, tail, s, t, h = map(np.array, zip(*windows))
+    return fam, dt, mags, i0 - h, row, tail.astype(float), \
+        s.astype(float) - h, t - h
+
+
+def _multi_block_batch(kind):
+    # exp(-200 x) over 120 cells of 0.01: rate * n * dt = 240, four blocks.
+    fam = FittedFamily.weighted_lp(1.5, Weight.exponential(200.0))
+    if kind == "sup":
+        fam = FittedFamily.sup_family(fam)
+    mags = np.abs(np.random.default_rng(3).standard_normal((2, 120)))
+    s = np.array([-math.inf, 0.0, 0.0, 37.0, 37.0, 100.0, -math.inf])
+    t = np.array([120, 90, 120, 40, 119, 101, -2])
+    return (fam, 0.01, mags, np.array([0, 0, -9, 0, 0, 0, 0]),
+            np.array([0, 1, 1, 0, 0, 1, 0]), np.array([0.5] + [0.0] * 6),
+            s - [0, 0, 9, 0, 0, 0, 0], t - [0, 0, 9, 0, 0, 0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_batch())
+@example(_multi_block_batch("lp"))
+@example(_multi_block_batch("sup"))
+def test_window_kernel_matches_one_window_calls_and_the_padded_pass(batch):
+    # Every window of a batch gets the bits of its one-window call and of
+    # the padded pass; for the sup kind, shared and cut running rows give
+    # the bits of each window's whole running row.  The batch goes in one
+    # bucket, then in buckets of every power of two, whole or one item at a
+    # time.
+    fam, dt, mags, i0, rows, tail, s, t = batch
+    want = _padded_seminorms(fam, i0, dt, tail, mags, rows, s, t)
+    for one_bucket, floor, piece in (
+            (seminorm._ONE_BUCKET, seminorm._BUCKET_FLOOR, seminorm._PIECE),
+            (0, 1, seminorm._PIECE), (0, 1, 1)):
+        with mock.patch.multiple(seminorm, _ONE_BUCKET=one_bucket,
+                                 _BUCKET_FLOOR=floor, _PIECE=piece):
+            got = fam._seminorms(i0, dt, tail, mags, rows, s, t)
+        assert got.tobytes() == want.tobytes()
+    for k in range(t.shape[0]):
+        one = fam._seminorms(i0[k:k + 1], dt, tail[k:k + 1], mags,
+                             rows[k:k + 1], s[k:k + 1], t[k:k + 1])
+        assert got[k:k + 1].tobytes() == one.tobytes(), k
+
+
 def test_box_memory_off_the_grid_is_refused_in_both_norm_paths(rough):
     # 0.075 s is a cell and a half at dt 0.05: refused, never snapped.
     g = rough.grid
@@ -671,17 +821,17 @@ def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):
 
 def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
     # Probes on two grids of one step, zero and nonzero tails side by side;
-    # under the second budget the nine-triple runs take chunks of three
-    # probes.
+    # under the second budget the nine-triple runs take chunks of two to
+    # four probes, one of them across the two grids.
     probes = (probe_set(grid, 23, count=8, tails=True)
               + probe_set(Grid(grid.dt, -30, 25), 29, count=5, tails=True))
     broken = FittedFamily.weighted_lp(
         2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
         name="dip", allow_nonmonotone=True)
-    for budget in (seminorm._AXIOM_BUDGET, 3 * 4 * 9 * grid.n):
+    for budget in (seminorm._AXIOM_BUDGET, 1 << 13):
         monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
         for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
-                    broken):
+                    FittedFamily.sup_family(EXP2), broken):
             for m in (0, 1, 9):
                 rep = check_ff_axioms(fam, probes, rng=31, n_triples=m)
                 assert all(c.checks == len(probes) * m
@@ -693,27 +843,42 @@ def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
 @pytest.mark.parametrize("budget", [None, 4 * 20 * 400 * 3],
                          ids=["default-budget", "three-probe-chunks"])
 def test_axioms_batch_probes_within_budget(budget, monkeypatch):
-    # A family that is not a sup family makes three window calls per chunk
-    # of probes, and no call holds more windows x lags than the budget.
+    # One window call per chunk of consecutive probes holds all 7 m windows
+    # of each of its probes (locality, shift, monotonicity, split and
+    # comparison), and no call holds more elements than the budget (the
+    # gathered terms of its buckets, or the samples and cells of its
+    # running rows), unless it has one probe alone.  Under either budget a
+    # call takes two to five probes, but a sup family on an exponential
+    # weight, whose running rows each span the whole grid, one.
     if budget:
         monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
     grid = Grid(0.01, -200, 200)
     probes = probe_set(grid, 41, count=13, tails=True)
-    sizes = []
-    seminorms = FittedFamily._seminorms
+    m = 20
+    calls = []
+    seminorms, buckets = FittedFamily._seminorms, seminorm._buckets
 
     def counting(self, i0, dt, tail, mags, rows, s, t):
-        sizes.append(len(t) * int(np.max(t - s)))
+        calls.append([mags.shape[0] // (m + 1), len(t), 0])
         return seminorms(self, i0, dt, tail, mags, rows, s, t)
 
+    def holding(need, *piece):
+        out = buckets(need, *piece)
+        calls[-1][2] += sum(need[idx].shape[0] * n for idx, n in out)
+        return out
+
     monkeypatch.setattr(FittedFamily, "_seminorms", counting)
-    per = seminorm._AXIOM_BUDGET // (4 * 20 * grid.n)
-    assert per > 1
-    for fam in (SUP, UL2, EXP2, BOX2):
-        sizes.clear()
-        check_ff_axioms(fam, probes, rng=3, n_triples=20)
-        assert len(sizes) == 3 * math.ceil(len(probes) / per)
-        assert max(sizes) <= seminorm._AXIOM_BUDGET
+    monkeypatch.setattr(seminorm, "_buckets", holding)
+    for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
+                FittedFamily.sup_family(EXP2)):
+        calls.clear()
+        check_ff_axioms(fam, probes, rng=3, n_triples=m)
+        chunk, windows, held = np.array(calls).T
+        assert chunk.sum() == len(probes)
+        assert np.array_equal(windows, 7 * m * chunk)
+        assert np.all((held <= seminorm._AXIOM_BUDGET) | (chunk == 1))
+        if fam.name != "sup(exp-l2)":
+            assert chunk.max() > 1, fam.name
 
 
 # -- random draws read in bulk -------------------------------------------------
@@ -872,6 +1037,25 @@ def test_small_ff_axioms_report_is_pinned(tmp_path, capsys):
                           "7314a810e2d76b13e1eb7041530e768d",
         "ff-axioms_conditions.csv": "73e73d40bfb865d2462c5cde82fccdf3"
                                     "070aa9a8d7749ddf03e23158236aa75e"}
+
+
+def test_bench_grid_ff_axioms_report_is_pinned(tmp_path):
+    # sha256 of the report that three window calls per chunk of probes, each
+    # window summed over the longest span of its call, wrote: 40 probes of
+    # 400 cells and 20 triples, so chunks of several probes and windows in
+    # several buckets.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text("[run]\nprobes = 40\ntriples = 20\n")
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "ff-axioms",
+                 "--seed", "12345", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ff-axioms.json", "ff-axioms_conditions.csv")}
+    assert digests == {
+        "ff-axioms.json": "fd0ad17fa928577cb4c8acb5cd18561d"
+                          "6e888d3fa4db4fc5405172c0241b6d68",
+        "ff-axioms_conditions.csv": "733a6cef5375120f76277a44404f8828"
+                                    "6be0ba2b6b3ed49dd7eb5fc64ebfd184"}
 
 
 # -- shift invariance on per-window grid origins -------------------------------
