@@ -81,18 +81,14 @@ class SmoothInput:
         slope_dn = level / (f1 - f0)
 
         def u(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            out = np.where((t > r0) & (t <= r1), (t - r0) * slope_up, out)
-            out = np.where((t > r1) & (t <= f0), level, out)
-            out = np.where((t > f0) & (t <= f1), (f1 - t) * slope_dn, out)
-            return out
+            # At unit slopes the ramps round as ``t - r0`` and ``f1 - t``.
+            return np.interp(t, [r0, r1, f0, f1], [0.0, level, level, 0.0])
 
         def d(t):
             t = np.asarray(t, dtype=float)
             out = np.zeros_like(t)
-            out = np.where((t > r0) & (t <= r1), slope_up, out)
-            out = np.where((t > f0) & (t <= f1), -slope_dn, out)
+            out[(t > r0) & (t <= r1)] = slope_up
+            out[(t > f0) & (t <= f1)] = -slope_dn
             return out
 
         return SmoothInput(u, d)
@@ -132,7 +128,7 @@ class ShiftDerivative:
 
     ``residual_norm(h, t)`` returns the norm over ``(-inf, t]`` of
     ``u(. + h) - u - h d``; the defining property is that this over ``h``
-    vanishes in the limit.
+    vanishes in the limit.  Each call samples its residual afresh.
     """
 
     source: SmoothInput
@@ -166,7 +162,7 @@ class ShiftDerivative:
 
     def uniform_ratio(self, h: float, ts) -> float:
         """``max_{s in ts}`` of the residual ratio: the uniform-in-s variant."""
-        e = self.residual(h)
+        e = self.residual(h)  # one window call per end holds the least memory
         return max(self.fam.past_norm(e, s) for s in ts) / h
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -461,48 +461,53 @@ def hilbert_schmidt_bound(op: PolyIntegralOperator, dt: float) -> float:
 
 
 def quadratic_state_closed_form(ker: PolyKernel,
-                                past: TimeFunction, v: TimeFunction,
+                                pasts: Sequence[TimeFunction],
+                                vs: Sequence[TimeFunction],
                                 t: float, sigma_indices) -> np.ndarray:
-    """Three-term evaluation of the degree-2 state, directly from the kernel.
+    """Three-term evaluation of the degree-2 state, directly from the
+    kernel: one row per (past, future) pair, one column per instant.
 
     Splitting the lag sum at the splice instant gives a past-past block, a
     doubled cross block (symmetric kernel), and a future-future block.  Lag
     cells at exactly the splice instant belong to the past, matching the
-    half-open window convention of the sampling grid.
+    half-open window convention of the sampling grid.  Each instant's three
+    kernel blocks are sampled once for all pairs, and each pair sums them
+    on its own, so a row does not depend on the other pairs.
     """
-    dt = past.grid.dt
+    dt = pasts[0].grid.dt
     Q = ker.grid_size(dt)
-    t_idx = past.grid.index_of(t)
-    out = np.empty(len(sigma_indices))
-    u_at = past.values_at_indices(
-        np.arange(t_idx - Q, t_idx + 1))[:, 0]  # u(t - q dt), q = Q..0
+    out = np.empty((len(pasts), len(sigma_indices)))
+    u_at = np.stack([p.values_at_indices(
+        np.arange(p.grid.index_of(t) - Q, p.grid.index_of(t) + 1))[:, 0]
+        for p in pasts])  # u(t - q dt), q = Q..0, one row per past
 
     def kval(ti, a1, a2):
         if ker.time_varying:
             return np.asarray(ker.func(ti, a1, a2), dtype=float)
         return np.asarray(ker.func(a1, a2), dtype=float)
 
-    for row, m in enumerate(sigma_indices):
+    for col, m in enumerate(sigma_indices):
         sigma = m * dt
         ti = t + sigma
         # Past-past: lags sigma + mu, mu = 0..(Q - m) dt.
         mu = np.arange(0, max(Q - m, 0) + 1) * dt
-        uvals = u_at[Q - np.arange(0, max(Q - m, 0) + 1)]
-        acc = 0.0
-        if mu.size:
-            Kpp = kval(ti, sigma + mu[:, None], sigma + mu[None, :])
-            acc += float(np.einsum("jk,j,k->", Kpp, uvals, uvals)) * dt * dt
-        # Future-future: lags dt..(m-1) dt on both axes.
+        uvals = u_at[:, Q - np.arange(0, max(Q - m, 0) + 1)]
+        Kpp = kval(ti, sigma + mu[:, None], sigma + mu[None, :])
         if m >= 2:
+            # Future-future: lags dt..(m-1) dt on both axes.
             tau = np.arange(1, m) * dt
-            vvals = v.values_at_indices(m - np.arange(1, m))[:, 0]
             Kff = kval(ti, tau[:, None], tau[None, :])
-            acc += float(np.einsum("jk,j,k->", Kff, vvals, vvals)) * dt * dt
-            if mu.size:
-                Kx = kval(ti, (sigma + mu)[:, None], tau[None, :])
-                acc += 2.0 * float(np.einsum("jk,j,k->", Kx, uvals, vvals)) \
+            Kx = kval(ti, (sigma + mu)[:, None], tau[None, :])
+        for row, (uv, v) in enumerate(zip(uvals, vs, strict=True)):
+            acc = 0.0
+            acc += float(np.einsum("jk,j,k->", Kpp, uv, uv)) * dt * dt
+            if m >= 2:
+                vvals = v.values_at_indices(m - np.arange(1, m))[:, 0]
+                acc += float(np.einsum("jk,j,k->", Kff, vvals, vvals)) \
                     * dt * dt
-        out[row] = acc
+                acc += 2.0 * float(np.einsum("jk,j,k->", Kx, uv, vvals)) \
+                    * dt * dt
+            out[row, col] = acc
     return out
 
 

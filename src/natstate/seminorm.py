@@ -279,6 +279,9 @@ class FittedFamily:
 
     def _rownorm(self, samples: np.ndarray) -> np.ndarray:
         """Pointwise norm of each value along the last axis of ``samples``."""
+        if samples.shape[-1] == 1:  # a one-term sum or maximum is that term
+            x = samples[..., 0]
+            return np.abs(x) if self.vector_norm == "max" else np.sqrt(x * x)
         if self.vector_norm == "max":
             return np.abs(samples).max(axis=-1)
         # np.linalg.norm(samples, axis=-1), without its dispatch overhead.

@@ -448,7 +448,9 @@ def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
     ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
     ``(QM, (QM)^(n-1))``; each further slot is one row-wise reduction.  Rows
-    go in blocks of ``QM``, so no temporary outgrows ``K``.
+    go in blocks of ``QM``, so no temporary outgrows ``K``.  BLAS rounding
+    depends on the block, so ``apply_at`` on a subset of instants may differ
+    from the same rows of ``apply`` in the last bits.
     """
     n = len(mats)
     I, Q, M = mats[0].shape

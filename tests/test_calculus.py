@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -82,6 +83,48 @@ def test_uniform_in_s_ratio():
     ts = [-1.0, 0.0, 5.0, 11.5]
     ratios = [sd.uniform_ratio(h, ts) for h in (0.2, 0.05, 0.0125)]
     assert ratios[2] < ratios[0]
+
+
+def _where_trapezoid():
+    """The trapezoid as masked ``np.where`` chains: the oracle for
+    :meth:`SmoothInput.trapezoid`'s value and derivative."""
+    r0, r1, f0, f1, level = -1.0, 0.0, 10.0, 11.0, 1.0
+    slope_up = level / (r1 - r0)
+    slope_dn = level / (f1 - f0)
+
+    def u(t):
+        out = np.zeros_like(t)
+        out = np.where((t > r0) & (t <= r1), (t - r0) * slope_up, out)
+        out = np.where((t > r1) & (t <= f0), level, out)
+        return np.where((t > f0) & (t <= f1), (f1 - t) * slope_dn, out)
+
+    def d(t):
+        out = np.zeros_like(t)
+        out = np.where((t > r0) & (t <= r1), slope_up, out)
+        return np.where((t > f0) & (t <= f1), -slope_dn, out)
+
+    return u, d
+
+
+def test_trapezoid_keeps_the_bits_of_masked_chains():
+    # On the refined grid of the shift-derivative runs (dt 1e-3 over
+    # [-2, 12]), shifted by every step they use, at the knots and on either
+    # side of each knot, the value and derivative carry the oracle's bits.
+    u, d = _where_trapezoid()
+    trap = SmoothInput.trapezoid()
+    g = Grid.spanning(1e-3, -2.0, 12.0)
+    fine = Grid(g.dt / 16, g.i0 * 16, g.i1 * 16)
+    t = fine.times()
+    steps = {0.0, 0.01, 0.1, 0.2, 0.05, 0.0125, 0.25, 0.125, 0.0625}
+    steps |= {0.25 * 0.5 ** k for k in range(8)}
+    for h in sorted(steps):
+        assert trap.u(t + h).tobytes() == u(t + h).tobytes(), h
+    assert trap.d(t).tobytes() == d(t).tobytes()
+    knots = np.array([-1.0, 0.0, 10.0, 11.0])
+    edges = np.concatenate([knots, np.nextafter(knots, np.inf),
+                            np.nextafter(knots, -np.inf), [-7.5, 0.5, 13.0]])
+    assert trap.u(edges).tobytes() == u(edges).tobytes()
+    assert trap.d(edges).tobytes() == d(edges).tobytes()
 
 
 def test_jump_refused():
@@ -424,3 +467,35 @@ def test_trajectory_refusals(quad):
     rep2 = trajectory_derivative(quad.system, SmoothInput.boxcar(), 0.0,
                                  quad.grid(DT))
     assert rep2["refused"] and rep2["reason_code"] == "jump_discontinuity"
+
+
+def test_small_derivative_reports_are_pinned(tmp_path):
+    # sha256 of the reports that one closed-form call per pair, the
+    # trapezoid as masked np.where chains, one window call per uniform-ratio
+    # end and a second apply per spliced input wrote, at four pasts.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('[run]\npasts = 4\nexperiments = ["state-closed-form", '
+                       '"shift-derivative", "frechet-derivatives"]\n')
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--seed", "12345",
+                 "--out", str(out)]) == 0
+    names = ("state-closed-form.json", "state-closed-form_quadratic.csv",
+             "shift-derivative.json", "shift-derivative_trapezoid.csv",
+             "frechet-derivatives.json",
+             "frechet-derivatives_remainder_decay.csv")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in names}
+    assert digests == {
+        "state-closed-form.json": "a50682f817212117ec54db02dd080fb8"
+                                  "82c9baa300e7ff11c4a110344fa97f04",
+        "state-closed-form_quadratic.csv": "2aa6182eb753b2dae977b57c4ddddb2a"
+                                           "92e8ece11c8e65e48d3ec24cf7c5aa16",
+        "shift-derivative.json": "885acaee91d895f008771e3763da10dd"
+                                 "3cc895445bcb5c077ebe85850e41da9c",
+        "shift-derivative_trapezoid.csv": "94f233f4d8e099b4b04f1f918641feb4"
+                                          "68649e77175b117e55cdfce25bf889b1",
+        "frechet-derivatives.json": "600f9cf42a2ed9db1fd85dabc95ba4c0"
+                                    "e6943594a56fc4e1f3340d7d55f1d85a",
+        "frechet-derivatives_remainder_decay.csv":
+            "6a7f260453dbfe08d072db8db4ba1c49"
+            "83712fec174053ff35829c22e146add1"}

@@ -496,6 +496,28 @@ def test_exp_weight_long_span_stays_finite(p):
         assert fam.future_norm(f, si * g.dt) == float(np.max(row))
 
 
+@pytest.mark.parametrize("vector_norm", ["euclidean", "max"])
+def test_rownorm_of_one_component_keeps_the_reduction_bits(vector_norm):
+    # A one-component value is read as its column instead of reduced over
+    # the component axis: the same bits, squares that underflow or reach
+    # the top of the range included.
+    fam = FittedFamily.weighted_lp(2.0, Weight.uniform(),
+                                   vector_norm=vector_norm)
+    tiny = math.ulp(0.0)
+    col = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, 2.2e-308, -1e-200,
+                    1e-200, 1e-160, 1e154, -1e154, 1.3e154, -2.5, 0.75])
+    for samples in (col[:, None], col.reshape(2, 7, 1)):
+        if vector_norm == "max":
+            want = np.abs(samples).max(axis=-1)
+        else:
+            want = np.sqrt((samples * samples).sum(axis=-1))
+        got = fam._rownorm(samples)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert fam._scalar_tail(np.array([-1e-200])) == (
+        1e-200 if vector_norm == "max" else 0.0)
+
+
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
 def test_windowed_all_t_matches_single(rough, fam):
     # Every right end at once against the one-window oracle: the past norm

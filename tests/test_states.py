@@ -69,10 +69,34 @@ def test_quadratic_state_closed_form(futures):
     v = futures[1]
     sig = np.arange(1, v.grid.i1 + 1, 7)
     got = st.evaluate_at(v, sig)[:, 0]
-    want = catalog.quadratic_state_closed_form(
-        b.system.kernels[2], u, v, 0.0, sig)
+    want, = catalog.quadratic_state_closed_form(
+        b.system.kernels[2], [u], [v], 0.0, sig)
     assert np.max(np.abs(got - want)) <= 10.0 * DT
     assert np.max(np.abs(got - want)) <= 1e-10  # same lattice, regrouped
+
+
+@pytest.mark.parametrize("name, t_eval", [("quadratic-volterra", 0.0),
+                                          ("quadratic-volterra-tv", 0.0),
+                                          ("quadratic-volterra-tv", 0.5)])
+def test_quadratic_closed_form_rows_match_one_pair_calls(name, t_eval):
+    # A batched call samples each instant's kernel blocks once for all
+    # pairs; every row keeps the bits of its one-pair call, before the
+    # second lag (m < 2), inside the support and at or beyond it (m >= Q).
+    b = catalog.system(name, DT)
+    ker = b.system.kernels[2]
+    Q = ker.grid_size(DT)
+    g = b.grid(DT)
+    pasts = [_past(g, 60 + k) for k in range(4)]
+    vs = future_probes(DT, 2.5, 61, count=4)
+    sig = np.array([1, 2, 3, Q // 2, Q - 1, Q, Q + 7, vs[0].grid.i1])
+    rows = catalog.quadratic_state_closed_form(ker, pasts, vs, t_eval, sig)
+    assert rows.shape == (4, len(sig))
+    for past, v, row in zip(pasts, vs, rows):
+        one = catalog.quadratic_state_closed_form(ker, [past], [v], t_eval,
+                                                  sig)
+        assert one.tobytes() == row.tobytes()
+    with pytest.raises(ValueError, match="zip"):
+        catalog.quadratic_state_closed_form(ker, pasts, vs[:3], t_eval, sig)
 
 
 def test_distance_to_self_zero(averager, futures):
