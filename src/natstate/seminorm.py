@@ -395,71 +395,42 @@ class FittedFamily:
         end = np.maximum(t, 0)
         return s, t, end, end - np.maximum(s, 0).astype(np.int64)
 
-    def _needs(self, i0, dt: float, tail, rows, s: np.ndarray,
-               t: np.ndarray, width: int) -> np.ndarray:
-        """The elements :meth:`_seminorms` holds for each window on rows of
-        ``width`` samples: its span, or for the sup kind its running row's
-        (:meth:`_sup_rows`), counted at one window of the row."""
-        if self.kind != "sup":
-            return self._spans(i0, dt, s, t)[3]
-        _, first, _, _, held = self._sup_rows(i0, tail, rows, s, t, width)
-        need = np.zeros(t.shape, dtype=np.int64)
-        need[first] = held
-        return need
-
-    def _sup_rows(self, i0, tail, rows, s: np.ndarray, t: np.ndarray,
-                  width: int):
-        """The running rows of the sup kind for windows on rows of ``width``
-        samples: one per row, origin-relative left end and tail.
-
-        Returns ``(group, first, keys, lo, held)``: window ``k`` reads
-        running row ``group[k]`` at column ``t[k] - i0[k] - lo``; window
-        ``first[g]`` is the first to read row ``g``, whose row, left end
-        and tail are ``keys[:, g]``.  On a uniform or box weight, whose
-        recurrence only carries a prefix on, a row runs from its left end
-        ``lo`` to the last column ``hi`` its windows read; on any other the
-        whole row, since an exponential one scales by the row's own end.  A
-        row holds ``held = 2 (hi - lo) + 1`` elements: its samples and its
-        running cells."""
+    def _sup_windows(self, i0, dt: float, tail, mags: np.ndarray, rows,
+                     s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:meth:`_seminorms` of the sup kind: windows that share a row, an
+        origin-relative left end and a tail share one :meth:`_running` row
+        (a window and its shifted copy; ``(r, t]`` and ``(r, s]``), read at
+        each window's end.  On a uniform or box weight, whose recurrence
+        only carries a prefix on, a running row runs from its left end to
+        the last column its windows read; on any other the whole row, since
+        an exponential one scales by the row's own end.  A row cut at its
+        left end starts from a zero tail term, as the whole row has there.
+        The running rows go in buckets of similar length (:func:`_buckets`),
+        each holding its samples and running cells, gathered from the rows
+        laid back to back with one pad."""
         keys = np.zeros((3, t.shape[0]))
         keys[0], keys[1], keys[2] = rows, s - i0, tail
         order = np.lexsort(keys[::-1])
         keys = keys[:, order]
         new = np.ones(t.shape, dtype=bool)
         new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        # Window k reads running row group[k].
         group = np.empty(t.shape, dtype=np.int64)
         group[order] = np.cumsum(new) - 1
-        keys = keys[:, new]
+        row, left, tail = keys[:, new]
+        col = np.maximum(t - i0, 0)
         if self.weight.form in ("uniform", "box"):
-            lo = np.maximum(keys[1], 0).astype(np.int64)  # -inf: column 0
+            lo = np.maximum(left, 0).astype(np.int64)  # -inf: column 0
             hi = np.maximum(np.maximum.reduceat(
-                np.maximum(t - i0, 0)[order], np.flatnonzero(new)), lo + 1)
+                col[order], np.flatnonzero(new)), lo + 1)
         else:
-            lo, hi = np.zeros(keys.shape[1], dtype=np.int64), width
-        return group, order[new], keys, lo, 2 * (hi - lo) + 1
-
-    def _sup_windows(self, i0, dt: float, tail, mags: np.ndarray, rows,
-                     s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`_seminorms` of the sup kind: windows that share a row, an
-        origin-relative left end and a tail share one :meth:`_running` row
-        (a window and its shifted copy; ``(r, t]`` and ``(r, s]``), read at
-        each window's end.  The running rows go in buckets of similar
-        length (:func:`_buckets`), gathered from the rows laid back to back
-        with one pad; a row cut at its left end starts from a zero tail
-        term, as the whole row has there."""
-        if t.shape[0] == 1:  # one window reads its whole running row
-            run = self._running(i0, dt, tail, mags if mags.shape[0] == 1
-                                else mags[rows], s)
-            return run[np.arange(1), np.maximum(t - i0, 0)]
-        group, _, (row, left, tail), lo, held = self._sup_rows(
-            i0, tail, rows, s, t, mags.shape[1])
+            lo, hi = np.zeros(row.shape[0], dtype=np.int64), mags.shape[1]
         start = row.astype(np.int64) * mags.shape[1] + lo
-        col = np.maximum(t - i0, 0) - lo[group]
-        # A piece's samples and running cells are two arrays.
-        buckets = _buckets(held, 2 * _PIECE)
+        col = col - lo[group]
+        buckets = _buckets(2 * (hi - lo) + 1, 2 * _PIECE)
         runs = _runs(mags, buckets[0][1] // 2)  # the longest row's samples
         # Running row g is row pos[g] of bucket which[g].
-        which, pos = np.full((2, held.shape[0]), -1)
+        which, pos = np.full((2, row.shape[0]), -1)
         vals = np.empty(t.shape)
         for b, (idx, c) in enumerate(buckets):
             run = self._running(0, dt, tail[idx], runs[start[idx], :c // 2],
@@ -650,20 +621,13 @@ _ONE_BUCKET = 1 << 14
 _PIECE = 1 << 13
 
 
-def _bucket_cap(need: np.ndarray) -> np.ndarray:
-    """The longest bucket :func:`_buckets` puts each positive ``need`` in:
-    the power of two at or above it, at least ``_BUCKET_FLOOR``; 0 for 0."""
-    return (need > 0) * np.maximum(_BUCKET_FLOOR, np.left_shift(
-        1, np.frexp(need - 1)[1], dtype=np.int64))
-
-
 def _buckets(need: np.ndarray, piece: int) -> list:
     """The items of positive ``need`` in buckets ``(idx, n)``, the longest
-    first, ``n`` the largest need in ``idx``, by :func:`_bucket_cap` and in
-    pieces of at most ``piece`` elements (or one item): a call holds
-    ``sum(len(idx) * n)`` elements, at most the sum of the caps or
-    ``_ONE_BUCKET`` in one bucket.  One bucket of every item has the index
-    ``slice(None)``."""
+    first, ``n`` the largest need in ``idx``.  Items whose needs round up
+    to the same power of two, at least ``_BUCKET_FLOOR``, share a bucket,
+    cut in pieces of at most ``piece`` elements (or one item), unless every
+    item fits in one bucket of ``_ONE_BUCKET`` elements; one bucket of every
+    item has the index ``slice(None)``."""
     top = int(need.max())
     if need.shape[0] * top <= _ONE_BUCKET and need.min() > 0:
         return [(slice(None), top)]
@@ -671,7 +635,8 @@ def _buckets(need: np.ndarray, piece: int) -> list:
     srt = need[order]
     if order.shape[0] * top <= _ONE_BUCKET:
         return [(order, top)] if order.size else []
-    cap = _bucket_cap(srt)
+    cap = np.maximum(_BUCKET_FLOOR, np.left_shift(
+        1, np.frexp(srt - 1)[1], dtype=np.int64))
     cut = [0, *(np.flatnonzero(cap[1:] != cap[:-1]) + 1).tolist(), srt.size]
     out = []
     for a, b in zip(cut, cut[1:]):
@@ -872,11 +837,11 @@ def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
 # Relative slack of the monotonicity and split-triangle checks.
 _AXIOM_RTOL = 1e-12
 
-# Elements one window call of ``check_ff_axioms`` may hold (gathered terms,
-# or running rows' samples and cells, as :func:`_bucket_cap` bounds them),
-# which sets how many consecutive probes share a call (at least one): 2**16
-# float64 elements are half a MiB.
-_AXIOM_BUDGET = 1 << 16
+# Float64 elements of the magnitude rows one window call of
+# ``check_ff_axioms`` stacks (256 KiB), which sets how many consecutive
+# probes share a call (at least one): each probe stacks m + 1 rows of the
+# widest grid.  The terms a call gathers are bounded apart, by _PIECE.
+_AXIOM_BUDGET = 1 << 15
 
 
 def check_ff_axioms(fam: FittedFamily, probes, rng=None,
@@ -892,12 +857,11 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     and come out as the scalar ``integers``/``random`` calls of a per-probe
     loop would give them; any other bit generator is refused with a
     ``ValueError``.  Probes then go in chunks of consecutive probes, as
-    many as keep a call within ``_AXIOM_BUDGET`` by the caps of what their
-    drawn windows need (:meth:`FittedFamily._needs`): a chunk stacks its
-    probes' magnitude rows with the rows of their edited differences and
-    evaluates every window of every condition, each on its own row, origin
-    and tail, in one :meth:`FittedFamily._seminorms` call.  None builds a
-    shifted or edited :class:`TimeFunction`.
+    many as stack at most ``_AXIOM_BUDGET`` row elements: a chunk stacks
+    its probes' magnitude rows with the rows of their edited differences
+    and evaluates every window of every condition, each on its own row,
+    origin and tail, in one :meth:`FittedFamily._seminorms` call.  None
+    builds a shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
@@ -915,40 +879,6 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
                        fam._tail_coef(f.tail_value - (f.tail_value + 1.0))]
                       for f in probes])
 
-    def windows(c0, c1):
-        # The 7 m windows of each probe k of c0 .. c1 - 1, m at a time:
-        # locality's (s, t] on the edited differences; (s, t], (r, t] and
-        # (r, s]; (s, t] on shift_left(f, h dt) for the drawn shift h, which
-        # is (s - h, t - h] read on the grid origin i0 - h; the comparison
-        # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
-        # of its chunk's stack: its magnitudes, then its difference with
-        # edit j in row k (m + 1) + 1 + j.
-        r, s, t = tri[c0:c1].transpose(2, 0, 1)
-        rc, sc, tc = cmp_tri[c0:c1].transpose(2, 0, 1)
-        h = shift[c0:c1]
-        i0 = np.repeat(i0s[c0:c1, None], 7 * m, axis=1)
-        i0[:, 4 * m:5 * m] -= h
-        tail = np.repeat(tails[c0:c1, :1], 7 * m, axis=1)
-        tail[:, :m] = tails[c0:c1, 1:]
-        rows = np.zeros((c1 - c0, 7 * m), dtype=np.int64)
-        rows[:, :m] = 1 + np.arange(m)
-        rows += (m + 1) * np.arange(c1 - c0)[:, None]
-        return (i0.ravel(), tail.ravel(), rows.ravel(),
-                np.concatenate([s, s, r, r, s - h, rc, rc], axis=1).ravel()
-                .astype(float),
-                np.concatenate([t, t, t, s, t - h, sc, tc], axis=1).ravel())
-
-    # cost[k]: the caps of what the windows of the first k probes need,
-    # counted in groups of about _DRAW_BLOCK windows.
-    group = max(1, _DRAW_BLOCK // max(1, 7 * m))
-    cost = [0]
-    for b0 in range(0, len(probes), group):
-        b1 = min(len(probes), b0 + group)
-        i0, tail, rows, s, t = windows(b0, b1)
-        cost.extend(np.cumsum(_bucket_cap(fam._needs(
-            i0, dt, tail, rows, s, t, width)).reshape(b1 - b0, 7 * m)
-            .sum(axis=1)) + cost[-1])
-
     def record(name, failed, witness):
         c = res[name]
         c.checks += failed.size
@@ -957,14 +887,12 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
             k, j = np.unravel_index(np.argmax(failed), failed.shape)
             c.witness = c.witness or witness(int(k), int(j))
 
-    ends = [0]  # chunk c0 .. c1 - 1 for every two consecutive ends
-    while ends[-1] < len(probes):
-        ends.append(max(ends[-1] + 1, int(np.searchsorted(
-            cost, cost[ends[-1]] + _AXIOM_BUDGET, side="right")) - 1))
+    per = max(1, _AXIOM_BUDGET // ((m + 1) * width))
     # One stack for every chunk, zero past each probe's grid.
-    whole = np.zeros((max(np.diff(ends)), m + 1, width))
-    for c0, c1 in zip(ends, ends[1:]):
-        fs = probes[c0:c1]
+    whole = np.zeros((min(per, len(probes)), m + 1, width))
+    for c0 in range(0, len(probes), per):
+        fs = probes[c0:c0 + per]
+        c1 = c0 + len(fs)
         stack = whole[:len(fs)]
         stack[...] = 0.0
         for k, f in enumerate(fs):
@@ -978,10 +906,29 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
                                         f.samples)
             stack[k, 1:, :g.n] = fam._rownorm(
                 diff.reshape(-1, f.dim)).reshape(m, g.n)
-        i0, tail, rows, s, t = windows(c0, c1)
+        # The 7 m windows of each probe k of the chunk, m at a time:
+        # locality's (s, t] on the edited differences; (s, t], (r, t] and
+        # (r, s]; (s, t] on shift_left(f, h dt) for the drawn shift h, which
+        # is (s - h, t - h] read on the grid origin i0 - h; the comparison
+        # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
+        # of the stack: its magnitudes, then its difference with edit j in
+        # row k (m + 1) + 1 + j.
+        r, s, t = tri[c0:c1].transpose(2, 0, 1)
+        rc, sc, tc = cmp_tri[c0:c1].transpose(2, 0, 1)
+        h = shift[c0:c1]
+        i0 = np.repeat(i0s[c0:c1, None], 7 * m, axis=1)
+        i0[:, 4 * m:5 * m] -= h
+        tail = np.repeat(tails[c0:c1, :1], 7 * m, axis=1)
+        tail[:, :m] = tails[c0:c1, 1:]
+        rows = np.zeros((len(fs), 7 * m), dtype=np.int64)
+        rows[:, :m] = 1 + np.arange(m)
+        rows += (m + 1) * np.arange(len(fs))[:, None]
+        s, t = (np.concatenate([s, s, r, r, s - h, rc, rc], axis=1).ravel()
+                .astype(float),
+                np.concatenate([t, t, t, s, t - h, sc, tc], axis=1).ravel())
         v, nst, nrt, nrs, a, near, far = np.moveaxis(fam._seminorms(
-            i0, dt, tail, stack.reshape(-1, width), rows, s, t
-        ).reshape(len(fs), 7, m), 1, 0)
+            i0.ravel(), dt, tail.ravel(), stack.reshape(-1, width),
+            rows.ravel(), s, t).reshape(len(fs), 7, m), 1, 0)
 
         def window(k, j):
             return {"probe": c0 + k, "window": [x * dt for x in

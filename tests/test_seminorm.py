@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -672,10 +673,23 @@ def _multi_block_batch(kind):
             s - [0, 0, 9, 0, 0, 0, 0], t - [0, 0, 9, 0, 0, 0, 0])
 
 
+def _one_sup_window(weight, s, t, tail):
+    # One window of sup(weighted L2) on the second of two rows: the call
+    # cuts or shares no running row with another window.
+    fam = FittedFamily.sup_family(FittedFamily.weighted_lp(2.0, weight))
+    mags = np.abs(np.random.default_rng(5).standard_normal((2, 90)))
+    return (fam, 0.01, mags, np.array([-7]), np.array([1]),
+            np.array([tail]), np.array([s]), np.array([t]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_kernel_batch())
 @example(_multi_block_batch("lp"))
 @example(_multi_block_batch("sup"))
+@example(_one_sup_window(Weight.exponential(1.0), -math.inf, 60, 0.4))
+@example(_one_sup_window(Weight.exponential(1.0), 10.0, 60, 0.0))
+@example(_one_sup_window(Weight.box(0.2), 10.0, 80, 0.0))
+@example(_one_sup_window(Weight.box(0.2), -math.inf, 30, 0.4))
 def test_window_kernel_matches_one_window_calls_and_the_padded_pass(batch):
     # Every window of a batch gets the bits of its one-window call and of
     # the padded pass; for the sup kind, shared and cut running rows give
@@ -843,14 +857,15 @@ def _check_ff_axioms_per_window(fam, probes, rng, n_triples, tol=1e-12):
 
 def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
     # Probes on two grids of one step, zero and nonzero tails side by side;
-    # under the second budget the nine-triple runs take chunks of two to
-    # four probes, one of them across the two grids.
+    # under the second budget the nine-triple runs take chunks of three
+    # probes (ten rows of 80 cells each; the last chunk has one), one of
+    # them across the two grids.
     probes = (probe_set(grid, 23, count=8, tails=True)
               + probe_set(Grid(grid.dt, -30, 25), 29, count=5, tails=True))
     broken = FittedFamily.weighted_lp(
         2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
         name="dip", allow_nonmonotone=True)
-    for budget in (seminorm._AXIOM_BUDGET, 1 << 13):
+    for budget in (seminorm._AXIOM_BUDGET, 3 * 10 * 80):
         monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
         for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
                     FittedFamily.sup_family(EXP2), broken):
@@ -862,31 +877,32 @@ def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
                     fam, probes, 31, m).to_dict()
 
 
-@pytest.mark.parametrize("budget", [None, 4 * 20 * 400 * 3],
-                         ids=["default-budget", "three-probe-chunks"])
+@pytest.mark.parametrize("budget", [None, 5 * 21 * 400],
+                         ids=["default-budget", "five-probe-chunks"])
 def test_axioms_batch_probes_within_budget(budget, monkeypatch):
     # One window call per chunk of consecutive probes holds all 7 m windows
     # of each of its probes (locality, shift, monotonicity, split and
-    # comparison), and no call holds more elements than the budget (the
-    # gathered terms of its buckets, or the samples and cells of its
-    # running rows), unless it has one probe alone.  Under either budget a
-    # call takes two to five probes, but a sup family on an exponential
-    # weight, whose running rows each span the whole grid, one.
+    # comparison), and stacks at most the budget's row elements (m + 1 rows
+    # of 400 cells per probe) unless it has one probe alone: three probes
+    # under the default budget, five under the other.  Every bucket piece
+    # of a call gathers at most _PIECE elements (twice that for the sup
+    # kind's samples and running cells) unless it is one item, or at most
+    # _ONE_BUCKET as the call's single bucket.
     if budget:
         monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
     grid = Grid(0.01, -200, 200)
     probes = probe_set(grid, 41, count=13, tails=True)
     m = 20
-    calls = []
+    calls, pieces = [], []
     seminorms, buckets = FittedFamily._seminorms, seminorm._buckets
 
     def counting(self, i0, dt, tail, mags, rows, s, t):
-        calls.append([mags.shape[0] // (m + 1), len(t), 0])
+        calls.append([mags.shape[0] // (m + 1), len(t), mags.size])
         return seminorms(self, i0, dt, tail, mags, rows, s, t)
 
-    def holding(need, *piece):
-        out = buckets(need, *piece)
-        calls[-1][2] += sum(need[idx].shape[0] * n for idx, n in out)
+    def holding(need, piece):
+        out = buckets(need, piece)
+        pieces.extend((need[idx].shape[0], n, len(out)) for idx, n in out)
         return out
 
     monkeypatch.setattr(FittedFamily, "_seminorms", counting)
@@ -894,13 +910,42 @@ def test_axioms_batch_probes_within_budget(budget, monkeypatch):
     for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
                 FittedFamily.sup_family(EXP2)):
         calls.clear()
+        pieces.clear()
         check_ff_axioms(fam, probes, rng=3, n_triples=m)
-        chunk, windows, held = np.array(calls).T
+        chunk, windows, stacked = np.array(calls).T
         assert chunk.sum() == len(probes)
         assert np.array_equal(windows, 7 * m * chunk)
-        assert np.all((held <= seminorm._AXIOM_BUDGET) | (chunk == 1))
-        if fam.name != "sup(exp-l2)":
-            assert chunk.max() > 1, fam.name
+        assert np.all((stacked <= seminorm._AXIOM_BUDGET) | (chunk == 1))
+        assert chunk.max() > 1, fam.name
+        piece = seminorm._PIECE * (2 if fam.kind == "sup" else 1)
+        items, n, n_buckets = np.array(pieces).T
+        held = items * n
+        assert np.all((held <= piece) | (items == 1)
+                      | ((n_buckets == 1) & (held <= seminorm._ONE_BUCKET)))
+
+
+def test_ff_axioms_traced_peak_at_the_bench_shape():
+    # The five families of ff-axioms on the norm-axioms benchmark's probes
+    # (200 probes of 400 cells, 20 triples), at seed 12345.  The largest
+    # traced peak of one check is 1.15 MiB in chunks of three probes (numpy
+    # 2.4); sizing chunks by the caps of their windows' needs read 1.10
+    # MiB, and the bound is that plus 0.15 MiB, which twice the budget's
+    # rows (1.72 MiB) exceeds.
+    probes = probe_set(Grid(0.01, -200, 200), 12346, count=200, tails=True)
+    fams = [catalog.family(name) for name in
+            ("sup-linf", "uniform-l2", "exp-l2", "box-l2")]
+    fams.append(FittedFamily.sup_family(catalog.family("uniform-l2")))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for k, fam in enumerate(fams):
+            tracemalloc.reset_peak()
+            check_ff_axioms(fam, probes, rng=np.random.default_rng(
+                [12345, 10 + k]), n_triples=20)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 1.25, peaks
 
 
 # -- random draws read in bulk -------------------------------------------------
@@ -1062,10 +1107,9 @@ def test_small_ff_axioms_report_is_pinned(tmp_path, capsys):
 
 
 def test_bench_grid_ff_axioms_report_is_pinned(tmp_path):
-    # sha256 of the report that three window calls per chunk of probes, each
-    # window summed over the longest span of its call, wrote: 40 probes of
-    # 400 cells and 20 triples, so chunks of several probes and windows in
-    # several buckets.
+    # sha256 of the report at 40 probes of 400 cells and 20 triples: chunks
+    # of three probes, one window call each, whose windows go in several
+    # buckets and are each summed over their own span.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text("[run]\nprobes = 40\ntriples = 20\n")
     out = tmp_path / "rep"
