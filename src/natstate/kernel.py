@@ -182,6 +182,18 @@ class PolyKernel:
             self._cache[key] = vals
         return self._cache[key]
 
+    def grid_factors(self, dt: float) -> list[np.ndarray]:
+        """The time-invariant grid as one ``(QM, T)`` factor per slot,
+        ``K[d_1, .., d_n] = sum_t prod_s F_s[d_s, t]`` (:func:`_slot_major`
+        indices), up to residual entries below the direct sum's rounding
+        level ``max|K| * size * eps``; once per ``dt``."""
+        key = ("factors", dt)
+        if key not in self._cache:
+            A = _slot_major(self.grid_values(dt))
+            tol = np.max(np.abs(A)) * (A.size * np.finfo(float).eps)
+            self._cache[key] = _cross_factors(A, self.degree, tol)
+        return self._cache[key]
+
     def tail_abs_mass(self, dt: float, sigma: float) -> float:
         """Mass of ``|kernel|`` on cells with any lag beyond ``sigma``."""
         if self.time_varying:
@@ -190,6 +202,48 @@ class PolyKernel:
         outside = np.ones(absval.shape, dtype=bool)
         outside[(slice(0, to_cells(sigma, dt)),) * self.degree] = False
         return float(np.sum(absval[outside]) * dt ** self.degree)
+
+
+def _slot_major(K: np.ndarray) -> np.ndarray:
+    """A grid ``(M,)*n + (Q,)*n`` as ``(QM, (QM)^(n-1))``, axes ``(j_1, a_1,
+    .., j_n, a_n)``: each slot's pair in the order of a lag-matrix row."""
+    n = K.ndim // 2
+    axes = [ax for m in range(n) for ax in (n + m, m)]
+    return K.transpose(axes).reshape(K.shape[0] * K.shape[-1], -1)
+
+
+def _cross_factors(A: np.ndarray, n: int, tol: float) -> list[np.ndarray]:
+    """Slot factors ``(D, T)``, ``T <= D^(n-1)``, of the ``n``-slot tensor
+    ``A`` flattened to ``(D, D^(n-1))``: complete-pivoting cross
+    approximation (Bebendorf, Numer. Math. 86, 2000) into a CP form (Kolda
+    & Bader, SIAM Review 51(3), 2009).  Each step peels ``column (x) row /
+    pivot`` off at the largest residual entry, zeroing its row and column,
+    and factors the row over the other slots against ``tol / |pivot|``,
+    until no entry exceeds ``tol``.  A non-finite pivot gives one nan term.
+    """
+    D = A.shape[0]
+    if n == 1:
+        return [A.reshape(D, 1)]
+    R = A.reshape(D, -1).copy()
+    step = max(1, 4096 // R.shape[1])  # rank-one updates in 32 KiB blocks
+    F = [[np.zeros((D, 0))] for _ in range(n)]
+    while True:
+        hi, lo = R.argmax(), R.argmin()  # no residual-sized |R|
+        i, j = divmod(hi if abs(R.flat[hi]) >= abs(R.flat[lo]) else lo,
+                      R.shape[1])
+        piv = R[i, j]
+        if not np.isfinite(piv):
+            return [np.full((D, 1), np.nan)] * n
+        if abs(piv) <= tol:
+            return [np.hstack(f) for f in F]
+        col, row = R[:, j].copy(), R[i] / piv
+        for k in range(0, D, step):
+            R[k:k + step] -= col[k:k + step, None] * row
+        R[i], R[:, j] = 0.0, 0.0
+        sub = _cross_factors(row.reshape(D, -1), n - 1, tol / abs(piv))
+        for f, g in zip(F, [np.repeat(col[:, None], sub[0].shape[1], 1),
+                            *sub]):
+            f.append(g)
 
 
 def _symmetrized_array(K: np.ndarray, n: int) -> np.ndarray:

@@ -11,10 +11,11 @@ Three concrete operators are shipped:
   Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
-  kernels, optionally time varying.  Every term, of any degree, is one
-  contraction of the kernel grid against the inputs' lag matrices
-  (``_contract``: a matmul for the first slot, a row-wise reduction for
-  each further one).  One evaluator (``_terms``) serves ``apply`` and the
+  kernels, optionally time varying.  A time-invariant term is one matmul
+  per slot of the inputs' lag matrices against the kernel's cached slot
+  factors (:meth:`PolyKernel.grid_factors`); a time-varying one is
+  contracted over its grid per instant (``_contract``).  One evaluator
+  (``_terms``) serves ``apply`` and the
   Frechet pair: its inputs share one grid, and it builds a lag matrix once
   per input and kernel grid size in each call, read by every slot and
   degree.
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import PolyKernel, symmetrize
+from .kernel import PolyKernel, _slot_major, symmetrize
 from .seminorm import FittedFamily
 from .timegrid import (Grid, TimeBatch, TimeFunction, _values_after,
                        shift_left, shift_right, splice, to_cells)
@@ -383,12 +384,15 @@ class PolyIntegralOperator(SystemOp):
         ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
         over the kernel grid.  Slots that read one input take one matrix,
         the same object repeated.  A time-invariant kernel is contracted
-        against every instant at once; a time-varying one is sampled per
-        instant.
+        as ``sum_t prod_s (X_s @ F_s)[:, t]``, one matmul per slot over
+        every instant; a time-varying one is sampled per instant.
         """
         scale = dt ** ker.degree
         if not ker.time_varying:
-            return _contract(ker.grid_values(dt), mats) * scale
+            out = 1.0
+            for m, f in zip(mats, ker.grid_factors(dt)):
+                out = out * (m.reshape(m.shape[0], -1) @ f)
+            return out.sum(axis=1) * scale
         out = np.empty(t_idx.shape[0])
         for i, t in enumerate(t_idx):
             K = ker.grid_values(dt, at_time=float(t * dt))
@@ -426,7 +430,8 @@ class PolyIntegralOperator(SystemOp):
 
     def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
         """Output values at the instants ``t_indices``: the constant plus
-        each degree's term in turn."""
+        each degree's term in turn.  BLAS rounds a row by its place among
+        them, so a subset may differ from rows of ``apply`` in the last bits."""
         t_idx = np.asarray(t_indices, dtype=int)
         y = np.full(t_idx.shape[0], self.constant, dtype=float)
         kers = sorted(self.kernels.items())
@@ -443,31 +448,20 @@ class PolyIntegralOperator(SystemOp):
 
 
 def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum K[a.., j..] prod_m mats[m][i, j_m, a_m]`` for every row ``i``.
+    """``sum K[a.., j..] prod_m mats[m][i, j_m, a_m]`` for every row ``i``,
+    directly over the grid: the per-instant path of time-varying kernels.
 
     ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
     ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
-    ``(QM, (QM)^(n-1))``; each further slot is one row-wise reduction.  Rows
-    go in blocks of ``QM``, so no temporary outgrows ``K``.  BLAS rounding
-    depends on the block, so ``apply_at`` on a subset of instants may differ
-    from the same rows of ``apply`` in the last bits.
+    ``(QM, (QM)^(n-1))`` (:func:`_slot_major`); each further slot is one
+    row-wise reduction.
     """
-    n = len(mats)
-    I, Q, M = mats[0].shape
-    D = Q * M
-    # (a_1..a_n, j_1..j_n) -> (j_1, a_1, .., j_n, a_n): each slot's (Q, M)
-    # pair in the order of a flattened matrix row.
-    axes = [ax for m in range(n) for ax in (n + m, m)]
-    Kt = K.transpose(axes).reshape(D, -1)
-    xs = [m.reshape(I, D) for m in mats]
-    out = np.empty(I)
-    for lo in range(0, I, D):
-        T = xs[0][lo:lo + D] @ Kt
-        for x in xs[1:]:
-            T = np.einsum("id,ide->ie", x[lo:lo + D],
-                          T.reshape(T.shape[0], D, -1))
-        out[lo:lo + D] = T[:, 0]
-    return out
+    I = mats[0].shape[0]
+    T = mats[0].reshape(I, -1) @ _slot_major(K)
+    for x in mats[1:]:
+        T = np.einsum("id,ide->ie", x.reshape(I, -1),
+                      T.reshape(I, x[0].size, -1))
+    return T[:, 0]
 
 
 class TimeAdvance(SystemOp):

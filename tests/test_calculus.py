@@ -472,7 +472,8 @@ def test_trajectory_refusals(quad):
 def test_small_derivative_reports_are_pinned(tmp_path):
     # sha256 of the reports that one closed-form call per pair, the
     # trapezoid as masked np.where chains, one window call per uniform-ratio
-    # end and a second apply per spliced input wrote, at four pasts.
+    # end, a second apply per spliced input and time-invariant terms
+    # contracted through the kernels' slot factors wrote, at four pasts.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\npasts = 4\nexperiments = ["state-closed-form", '
                        '"shift-derivative", "frechet-derivatives"]\n')
@@ -488,14 +489,14 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     assert digests == {
         "state-closed-form.json": "a50682f817212117ec54db02dd080fb8"
                                   "82c9baa300e7ff11c4a110344fa97f04",
-        "state-closed-form_quadratic.csv": "2aa6182eb753b2dae977b57c4ddddb2a"
-                                           "92e8ece11c8e65e48d3ec24cf7c5aa16",
+        "state-closed-form_quadratic.csv": "d833e5998daac6597b4669ab1fbe383a"
+                                           "22dd57ee536c5b724b8a774d7384985b",
         "shift-derivative.json": "885acaee91d895f008771e3763da10dd"
                                  "3cc895445bcb5c077ebe85850e41da9c",
         "shift-derivative_trapezoid.csv": "94f233f4d8e099b4b04f1f918641feb4"
                                           "68649e77175b117e55cdfce25bf889b1",
-        "frechet-derivatives.json": "600f9cf42a2ed9db1fd85dabc95ba4c0"
-                                    "e6943594a56fc4e1f3340d7d55f1d85a",
+        "frechet-derivatives.json": "c2ac4a366f69aa9305557e3e85637060"
+                                    "ded07772df983226236deddef16d2aac",
         "frechet-derivatives_remainder_decay.csv":
-            "6a7f260453dbfe08d072db8db4ba1c49"
-            "83712fec174053ff35829c22e146add1"}
+            "907264f65e143ba9a5dbfae574249dfa"
+            "826be8bf6a9aac81fa985e3d3e75e950"}

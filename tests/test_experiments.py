@@ -1,5 +1,10 @@
+import contextlib
+import io
+import tracemalloc
+
 import pytest
 
+from natstate.cli import main
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
 from natstate.seminorm import FittedFamily
@@ -77,6 +82,31 @@ def test_npower_bounds_applies_each_unshifted_probe_once(monkeypatch):
     # probes at three instants (18) and the centered/uncentered pairs on
     # five probes (10).
     assert len(calls) == 15 + 45 + 18 + 10
+
+
+@pytest.mark.parametrize("name, bound", [("npower-bounds", 2.514 + 0.15),
+                                         ("state-bounds", 2.333 + 0.15)])
+def test_poly_bounds_traced_peak_at_the_bench_shape(tmp_path, name, bound):
+    # One command-line run at the poly-bounds benchmark's sizes (ACC with
+    # 40 probes and 20 bound probes), seed 12345.  In a fresh process the
+    # traced peaks were 2.514 and 2.333 MiB contracting every term over the
+    # kernel grid, and the bound is that plus 0.15 MiB.  Within this test
+    # (numpy 2.4) they read 2.37 and 2.34 MiB, and 2.33 and 2.33 MiB
+    # through the kernels' slot factors; an elimination that holds a
+    # residual-sized |R| and rank-one update reads 2.67 and 2.66 MiB.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text("[run]\ndt = 0.01\nprobes = 40\ntriples = 50\n"
+                       "pasts = 20\nfutures = 50\nbound_probes = 20\n")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", str(cfgfile), "--experiment", name,
+                       "--seed", "12345", "--out", str(tmp_path / "rep")])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= bound, peak
 
 
 def _count_batches(monkeypatch):

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
@@ -509,6 +511,90 @@ def test_contract_matches_einsum_oracle(n, M):
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def _grid_kernel(kind, n, M, Q, rng):
+    """A kernel grid ``(M,)*n + (Q,)*n`` on ``dt = 1``: zero, one to three
+    separable terms of spread magnitudes, or full-rank random."""
+    if kind == "zero":
+        K = np.zeros((M,) * n + (Q,) * n)
+    elif kind == "full-rank":
+        K = rng.standard_normal((M,) * n + (Q,) * n)
+    else:
+        K = 0.0
+        for _ in range(int(kind[0])):
+            vs = [rng.standard_normal((M, Q)) * np.exp(rng.uniform(-3, 3))
+                  for _ in range(n)]
+            spec = ",".join("abc"[s] + "jkl"[s] for s in range(n))
+            K = K + np.einsum(f"{spec}->{'abc'[:n]}{'jkl'[:n]}", *vs)
+    return PolyKernel(n, float(Q), input_dim=M, data=K, data_dt=1.0)
+
+
+class _Matmuls(np.ndarray):
+    """A lag matrix that counts the matmuls it takes part in."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        _Matmuls.calls += 1
+        return np.asarray(self) @ other
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), M=st.integers(1, 2), Q=st.integers(1, 6),
+       I=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "1-separable", "2-separable",
+                             "3-separable", "full-rank"]),
+       shared=st.booleans())
+def test_factored_term_matches_the_direct_contraction(n, M, Q, I, seed, kind,
+                                                      shared):
+    # The term through the slot factors against _contract and the einsum
+    # oracle, row by row, within the direct sum's rounding bound
+    # size * eps * max|K| * prod_s ||x_s||_1 over the size = (QM)^n cells.
+    rng = np.random.default_rng(seed)
+    ker = _grid_kernel(kind, n, M, Q, rng)
+    K = ker.grid_values(1.0)
+    mats = [rng.standard_normal((I, Q, M)) * np.exp(rng.uniform(-2, 2))
+            for _ in range(1 if shared else n)]
+    mats = mats * n if shared else mats
+    op = PolyIntegralOperator([ker], 0.0, catalog.family("uniform-l2"),
+                              catalog.family("esssup"), input_dim=M)
+    _Matmuls.calls = 0
+    got = op._term(ker, [m.view(_Matmuls) for m in mats], np.arange(I), 1.0)
+    assert _Matmuls.calls == n  # one per slot, whatever the rank
+    bound = (K.size * np.finfo(float).eps * np.max(np.abs(K))
+             * np.prod([np.abs(m).reshape(I, -1).sum(axis=1) for m in mats],
+                       axis=0))
+    for want in (_contract(K, mats), np.einsum(EINSUM_ORACLE[n], K, *mats)):
+        assert np.all(np.abs(got - want) <= bound)
+    # At most (QM)^(n-1) terms: the n matmuls (I, QM) @ (QM, T) cost at
+    # most n times _contract's (I, QM) @ (QM, (QM)^(n-1)).
+    D = Q * M
+    F = ker.grid_factors(1.0)
+    assert all(f.shape == F[0].shape for f in F) and len(F) == n
+    assert F[0].shape[0] == D and F[0].shape[1] <= D ** (n - 1)
+    if kind == "zero":  # no term, except a degree-1 grid's own column
+        assert F[0].shape[1] == (1 if n == 1 else 0) and not np.any(got)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+def test_non_finite_kernel_grids_give_non_finite_outputs(n, bad):
+    # One inf or nan cell, or a level of 1e308 that overflows the sum: the
+    # factored term is non-finite, and apply refuses the output.
+    dt, Q = 0.25, 4
+    K = np.full((1,) * n + (Q,) * n, 1e308 if bad == 1e308 else 0.5)
+    K[(0,) * n + (1,) * n] = bad
+    ker = PolyKernel(n, Q * dt, data=K, data_dt=dt)
+    op = PolyIntegralOperator([ker], 0.0, catalog.family("uniform-l2"),
+                              catalog.family("esssup"))
+    g = Grid(dt, -8, 8)
+    u = TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = op.apply_at(u, np.arange(g.i0, g.i1 + 1))
+        with pytest.raises(ValueError, match="non-finite sample"):
+            op.apply(u)
+    assert not np.all(np.isfinite(y[g.n // 2:]))
+
+
 def _cubic_tv_operator(S):
     def f(t, a, b, c):
         return (1.0 + 0.5 * np.sin(t)) * np.exp(-(a + 2.0 * b + 3.0 * c))
@@ -642,17 +728,12 @@ def test_each_input_lag_matrix_is_built_once_per_call(monkeypatch):
 
 
 def _term_per_slot(op, ker, slots, t_idx, dt):
-    """The term with one ``_past_matrix`` per slot, then ``_contract``: the
-    oracle for terms whose slots share one lag matrix."""
+    """The term with one ``_past_matrix`` per slot, then the contraction
+    ``_term`` makes: the oracle for terms whose slots share one lag
+    matrix."""
     Q = ker.grid_size(dt)
-    mats = [op._past_matrix(s, t_idx, Q) for s in slots]
-    if not ker.time_varying:
-        return _contract(ker.grid_values(dt), mats) * dt ** ker.degree
-    out = np.empty(t_idx.shape[0])
-    for i, t in enumerate(t_idx):
-        K = ker.grid_values(dt, at_time=float(t * dt))
-        out[i] = _contract(K, [m[i:i + 1] for m in mats])[0]
-    return out * dt ** ker.degree
+    return op._term(ker, [op._past_matrix(s, t_idx, Q) for s in slots],
+                    t_idx, dt)
 
 
 def _apply_at_per_slot(op, u, t_idx):
@@ -740,9 +821,9 @@ def test_shared_lag_matrices_keep_every_bit(name):
 
 @pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra"])
 def test_apply_at_subsets_agree_with_apply_to_rounding(name):
-    # _contract multiplies the requested rows in blocks, and BLAS rounding
-    # depends on the block, so a subset of instants may differ from the same
-    # rows of apply in the last bits: never by more.
+    # BLAS rounds a row of the slot matmuls by its place among the
+    # requested rows, so a subset of instants may differ from the same rows
+    # of apply in the last bits: never by more.
     dt = 0.01
     b = catalog.system(name, dt)
     g = b.grid(dt)
