@@ -18,7 +18,7 @@ import numpy as np
 from .kernel import PolyKernel
 from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import Grid, TimeFunction, _positive
+from .timegrid import CELL_CAP, Grid, TimeFunction, _positive
 
 __all__ = [
     "SystemBundle",
@@ -281,14 +281,11 @@ def _section(section: str):
         raise ValueError(f"[{section}] {e}") from None
 
 
-# The most cells that one config length (a convolution or kernel support,
-# a past window, a horizon) or one polynomial kernel (``Q**degree`` lag
-# cells) may take at the run's dt.  A section above it is refused before
-# anything is built or sampled.
-CELL_CAP = 10 ** 6
-
-
 def _capped(cells: float, what: str, dt: float) -> None:
+    """Refuse a config length (a convolution or kernel support, a past
+    window, a horizon) or a polynomial kernel (``Q**degree`` lag cells) of
+    more than ``CELL_CAP`` cells at the run's dt, before anything is built
+    or sampled."""
     if cells > CELL_CAP:
         raise ValueError(f"{what} takes {cells:.4g} cells at dt={dt}, more "
                          f"than the cap of {CELL_CAP:,}")

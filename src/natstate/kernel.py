@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .timegrid import Grid, TimeFunction, to_cells
+from .timegrid import CELL_CAP, Grid, TimeFunction, to_cells
 
 __all__ = [
     "Permutation",
@@ -145,12 +145,17 @@ class PolyKernel:
         return to_cells(self.support, dt)
 
     def _mesh(self, dt: float):
+        """The ``n`` lag meshgrids at ``dt``.  A time-varying kernel reads
+        them at every instant and keeps them; a time-invariant one reads
+        them once, to sample its grid, and does not."""
         key = ("mesh", dt)
-        if key not in self._cache:
-            Q = self.grid_size(dt)
-            x = np.arange(1, Q + 1) * dt
-            self._cache[key] = np.meshgrid(*([x] * self.degree), indexing="ij")
-        return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
+        x = np.arange(1, self.grid_size(dt) + 1) * dt
+        mesh = np.meshgrid(*([x] * self.degree), indexing="ij")
+        if self.time_varying:
+            self._cache[key] = mesh
+        return mesh
 
     def grid_values(self, dt: float, at_time: Optional[float] = None) -> np.ndarray:
         """Dense samples, shape ``(M,)*n + (Q,)*n``."""
@@ -458,25 +463,62 @@ def write_kernel_csv(ker: PolyKernel, dt: float, path: str) -> None:
 
 
 def read_kernel_csv(path: str) -> PolyKernel:
-    """Rebuild a grid-backed kernel from :func:`write_kernel_csv` output; a
-    support or lag that is not a whole number of the file's ``dt`` steps is
-    refused (``AlignmentError``)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
-        n = int(meta["degree"])
-        M = int(meta["input_dim"])
-        support = float(meta["support"])
-        dt = float(meta["dt"])
-        fh.readline()  # column names
-        Q = to_cells(support, dt)
-        data = np.zeros((M,) * n + (Q,) * n)
-        for line in fh:
-            parts = line.strip().split(",")
-            lags = [float(x) for x in parts[:n]]
-            idx = tuple(int(c) - 1 for c in parts[n])
-            jt = tuple(to_cells(x, dt) - 1 for x in lags)
-            data[idx][jt] = float(parts[n + 1])
+    """Rebuild a grid-backed kernel from :func:`write_kernel_csv` output.
+
+    A malformed file is refused with a ``ValueError`` that names the file and
+    line: a header without an integer ``degree`` and ``input_dim`` >= 1 and a
+    positive ``support`` and ``dt``; more than ``CELL_CAP`` samples,
+    ``(input_dim * Q) ** degree``, before they are allocated; a row without
+    a field per lag, an index and a value; a field that is not a finite
+    number; a lag that is not a cell in ``1..Q`` (an ``AlignmentError`` off
+    the file's ``dt`` steps, as for the support); an index digit outside
+    ``1..input_dim``.  Blank lines are skipped.
+    """
+    def field(text: str, what: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"{what} {text!r} is not a finite number")
+        return x
+
+    line = 1
+    try:
+        with open(path) as fh:
+            meta = dict(kv.partition("=")[::2]
+                        for kv in fh.readline().lstrip("# ").split())
+            for key in ("degree", "input_dim", "support", "dt"):
+                if key not in meta:
+                    raise ValueError(f"header has no {key}")
+            n, M = int(meta["degree"]), int(meta["input_dim"])
+            support, dt = (field(meta[key], key) for key in ("support", "dt"))
+            if min(n, M) < 1 or min(support, dt) <= 0.0:
+                raise ValueError("need degree and input_dim >= 1 and a "
+                                 f"positive support and dt, got {meta}")
+            Q = to_cells(support, dt)
+            size = float(M * Q) ** n
+            if size > CELL_CAP:
+                raise ValueError(f"a degree-{n} kernel of {M} inputs and {Q} "
+                                 f"lag cells holds {size:.4g} samples, more "
+                                 f"than the cap of {CELL_CAP:,}")
+            fh.readline()  # column names
+            data = np.zeros((M,) * n + (Q,) * n)
+            for line, text in enumerate(fh, start=3):
+                parts = text.strip().split(",")
+                if parts == [""]:
+                    continue
+                if len(parts) != n + 2:
+                    raise ValueError(f"{len(parts)} fields, need {n + 2}")
+                jt = tuple(to_cells(field(x, "lag"), dt) - 1
+                           for x in parts[:n])
+                if not all(0 <= j < Q for j in jt):
+                    raise ValueError(f"lags {parts[:n]} are not all cells in "
+                                     f"1..{Q} of dt={dt}")
+                idx = tuple(int(c) - 1 for c in parts[n])
+                if len(idx) != n or not all(0 <= i < M for i in idx):
+                    raise ValueError(f"index {parts[n]!r} is not {n} digits "
+                                     f"in 1..{M}")
+                data[idx][jt] = field(parts[n + 1], "value")
+    except ValueError as e:
+        raise type(e)(f"{path} line {line}: {e}") from None
     return PolyKernel(n, support, M, data=data, data_dt=dt)
 
 

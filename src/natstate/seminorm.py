@@ -153,10 +153,14 @@ class Weight:
         for every ``c`` (last axis); ``op`` is ``np.add`` (weighted running
         sums) or ``np.maximum`` (weighted running maxima).
 
-        Uniform, box and exponential weights take O(n) recurrences; a table
-        weight takes one full convolution, or one maximum, per position.
-        Uniform and exponential weights accumulate in place and return
-        ``x``; the other forms leave it as it is.
+        Uniform and box weights take O(n) recurrences, an exponential weight
+        the O(n log n) scan of :func:`_exp_running`, and a table weight the
+        sequential ``op`` of each position's terms in lag order, one pass
+        per lag of nonzero weight.  Every form's value at ``c`` reads only
+        the samples up to ``c``, and zeros before a row's first sample leave
+        it as it is, so a running row may be cut at both ends.  Uniform and
+        exponential weights accumulate in place and return ``x``; the other
+        forms leave it as it is.
         """
         n = x.shape[-1]
         if self.form == "uniform":
@@ -183,12 +187,12 @@ class Weight:
             suf = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
             return np.maximum(suf.reshape(padded.shape)[..., :n],
                               pre.reshape(padded.shape)[..., win - 1:m])
+        # Lag by lag, so each position takes its terms in lag order from
+        # itself back; a lag of zero weight adds nothing and is skipped.
         wker = self(np.arange(n) * dt)
-        if op is np.add:
-            return np.stack([np.convolve(row, wker)[:n] for row in x])
-        out = np.empty_like(x)
-        for c in range(n):
-            out[..., c] = np.max(x[..., :c + 1] * wker[c::-1], axis=-1)
+        out = x * wker[0]
+        for j in np.flatnonzero(wker[1:]) + 1:
+            op(out[..., j:], x[..., :-j] * wker[j], out=out[..., j:])
         return out
 
     @property
@@ -312,25 +316,25 @@ class FittedFamily:
         start is the closed-form tail term, and a finite-support weight clips
         each window to its support, so ``|f|_t = |f|_{t-M,t}`` holds bit for
         bit.  Weighted sums run sequentially over lags from the window end,
-        so a window's value depends only on the samples inside it and the
-        tail: not on the grid's extent, nor on the other windows.
+        and a sup family's running rows are cut to the columns its windows
+        read, each running value reading only the samples up to it.  So a
+        window's value depends only on the samples inside it and the tail:
+        not on the grid's extent, nor on the other windows.
         """
         g = f.grid
         s = np.asarray(s_idx, dtype=float).ravel()
         t = np.asarray(t_idx, dtype=np.int64).ravel()
         if s.shape != t.shape:
             raise ValueError("need one left end per window end")
-        # Norm samples up to the latest window end; zeros after it keep a
-        # sup family's rows grid-long, as _exp_running's scaling needs.
+        # Norm samples up to the latest window end: no window reads a later
+        # one, whatever the kind.
         hi = int(t.max(initial=g.i0)) - g.i0
         if hi > g.n:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
-        mags = np.zeros((1, g.n if self.kind == "sup" else hi))
-        mags[0, :hi] = self._rownorm(f.samples[:hi])
         return self._seminorms(g.i0, g.dt, self._tail_coef(f.tail_value),
-                               mags, 0, s, t)
+                               self._rownorm(f.samples[:hi])[None], 0, s, t)
 
     def _seminorms(self, i0, dt: float, tail, mags: np.ndarray, rows,
                    s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -400,11 +404,10 @@ class FittedFamily:
         """:meth:`_seminorms` of the sup kind: windows that share a row, an
         origin-relative left end and a tail share one :meth:`_running` row
         (a window and its shifted copy; ``(r, t]`` and ``(r, s]``), read at
-        each window's end.  On a uniform or box weight, whose recurrence
-        only carries a prefix on, a running row runs from its left end to
-        the last column its windows read; on any other the whole row, since
-        an exponential one scales by the row's own end.  A row cut at its
-        left end starts from a zero tail term, as the whole row has there.
+        each window's end.  A running value reads only the samples up to it
+        (:meth:`Weight._accumulate`), so every running row runs from its left
+        end to the last column its windows read.  A row cut at its left end
+        starts from a zero tail term, as the whole row has there.
         The running rows go in buckets of similar length (:func:`_buckets`),
         each holding its samples and running cells, gathered from the rows
         laid back to back with one pad."""
@@ -419,12 +422,9 @@ class FittedFamily:
         group[order] = np.cumsum(new) - 1
         row, left, tail = keys[:, new]
         col = np.maximum(t - i0, 0)
-        if self.weight.form in ("uniform", "box"):
-            lo = np.maximum(left, 0).astype(np.int64)  # -inf: column 0
-            hi = np.maximum(np.maximum.reduceat(
-                col[order], np.flatnonzero(new)), lo + 1)
-        else:
-            lo, hi = np.zeros(row.shape[0], dtype=np.int64), mags.shape[1]
+        lo = np.maximum(left, 0).astype(np.int64)  # -inf: column 0
+        hi = np.maximum(np.maximum.reduceat(col[order], np.flatnonzero(new)),
+                        lo + 1)
         start = row.astype(np.int64) * mags.shape[1] + lo
         col = col - lo[group]
         buckets = _buckets(2 * (hi - lo) + 1, 2 * _PIECE)
@@ -567,36 +567,27 @@ class FittedFamily:
         return f"FittedFamily({self.name!r}, p={self.p}, weight={self.weight})"
 
 
-_EXP_BLOCK = 64.0
-
-
 def _exp_running(x: np.ndarray, rate: float, dt: float, op) -> np.ndarray:
     """``op``-accumulate of ``x[..., j] exp(-rate (c - j) dt)`` over ``j <= c``.
 
     ``op`` is ``np.add`` (weighted running sums) or ``np.maximum`` (weighted
-    running maxima), along the last axis.  Inside a block each term is scaled
-    by ``exp(rate (j - end) dt) <= 1`` and the accumulation scaled back, and
-    each block starts from the previous block's last value decayed across
-    it.  A single block is one scaled accumulation.  Blocks span at most
-    ``_EXP_BLOCK`` in ``rate * time``, so a term is scaled down by at most
-    ``exp(-64)`` (about 1.6e-28): neither factor overflows, and only a term
-    below ~1e-280 itself is pushed into the subnormal range.  The result
-    overwrites ``x``: each block is read before it is written.
+    running maxima), along the last axis.  A prefix-doubling scan (Hillis &
+    Steele, CACM 29(12), 1986): for ``k = 1, 2, 4, ...`` below the row's
+    length, each value takes in the value ``k`` cells back decayed by
+    ``exp(-rate k dt)``, until that decay is 0.0.  So each value is the
+    ``op`` of its own lags in an order fixed by the lags alone, with no term
+    rescaled: it reads only the samples up to it, and zeros before a row's
+    first sample leave it as it is.  O(n log n); the result overwrites
+    ``x``.
     """
-    n = x.shape[-1]
-    block = (n if rate * n * dt <= _EXP_BLOCK
-             else max(1, int(_EXP_BLOCK / (rate * dt))))
-    out = x
-    for b0 in range(0, n, block):
-        m = min(block, n - b0)
-        j = np.arange(1, m + 1)
-        scaled = x[..., b0:b0 + m] * np.exp(rate * (j - m) * dt)
-        if b0:
-            scaled[..., 0] = op(scaled[..., 0],
-                                out[..., b0 - 1] * math.exp(-rate * m * dt))
-        out[..., b0:b0 + m] = (op.accumulate(scaled, axis=-1)
-                               * np.exp(rate * (m - j) * dt))
-    return out
+    k = 1
+    while k < x.shape[-1]:
+        decay = math.exp(-rate * k * dt)
+        if decay == 0.0:
+            break
+        op(x[..., k:], x[..., :-k] * decay, out=x[..., k:])
+        k *= 2
+    return x
 
 
 def _runs(rows: np.ndarray, n: int, p: float = 1.0) -> np.ndarray:

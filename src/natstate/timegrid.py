@@ -34,6 +34,10 @@ __all__ = [
 # Relative slack when snapping a float instant onto the integer lattice.
 _ALIGN_RTOL = 1e-9
 
+# The most cells one array built from outside input may take: a config
+# length or kernel at the run's dt, or the samples of a kernel file.
+CELL_CAP = 10 ** 6
+
 
 class AlignmentError(ValueError):
     """An instant or length that is not a whole number of grid steps."""

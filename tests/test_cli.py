@@ -396,6 +396,61 @@ def test_kernel_file_of_another_dt_is_a_config_error(tmp_path, capsys):
     assert "PASS" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("old, new, reason", [
+    ("degree=2 ", "", "line 1: header has no degree"),
+    ("dt=0.01", "dt=fine", "line 1: could not convert string to float: "
+     "'fine'"),
+    ("degree=2", "degree=2.0", "line 1: invalid literal for int() with "
+     "base 10: '2.0'"),
+    ("degree=2", "degree=0", "line 1: need degree and input_dim >= 1 and a "
+     "positive support and dt, got {'degree': '0', 'input_dim': '1', "
+     "'support': '0.04', 'dt': '0.01'}"),
+    ("support=0.04", "support=1000.0", "line 1: a degree-2 kernel of 1 "
+     "inputs and 100000 lag cells holds 1e+10 samples, more than the cap of "
+     "1,000,000"),
+    ("\n0.01,0.01,11,", "\n0.01,11,", "line 3: 3 fields, need 4"),
+    ("\n0.01,0.02,11,1.0", "\n0.01,0.02,11,1.0,7", "line 4: 5 fields, need 4"),
+    ("\n0.01,0.02,11,", "\n0.01,0.05,11,", "line 4: lags ['0.01', '0.05'] "
+     "are not all cells in 1..4 of dt=0.01"),
+    ("\n0.01,0.02,11,", "\n0.01,0.0,11,", "line 4: lags ['0.01', '0.0'] "
+     "are not all cells in 1..4 of dt=0.01"),
+    ("\n0.01,0.02,11,", "\n0.01,0.025,11,", "line 4: length 0.025 is not a "
+     "multiple of dt=0.01"),
+    ("\n0.01,0.02,11,", "\n0.01,0.02,12,", "line 4: index '12' is not 2 "
+     "digits in 1..1"),
+    ("\n0.01,0.02,11,", "\n0.01,0.02,1,", "line 4: index '1' is not 2 "
+     "digits in 1..1"),
+    ("\n0.01,0.02,11,", "\n0.01,0.02,1x,", "line 4: invalid literal for "
+     "int() with base 10: 'x'"),
+    ("\n0.01,0.02,11,1.0", "\n0.01,0.02,11,one", "line 4: could not "
+     "convert string to float: 'one'"),
+    ("\n0.01,0.02,11,1.0", "\n0.01,0.02,11,nan", "line 4: value 'nan' is "
+     "not a finite number"),
+    ("\n0.01,0.02,11,", "\n0.01,inf,11,", "line 4: lag 'inf' is not a "
+     "finite number"),
+], ids=["header-key", "header-number", "header-integer", "header-degree",
+        "cap", "few-fields", "many-fields", "lag-beyond-support", "lag-zero",
+        "lag-off-grid", "index-digit", "index-length", "index-letter", "value",
+        "value-nan", "lag-inf"])
+def test_malformed_kernel_csv_exits_2(tmp_path, capsys, old, new, reason):
+    # A kernel CSV that write_kernel_csv could not have written is refused
+    # with its file and line, never with a traceback or a misplaced sample.
+    path = tmp_path / "k.csv"
+    write_kernel_csv(PolyKernel(2, 0.04, func=lambda a, b: np.ones_like(a)),
+                     0.01, str(path))
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text(f'[system.x]\nvariant = "poly"\nkernel_csv = "{path}"\n')
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: [system.x] {path} {reason}\n"
+    assert "PASS" not in captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("toml, reason", [
     ('[system.bad]\nvariant = "conv"\nsupport = 1e6',
      "[system.bad] support 1000000.0 takes 1e+08 cells at dt=0.01, more "

@@ -309,3 +309,18 @@ def test_symmetrize_degree_guard():
     k5 = PolyKernel(5, 1.0, func=lambda *s: np.zeros_like(np.asarray(s[0])))
     with pytest.raises(ValueError, match="too large"):
         symmetrize(k5)
+
+
+@pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra",
+                                  "quadratic-volterra-tv"])
+def test_only_time_varying_kernels_keep_their_lag_mesh(name):
+    # A time-invariant kernel reads its lag meshgrids once, to sample its
+    # grid, and keeps only what it samples; a time-varying one reads them at
+    # every output instant and keeps them.
+    dt = 0.01
+    b = catalog.system(name, dt)
+    b.system.apply(probe_set(b.grid(dt), 3, count=1)[0])
+    kernels = list(b.system.kernels.values())
+    assert kernels
+    for ker in kernels:
+        assert (("mesh", dt) in ker._cache) == ker.time_varying

@@ -15,7 +15,7 @@ from natstate import (AlignmentError, FittedFamily, Grid, Interval,
 from natstate.calculus import SmoothInput
 from natstate.cli import main
 from natstate.probes import probe_set
-from natstate.seminorm import (_EXP_BLOCK, ConditionResult, NormReport,
+from natstate.seminorm import (ConditionResult, NormReport, _exp_running,
                                _read_draws)
 from natstate.timegrid import to_cells
 
@@ -391,11 +391,10 @@ _SEMINORM_CASES = [catalog.family(name) for name in sorted(catalog.FAMILIES)] + 
         math.inf, Weight.exponential(3.0), name="exp3-linf")),
 ]
 # Magnitudes near the subnormal range lose relative precision in any
-# rounding order, so tiny draws are snapped to exact zeros.  The rescaled
-# exponential recurrence scales a term ``|x|**p * dt`` down by at most
-# ``exp(-_EXP_BLOCK)``; the snap keeps that a normal float for every p <= 2
-# and dt >= 0.01 (about 1.2e-139).
-_SNAP = math.sqrt(np.finfo(float).tiny / (0.01 * math.exp(-_EXP_BLOCK)))
+# rounding order, so tiny draws are snapped to exact zeros.  The snap, about
+# 1.2e-139, keeps a term ``|x|**p * dt`` decayed by ``exp(-64)`` a normal
+# float for every p <= 2 and dt >= 0.01.
+_SNAP = math.sqrt(np.finfo(float).tiny / (0.01 * math.exp(-64.0)))
 _VALUE = st.floats(min_value=-5, max_value=5).map(
     lambda x: 0.0 if abs(x) < _SNAP else x)
 
@@ -455,13 +454,13 @@ def test_seminorms_match_direct_oracle(case):
         # A batch entry is the one-window value, bit for bit.
         assert got[k] == fam.seminorms(f, [sk], [tk])[0]
     # The same on a copy whose grid reaches further into the past; windows
-    # inside the original grid keep their exact value off the sup kind.
+    # inside the original grid keep their exact value, for every kind.
     g = f.grid
     longer = f.with_window(g.i0 - 25, g.i1)
     got2 = fam.seminorms(longer, s, t)
     for k, (sk, tk) in enumerate(windows):
         assert got2[k] == fam.seminorms(longer, [sk], [tk])[0]
-        if fam.kind != "sup" and sk >= g.i0:
+        if sk >= g.i0:
             assert got2[k] == got[k]
     # Exact zero when the integrand vanishes on the window.
     sk, tk = windows[0]
@@ -604,8 +603,8 @@ def _padded_seminorms(fam, i0, dt, tail, mags, rows, s, t):
     return (sums * dt + tail) ** (1.0 / fam.p)
 
 
-# Rate 200 at dt 0.01 spans more than _EXP_BLOCK in rate * time past 32
-# cells, so its running rows take several blocks.
+# Rate 200 at dt 0.01 decays a term by exp(-128) across 64 cells, so the
+# doubling scan of its running rows joins values of very different sizes.
 _KERNEL_WEIGHTS = [Weight.uniform(), Weight.exponential(1.0),
                    Weight.exponential(200.0), Weight.box(0.2),
                    Weight.table([0.0, 0.3, 1.1], [1.0, 0.4])]
@@ -660,8 +659,8 @@ def _kernel_batch(draw):
         s.astype(float) - h, t - h
 
 
-def _multi_block_batch(kind):
-    # exp(-200 x) over 120 cells of 0.01: rate * n * dt = 240, four blocks.
+def _fast_exp_batch(kind):
+    # exp(-200 x) over 120 cells of 0.01: rate * n * dt = 240.
     fam = FittedFamily.weighted_lp(1.5, Weight.exponential(200.0))
     if kind == "sup":
         fam = FittedFamily.sup_family(fam)
@@ -684,8 +683,8 @@ def _one_sup_window(weight, s, t, tail):
 
 @settings(max_examples=300, deadline=None)
 @given(_kernel_batch())
-@example(_multi_block_batch("lp"))
-@example(_multi_block_batch("sup"))
+@example(_fast_exp_batch("lp"))
+@example(_fast_exp_batch("sup"))
 @example(_one_sup_window(Weight.exponential(1.0), -math.inf, 60, 0.4))
 @example(_one_sup_window(Weight.exponential(1.0), 10.0, 60, 0.0))
 @example(_one_sup_window(Weight.box(0.2), 10.0, 80, 0.0))
@@ -1188,9 +1187,10 @@ def test_origin_reading_family_fails_shift_invariance(grid):
 
 @pytest.mark.parametrize("p", [2.0, math.inf])
 def test_exp_running_keeps_a_tiny_spike(p):
-    # A lone 1e-100 sample under a rate-200 weight: a block rescaling factor
-    # near exp(-600) pushes its term below the subnormal range, and
-    # past_norms_all_t would read 0.0 where past_norm reads 3.2e-101.
+    # A lone 1e-100 sample under a rate-200 weight: a running recurrence
+    # that rescaled its terms by a factor near exp(-600) would push this one
+    # below the subnormal range, and past_norms_all_t would read 0.0 where
+    # past_norm reads 3.2e-101.
     fam = FittedFamily.weighted_lp(p, Weight.exponential(200.0))
     g = Grid(0.1, 0, 60)
     x = np.zeros((g.n, 1))
@@ -1202,6 +1202,124 @@ def test_exp_running_keeps_a_tiny_spike(p):
         assert allt[ti] == pytest.approx(fam.past_norm(f, ti * g.dt),
                                          rel=1e-12, abs=0.0)
 
+
+
+def _exp_oracle(x, rate, dt, op, cols):
+    """The direct ``O(n^2)`` running value at each column ``c`` of ``cols``:
+    ``math.fsum``, or the maximum, of ``x[j] exp(-rate (c - j) dt)`` over
+    ``j <= c``."""
+    out = []
+    for c in cols:
+        terms = x[:c + 1] * np.exp(-rate * (c - np.arange(c + 1)) * dt)
+        out.append(math.fsum(terms) if op is np.add else float(terms.max()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("op", [np.add, np.maximum], ids=["sum", "max"])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("rate_dt", [1e-4, 0.01, 1.0, 20.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4096])
+def test_exp_running_matches_the_direct_sum(n, rate_dt, scale, op):
+    # Within 4 log2(n) roundings of the direct value, for decays from
+    # nearly none to exp(-20) a cell, on rows of terms near the bottom and
+    # the top of the float range; a one-cell row is returned as it is.
+    rate, dt = rate_dt / 0.01, 0.01
+    x = np.random.default_rng([n, int(rate_dt * 1e4)]).uniform(
+        0.5, 1.5, n) * scale
+    got = _exp_running(x.copy(), rate, dt, op)
+    cols = np.unique(np.r_[np.linspace(0, n - 1, 40).astype(int),
+                           [k + d for k in (1, 64, 1024, 2048) for d in (-1, 0, 1)
+                            if k + d < n]])
+    want = _exp_oracle(x, rate, dt, op, cols)
+    assert np.all(np.isfinite(got)) and np.all(want > 0.0)
+    bound = 4.0 * math.log2(n) * np.finfo(float).eps
+    assert np.all(np.abs(got[cols] - want) <= bound * want)
+
+
+@pytest.mark.parametrize("op", [np.add, np.maximum], ids=["sum", "max"])
+@pytest.mark.parametrize("rate_dt", [1e-4, 1.0, 20.0])
+def test_exp_running_reads_only_its_own_samples(rate_dt, op):
+    # Every value keeps its bits under a zero prefix of any length, when the
+    # row is cut short, and in a stack of rows; zeros inside the row included.
+    rate, dt = rate_dt / 0.01, 0.01
+    rng = np.random.default_rng(int(rate_dt * 1e4))
+    x = rng.uniform(0.0, 2.0, 700)
+    x[rng.random(700) < 0.2] = 0.0
+    x[:5] = 0.0
+    want = _exp_running(x.copy(), rate, dt, op)
+    for pad in (1, 2, 3, 31, 64, 65, 500, 1023, 3000):
+        got = _exp_running(np.r_[np.zeros(pad), x], rate, dt, op)
+        assert got[pad:].tobytes() == want.tobytes(), pad
+    for m in (1, 2, 3, 63, 64, 65, 129, 699):
+        got = _exp_running(x[:m].copy(), rate, dt, op)
+        assert got.tobytes() == want[:m].tobytes(), m
+    rows = np.stack([x, x[::-1], np.r_[np.zeros(300), x[:400]]])
+    got = _exp_running(rows.copy(), rate, dt, op)
+    for row, g in zip(rows, got):
+        assert g.tobytes() == _exp_running(row.copy(), rate, dt, op).tobytes()
+
+
+_EXTEND_CASES = _SEMINORM_CASES + [
+    fam for w in _KERNEL_WEIGHTS for p in (1.5, math.inf)
+    for fam in (FittedFamily.weighted_lp(p, w),
+                FittedFamily.sup_family(FittedFamily.weighted_lp(p, w)))]
+
+
+@st.composite
+def _extension_case(draw):
+    """A family, a function on a grid that reaches ``before`` cells further
+    into the past and ``after`` into the future than the grid ``(i0, i1]``,
+    and windows with finite left ends in that grid."""
+    fam = draw(st.sampled_from(_EXTEND_CASES))
+    dt = draw(st.sampled_from([0.01, 0.05]))
+    i0 = draw(st.integers(-40, 5))
+    n = draw(st.integers(1, 150))
+    before, after = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    dim = 2 if fam.vector_norm == "max" else 1
+    cells = draw(st.lists(_VALUE, min_size=1, max_size=12))
+    size = (before + n + after) * dim
+    vals = np.resize(np.array(cells), size).reshape(-1, dim)
+    tail = np.array(draw(st.lists(_VALUE, min_size=dim, max_size=dim)))
+    long = TimeFunction(Grid(dt, i0 - before, i0 + n + after), vals, tail)
+    windows = []
+    for _ in range(draw(st.integers(1, 6))):
+        sk = draw(st.integers(i0, i0 + n - 1))
+        windows.append((sk, draw(st.integers(sk + 1, i0 + n))))
+    return fam, long, i0, i0 + n, windows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extension_case())
+def test_finite_windows_keep_their_bits_as_the_grid_grows(case):
+    # A window whose left end is in the grid reads only the samples inside
+    # it, so it keeps its bits when the grid reaches further into the past
+    # or the future, for every kind and weight.  So do the running values of
+    # its left end (future_norm's row) at right ends in the grid, and the
+    # future norm itself when only the past grows.
+    fam, long, i0, i1, windows = case
+    s, t = map(np.array, zip(*windows))
+    s = s.astype(float)
+    past = long.with_window(long.grid.i0, i1)
+    grids = [long.with_window(i0, i1), past,
+             long.with_window(i0, long.grid.i1), long]
+    want = fam.seminorms(grids[0], s, t)
+    for f in grids[1:]:
+        assert fam.seminorms(f, s, t).tobytes() == want.tobytes()
+
+    def running(f):
+        g = f.grid
+        return fam._running(g.i0, g.dt, fam._tail_coef(f.tail_value),
+                            fam._rownorm(f.samples)[None].repeat(len(s), 0), s)
+
+    cols = np.arange(i0, i1 + 1)
+    want_run = running(grids[0])
+    for f in grids[1:]:
+        got = running(f)[:, cols - f.grid.i0]
+        assert got.tobytes() == want_run.tobytes()
+    dt = long.grid.dt
+    for sk in s:
+        assert fam.future_norm(past, sk * dt) == fam.future_norm(
+            grids[0], sk * dt)
 
 def _sliding_max(x, win):
     """The ``O(n win)`` running box maximum: the max of each zero-padded
@@ -1237,6 +1355,27 @@ def test_box_running_max_fuzz():
         x[rng.random((rows, n)) < 0.3] = 0.0
         got = Weight.box(win * dt)._accumulate(x, dt, np.maximum)
         assert got.tobytes() == _sliding_max(x, win).tobytes()
+
+
+@pytest.mark.parametrize("op", [np.add, np.maximum], ids=["sum", "max"])
+@pytest.mark.parametrize("edges, values", [
+    ([0.0, 0.3, 1.1], [1.0, 0.4]), ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
+    ([0.0, 0.05, 0.5], [0.0, 2.0]), ([0.0, 50.0], [0.7])])
+def test_table_running_rows_are_sequential_in_lag_order(edges, values, op):
+    # Each position's value is one sequential op.accumulate of its terms
+    # from itself back, bit for bit: zero pieces, a zero first lag and a
+    # support longer than the row included, one row or a stack.
+    w, dt = Weight.table(edges, values), 0.01
+    rng = np.random.default_rng(len(edges))
+    for shape in ((1, 1), (1, 7), (3, 260)):
+        x = rng.uniform(0.0, 2.0, shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        wker = w(np.arange(shape[1]) * dt)
+        want = np.empty_like(x)
+        for c in range(shape[1]):
+            want[:, c] = op.accumulate(x[:, c::-1] * wker[:c + 1], axis=-1)[:, -1]
+        got = w._accumulate(x.copy(), dt, op)
+        assert got.tobytes() == want.tobytes(), shape
 
 
 @pytest.mark.parametrize("fam", [
