@@ -273,11 +273,11 @@ def system(name: str, dt: float) -> SystemBundle:
 
 @contextlib.contextmanager
 def _section(section: str):
-    """Re-raise a bad value met while building ``[section]`` as a
-    ``ValueError`` that names the section."""
+    """Re-raise a bad value or an unreadable file met while building
+    ``[section]`` as a ``ValueError`` that names the section."""
     try:
         yield
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OSError) as e:
         raise ValueError(f"[{section}] {e}") from None
 
 

@@ -34,7 +34,7 @@ from .states import (NaturalState, reachability_experiment,
                      representative_independence, state_bound_check,
                      state_distances, state_matching_ladder)
 from .sysop import (PolyIntegralOperator, TimeAdvance, _recenter,
-                    centered_truncation, check_causality, estimate_npower,
+                    centered_truncations, check_causality, estimate_npower,
                     hypothesis_uniformity_check, steer_to_state, truncation)
 from .timegrid import (Grid, Interval, TimeBatch, TimeFunction, shift_left,
                        splice, to_cells)
@@ -403,56 +403,49 @@ def exp_npower_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     M = catalog.hilbert_schmidt_bound(sysq, dt)
     probes = _random_probes(grid, [cfg.seed, 71], max(10, cfg.probes // 4))
     res.metrics["hs_bound"] = M
-    in0 = lambda u: sysq.input_fam.past_norm(u, 0.0)
-    out0 = lambda y: sysq.output_fam.past_norm(y, 0.0)
-    # Every probe is applied once; the estimates on unshifted probes all
-    # read these outputs.
-    ys = [sysq.apply(u) for u in probes]
+    in_fam, out_fam = sysq.input_fam, sysq.output_fam
+    # Every probe is applied once, and each probe's norms are taken once;
+    # the estimates on unshifted probes all read these.
+    ys = sysq.apply_all(probes)
+    in0, out0 = in_fam.past_norms(probes, 0.0), out_fam.past_norms(ys, 0.0)
+    in_b, out_b = in_fam.bounding_norms(probes), out_fam.bounding_norms(ys)
 
     # Pointwise Cauchy-Schwarz chain and the windowed estimates.
     t0 = grid.index_of(0.0)
-    worst_ratio = estimate_npower(
-        probes, ys, N, in0,
-        lambda y: float(np.max(np.abs(y.samples[: t0 - grid.i0, 0]))))
+    worst_ratio = estimate_npower(in0, np.max(np.abs(
+        ys.samples[:, : t0 - grid.i0, 0]), axis=1).tolist(), N)
     # Each instant applies its own shifted probes: the spread claims that
     # these separate applications agree.
-    ests = []
-    for t in (-1.0, 0.0, 1.0):
-        cen = centered_truncation(sysq, t)
-        ests.append(estimate_npower(probes, [cen(u) for u in probes], N,
-                                    in0, out0))
+    ests = [estimate_npower(in0, out_fam.past_norms(
+        centered_truncations(sysq, t, probes), 0.0), N)
+            for t in (-1.0, 0.0, 1.0)]
     res.metrics["windowed_estimates"] = ests
     res.metric("windowed_max", max(ests), "<=", M * (1.0 + 1e-9))
     # Time invariance, exactly.
     res.check("windowed_spread", max(ests) - min(ests), "==", 0.0)
 
     # Global norm never exceeds the matched windowed suprema.
-    glob = estimate_npower(probes, ys, N, sysq.input_fam.bounding_norm,
-                           sysq.output_fam.bounding_norm)
+    glob = estimate_npower(in_b, out_b, N)
     matched = 0.0
-    for u, y in zip(probes, ys):
-        all_t = sysq.output_fam.past_norms_all_t(y)
-        tstar_pos = int(np.argmax(all_t))
-        t_star = (y.grid.i0 + tstar_pos) * dt
-        if t_star <= y.grid.i0 * dt:
-            t_star = (y.grid.i0 + 1) * dt
-        num = sysq.output_fam.past_norm(y, t_star)
-        den = 1.0 + sysq.input_fam.past_norm(u, t_star) ** N
-        matched = max(matched, num / den)
+    for u, y in zip(probes, ys):  # at the first right end of largest norm
+        t_star = (grid.i0 + max(int(np.argmax(
+            out_fam.past_norms_all_t(y))), 1)) * dt
+        matched = max(matched, estimate_npower(in_fam.past_norms(
+            [u], t_star), out_fam.past_norms([y], t_star), N))
     res.metrics["matched_windowed_supremum"] = matched
     res.metric("global_estimate", glob, "<=", matched * (1.0 + 1e-9))
 
     # Homogeneity of the estimate under output scaling.
-    base = estimate_npower(probes, ys, N, in0, out0)
+    base = estimate_npower(in0, out0, N)
     for c in (0.5, 2.0):
-        est_c = estimate_npower(probes, [c * y for y in ys], N, in0, out0)
+        est_c = estimate_npower(
+            in0, out_fam.past_norms([c * y for y in ys], 0.0), N)
         res.check(f"homogeneity_gap[c={c}]", abs(est_c - c * base),
                   "<=", 1e-12 * max(1.0, est_c))
 
     # Zero operator.
-    zero_est = estimate_npower(probes, [0.0 * y for y in ys], N,
-                               sysq.input_fam.bounding_norm,
-                               sysq.output_fam.bounding_norm)
+    zero_est = estimate_npower(
+        in_b, out_fam.bounding_norms([0.0 * y for y in ys]), N)
     res.check("zero_operator_estimate", zero_est, "==", 0.0)
 
     # Uniformity across window instants (the standing boundedness hypothesis).
@@ -464,10 +457,10 @@ def exp_npower_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
 
     # Centered and uncentered windowed estimates agree exactly.
     t = 0.5
-    cen, trunc = centered_truncation(sysq, t), truncation(sysq, t)
-    gaps = [sysq.output_fam.past_norm(cen(u), 0.0)
-            - sysq.output_fam.past_norm(trunc(shift_left(u, -t)), t)
-            for u in probes[:5]]
+    trunc = truncation(sysq, t)
+    gaps = np.subtract(
+        out_fam.past_norms(centered_truncations(sysq, t, probes[:5]), 0.0),
+        out_fam.past_norms([trunc(shift_left(u, -t)) for u in probes[:5]], t))
     res.metrics["centered_equals_uncentered"] = res.check(
         "centered_minus_uncentered", float(np.max(np.abs(gaps))), "==", 0.0)
     res.metrics["per_point_ratio_bound_ok"] = res.check(
@@ -753,9 +746,8 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     gl = Grid.spanning(dt, -8.0, 2.0)
     ul = _random_probes(gl, [cfg.seed, 113], 1)[0]
 
-    def match(uu, tau):
-        x = s2.apply(uu).value(tau)
-        return steer_to_state(s1, x, tau, 2.0, gl)
+    y2 = s2.apply(ul)  # the ladder matches the states of ul itself
+    match = lambda uu, tau: steer_to_state(s1, y2.value(tau), tau, 2.0, gl)
 
     lad = state_matching_ladder(s1, s2, ul, 0.0, 4, match, futures,
                                 match_tol=1e-6)
@@ -959,13 +951,14 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     for pu in pasts:
         stu = NaturalState(sysq, pu, 0.0)
         zs = [stu.spliced_input(f) for f in futs[:5]]
-        fulls = [sysq.apply(z) for z in zs]  # recentred: the state evaluations
-        xi_norm = estimate_npower(futs[:5], [_recenter(y, 0.0) for y in fulls],
-                                  N, fut_in, fut_out)
+        fulls = sysq.apply_all(zs)  # recentred: the state evaluations
+        xi_norm = estimate_npower([fut_in(f) for f in futs[:5]],
+                                  [fut_out(_recenter(y, 0.0)) for y in fulls], N)
         est_S = max(est_S, xi_norm
                     / (1.0 + sysq.input_fam.past_norm(pu, 0.0) ** N))
         est_F_matched = max(est_F_matched, estimate_npower(
-            zs, fulls, N, in_norm, out_norm))
+            sysq.input_fam.bounding_norms(zs),
+            sysq.output_fam.bounding_norms(fulls), N))
     res.metrics["matched_system_norm"] = est_F_matched
     res.metrics["power_factor"] = 2 ** N + 1
     res.metric("past_to_state_norm", est_S,

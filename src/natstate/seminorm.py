@@ -531,7 +531,21 @@ class FittedFamily:
 
     def past_norm(self, f: TimeFunction, t: float) -> float:
         """Left-expanded norm over ``(-inf, t]``."""
-        return self.seminorm(f, Interval.upto(t))
+        return self.past_norms([f], t)[0]
+
+    def past_norms(self, fs, t: float) -> list[float]:
+        """:meth:`past_norm` of every function of ``fs`` (a batch, or
+        functions on one grid): one :meth:`_seminorms` call on their rows."""
+        if not len(fs):
+            return []
+        fs = TimeBatch.stack(fs)
+        g, B, ti = fs.grid, len(fs), fs.grid.index_of(t)
+        if ti - g.i0 > g.n:
+            raise ValueError("window end beyond represented horizon")
+        tails = np.array([self._tail_coef(tail) for tail in fs.tails])
+        mags = self._rownorm(fs.samples[:, :max(ti - g.i0, 0)])
+        return self._seminorms(g.i0, g.dt, tails, mags, np.arange(B),
+                               np.full(B, NEG_INF), np.full(B, ti)).tolist()
 
     def past_norms_all_t(self, f: TimeFunction) -> np.ndarray:
         """``past_norm`` at every grid instant ``i0 .. i1`` (length n + 1)."""
@@ -561,7 +575,12 @@ class FittedFamily:
 
     def bounding_norm(self, f: TimeFunction) -> float:
         """``sup_t |f|_t``: the norm of the bounding space."""
-        return float(np.max(self.past_norms_all_t(f)))
+        return self.bounding_norms([f])[0]
+
+    def bounding_norms(self, fs) -> list[float]:
+        """:meth:`bounding_norm` of every function of ``fs`` (a batch, or
+        functions on one grid): its :meth:`future_norms` from ``-inf``."""
+        return self.future_norms(TimeBatch.stack(fs), NEG_INF) if len(fs) else []
 
     def __repr__(self) -> str:
         return f"FittedFamily({self.name!r}, p={self.p}, weight={self.weight})"

@@ -113,14 +113,13 @@ def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
         return []
     futures = TimeBatch.stack(futures)
     out_fam = xis[0].system.output_fam
-    in_fam = xis[0].system.input_fam
-    dens = [1.0 + n ** N for n in in_fam.future_norms(futures, 0.0)]
+    ins = xis[0].system.input_fam.future_norms(futures, 0.0)
     eta_outs = [eta.evaluate_all(futures) for eta in etas]
     rows = []
     for xi in xis:
         xi_out = xi.evaluate_all(futures)
-        rows.append([max((d / den for d, den in zip(
-            out_fam.future_norms(xi_out - outs, 0.0), dens)), default=0.0)
+        rows.append([estimate_npower(
+            ins, out_fam.future_norms(xi_out - outs, 0.0), N)
                      for outs in eta_outs])
     return rows
 
@@ -286,9 +285,9 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
 
     futures = TimeBatch.stack(futures)
     zs = [state.spliced_input(v) for v in futures]
-    fulls = [state.system.apply(z) for z in zs]
-    est = estimate_npower(zs, fulls, N, in_fam.bounding_norm,
-                          out_fam.bounding_norm)
+    fulls = state.system.apply_all(zs)
+    est = estimate_npower(in_fam.bounding_norms(zs),
+                          out_fam.bounding_norms(fulls), N)
     evals = TimeBatch.stack([_recenter(y, state.t) for y in fulls])
     ratios = [y / (1.0 + v ** N)
               for v, y in zip(in_fam.future_norms(futures, 0.0),
@@ -300,9 +299,9 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
              for j in range(i + 1, min(len(futures), 6))]
     first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
     dys = out_fam.future_norms(evals[first] - evals[second], 0.0)
+    dfulls = out_fam.bounding_norms(fulls[first] - fulls[second])
     continuity_rows = []
-    for (i, j), dy in zip(pairs, dys):
-        dfull = out_fam.bounding_norm(fulls[i] - fulls[j])
+    for (i, j), dy, dfull in zip(pairs, dys, dfulls):
         continuity_rows.append({
             "pair": [i, j], "centered_gap": dy, "global_gap": dfull,
             "ok": dy <= dfull * (1.0 + 1e-12) + 1e-300,

@@ -11,21 +11,21 @@ Three concrete operators are shipped:
   Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
-  kernels, optionally time varying.  A time-invariant term is one matmul
-  per slot of the inputs' lag matrices against the kernel's cached slot
-  factors (:meth:`PolyKernel.grid_factors`); a time-varying one is
-  contracted over its grid per instant (``_contract``).  One evaluator
-  (``_terms``) serves ``apply`` and the
-  Frechet pair: its inputs share one grid, and it builds a lag matrix once
-  per input and kernel grid size in each call, read by every slot and
-  degree.
+  kernels, optionally time varying.  A time-invariant term is one ``np.vecdot``
+  per slot of the inputs' strided lag windows against the kernel's cached slot
+  factors (:meth:`PolyKernel.grid_factors`), a time-varying term one
+  ``_contract`` call per instant and input, so every output row reads only its
+  own window and rounds alike in ``apply``, ``apply_at`` and ``apply_all``.
+  One evaluator (``_terms``) serves ``apply_all`` and the Frechet pair,
+  reading each input's lag windows in every slot and degree.
 
 Every operator also answers for natural states (``past_summary`` and
 ``future_responses``): by default a summary is the past itself and each
 future response splices, applies and recenters; the convolution and the
 state equation keep only what the future reads of the past, and their
 future outputs equal the definitional ones bit for bit.  A batch of
-futures and its responses are each one ``TimeBatch`` on one grid.
+futures and its responses are each one ``TimeBatch`` on one grid, as are
+the inputs and outputs of ``apply_all``, whose one-element call is ``apply``.
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "PolyIntegralOperator",
     "TimeAdvance",
     "centered_truncation",
+    "centered_truncations",
     "truncation",
     "check_causality",
     "estimate_npower",
@@ -71,7 +72,13 @@ class SystemOp:
     time_invariant: bool
 
     def apply(self, u: TimeFunction) -> TimeFunction:
-        raise NotImplementedError
+        """The one-element :meth:`apply_all`; a subclass defines either."""
+        return self.apply_all([u])[0]
+
+    def apply_all(self, us) -> TimeBatch:
+        """The outputs for ``us`` (functions on one grid) as a batch: one
+        :meth:`apply` each by default."""
+        return TimeBatch.stack([self.apply(u) for u in us])
 
     def apply_at(self, u: TimeFunction, t_indices: np.ndarray) -> np.ndarray:
         """Output values at selected instants only (default: full apply)."""
@@ -95,9 +102,8 @@ class SystemOp:
         """
         u, t_idx = summary
         t = t_idx * u.grid.dt
-        return TimeBatch.stack(
-            [_recenter(self.apply(splice(u, shift_right(v, t), t)), t)
-             for v in vs])
+        ys = self.apply_all([splice(u, shift_right(v, t), t) for v in vs])
+        return TimeBatch.stack([_recenter(y, t) for y in ys])
 
 
 class LimsupConvolution(SystemOp):
@@ -137,28 +143,29 @@ class LimsupConvolution(SystemOp):
             raise ValueError("input grid step differs from impulse-response step")
 
     def _output(self, upad: np.ndarray, ubar: np.ndarray, dt: float):
-        """Output samples ``(B, n, 1)`` and tail from the rows of ``upad``,
+        """Output samples ``(B, n, 1)`` and tails from the rows of ``upad``,
         each the ``m`` inputs up to a grid's start followed by its ``n``
-        samples, and the eventual level ``ubar``.  Output ``j`` of a row
-        reads its ``upad[j .. j + m - 1]`` only.
+        samples, and the eventual levels ``ubar`` (``(B, 1)``, or ``(1,)``
+        for all).  Output ``j`` of a row reads ``upad[j .. j + m - 1]``.
         """
         m = self.h.grid.n
         hv = self.h.samples[:, 0]
         vals = np.empty((upad.shape[0], upad.shape[1] - m, 1))
         for row, out in zip(upad, vals):
-            out[:, 0] = np.convolve(row, hv)[m - 1: m - 1 + out.shape[0]]
-        ubar = float(ubar[0])
+            out[:, 0] = np.convolve(row, hv, "valid")[:out.shape[0]]
         vals *= dt
-        vals += self.tail_gain * ubar
+        vals += self.tail_gain * ubar[..., None, :]
         return vals, ubar * (float(np.sum(hv)) * dt + self.tail_gain)
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
-        self._check_input(u)
-        g = u.grid
-        m = self.h.grid.n
-        upad = u.values_at_indices(np.arange(g.i0 + 1 - m, g.i1 + 1))
-        vals, tail = self._output(upad.T, u.tail_value, g.dt)
-        return TimeFunction(g, vals[0], np.array([tail]))
+    apply = SystemOp.apply  # in each class, for tracers of its own methods
+
+    def apply_all(self, us) -> TimeBatch:
+        """One :meth:`_output` call for the batch."""
+        us = TimeBatch.stack(us)
+        self._check_input(us)
+        g = us.grid
+        upad = _values_after(g, us.samples, us.tails, g.i0 - self.h.grid.n)
+        return TimeBatch(g, *self._output(upad[..., 0], us.tails, g.dt))
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """The last ``m`` inputs up to ``t`` (tail-filled), the eventual
@@ -173,13 +180,10 @@ class LimsupConvolution(SystemOp):
         that each start with the past window."""
         window, ubar, dt = summary
         self._check_input(vs)
-        g = Grid(dt, 0, vs.grid.i1)
-        m = window.shape[0]
-        upad = np.empty((len(vs), m + g.n))
-        upad[:, :m] = window[:, 0]
-        upad[:, m:] = _values_after(vs.grid, vs.samples, vs.tails, 0)[..., 0]
+        upad = np.hstack([np.broadcast_to(window[:, 0], (len(vs), len(window))),
+                          _values_after(vs.grid, vs.samples, vs.tails, 0)[..., 0]])
         vals, tail = self._output(upad, ubar, dt)
-        return TimeBatch(g, vals, np.full((len(vs), 1), tail))
+        return TimeBatch(Grid(dt, 0, vs.grid.i1), vals, np.broadcast_to(tail, (len(vs), 1)))
 
 
 # Higham (2005): the [13/13] Pade numerator coefficients
@@ -292,15 +296,22 @@ class LTISystem(SystemOp):
         Ad, Bd = self._stepper(dt)
         out = samples @ Bd.T
         x = x[..., None]
-        for row in np.moveaxis(out, -2, 0)[..., None]:
-            row += Ad @ x
+        rows = np.moveaxis(out, -2, 0)[..., None]
+        tmp = np.empty(rows.shape[1:])
+        for row in rows:  # out= by position: a keyword costs more per step
+            np.matmul(Ad, x, tmp)
+            np.add(row, tmp, row)
             x = row
         return out
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
-        self._check_input(u)
-        x0 = self.initial_state(u)
-        return TimeFunction(u.grid, self._steps(x0, u.samples, u.grid.dt), x0)
+    apply = SystemOp.apply
+
+    def apply_all(self, us) -> TimeBatch:
+        """One stacked :meth:`_steps` call, each from its tail's state."""
+        us = TimeBatch.stack(us)
+        self._check_input(us)
+        x0 = np.array([self.initial_state(u) for u in us])
+        return TimeBatch(us.grid, self._steps(x0, us.samples, us.grid.dt), x0)
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """The state ``x(t)``, the window's starting state ``x0`` (the output
@@ -360,43 +371,51 @@ class PolyIntegralOperator(SystemOp):
         first use.  Symmetrizing never changes the operator."""
         return {n: symmetrize(k) for n, k in self.kernels.items()}
 
-    def _past_matrix(self, u: TimeFunction, t_idx: np.ndarray, Q: int) -> np.ndarray:
-        """``P[i, j, a] = u_a(t_i - j dt)`` for ``j = 1..Q``.
+    def _past_matrix(self, u, t_idx: np.ndarray, Q: int) -> np.ndarray:
+        """``P[..., i, j, a] = u_a(t_i - j dt)`` for ``j = 1..Q``, of a
+        function, or of each function of a batch (the leading axis).
 
         Row ``i`` is one window over the samples in latest-first order
-        followed by ``Q`` tail rows, so an instant at or below ``i0`` reads
-        only the tail.
+        followed by ``Q + 1`` tail rows, so an instant at or below ``i0``
+        reads only the tail.  A run of instants is a view, others a gather.
         """
         g = u.grid
         if np.any(t_idx > g.i1 + 1):
             raise IndexError("instant index beyond the represented horizon")
-        latest_first = np.concatenate(
-            [u.samples[::-1], np.broadcast_to(u.tail_value, (Q, u.dim))])
+        tail = _tails(u)[..., None, :]
+        latest_first = np.concatenate([u.samples[..., ::-1, :], np.broadcast_to(
+            tail, tail.shape[:-2] + (Q + 1, u.dim))], axis=-2)
         windows = np.lib.stride_tricks.sliding_window_view(
-            latest_first, (Q, u.dim))[:, 0]
-        return windows[np.minimum(g.i1 + 1 - t_idx, g.n)]
+            latest_first, (Q, u.dim), axis=(-2, -1))[..., 0, :, :]
+        pos = np.minimum(g.i1 + 1 - t_idx, g.n + 1)
+        if pos.size and (np.diff(pos) == -1).all():
+            return windows[..., pos[-1]:pos[0] + 1, :, :][..., ::-1, :, :]
+        return windows[..., pos, :, :]
 
     def _term(self, ker: PolyKernel, mats: Sequence[np.ndarray],
               t_idx: np.ndarray, dt: float) -> np.ndarray:
-        """One multilinear term at the instants ``t_idx``, one lag matrix
-        (:meth:`_past_matrix` at ``ker``'s grid size) per slot.
+        """One multilinear term ``(..., I)`` at the instants ``t_idx``, one
+        lag matrix (:meth:`_past_matrix` at ``ker``'s grid size) per slot.
 
         ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
         over the kernel grid.  Slots that read one input take one matrix,
         the same object repeated.  A time-invariant kernel is contracted
-        as ``sum_t prod_s (X_s @ F_s)[:, t]``, one matmul per slot over
-        every instant; a time-varying one is sampled per instant.
+        as ``sum_t prod_s (X_s . F_s[:, t])``, one ``np.vecdot`` per slot
+        (a dot product per row and factor column); a time-varying one is
+        sampled per instant and contracted one row per call.
         """
         scale = dt ** ker.degree
         if not ker.time_varying:
             out = 1.0
             for m, f in zip(mats, ker.grid_factors(dt)):
-                out = out * (m.reshape(m.shape[0], -1) @ f)
-            return out.sum(axis=1) * scale
-        out = np.empty(t_idx.shape[0])
+                out = out * np.vecdot(m.reshape(m.shape[:-2] + (1, -1)), f.T)
+            return out.sum(axis=-1) * scale
+        out = np.empty(mats[0].shape[:-2])
         for i, t in enumerate(t_idx):
             K = ker.grid_values(dt, at_time=float(t * dt))
-            out[i] = _contract(K, [m[i:i + 1] for m in mats])[0]
+            rows = [m[..., i:i + 1, :, :] for m in mats]
+            for b in np.ndindex(out.shape[:-1]):
+                out[b + (i,)] = _contract(K, [r[b].copy() for r in rows])[0]
         return out * scale
 
     def _terms(self, inputs: Sequence[TimeFunction], terms,
@@ -404,9 +423,9 @@ class PolyIntegralOperator(SystemOp):
         """Multilinear terms ``(ker, slots)`` at the instants ``t_idx``, with
         ``inputs[k]`` in each slot ``k`` of ``slots``: one array per term.
 
-        The inputs share one grid.  Each input's lag matrix is built once
-        per kernel grid size and read by every slot and term.  A nonzero
-        input tail under a time-varying kernel is refused.
+        The inputs (functions, or batches of one length) share one grid;
+        each one's lag matrix is built once per grid size and read by every
+        slot and term.  A time-varying kernel refuses a nonzero input tail.
         """
         g = inputs[0].grid
         if any(u.grid != g for u in inputs):
@@ -416,7 +435,7 @@ class PolyIntegralOperator(SystemOp):
         lags: dict[tuple[int, int], np.ndarray] = {}
         out = []
         for ker, slots in terms:
-            if ker.time_varying and any(np.any(inputs[k].tail_value)
+            if ker.time_varying and any(np.any(_tails(inputs[k]))
                                         for k in slots):
                 raise ValueError(
                     "time-varying operator requires zero input tail")
@@ -428,23 +447,25 @@ class PolyIntegralOperator(SystemOp):
                                   g.dt))
         return out
 
-    def apply_at(self, u: TimeFunction, t_indices) -> np.ndarray:
-        """Output values at the instants ``t_indices``: the constant plus
-        each degree's term in turn.  BLAS rounds a row by its place among
-        them, so a subset may differ from rows of ``apply`` in the last bits."""
+    def apply_at(self, u, t_indices) -> np.ndarray:
+        """Output values ``(..., I, 1)`` at the instants ``t_indices`` of a
+        function, or of each function of a batch: the constant plus each
+        degree's term in turn, bit for bit the same rows of :meth:`apply`."""
         t_idx = np.asarray(t_indices, dtype=int)
-        y = np.full(t_idx.shape[0], self.constant, dtype=float)
+        y = np.full(u.samples.shape[:-2] + t_idx.shape, self.constant)
         kers = sorted(self.kernels.items())
         for term in self._terms([u], [(k, [0] * n) for n, k in kers], t_idx):
             y += term
-        return y[:, None]
+        return y[..., None]
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
-        # At ``i0`` every lag reads the constant input tail, so the first row
-        # is the output tail.
-        g = u.grid
-        y = self.apply_at(u, np.arange(g.i0, g.i1 + 1))
-        return TimeFunction(g, y[1:], y[0])
+    apply = SystemOp.apply
+
+    def apply_all(self, us) -> TimeBatch:
+        """One :meth:`_terms` call for the batch.  At ``i0`` every lag reads
+        the constant input tail, so the first row is the output tail."""
+        us = TimeBatch.stack(us)
+        y = self.apply_at(us, np.arange(us.grid.i0, us.grid.i1 + 1))
+        return TimeBatch(us.grid, y[:, 1:], y[:, 0])
 
 
 def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -454,7 +475,7 @@ def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
     ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
     ``(QM, (QM)^(n-1))`` (:func:`_slot_major`); each further slot is one
-    row-wise reduction.
+    row-wise reduction.  BLAS may round a row by its place among ``I``.
     """
     I = mats[0].shape[0]
     T = mats[0].reshape(I, -1) @ _slot_major(K)
@@ -483,6 +504,11 @@ class TimeAdvance(SystemOp):
         return TimeFunction(out, u.samples, u.tail_value)
 
 
+def _tails(u: TimeFunction | TimeBatch) -> np.ndarray:
+    """The tail of a function, or the tails of a batch."""
+    return u.tails if isinstance(u, TimeBatch) else u.tail_value
+
+
 def _recenter(y: TimeFunction, t: float) -> TimeFunction:
     """The part of ``y`` after ``t``, shifted back to start at 0."""
     t_idx = y.grid.index_of(t)
@@ -501,13 +527,16 @@ def centered_truncation(system: SystemOp, t: float):
     Maps a past input ending at 0 to the past output ending at 0 by shifting
     to ``t``, applying the system, truncating, and shifting back.
     """
+    return lambda u0: centered_truncations(system, t, [u0])[0]
 
-    def run(u0: TimeFunction) -> TimeFunction:
-        t_idx = u0.grid.index_of(t)
-        y = system.apply(shift_right(u0, t))
-        return shift_left(y.with_window(y.grid.i0, t_idx + u0.grid.i1), t)
 
-    return run
+def centered_truncations(system: SystemOp, t: float, u0s) -> list:
+    """:func:`centered_truncation` at ``t`` of every past input of ``u0s``
+    (functions on one grid), in order: one ``apply_all`` call."""
+    g = u0s[0].grid
+    i1 = g.index_of(t) + g.i1
+    ys = system.apply_all([shift_right(u0, t) for u0 in u0s])
+    return [shift_left(y.with_window(y.grid.i0, i1), t) for y in ys]
 
 
 def truncation(system: SystemOp, t: float):
@@ -529,14 +558,15 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
 
     For each probe ``u`` and window end ``t``, edits ``u`` strictly after
     ``t`` and requires the outputs to agree up to ``t`` in the output norm,
-    exactly.  Violations are returned with witnesses rather than raised.
+    exactly, applying a probe and its edits in one call.  Violations are
+    returned with witnesses rather than raised.
     """
     rng = np.random.default_rng(rng)
     violations = []
     checks = 0
     for pi, u in enumerate(probes):
         g = u.grid
-        y_u = system.apply(u)
+        edits = []
         for t in ts:
             t_idx = g.index_of(t)
             if t_idx >= g.i1 or t_idx < g.i0:
@@ -544,8 +574,9 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
             edited = np.array(u.samples)
             sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
             edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), u.dim))
-            v = TimeFunction(g, edited, u.tail_value)
-            y_v = system.apply(v)
+            edits.append((t, t_idx, TimeFunction(g, edited, u.tail_value)))
+        y_u, *y_vs = system.apply_all([u] + [v for _, _, v in edits])
+        for (t, t_idx, _), y_v in zip(edits, y_vs):
             lo = min(y_u.grid.i0, y_v.grid.i0)
             d = y_u.with_window(lo, t_idx) - y_v.with_window(lo, t_idx)
             gap = system.output_fam.past_norm(d, t)
@@ -558,13 +589,12 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
 # -- weighted operator norms ---------------------------------------------------
 
 
-def estimate_npower(ins: Sequence[TimeFunction], outs: Sequence[TimeFunction],
-                    N: int, in_norm: Callable[[TimeFunction], float],
-                    out_norm: Callable[[TimeFunction], float]) -> float:
-    """``max |y| / (1 + |x|^N)`` over the pairs ``(x, y)`` of ``ins`` and
-    the outputs ``outs`` the caller computed for them; ``0.0`` for none."""
-    return max((out_norm(y) / (1.0 + in_norm(x) ** N)
-                for x, y in zip(ins, outs, strict=True)), default=0.0)
+def estimate_npower(in_norms: Sequence[float], out_norms: Sequence[float],
+                    N: int) -> float:
+    """``max |y| / (1 + |x|^N)`` over the pairs of input norms ``|x|`` and
+    norms ``|y|`` of the outputs the caller computed; ``0.0`` for none."""
+    return max((y / (1.0 + x ** N)
+                for x, y in zip(in_norms, out_norms, strict=True)), default=0.0)
 
 
 def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
@@ -574,20 +604,18 @@ def hypothesis_uniformity_check(system: SystemOp, ts, probes0, N: int) -> dict:
     continuity modulus over probe pairs; for a time-invariant system the
     per-instant estimates must agree exactly.
     """
-    in_norm = lambda u: system.input_fam.past_norm(u, 0.0)
-    out_norm = lambda y: system.output_fam.past_norm(y, 0.0)
+    in_fam, out_fam = system.input_fam, system.output_fam
+    ins = in_fam.past_norms(probes0, 0.0)
     # The probe pairs' input gaps do not depend on the instant.
-    gaps = [(i, j, in_norm(probes0[i] - probes0[j]))
-            for i in range(len(probes0)) for j in range(i + 1, len(probes0))]
-    per_t = []
-    moduli = []
+    pairs = [(i, j) for i in range(len(ins)) for j in range(i + 1, len(ins))]
+    gaps = in_fam.past_norms([probes0[i] - probes0[j] for i, j in pairs], 0.0)
+    pairs = [(i, j, du) for (i, j), du in zip(pairs, gaps) if du > 0.0]
+    per_t, moduli = [], []
     for t in ts:
-        op = centered_truncation(system, t)
-        outs = [op(u) for u in probes0]
-        per_t.append(estimate_npower(probes0, outs, N, in_norm, out_norm))
-        for i, j, du in gaps:
-            if du > 0.0:
-                moduli.append(out_norm(outs[i] - outs[j]) / du)
+        outs = centered_truncations(system, t, probes0)
+        per_t.append(estimate_npower(ins, out_fam.past_norms(outs, 0.0), N))
+        dys = out_fam.past_norms([outs[i] - outs[j] for i, j, _ in pairs], 0.0)
+        moduli += [dy / du for (_, _, du), dy in zip(pairs, dys)]
     spread = max(per_t) - min(per_t)
     return {
         "uniform_bound": max(per_t),

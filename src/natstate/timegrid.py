@@ -274,14 +274,15 @@ class TimeBatch:
     @staticmethod
     def stack(fs) -> "TimeBatch":
         """``fs`` as one batch: a batch as it is, or a non-empty sequence of
-        (already validated) functions on one grid, stacked."""
+        (already validated) functions on one grid, stacked (one, viewed)."""
         if isinstance(fs, TimeBatch):
             return fs
         if not fs or any(f.grid != fs[0].grid for f in fs):
             raise ValueError("need one or more functions on one grid")
+        stack = (lambda xs: xs[0][None]) if len(fs) == 1 else np.stack
         return _freeze(object.__new__(TimeBatch), fs[0].grid,
-                       np.stack([f.samples for f in fs]),
-                       np.stack([f.tail_value for f in fs]))
+                       stack([f.samples for f in fs]),
+                       stack([f.tail_value for f in fs]))
 
     @property
     def dim(self) -> int:

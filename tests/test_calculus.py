@@ -473,7 +473,8 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     # sha256 of the reports that one closed-form call per pair, the
     # trapezoid as masked np.where chains, one window call per uniform-ratio
     # end, a second apply per spliced input and time-invariant terms
-    # contracted through the kernels' slot factors wrote, at four pasts.
+    # contracted through the kernels' slot factors, one dot product per
+    # output row and factor column, wrote, at four pasts.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\npasts = 4\nexperiments = ["state-closed-form", '
                        '"shift-derivative", "frechet-derivatives"]\n')
@@ -487,16 +488,16 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in names}
     assert digests == {
-        "state-closed-form.json": "a50682f817212117ec54db02dd080fb8"
-                                  "82c9baa300e7ff11c4a110344fa97f04",
-        "state-closed-form_quadratic.csv": "d833e5998daac6597b4669ab1fbe383a"
-                                           "22dd57ee536c5b724b8a774d7384985b",
+        "state-closed-form.json": "1e4b421156af973e81ffa59d7e2d69f2"
+                                  "5c8c8f0f09c1f4364d20eb136c57eb1c",
+        "state-closed-form_quadratic.csv": "512b654d6f979581dbac6bb148f110b5"
+                                           "092c78d81429e6a0ba760f7784ca535d",
         "shift-derivative.json": "885acaee91d895f008771e3763da10dd"
                                  "3cc895445bcb5c077ebe85850e41da9c",
         "shift-derivative_trapezoid.csv": "94f233f4d8e099b4b04f1f918641feb4"
                                           "68649e77175b117e55cdfce25bf889b1",
-        "frechet-derivatives.json": "c2ac4a366f69aa9305557e3e85637060"
-                                    "ded07772df983226236deddef16d2aac",
+        "frechet-derivatives.json": "b0a141b52d5fffdc6b97006879296639"
+                                    "171ecd74414cb241da394bcc2792d2d6",
         "frechet-derivatives_remainder_decay.csv":
             "907264f65e143ba9a5dbfae574249dfa"
             "826be8bf6a9aac81fa985e3d3e75e950"}

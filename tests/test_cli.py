@@ -451,6 +451,18 @@ def test_malformed_kernel_csv_exits_2(tmp_path, capsys, old, new, reason):
     assert "PASS" not in captured.out and not out.exists()
 
 
+def test_missing_kernel_csv_names_its_section(tmp_path, capsys):
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('[system.x]\nvariant = "poly"\nkernel_csv = "nofile.csv"\n')
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfgfile), "--experiment", "taper",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [system.x] ")
+    assert "nofile.csv" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("toml, reason", [
     ('[system.bad]\nvariant = "conv"\nsupport = 1e6',
      "[system.bad] support 1000000.0 takes 1e+08 cells at dt=0.01, more "

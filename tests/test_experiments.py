@@ -69,19 +69,19 @@ def test_checks_compare_observed_with_bound():
 
 def test_npower_bounds_applies_each_unshifted_probe_once(monkeypatch):
     calls = []
-    apply = PolyIntegralOperator.apply
+    apply_all = PolyIntegralOperator.apply_all
 
-    def counting(self, u):
-        calls.append(u)
-        return apply(self, u)
+    def counting(self, us):
+        calls.append(len(us))
+        return apply_all(self, us)
 
-    monkeypatch.setattr(PolyIntegralOperator, "apply", counting)
+    monkeypatch.setattr(PolyIntegralOperator, "apply_all", counting)
     assert run_experiment("npower-bounds", RunConfig()).passed
-    # 15 probes: one pass shared by every unshifted estimate (15), the
+    # 15 probes: one batch shared by every unshifted estimate (15), the
     # centered views at three instants (45), the uniformity check on six
     # probes at three instants (18) and the centered/uncentered pairs on
-    # five probes (10).
-    assert len(calls) == 15 + 45 + 18 + 10
+    # five probes (10), the uncentered side one probe at a time.
+    assert calls == [15] * 4 + [6] * 3 + [5] + [1] * 5
 
 
 @pytest.mark.parametrize("name, bound", [("npower-bounds", 2.514 + 0.15),

@@ -751,6 +751,30 @@ def test_future_norms_match_one_function_calls(rough, fam):
 
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
+def test_past_and_bounding_norms_match_one_function_calls(rough, fam):
+    # A batch on each of two grids, with zero and nonzero tails in each:
+    # one batched call gives every function the bits of its own one-window
+    # seminorms call and its own running row (a scalar tail coefficient),
+    # at right ends before, at and after the grid start.
+    rng = np.random.default_rng(74)
+    for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
+        fs = TimeBatch(g, rng.standard_normal((5, g.n, 2)), [
+            rng.standard_normal(2) if k % 3 and not _divergent(fam, rough)
+            else np.zeros(2) for k in range(5)])
+        for ti in (g.i0 - 3, g.i0, g.i0 + 1, 0, g.i1):
+            want = [float(fam.seminorms(f, [-math.inf], [ti])[0]).hex()
+                    for f in fs]
+            got = fam.past_norms(fs, ti * g.dt)
+            assert [x.hex() for x in got] == want
+            assert [fam.past_norm(f, ti * g.dt).hex() for f in fs] == want
+            assert fam.past_norms(list(fs), ti * g.dt) == got
+        want = [float(np.max(fam.past_norms_all_t(f))).hex() for f in fs]
+        assert [x.hex() for x in fam.bounding_norms(fs)] == want
+        assert [fam.bounding_norm(f).hex() for f in fs] == want
+        assert fam.past_norms(fs[:0], 0.0) == fam.bounding_norms([]) == []
+
+
+@pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
 def test_running_refuses_finite_left_end_before_a_nonzero_tail(rough, fam):
     # Every right end is read from the grid start on, so a finite left end
     # before it would miss the right ends in between: refused, as is a sup

@@ -124,9 +124,9 @@ def test_state_distances_match_pairwise(averager, futures):
     def pairwise(xi, eta):
         # The definition: both states evaluated afresh for this pair.
         return estimate_npower(
-            futures, [xi.evaluate(v) - eta.evaluate(v) for v in futures], 2,
-            lambda v: fam_in.future_norm(v, 0.0),
-            lambda d: fam_out.future_norm(d, 0.0))
+            [fam_in.future_norm(v, 0.0) for v in futures],
+            [fam_out.future_norm(xi.evaluate(v) - eta.evaluate(v), 0.0)
+             for v in futures], 2)
 
     got = state_distances(xis, etas, 2, futures)
     assert got == [[pairwise(xi, eta) for eta in etas] for xi in xis]

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
-                      TimeFunction, centered_truncation, check_causality,
-                      estimate_npower, frechet_of,
+                      TimeBatch, TimeFunction, centered_truncation,
+                      check_causality, estimate_npower, frechet_of,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
 from natstate import catalog
@@ -252,9 +252,9 @@ def test_centered_equals_truncated_estimate(quad):
     g0 = Grid(DT, -int(2.0 / DT), 0)
     probes0 = _pasts(g0, 17, 4)
     op = centered_truncation(sysq, t)
-    cen = estimate_npower(probes0, [op(u0) for u0 in probes0], 2,
-                          lambda u: sysq.input_fam.past_norm(u, 0.0),
-                          lambda y: sysq.output_fam.past_norm(y, 0.0))
+    cen = estimate_npower(
+        [sysq.input_fam.past_norm(u0, 0.0) for u0 in probes0],
+        [sysq.output_fam.past_norm(op(u0), 0.0) for u0 in probes0], 2)
     tr = truncation(sysq, t)
     best = 0.0
     for u0 in probes0:
@@ -269,19 +269,19 @@ def test_npower_zero_scaling_monotone(quad):
     sysq = quad.system
     g0 = Grid(DT, -int(2.0 / DT), 0)
     probes0 = _pasts(g0, 19, 6)
-    in_n = lambda u: sysq.input_fam.past_norm(u, 0.0)
-    out_n = lambda y: sysq.output_fam.past_norm(y, 0.0)
+    ins = [sysq.input_fam.past_norm(u, 0.0) for u in probes0]
+    out_n = lambda ys: [sysq.output_fam.past_norm(y, 0.0) for y in ys]
     ys = [sysq.apply(u) for u in probes0]
-    zero = estimate_npower(probes0, [0.0 * y for y in ys], 2, in_n, out_n)
+    zero = estimate_npower(ins, out_n([0.0 * y for y in ys]), 2)
     assert zero == 0.0
-    base = estimate_npower(probes0, ys, 2, in_n, out_n)
-    tripled = estimate_npower(probes0, [3.0 * y for y in ys], 2, in_n, out_n)
+    base = estimate_npower(ins, out_n(ys), 2)
+    tripled = estimate_npower(ins, out_n([3.0 * y for y in ys]), 2)
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
     # Estimates grow with the probe set.
-    small = estimate_npower(probes0[:3], ys[:3], 2, in_n, out_n)
+    small = estimate_npower(ins[:3], out_n(ys[:3]), 2)
     assert small <= base
     # No pairs, no size.
-    assert estimate_npower([], [], 2, in_n, out_n) == 0.0
+    assert estimate_npower([], [], 2) == 0.0
 
 
 def test_global_below_windowed_suprema(quad):
@@ -289,8 +289,8 @@ def test_global_below_windowed_suprema(quad):
     g = quad.grid(DT)
     probes = _pasts(g, 21, 4)
     ys = [sysq.apply(u) for u in probes]
-    glob = estimate_npower(probes, ys, 2, sysq.input_fam.bounding_norm,
-                           sysq.output_fam.bounding_norm)
+    glob = estimate_npower([sysq.input_fam.bounding_norm(u) for u in probes],
+                           [sysq.output_fam.bounding_norm(y) for y in ys], 2)
     matched = 0.0
     for u, y in zip(probes, ys):
         allt = sysq.output_fam.past_norms_all_t(y)
@@ -336,14 +336,16 @@ def test_hypothesis_uniformity(quad):
 
 def test_hypothesis_uniformity_applies_once_per_instant_and_probe(
         quad, monkeypatch):
+    # One apply_all call per instant, with every probe in it.
     sysq = quad.system
     probes0 = _pasts(Grid(DT, -int(1.5 / DT), 0), 23, 4)
     ts = (-0.4, 0.0, 0.4)
     calls = []
-    apply = sysq.apply
-    monkeypatch.setattr(sysq, "apply", lambda u: calls.append(u) or apply(u))
+    apply_all = sysq.apply_all
+    monkeypatch.setattr(sysq, "apply_all",
+                        lambda us: calls.append(len(us)) or apply_all(us))
     hypothesis_uniformity_check(sysq, ts, probes0, 2)
-    assert len(calls) == len(ts) * len(probes0)
+    assert calls == [len(probes0)] * len(ts)
 
 
 def test_steering_reaches_target_exactly():
@@ -528,14 +530,9 @@ def _grid_kernel(kind, n, M, Q, rng):
     return PolyKernel(n, float(Q), input_dim=M, data=K, data_dt=1.0)
 
 
-class _Matmuls(np.ndarray):
-    """A lag matrix that counts the matmuls it takes part in."""
-
-    calls = 0
-
-    def __matmul__(self, other):
-        _Matmuls.calls += 1
-        return np.asarray(self) @ other
+def _counted(fn, calls):
+    """``fn``, recording the shape of its first argument at every call."""
+    return lambda *args, **kw: calls.append(args[0].shape) or fn(*args, **kw)
 
 
 @settings(max_examples=150, deadline=None)
@@ -544,6 +541,9 @@ class _Matmuls(np.ndarray):
        kind=st.sampled_from(["zero", "1-separable", "2-separable",
                              "3-separable", "full-rank"]),
        shared=st.booleans())
+# Zero grids of degree 2 and 3 factor at rank 0: no factor column at all.
+@example(n=2, M=1, Q=3, I=5, seed=0, kind="zero", shared=True)
+@example(n=3, M=2, Q=2, I=4, seed=0, kind="zero", shared=False)
 def test_factored_term_matches_the_direct_contraction(n, M, Q, I, seed, kind,
                                                       shared):
     # The term through the slot factors against _contract and the einsum
@@ -557,16 +557,19 @@ def test_factored_term_matches_the_direct_contraction(n, M, Q, I, seed, kind,
     mats = mats * n if shared else mats
     op = PolyIntegralOperator([ker], 0.0, catalog.family("uniform-l2"),
                               catalog.family("esssup"), input_dim=M)
-    _Matmuls.calls = 0
-    got = op._term(ker, [m.view(_Matmuls) for m in mats], np.arange(I), 1.0)
-    assert _Matmuls.calls == n  # one per slot, whatever the rank
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "vecdot", _counted(np.vecdot, calls))
+        got = op._term(ker, mats, np.arange(I), 1.0)
+    assert len(calls) == n  # one contraction per slot, whatever the rank
+    assert got.shape == (I,)
     bound = (K.size * np.finfo(float).eps * np.max(np.abs(K))
              * np.prod([np.abs(m).reshape(I, -1).sum(axis=1) for m in mats],
                        axis=0))
     for want in (_contract(K, mats), np.einsum(EINSUM_ORACLE[n], K, *mats)):
         assert np.all(np.abs(got - want) <= bound)
-    # At most (QM)^(n-1) terms: the n matmuls (I, QM) @ (QM, T) cost at
-    # most n times _contract's (I, QM) @ (QM, (QM)^(n-1)).
+    # At most (QM)^(n-1) terms: the n contractions of (I, QM) with (QM, T)
+    # cost at most n times _contract's (I, QM) @ (QM, (QM)^(n-1)).
     D = Q * M
     F = ker.grid_factors(1.0)
     assert all(f.shape == F[0].shape for f in F) and len(F) == n
@@ -821,9 +824,9 @@ def test_shared_lag_matrices_keep_every_bit(name):
 
 @pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra"])
 def test_apply_at_subsets_agree_with_apply_to_rounding(name):
-    # BLAS rounds a row of the slot matmuls by its place among the
-    # requested rows, so a subset of instants may differ from the same rows
-    # of apply in the last bits: never by more.
+    # Each output row is a dot product of its own lag window with the slot
+    # factors, so any subset of instants gets the bits of the same rows of
+    # apply.
     dt = 0.01
     b = catalog.system(name, dt)
     g = b.grid(dt)
@@ -836,5 +839,39 @@ def test_apply_at_subsets_agree_with_apply_to_rounding(name):
         t_idx = np.sort(rng.choice(instants, size=rng.integers(1, 60),
                                    replace=False))
         got = b.system.apply_at(u, t_idx)[:, 0]
-        np.testing.assert_allclose(got, rows[t_idx - g.i0], rtol=1e-12,
-                                   atol=0.0)
+        assert np.array_equal(got, rows[t_idx - g.i0])
+
+
+@pytest.mark.parametrize("name", [
+    "averager-1x", "fading-conv", "oscillator", "leaky-integrator",
+    "quadratic-volterra", "quadratic-volterra-tv", "cubic-volterra", "vector",
+    "two-supports", "time-advance"])
+def test_apply_all_matches_a_loop_of_apply(name):
+    # One batched call gives every input the bits of its own apply: the
+    # convolution, the state equation, polynomial degrees 1-3, a
+    # time-varying kernel, two inputs and two kernel grid sizes, and the
+    # default loop.
+    dt = 0.05
+    if name == "vector":
+        op = _vector_operator()
+    elif name == "two-supports":
+        op = _two_support_operator()
+    elif name == "time-advance":
+        op = TimeAdvance(3, catalog.family("uniform-l2"),
+                         catalog.family("esssup"))
+    else:
+        op = catalog.system(name, dt).system
+    g = Grid(dt, -30, 25)
+    rng = np.random.default_rng(44)
+    M = op.input_dim
+    us = [TimeFunction(g, rng.standard_normal((g.n, M)) * 0.5,
+                       np.full(M, 0.4 * (k % 2) if op.time_invariant else 0.0))
+          for k in range(5)]
+    ys = op.apply_all(us)
+    assert isinstance(ys, TimeBatch) and len(ys) == len(us)
+    for u, y in zip(us, ys):
+        assert _same_bits(y, op.apply(u))
+    assert _same_bits(op.apply_all(TimeBatch.stack(us)[2:4])[1], ys[3])
+    if isinstance(op, PolyIntegralOperator):
+        want = _apply_at_per_slot(op, us[1], np.arange(g.i0, g.i1 + 1))
+        assert _same_bits(ys[1], TimeFunction(g, want[1:], want[0]))
