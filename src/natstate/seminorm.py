@@ -16,6 +16,7 @@ membership of samples is exact and shift invariance holds bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -694,49 +695,35 @@ class NormReport:
         }
 
 
-# Draws that one vectorized pass of ``_read_draws`` covers at most.
-_DRAW_BLOCK = 1024
-_LOW = np.uint64(0xFFFFFFFF)
+# Raw words one read of a draw stream fetches.
+_WORDS = 512
 
 
-def _read_draws(gen, double, lo, a, b, dep):
-    """Run scalar draws on a PCG64 generator from its raw words read in bulk.
-
-    Draw ``k`` is ``gen.random()`` where ``double[k]``, else
-    ``gen.integers(lo[k], lo[k] + n)`` with ``n = a[k] + b[k] *
-    ints[dep[k]]``: a range may read the result of one earlier draw whose
-    own range is fixed (``b == 0``).  Returns ``(ints, floats)``, each value
-    bit for bit what one numpy call per draw gives, and leaves ``gen`` in
-    the state those calls leave.  As in numpy, ``random()`` is a word's top
-    53 bits, and a range of ``n`` values is Lemire's method on 32-bit
-    halves: ``x * n >> 32``, drawing ``x`` again while ``x * n mod 2**32 <
-    (2**32 - n) mod n``.  A word's high half waits in the generator state
-    (``has_uint32``/``uinteger``) for the next 32-bit draw, and ``n == 1``
-    draws nothing.  A pass assumes every draw takes its nominal share of
-    the stream and keeps the prefix before the first one that does not (a
-    rejection, or one value through ``dep``), which takes a scalar step.
-    """
+@contextmanager
+def _pcg64_draws(gen):
+    """``(integers, random)`` on the raw words of the PCG64 generator ``gen``:
+    bit for bit what ``gen.integers(lo, hi)`` and ``gen.random()`` give, and
+    on exit ``gen`` is in the state those calls leave.  As in numpy,
+    ``random()`` is a word's top 53 bits, and a range of ``n > 1`` values is
+    Lemire's method on a 32-bit half, ``x * n >> 32``, drawn again while
+    ``x * n mod 2**32 < (2**32 - n) mod n``; a word's high half waits
+    (``has_uint32``/``uinteger``) for the next, and one value draws nothing."""
     bg = gen.bit_generator
     if type(bg) is not np.random.PCG64:
-        raise ValueError("random windows are read in bulk from a PCG64 "
-                         f"stream; this generator runs {type(bg).__name__}")
+        raise ValueError("random windows are read from a PCG64 stream; "
+                         f"this generator runs {type(bg).__name__}")
     start = bg.state
-    has, u = start["has_uint32"], start["uinteger"]
-    N = len(double)
-    ints, floats = np.zeros(N, np.int64), np.zeros(N)
-    halves = ~double & ((b != 0) | (a != 1))  # nominally one 32-bit half
-    words = np.zeros(0, np.uint64)
-    p = k = 0  # words read, draws done
+    has, u, used = start["has_uint32"], start["uinteger"], 0
 
-    def word(i):
-        nonlocal words
-        if i >= len(words):
-            words = np.concatenate([words, bg.random_raw(N - k + 64)])
-        return words[i]
+    def fetch():
+        while True:
+            yield from bg.random_raw(_WORDS).tolist()
 
-    def bounded(n):
-        # One scalar draw of n values from the stream, as numpy takes it.
-        nonlocal p, has, u
+    words = fetch()
+
+    def integers(lo, hi):
+        nonlocal has, u, used
+        n = hi - lo
         if not 1 <= n <= 1 << 32:
             raise ValueError(f"ranges of 1 to 2**32 values only, got {n}")
         m, least = 0, ((1 << 32) - n) % n
@@ -744,104 +731,52 @@ def _read_draws(gen, double, lo, a, b, dep):
             if has:
                 x, has = u, 0
             else:
-                v = int(word(p))
-                p, x, u, has = p + 1, v & 0xFFFFFFFF, v >> 32, 1
+                v, used = next(words), used + 1
+                x, u, has = v & 0xFFFFFFFF, v >> 32, 1
             m = x * n
             if m & 0xFFFFFFFF >= least:
                 break
-        return m >> 32
+        return lo + (m >> 32)
+
+    def random():
+        nonlocal used
+        used += 1
+        return (next(words) >> 11) * 2.0 ** -53
 
     try:
-        while k < N:
-            e = min(N, k + _DRAW_BLOCK)
-            word(p + e - k)
-            sl, dbl, half = slice(k, e), double[k:e], halves[k:e]
-            # The c-th half of the pass is the buffered one for c = -1,
-            # else half c % 2 of the word fetched by the even c at or
-            # before it.
-            cc = np.cumsum(half) - 1 - has
-            fetch = dbl | (half & (cc % 2 == 0))
-            w = p + np.cumsum(fetch) - 1
-            hi = np.flatnonzero(half)
-            c = cc[hi]
-            wh = w[hi[np.arange(len(hi)) - (c & 1)]]
-            x = np.zeros(e - k, np.uint64)
-            x[hi] = words[wh] >> (32 * (c & 1)).astype(np.uint64) & _LOW
-            if has and len(hi):
-                x[hi[0]] = u
-            floats[sl][dbl] = (words[w[dbl]] >> np.uint64(11)) * 2.0 ** -53
-            for _ in range(2):  # the fixed ranges, then those that read them
-                n = a[sl] + b[sl] * ints[dep[sl]]
-                nn = np.maximum(n, 1).astype(np.uint64)
-                m = x * nn
-                ints[sl] = lo[sl] + (m >> np.uint64(32)).astype(np.int64)
-            bad = half & ((n < 2) | (n > 1 << 32)
-                          | (m & _LOW < (np.uint64(1 << 32) - nn) % nn))
-            q = int(np.argmax(bad)) if bad.any() else e - k
-            p += int(np.count_nonzero(fetch[:q]))
-            j = int(np.count_nonzero(half[:q])) - 1  # the last half read
-            if j >= 0:
-                has = int(c[j] % 2 == 0)
-                u = int(words[wh[j]] >> np.uint64(32)) if c[j] >= 0 else u
-            # The draw that broke the pass takes a scalar step, and so do
-            # the next _DRAW_BLOCK // 16 when it broke that early.
-            k += q
-            end = min(N, k + (1 if q > _DRAW_BLOCK // 16 else _DRAW_BLOCK // 16))
-            for i in range(k, end):
-                if double[i]:
-                    floats[i] = (int(word(p)) >> 11) * 2.0 ** -53
-                    p += 1
-                else:
-                    ints[i] = lo[i] + bounded(int(a[i] + b[i] * ints[dep[i]]))
-            k = end
+        yield integers, random
     finally:
-        # Rewind the read-ahead: the state after p words and the half
-        # waiting in it.
+        # Rewind the read-ahead to the words drawn, then set the half.
         bg.state = start
-        bg.advance(p)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = has, u
-        bg.state = state
-    return ints, floats
+        bg.advance(used)
+        bg.state = {**bg.state, "has_uint32": has, "uinteger": u}
 
 
 def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
-    """Every random draw of ``check_ff_axioms``, in the order of a loop over
-    probes: for each probe ``m`` triples ``r < s < t`` in its grid, ``m``
-    (bump, shift) edit pairs, and ``m`` triples of span at most
-    ``alpha_idx``.  A triple draws its span in ``[2, cap]``, ``r`` so that
-    ``t = r + span`` stays in the grid, then ``s`` in ``(r, t)``.  Probes
-    are read in groups of about ``_DRAW_BLOCK`` draws, which bounds the
-    memory the reader holds."""
-    # Roles: span, r, s - r, random(), shift, span within alpha.
-    role = np.concatenate([np.tile(x, m) for x in ([0, 1, 2], [3, 4],
-                                                    [5, 1, 2])])
-    b = np.array([0, -1, 1, 0, 0, 0])[role]
-    back = np.arange(8 * m) + np.array([0, -1, -2, 0, 0, 0])[role]
-    per = max(1, _DRAW_BLOCK // max(1, 8 * m))
-    parts = []
-    for c0 in range(0, len(probes), per):
-        fs = probes[c0:c0 + per]
-        n = np.array([[f.grid.n] for f in fs])
-        i0 = np.array([[f.grid.i0] for f in fs])
-        cap = n if alpha_idx is None else np.minimum(n, alpha_idx)
-        one = np.ones_like(n)
-        lo = np.hstack([2 * one, i0, one, 0 * one, -n, 2 * one])[:, role]
-        a = np.hstack([np.maximum(3, n + 1) - 2, n + 1, -one, one, 2 * n,
-                       np.maximum(3, cap + 1) - 2])[:, role]
-        dep = back + 8 * m * np.arange(len(fs))[:, None]
-        ints, floats = (x.reshape(len(fs), 8 * m) for x in _read_draws(
-            rng, np.tile(role == 3, len(fs)), lo.ravel(), a.ravel(),
-            np.tile(b, len(fs)), dep.ravel()))
-        parts.append((ints[:, :3 * m], 1.0 + floats[:, 3 * m:5 * m:2],
-                      ints[:, 3 * m + 1:5 * m:2], ints[:, 5 * m:]))
-    tri, bump, shift, cmp_tri = (np.concatenate(x) for x in zip(*parts))
+    """The draws of ``check_ff_axioms`` on ``probes``, probe by probe: ``m``
+    triples ``r < s < t`` in its grid, ``m`` (bump, shift) edits and ``m``
+    triples of span at most ``alpha_idx``, as arrays ``(tri, bump, shift,
+    cmp_tri)``.  A triple draws its span in ``[2, cap]``, then ``r`` so
+    that ``t = r + span`` stays in the grid, then ``s`` in ``(r, t)``."""
+    tri, edits, cmp_tri = [], [], []
+    with _pcg64_draws(rng) as (integers, random):
+        def triples(out, g, cap):
+            for _ in range(m):
+                span = integers(2, max(3, cap + 1))
+                r = integers(g.i0, g.i1 - span + 1)
+                out += (r, integers(r + 1, r + span), r + span)
 
-    def triples(x):
-        span, r, ds = np.moveaxis(x.reshape(len(x), m, 3), 2, 0)
-        return np.stack([r, r + ds, r + span], axis=2)
-
-    return triples(tri), bump, shift, triples(cmp_tri)
+        for f in probes:
+            g = f.grid
+            triples(tri, g, g.n)
+            for _ in range(m):
+                edits += (random(), integers(-g.n, g.n))
+            triples(cmp_tri, g, min(g.n, alpha_idx or g.n))
+    shape = (len(probes), m)
+    bump, shift = np.array(edits).reshape(*shape, 2).transpose(2, 0, 1)
+    tri, cmp_tri = (np.array(x, np.int64).reshape(*shape, 3)
+                    for x in (tri, cmp_tri))
+    return tri, 1.0 + bump, shift.astype(np.int64), cmp_tri
 
 
 # Relative slack of the monotonicity and split-triangle checks.
@@ -862,11 +797,10 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     monotonicity and split-triangle conditions get a relative slack of
     ``_AXIOM_RTOL`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
-    order, then triple order.  The random draws of the whole check are read
-    first, in bulk from the generator's raw PCG64 words (``_read_draws``),
-    and come out as the scalar ``integers``/``random`` calls of a per-probe
-    loop would give them; any other bit generator is refused with a
-    ``ValueError``.  Probes then go in chunks of consecutive probes, as
+    order, then triple order.  The random windows and edits of the whole
+    check are drawn first, as one numpy call per draw would give them
+    (:func:`_axiom_draws`; a bit generator other than PCG64 is refused with
+    a ``ValueError``).  Probes then go in chunks of consecutive probes, as
     many as stack at most ``_AXIOM_BUDGET`` row elements: a chunk stacks
     its probes' magnitude rows with the rows of their edited differences
     and evaluates every window of every condition, each on its own row,
@@ -874,7 +808,6 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     builds a shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
-    report = NormReport(family=fam.name, alpha=fam.alpha, K_declared=fam.K)
     res = {name: ConditionResult(True, 0) for name in
            ("locality", "shift_invariance", "monotone_in_s",
             "triangle_over_split", "window_comparison")}
@@ -883,11 +816,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     m = n_triples
     width = max(f.grid.n for f in probes)
     k_obs = 0.0
-    tri, bump, shift, cmp_tri = _axiom_draws(rng, probes, m, alpha_idx)
-    i0s = np.array([f.grid.i0 for f in probes])
-    tails = np.array([[fam._tail_coef(f.tail_value),
-                       fam._tail_coef(f.tail_value - (f.tail_value + 1.0))]
-                      for f in probes])
+    draws = _axiom_draws(rng, probes, m, alpha_idx)
 
     def record(name, failed, witness):
         c = res[name]
@@ -901,18 +830,20 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     # One stack for every chunk, zero past each probe's grid.
     whole = np.zeros((min(per, len(probes)), m + 1, width))
     for c0 in range(0, len(probes), per):
-        fs = probes[c0:c0 + per]
-        c1 = c0 + len(fs)
+        fs, tri, bump, h, cmp_tri = (x[c0:c0 + per] for x in (probes, *draws))
         stack = whole[:len(fs)]
         stack[...] = 0.0
+        i0 = np.repeat([[f.grid.i0] for f in fs], 7 * m, axis=1)
+        tail = np.empty((len(fs), 7 * m))
         for k, f in enumerate(fs):
             g = f.grid
+            tail[k] = fam._tail_coef(f.tail_value)
+            tail[k, :m] = fam._tail_coef(f.tail_value - (f.tail_value + 1.0))
             stack[k, 0, :g.n] = fam._rownorm(f.samples)
             idx = np.arange(g.i0 + 1, g.i1 + 1)
-            outside = ((idx <= tri[c0 + k, :, 1:2])
-                       | (idx > tri[c0 + k, :, 2:]))
+            outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
             diff = f.samples - np.where(outside[:, :, None],
-                                        f.samples + bump[c0 + k, :, None, None],
+                                        f.samples + bump[k, :, None, None],
                                         f.samples)
             stack[k, 1:, :g.n] = fam._rownorm(
                 diff.reshape(-1, f.dim)).reshape(m, g.n)
@@ -923,13 +854,9 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
         # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
         # of the stack: its magnitudes, then its difference with edit j in
         # row k (m + 1) + 1 + j.
-        r, s, t = tri[c0:c1].transpose(2, 0, 1)
-        rc, sc, tc = cmp_tri[c0:c1].transpose(2, 0, 1)
-        h = shift[c0:c1]
-        i0 = np.repeat(i0s[c0:c1, None], 7 * m, axis=1)
+        r, s, t = tri.transpose(2, 0, 1)
+        rc, sc, tc = cmp_tri.transpose(2, 0, 1)
         i0[:, 4 * m:5 * m] -= h
-        tail = np.repeat(tails[c0:c1, :1], 7 * m, axis=1)
-        tail[:, :m] = tails[c0:c1, 1:]
         rows = np.zeros((len(fs), 7 * m), dtype=np.int64)
         rows[:, :m] = 1 + np.arange(m)
         rows += (m + 1) * np.arange(len(fs))[:, None]
@@ -942,18 +869,18 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
 
         def window(k, j):
             return {"probe": c0 + k, "window": [x * dt for x in
-                                                tri[c0 + k, j, 1:].tolist()]}
+                                                tri[k, j, 1:].tolist()]}
 
         def triple(k, j, tris=tri):
             return {"probe": c0 + k,
-                    "triple": [x * dt for x in tris[c0 + k, j].tolist()]}
+                    "triple": [x * dt for x in tris[k, j].tolist()]}
 
         # (1) locality: each edit is strictly outside its (s, t].
         record("locality", v != 0.0, lambda k, j: {
             **window(k, j), "value": float(v[k, j])})
         # (2)-(4) shift invariance, monotonicity and the split triangle.
         record("shift_invariance", a != nst, lambda k, j: {
-            **window(k, j), "shift": int(shift[c0 + k, j]) * dt,
+            **window(k, j), "shift": int(h[k, j]) * dt,
             "lhs": float(a[k, j]), "rhs": float(nst[k, j])})
         record("monotone_in_s",
                nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
@@ -968,15 +895,13 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
         record("window_comparison", (near > 0.0) & (far == 0.0),
                lambda k, j: {**triple(k, j, cmp_tri), "ratio": "inf"})
         pos = far > 0.0
-        if np.any(pos):
-            k_obs = max(k_obs, float(np.max(near[pos] / far[pos])))
+        k_obs = max(k_obs, float(np.max(near[pos] / far[pos], initial=0.0)))
     if np.isfinite(fam.K) and k_obs > fam.K * (1.0 + 1e-9):
         res["window_comparison"].passed = False
         res["window_comparison"].witness = res["window_comparison"].witness or {
             "K_observed": k_obs, "K_declared": fam.K}
-    report.conditions = res
-    report.K_observed = k_obs
-    return report
+    return NormReport(family=fam.name, conditions=res, alpha=fam.alpha,
+                      K_declared=fam.K, K_observed=k_obs)
 
 
 # -- memory classification -------------------------------------------------

@@ -1,12 +1,14 @@
 """Reports at the benchmark's sizes against the reference stored with it.
 
-The norm-axioms and linear-states workloads run in process at
+The poly-bounds, norm-axioms and linear-states workloads run in process at
 ``bench/run.py``'s sizes and default seed, and each report directory must
 match ``bench/reference/<workload>/<label>`` under ``bench/compare.py``'s
 tolerance, so a change that moves a report beyond it fails here before the
-benchmark sees it.  Their seven experiments seed nothing from ``hash``, so
-the result does not depend on the hash seed.  The test reads ``bench/`` and
-writes nothing there.
+benchmark sees it.  No experiment seeds its probes from ``hash``, so the
+result does not depend on the hash seed.  The derivatives workload is left
+out: its ``trajectory-derivative.cubic-volterra`` reference still records a
+failure that has since been fixed.  The test reads ``bench/`` and writes
+nothing there.
 """
 
 import contextlib
@@ -36,7 +38,8 @@ def _bench_run():
     return module
 
 
-@pytest.mark.parametrize("workload", ["norm-axioms", "linear-states"])
+@pytest.mark.parametrize("workload", ["poly-bounds", "norm-axioms",
+                                      "linear-states"])
 def test_workload_reports_match_the_bench_reference(tmp_path, workload):
     bench = _bench_run()
     config = tmp_path / "sizes.toml"

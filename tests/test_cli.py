@@ -2,11 +2,14 @@ import filecmp
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natstate
 from natstate import PolyKernel, catalog
 from natstate.cli import main, parse_config_text
 from natstate.experiments import EXPERIMENTS, claim
@@ -149,6 +152,29 @@ def test_seed_determinism_bytes(tmp_path):
     for n in names:
         assert filecmp.cmp(os.path.join(outs[0], n),
                            os.path.join(outs[1], n), shallow=False), n
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # The experiments that seed probes per system name, each hash seed in a
+    # fresh process: string hashes change from process to process.
+    cfgfile = tmp_path / "run.toml"
+    cfgfile.write_text('experiments = ["state-bounds", "causality", '
+                       '"frechet-derivatives"]\n[run]\nbound_probes = 20\n')
+    src = str(Path(natstate.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1", "2"):
+        out = tmp_path / f"h{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "natstate.cli", "run",
+                        "--config", str(cfgfile), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert "state-bounds.json" in names
+    for out in outs[1:]:
+        assert names == sorted(os.listdir(out))
+        for n in names:
+            assert filecmp.cmp(outs[0] / n, out / n, shallow=False), n
 
 
 @pytest.mark.parametrize("threads", ["2", "two"])

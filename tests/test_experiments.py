@@ -1,13 +1,15 @@
 import contextlib
 import io
+import math
 import tracemalloc
 
 import pytest
 
+from natstate import experiments
 from natstate.cli import main
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
-from natstate.seminorm import FittedFamily
+from natstate.seminorm import FittedFamily, Weight
 from natstate.sysop import LimsupConvolution, PolyIntegralOperator
 from natstate.timegrid import AlignmentError, TimeFunction
 
@@ -191,3 +193,25 @@ def test_linear_states_build_few_time_functions(monkeypatch):
                  "reachability"):
         assert run_experiment(name, cfg).passed, name
     assert len(built) <= 200
+
+
+def test_ff_axioms_control_witness_fails_on_a_monotone_weight(monkeypatch):
+    # The spike's windows at lags 0.5 and 1.5 read 0.1 and 0.0 on the dip
+    # weight.  A nonincreasing weight in its place reads 0.1 and 0.1 *
+    # sqrt(0.5) there, so the witness check fails, and the random search
+    # finds no failing window either.
+    def witness(r):
+        return {c.name: (c.passed, c.observed) for c in r.checks
+                if c.name.startswith("control_witness")}
+
+    r = run_experiment("ff-axioms", RunConfig(**_SWEEP))
+    assert witness(r) == {"control_witness_near": (True, 0.1),
+                          "control_witness_far": (True, 0.0)}
+    monkeypatch.setattr(experiments, "_DIP_WEIGHT", Weight.table(
+        [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25]))
+    r = run_experiment("ff-axioms", RunConfig(**_SWEEP))
+    assert not r.passed
+    far = pytest.approx(0.1 * math.sqrt(0.5))
+    assert witness(r) == {"control_witness_near": (True, 0.1),
+                          "control_witness_far": (False, far)}
+    assert r.metrics["control_detected"] is False

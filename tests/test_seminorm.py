@@ -16,7 +16,7 @@ from natstate.calculus import SmoothInput
 from natstate.cli import main
 from natstate.probes import probe_set
 from natstate.seminorm import (ConditionResult, NormReport, _exp_running,
-                               _read_draws)
+                               _pcg64_draws)
 from natstate.timegrid import to_cells
 
 UL2 = FittedFamily.weighted_lp(2.0, Weight.uniform(), name="uniform-l2")
@@ -971,38 +971,21 @@ def test_ff_axioms_traced_peak_at_the_bench_shape():
     assert max(peaks) <= 1.25, peaks
 
 
-# -- random draws read in bulk -------------------------------------------------
-
-
-def _scalar_draws(gen, double, lo, a, b, dep):
-    """``_read_draws``' contract, one numpy call per draw."""
-    ints, floats = np.zeros(len(double), np.int64), np.zeros(len(double))
-    for k in range(len(double)):
-        if double[k]:
-            floats[k] = gen.random()
-        else:
-            ints[k] = gen.integers(lo[k], lo[k] + a[k] + b[k] * ints[dep[k]])
-    return ints, floats
+# -- random draws read from raw words ------------------------------------------
 
 
 def _draw_program(seed, n_draws, ranges):
-    """Interleaved ``random()`` and ``integers`` draws over ``ranges``.  At
-    every third draw that follows an integer draw of 2 to 400 values, that
-    draw becomes a span from 2 and this one reads it as a triple's ``r``
-    does (one value at the largest span) or as ``s - r`` does (one value
-    at span 2)."""
+    """Interleaved draws ``(double, lo, hi)``: ``random()`` where ``double``,
+    else ``integers(lo, hi)`` over one of ``ranges``."""
     rng = np.random.default_rng(seed)
     double = rng.random(n_draws) < 0.2
     lo = rng.integers(-50, 50, n_draws)
-    a = rng.choice(ranges, n_draws)
-    b = np.zeros(n_draws, np.int64)
-    dep = np.arange(n_draws)
-    for k in range(2, n_draws, 3):
-        if not (double[k] or double[k - 1]) and 2 <= a[k - 1] <= 400:
-            lo[k - 1] = 2
-            b[k], dep[k] = (-1 if k % 2 else 1), k - 1
-            a[k] = a[k - 1] + 2 if k % 2 else -1
-    return double, lo, a, b, dep
+    hi = lo + rng.choice(ranges, n_draws)
+    return double.tolist(), lo.tolist(), hi.tolist()
+
+
+def _run_draws(integers, random, program):
+    return [random() if d else integers(lo, hi) for d, lo, hi in zip(*program)]
 
 
 def _same_stream(g1, g2):
@@ -1017,24 +1000,21 @@ def _same_stream(g1, g2):
 @pytest.mark.parametrize("seed", range(5))
 def test_read_draws_match_scalar_calls(seed, buffered, block, monkeypatch):
     # Ranges of one value, small ones, 3e9 and 2**31 + 5 (above 2**31, so
-    # words get rejected) and 2**32; a start with a buffered 32-bit half
-    # (one prior 32-bit draw); passes of 16 draws or one.
-    monkeypatch.setattr(seminorm, "_DRAW_BLOCK", block)
+    # halves get rejected) and 2**32; a start with a buffered 32-bit half
+    # (one prior 32-bit draw); words fetched 16 or 1024 at a time.
+    monkeypatch.setattr(seminorm, "_WORDS", block)
     prog = _draw_program(seed + 100, 400,
                          [1, 2, 3, 7, 400, 2**31 + 5, 3_000_000_000, 2**32])
-    assert np.any((prog[3] == 0) & (prog[2] == 1) & ~prog[0])
+    assert any(b - a == 1 and not d for d, a, b in zip(*prog))
     gens = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:
         for g in gens:
             g.integers(0, 5)
     assert gens[0].bit_generator.state["has_uint32"] == buffered
-    want = _scalar_draws(gens[0], *prog)
-    got = _read_draws(gens[1], *prog)
-    double, lo, a, b, dep = prog
-    assert np.any((b != 0) & (a + b * want[0][dep] == 1) & ~double)
-    ints = ~prog[0]
-    assert np.array_equal(got[0][ints], want[0][ints])
-    assert np.array_equal(got[1][~ints], want[1][~ints])
+    want = _run_draws(gens[0].integers, gens[0].random, prog)
+    with _pcg64_draws(gens[1]) as (integers, random):
+        got = _run_draws(integers, random, prog)
+    assert got == want
     _same_stream(*gens)
 
 
@@ -1043,11 +1023,13 @@ def test_read_draws_reject_words_as_numpy_does():
     # halves without the rejection gives other values.
     n = 3_000_000_000
     gens = np.random.default_rng(8), np.random.default_rng(8)
-    want = np.array([gens[0].integers(5, 5 + n) for _ in range(2000)])
-    ones = np.ones(2000, np.int64)
-    got, _ = _read_draws(gens[1], ones < 0, 5 * ones, n * ones, 0 * ones,
-                         np.arange(2000))
-    assert np.array_equal(got, want)
+    want = [gens[0].integers(5, 5 + n) for _ in range(2000)]
+    with _pcg64_draws(gens[1]) as (integers, _):
+        got = [integers(5, 5 + n) for _ in range(2000)]
+        for bad in (5, 5 + 2**32 + 1):
+            with pytest.raises(ValueError, match="ranges of 1 to 2\\*\\*32"):
+                integers(5, bad)
+    assert got == want
     _same_stream(*gens)
     raw = np.random.default_rng(8).bit_generator.random_raw(1000)
     halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
