@@ -18,7 +18,7 @@ import numpy as np
 from .kernel import PolyKernel
 from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
-from .timegrid import CELL_CAP, Grid, TimeFunction, _positive
+from .timegrid import CELL_CAP, Grid, TimeFunction, _is_int, _positive
 
 __all__ = [
     "SystemBundle",
@@ -80,12 +80,8 @@ class SystemBundle:
         return Grid.spanning(dt, -self.past_window, self.horizon)
 
 
-def _box_response(dt: float, T: float = 1.0) -> TimeFunction:
-    g = Grid.spanning(dt, 0.0, T)
-    return TimeFunction(g, np.ones((g.n, 1)), np.zeros(1))
-
-
-def _decay_response(dt: float, T: float, rate: float) -> TimeFunction:
+def _response(dt: float, T: float = 1.0, rate: float = 0.0) -> TimeFunction:
+    """``exp(-rate s)`` on ``(0, T]``: a box at rate 0."""
     g = Grid.spanning(dt, 0.0, T)
     return TimeFunction(g, np.exp(-rate * g.times()), np.zeros(1))
 
@@ -99,7 +95,7 @@ def averager_pair(dt: float) -> tuple[SystemBundle, SystemBundle]:
     state set cannot identify the system here: the input norm keeps the
     whole past in view and is not tapered.
     """
-    h = _box_response(dt)
+    h = _response(dt)
     fin = family("sup-linf")
     fout = family("esssup-window-2")
 
@@ -233,9 +229,7 @@ def _systems() -> dict:
 
     @define
     def reachable_conv(dt):
-        sys_ = LimsupConvolution(_box_response(dt, 1.0), 0.0,
-                                 FittedFamily.weighted_lp(
-                                     2.0, Weight.box(1.5), name="box-l2"),
+        sys_ = LimsupConvolution(_response(dt), 0.0, family("box-l2"),
                                  family("esssup"))
         return SystemBundle(
             "reachable-conv", sys_,
@@ -246,7 +240,7 @@ def _systems() -> dict:
 
     @define
     def fading_conv(dt):
-        sys_ = LimsupConvolution(_decay_response(dt, 10.0, 1.0), 0.0,
+        sys_ = LimsupConvolution(_response(dt, 10.0, 1.0), 0.0,
                                  family("exp-l2"), family("esssup"))
         return SystemBundle(
             "fading-conv", sys_,
@@ -273,11 +267,11 @@ def system(name: str, dt: float) -> SystemBundle:
 
 @contextlib.contextmanager
 def _section(section: str):
-    """Re-raise a bad value or an unreadable file met while building
-    ``[section]`` as a ``ValueError`` that names the section."""
+    """Re-raise a bad value, a number too large for a float or an unreadable
+    file met while building ``[section]`` as a ``ValueError`` naming it."""
     try:
         yield
-    except (TypeError, ValueError, OSError) as e:
+    except (TypeError, ValueError, OverflowError, OSError) as e:
         raise ValueError(f"[{section}] {e}") from None
 
 
@@ -292,9 +286,11 @@ def _capped(cells: float, what: str, dt: float) -> None:
 
 
 def _length(spec: dict, key: str, default: float, dt: float) -> float:
-    """``spec[key]`` seconds, positive, finite and within ``CELL_CAP``."""
+    """``spec[key]`` seconds, positive, finite, one cell to ``CELL_CAP``."""
     x = _positive(float(spec.get(key, default)), key)
     _capped(x / dt, f"{key} {x}", dt)
+    if round(x / dt) < 1:
+        raise ValueError(f"{key} {x} is less than one cell at dt={dt}")
     return x
 
 
@@ -377,17 +373,16 @@ def system_from_spec(name: str, spec: dict, dt: float,
         variant = _required(spec, "variant")
         if variant == "conv":
             S = _length(spec, "support", 1.0, dt)
-            if spec.get("response_form", "box") == "box":
-                h = _box_response(dt, S)
-            else:
-                h = _decay_response(dt, S, float(spec.get("rate", 1.0)))
-            op = LimsupConvolution(h, float(spec.get("tail_gain", 0.0)),
-                                   fin, fout)
+            rate = (0.0 if spec.get("response_form", "box") == "box"
+                    else float(spec.get("rate", 1.0)))
+            op = LimsupConvolution(_response(dt, S, rate),
+                                   float(spec.get("tail_gain", 0.0)), fin,
+                                   fout)
             return SystemBundle(name, op, "config-defined convolution",
                                 pw, hz, params=dict(spec))
         if variant == "lti":
             n = _required(spec, "n_states")
-            if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            if not (_is_int(n) and n >= 1):
                 raise ValueError(
                     f"n_states must be an integer >= 1, got {n!r}")
             A = np.asarray(_required(spec, "A"), dtype=float)
@@ -406,8 +401,7 @@ def system_from_spec(name: str, spec: dict, dt: float,
             else:
                 n = spec.get("degree", 2)
                 top = PolyIntegralOperator.MAX_DEGREE
-                if not (isinstance(n, int) and not isinstance(n, bool)
-                        and 1 <= n <= top):
+                if not (_is_int(n) and 1 <= n <= top):
                     raise ValueError(
                         f"degree must be an integer from 1 to {top}, got {n!r}")
                 S = _length(spec, "support", 1.0, dt)

@@ -25,7 +25,7 @@ import numpy as np
 from . import catalog
 from .experiments import (EXPERIMENTS, ExperimentResult, RunConfig, claim,
                           run_experiment)
-from .timegrid import AlignmentError, TimeFunction
+from .timegrid import AlignmentError, TimeFunction, _is_int
 
 __all__ = ["main", "parse_config_text"]
 
@@ -99,10 +99,6 @@ _COUNTS = ("probes", "triples", "pasts", "futures", "bound_probes")
 # have sections of their own.
 _KNOBS = {f.name for f in fields(RunConfig)} - {"custom_families",
                                                  "system_specs"}
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_config(cfg: RunConfig) -> None:
@@ -246,7 +242,7 @@ def _write_reports(results: list[ExperimentResult], out_dir: str) -> None:
 def _cmd_run(args) -> int:
     try:
         cfg, names, out_dir = _config_from_args(args)
-    except (ValueError, TypeError, OSError) as e:
+    except (ValueError, TypeError, OverflowError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     results: list[ExperimentResult] = []

@@ -34,9 +34,10 @@ from .seminorm import (FittedFamily, Weight, check_ff_axioms, classify,
 from .states import (NaturalState, reachability_experiment,
                      representative_independence, state_bound_check,
                      state_distances, state_matching_ladder)
-from .sysop import (PolyIntegralOperator, TimeAdvance, _recenter,
-                    centered_truncations, check_causality, estimate_npower,
-                    hypothesis_uniformity_check, steer_to_state, truncation)
+from .sysop import (PolyIntegralOperator, TimeAdvance, _edited_after,
+                    _recenter, centered_truncations, check_causality,
+                    estimate_npower, hypothesis_uniformity_check,
+                    steer_to_state, truncation)
 from .timegrid import (Grid, Interval, TimeBatch, TimeFunction, ceil_cells,
                        shift_left, splice, to_cells)
 
@@ -604,10 +605,13 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
     sigma = S + 0.25
     gq = Grid.spanning(dt, -1.0, sigma)
     past = _random_probes(gq, [cfg.seed, 91], 1)[0]
-    state = NaturalState(sysq, past, 0.0)
 
-    def oracle(v):
-        return float(state.evaluate_at(v, [gq.i1])[0, 0])
+    def oracle(ker, p):
+        """The response at sigma of ``ker``'s operator after the past ``p``
+        (at 0) to a future input on ``(0, sigma]``."""
+        st = NaturalState(PolyIntegralOperator(
+            [ker], 0.0, sysq.input_fam, sysq.output_fam), p, 0.0)
+        return lambda v: float(st.evaluate_at(v, [gq.i1])[0, 0])
 
     # Probing width: the cell count nearest a quarter second, at least four.
     delta = max(4, round(0.25 / dt)) * dt
@@ -615,7 +619,8 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
                                                 width=delta)
     tuples2 = [(a, b) for i, a in enumerate(cell_list)
                for b in cell_list[i:]]
-    ident = identify_kernels(oracle, dt, sigma, 2, {2: tuples2},
+    ident = identify_kernels(oracle(sysq.kernels[2], past), dt, sigma, 2,
+                             {2: tuples2},
                              tail_bounds={2: sysq.kernels[2].tail_abs_mass(
                                  dt, sigma)})
     got = np.array(ident["degrees"][2]["values"])
@@ -637,13 +642,8 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
 
     # Re-identification of the piecewise-constant rebuild is a fixed point.
     rebuilt = kernel_from_cells(2, tuples2, got.tolist(), S, dt)
-    op2 = PolyIntegralOperator([rebuilt], 0.0, sysq.input_fam, sysq.output_fam)
-    state2 = NaturalState(op2, 0.0 * past, 0.0)
-
-    def oracle2(v):
-        return float(state2.evaluate_at(v, [gq.i1])[0, 0])
-
-    res2 = identify_kernels(oracle2, dt, sigma, 2, {2: tuples2})
+    res2 = identify_kernels(oracle(rebuilt, 0.0 * past), dt, sigma, 2,
+                            {2: tuples2})
     got2 = np.array(res2["degrees"][2]["values"])
     res.metric("reidentify_max_err", float(np.max(np.abs(got2 - got))),
                "<=", 1e-9 * max(1.0, float(np.max(np.abs(got)))))
@@ -661,12 +661,8 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
         (np.asarray(a) <= S) & (np.asarray(b) <= S),
         np.exp(-1.5 * np.asarray(a) - 0.5 * np.asarray(b)), 0.0))
     for ker_desc, tag in ((asym, "raw"), (symmetrize(asym), "symmetrized")):
-        opa = PolyIntegralOperator([ker_desc], 0.0, sysq.input_fam,
-                                   sysq.output_fam)
-        sta = NaturalState(opa, 0.0 * past, 0.0)
-        resa = identify_kernels(
-            lambda v: float(sta.evaluate_at(v, [gq.i1])[0, 0]),
-            dt, sigma, 2, {2: tuples2[:4]})
+        resa = identify_kernels(oracle(ker_desc, 0.0 * past), dt, sigma, 2,
+                                {2: tuples2[:4]})
         res.metrics[f"uniqueness_{tag}"] = resa["degrees"][2]["values"]
     u_raw = np.array(res.metrics["uniqueness_raw"])
     u_sym = np.array(res.metrics["uniqueness_symmetrized"])
@@ -678,13 +674,9 @@ def exp_kernel_identify(cfg: RunConfig, res: ExperimentResult) -> None:
     wide = PolyKernel(2, 3.0, func=lambda a, b: np.where(
         (np.asarray(a) <= 3.0) & (np.asarray(b) <= 3.0),
         np.exp(-(np.asarray(a) + np.asarray(b))), 0.0))
-    opw = PolyIntegralOperator([wide], 0.0, sysq.input_fam, sysq.output_fam)
-    gw = Grid.spanning(dt, -2.0, sigma)
-    pw = _random_probes(gw, [cfg.seed, 92], 1)[0]
-    stw = NaturalState(opw, pw, 0.0)
+    pw = _random_probes(Grid.spanning(dt, -2.0, sigma), [cfg.seed, 92], 1)[0]
     resw = identify_kernels(
-        lambda v: float(stw.evaluate_at(v, [gq.i1])[0, 0]),
-        dt, sigma, 2, {1: [(c,) for c in cell_list[:2]]},
+        oracle(wide, pw), dt, sigma, 2, {1: [(c,) for c in cell_list[:2]]},
         tail_bounds={2: wide.tail_abs_mass(dt, sigma)},
         input_bound=2.0)
     bound = resw["degrees"][1]["residual_bound"]
@@ -775,13 +767,20 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     y2 = s2.apply(ul)  # the ladder matches the states of ul itself
     match = lambda uu, tau: steer_to_state(s1, y2.value(tau), tau, 2.0, gl)
 
-    lad = state_matching_ladder(s1, s2, ul, 0.0, 4, match, futures,
+    T = 0.0
+    lad = state_matching_ladder(s1, s2, ul, T, 4, match, futures,
                                 match_tol=1e-6)
     res.metric("lti_ladder_final_gap", lad["final_output_gap_at_T"],
                "<=", 1e-9)
-    res.metric("lti_ladder_input_gaps",
-               [r["input_gap_at_T"] for r in lad["rows"]],
-               "decreasing within", 1e-9)
+    # The taper bound of each row, |v_i - u|_T <= |c_i 1_(-inf, tau_i]|_T,
+    # c_i (int_{T - tau_i}^inf w)^(1/p) off the grid: the factor falls to 0.
+    gaps = [r["input_gap_at_T"] for r in lad["rows"]]
+    res.metrics["lti_ladder_input_gaps"] = gaps
+    for r, gap, bound in zip(lad["rows"], gaps, lad["input_gap_bounds"]):
+        res.check(f"lti_ladder_input_gap[{r['i']}]", gap, "<=", bound)
+    res.check("lti_ladder_taper_factors",
+              [fam_in.weight.integral(T - r["tau"], math.inf) ** (1 / fam_in.p)
+               for r in lad["rows"]], "decreasing within", 0.0)
     res.metric("lti_matches_ok", all(r["match_ok"] for r in lad["rows"]),
                "==", True)
     res.check("lti_taper_hypothesis_met", lad["taper_hypothesis_met"],
@@ -975,26 +974,18 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     est_F_matched = 0.0
     pasts = _random_probes(gq, [cfg.seed, 137], 4)
     for pu in pasts:
-        stu = NaturalState(sysq, pu, 0.0)
-        zs = [stu.spliced_input(f) for f in futs[:5]]
-        fulls = sysq.apply_all(zs)  # recentred: the state evaluations
-        xi_norm = estimate_npower([fut_in(f) for f in futs[:5]],
-                                  [fut_out(_recenter(y, 0.0)) for y in fulls], N)
-        est_S = max(est_S, xi_norm
+        chain = state_bound_check(NaturalState(sysq, pu, 0.0), N, futs[:5])
+        est_S = max(est_S, chain["max_ratio"]
                     / (1.0 + sysq.input_fam.past_norm(pu, 0.0) ** N))
-        est_F_matched = max(est_F_matched, estimate_npower(
-            sysq.input_fam.bounding_norms(zs),
-            sysq.output_fam.bounding_norms(fulls), N))
+        est_F_matched = max(est_F_matched, chain["estimate"])
     res.metrics["matched_system_norm"] = est_F_matched
     res.metrics["power_factor"] = 2 ** N + 1
     res.metric("past_to_state_norm", est_S,
                "<=", (2 ** N + 1) * est_F_matched * (1.0 + 1e-9))
 
     # Equivalent pasts give the same differential samples.
-    edited = np.array(pastq.samples)
-    after = np.arange(gq.i0 + 1, gq.i1 + 1) > gq.index_of(0.0)
-    edited[after] += 1.0
-    st_alt = NaturalState(sysq, TimeFunction(gq, edited, pastq.tail_value), 0.0)
+    st_alt = NaturalState(sysq, _edited_after(pastq, gq.index_of(0.0),
+                                              cfg.rng(138)), 0.0)
     sf_alt = state_frechet(st_alt, fpq)
     nerode_gap = float(np.max(np.abs(
         (sf.L(vv, ww) - sf_alt.L(vv, ww)).samples)))

@@ -292,20 +292,18 @@ class FittedFamily:
         # np.linalg.norm(samples, axis=-1), without its dispatch overhead.
         return np.sqrt((samples * samples).sum(axis=-1))
 
-    def _scalar_tail(self, tail: np.ndarray) -> float:
-        return float(self._rownorm(tail[None, :])[0])
-
-    def _tail_coef(self, tail_value: np.ndarray) -> float:
-        """The factor of a constant tail in every tail term (see
-        :meth:`_tail`): ``|tail| ** p``, or ``|tail|`` for ``p = inf``; 0.0
-        for a zero tail."""
-        if not tail_value.any():
-            return 0.0
-        mag = self._scalar_tail(tail_value)
-        coef = mag if self.p == POS_INF else mag ** self.p
+    def _magnitudes(self, samples: np.ndarray, tails: np.ndarray):
+        """Sample magnitudes ``(B, n)`` of ``samples`` ``(B, n, dim)``, and
+        the factor ``(B,)`` of each of ``tails`` in every tail term (see
+        :meth:`_tail`): ``|tail| ** p`` by Python's float power, ``|tail|``
+        for ``p = inf``, 0.0 for a zero tail."""
+        coef = self._rownorm(tails)
+        if self.p < POS_INF:
+            coef = (coef.astype(object) ** self.p).astype(float)
         # A nonzero tail whose factor underflows keeps the least positive
         # one, so its unbounded past still diverges and is still refused.
-        return coef or math.ulp(0.0)
+        coef[(coef == 0.0) & tails.any(axis=-1)] = math.ulp(0.0)
+        return self._rownorm(samples), coef
 
     # -- batched windows ---------------------------------------------------------
 
@@ -334,8 +332,8 @@ class FittedFamily:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
-        return self._seminorms(g.i0, g.dt, self._tail_coef(f.tail_value),
-                               self._rownorm(f.samples[:hi])[None], 0, s, t)
+        mags, tail = self._magnitudes(f.samples[None, :hi], f.tail_value[None])
+        return self._seminorms(g.i0, g.dt, tail, mags, 0, s, t)
 
     def _seminorms(self, i0, dt: float, tail, mags: np.ndarray, rows,
                    s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -343,7 +341,7 @@ class FittedFamily:
         of step ``dt``.  Window ``k`` reads row ``rows[k]``, whose first
         sample sits at instant ``i0[k] + 1`` (a row may be zero-padded past
         its grid's end), with tail coefficient ``tail[k]`` from
-        :meth:`_tail_coef`; ``rows``, ``i0`` and ``tail`` may each be one
+        :meth:`_magnitudes`; ``rows``, ``i0`` and ``tail`` may each be one
         value for every window.
 
         A window read on origin ``i0 - h`` with ends ``s - h``, ``t - h``
@@ -446,8 +444,8 @@ class FittedFamily:
     def _tail(self, dt: float, tail, s: np.ndarray,
               t: np.ndarray) -> np.ndarray | float:
         """Tail term of each window ``(s, t]``, its ends counted in steps
-        from the grid origin and ``tail`` its :meth:`_tail_coef` (arrays
-        that broadcast): the closed-form weight mass of the part of the
+        from the grid origin and ``tail`` its coefficient (:meth:`_magnitudes`;
+        arrays that broadcast): the closed-form weight mass of the part of the
         window at or before the origin (its weight there for ``p = inf``),
         times ``tail``.  It is zero where the window starts at or after the
         origin or the tail is zero, and the scalar 0.0 when no window with a
@@ -476,7 +474,7 @@ class FittedFamily:
                  s: np.ndarray) -> np.ndarray:
         """``|f|_{s_k, u}`` at every instant ``u`` from the origin, one row
         per left end ``s_k`` (``-inf`` allowed), as :meth:`_seminorms` with
-        one row of ``mags`` for every left end or one per left end.
+        one row of ``mags`` and ``tail`` per left end, or one for all of them.
 
         Column ``c`` is ``u = i0 + c`` up to the end of the grid; column 0
         is the tail alone.  Samples at or before ``s_k`` are zeroed and the
@@ -490,8 +488,7 @@ class FittedFamily:
             return np.maximum.accumulate(run, axis=1, out=run)
         n = mags.shape[1]
         s0 = (s - i0)[:, None]  # left ends counted from the origin
-        if isinstance(tail, np.ndarray):
-            tail = tail[:, None]
+        tail = tail[:, None]
         if np.count_nonzero(tail) and (
                 (s0 < 0) & np.isfinite(s0) & (tail != 0.0)).any():
             raise ValueError(
@@ -543,17 +540,16 @@ class FittedFamily:
         g, B, ti = fs.grid, len(fs), fs.grid.index_of(t)
         if ti - g.i0 > g.n:
             raise ValueError("window end beyond represented horizon")
-        tails = np.array([self._tail_coef(tail) for tail in fs.tails])
-        mags = self._rownorm(fs.samples[:, :max(ti - g.i0, 0)])
+        mags, tails = self._magnitudes(fs.samples[:, :max(ti - g.i0, 0)],
+                                       fs.tails)
         return self._seminorms(g.i0, g.dt, tails, mags, np.arange(B),
                                np.full(B, NEG_INF), np.full(B, ti)).tolist()
 
     def past_norms_all_t(self, f: TimeFunction) -> np.ndarray:
         """``past_norm`` at every grid instant ``i0 .. i1`` (length n + 1)."""
         g = f.grid
-        return self._running(g.i0, g.dt, self._tail_coef(f.tail_value),
-                             self._rownorm(f.samples)[None],
-                             np.array([NEG_INF]))[0]
+        mags, tail = self._magnitudes(f.samples[None], f.tail_value[None])
+        return self._running(g.i0, g.dt, tail, mags, np.array([NEG_INF]))[0]
 
     def future_norm(self, f: TimeFunction, s: float) -> float:
         """``sup_{t > s} |f|_{s,t}`` with ``t`` running to the horizon."""
@@ -569,9 +565,8 @@ class FittedFamily:
             raise ValueError("window start at or beyond the horizon")
         if not len(fs):
             return []
-        tails = np.array([self._tail_coef(tail) for tail in fs.tails])
-        run = self._running(g.i0, g.dt, tails, self._rownorm(fs.samples),
-                            np.full(len(fs), si))
+        mags, tails = self._magnitudes(fs.samples, fs.tails)
+        run = self._running(g.i0, g.dt, tails, mags, np.full(len(fs), si))
         return run.max(axis=1).tolist()
 
     def bounding_norm(self, f: TimeFunction) -> float:
@@ -803,9 +798,10 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     a ``ValueError``).  Probes then go in chunks of consecutive probes, as
     many as stack at most ``_AXIOM_BUDGET`` row elements: a chunk stacks
     its probes' magnitude rows with the rows of their edited differences
-    and evaluates every window of every condition, each on its own row,
-    origin and tail, in one :meth:`FittedFamily._seminorms` call.  None
-    builds a shifted or edited :class:`TimeFunction`.
+    and evaluates every window of every condition, each on its own row and
+    origin, in one :meth:`FittedFamily._seminorms` call.  Every window
+    starts at or after its origin, so none reads a tail.  None builds a
+    shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     res = {name: ConditionResult(True, 0) for name in
@@ -834,11 +830,8 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
         stack = whole[:len(fs)]
         stack[...] = 0.0
         i0 = np.repeat([[f.grid.i0] for f in fs], 7 * m, axis=1)
-        tail = np.empty((len(fs), 7 * m))
         for k, f in enumerate(fs):
             g = f.grid
-            tail[k] = fam._tail_coef(f.tail_value)
-            tail[k, :m] = fam._tail_coef(f.tail_value - (f.tail_value + 1.0))
             stack[k, 0, :g.n] = fam._rownorm(f.samples)
             idx = np.arange(g.i0 + 1, g.i1 + 1)
             outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
@@ -864,7 +857,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
                 .astype(float),
                 np.concatenate([t, t, t, s, t - h, sc, tc], axis=1).ravel())
         v, nst, nrt, nrs, a, near, far = np.moveaxis(fam._seminorms(
-            i0.ravel(), dt, tail.ravel(), stack.reshape(-1, width),
+            i0.ravel(), dt, 0.0, stack.reshape(-1, width),
             rows.ravel(), s, t).reshape(len(fs), 7, m), 1, 0)
 
         def window(k, j):

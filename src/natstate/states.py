@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
-from .sysop import SystemOp, _recenter, estimate_npower
+from .sysop import SystemOp, _edited_after, _recenter, estimate_npower
 from .timegrid import (TimeBatch, TimeFunction, ceil_cells, shift_left,
                        shift_right, splice)
 
@@ -152,14 +152,8 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
     Must be zero: the spliced input never reads those samples.
     """
     rng = np.random.default_rng(rng)
-    g = state.past.grid
-    t_idx = g.index_of(state.t)
-    edited = np.array(state.past.samples)
-    sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
-    if sel.any():
-        edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), state.past.dim))
-    other = NaturalState(state.system,
-                         TimeFunction(g, edited, state.past.tail_value), state.t)
+    other = NaturalState(state.system, _edited_after(
+        state.past, state._t_idx, rng), state.t)
     futures = TimeBatch.stack(futures)
     d = state.evaluate_all(futures) - other.evaluate_all(futures)
     return float(np.max(np.abs(d.samples), initial=0.0))
@@ -226,13 +220,17 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     ``sys2``-state of ``u`` there.  Splicing the match's past with ``u``'s
     future yields inputs whose ``sys1``-outputs agree with ``sys2(u)`` from
     ``tau_i`` on; whether ``|v_i - u|_T`` dies out is exactly the taper
-    question, and the final output gap at ``T`` is the verdict.  State
-    matches are measured at weight power two.
+    question, and the final output gap at ``T`` is the verdict.  As
+    ``v_i - u`` vanishes after ``tau_i``, it is at most ``c_i`` on
+    ``(-inf, tau_i]`` and 0 after, ``c_i`` its sup (tail included), whose
+    norm at ``T`` is ``input_gap_bounds[i - 1]``.  State matches are
+    measured at weight power two.
     """
     fam_in, fam_out = sys1.input_fam, sys1.output_fam
     futures = TimeBatch.stack(futures)
     y2 = sys2.apply(u)
-    rows = []
+    g = u.grid
+    rows, bounds = [], []
     for i in range(1, steps + 1):
         tau = T + 1.0 - i
         w = match_state(u, tau)
@@ -243,7 +241,11 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
         y1 = sys1.apply(v_i)
         d = y1 - y2
         out_gap = fam_out.future_norm(d, tau)
-        vu = (v_i.with_window(u.grid.i0, u.grid.i1) - u)
+        vu = (v_i.with_window(g.i0, g.i1) - u)
+        upto = np.arange(g.i0 + 1, g.i1 + 1) <= g.index_of(tau)
+        c = float(np.max(fam_in._rownorm(np.vstack([vu.tail_value[None],
+                                                     vu.samples[upto]]))))
+        bounds.append(fam_in.past_norm(TimeFunction(g, c * upto, [c]), T))
         rows.append({
             "i": i,
             "tau": tau,
@@ -256,6 +258,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     cls = classify(fam_in)
     return {
         "rows": rows,
+        "input_gap_bounds": bounds,
         "final_output_gap_at_T": final,
         "taper_hypothesis_met": cls["class"] in ("finite_memory", "tapered"),
     }

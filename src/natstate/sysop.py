@@ -65,11 +65,18 @@ __all__ = [
 class SystemOp:
     """A causal mapping between input and output function spaces."""
 
-    input_fam: FittedFamily
-    output_fam: FittedFamily
-    input_dim: int
-    output_dim: int
-    time_invariant: bool
+    def __init__(self, input_fam: FittedFamily, output_fam: FittedFamily,
+                 input_dim: int = 1, output_dim: int = 1,
+                 time_invariant: bool = True):
+        self.input_fam = input_fam
+        self.output_fam = output_fam
+        self.input_dim = input_dim
+        self.output_dim = output_dim
+        self.time_invariant = time_invariant
+
+    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
+        if u.dim != self.input_dim:
+            raise ValueError("input dimension mismatch")
 
     def apply(self, u: TimeFunction) -> TimeFunction:
         """The one-element :meth:`apply_all`; a subclass defines either."""
@@ -122,23 +129,18 @@ class LimsupConvolution(SystemOp):
             raise ValueError("impulse response support must start at 0")
         if np.any(h.tail_value):
             raise ValueError("impulse response must have zero tail")
-        if float(np.sum(np.abs(h.samples))) * h.grid.dt == 0.0:
-            raise ValueError("impulse response must have nonzero absolute mass")
         self.h = h
+        if self.l1_mass == 0.0:
+            raise ValueError("impulse response must have nonzero absolute mass")
         self.tail_gain = float(tail_gain)
-        self.input_fam = input_fam
-        self.output_fam = output_fam
-        self.input_dim = 1
-        self.output_dim = 1
-        self.time_invariant = True
+        super().__init__(input_fam, output_fam)
 
     @property
     def l1_mass(self) -> float:
         return float(np.sum(np.abs(self.h.samples))) * self.h.grid.dt
 
     def _check_input(self, u: TimeFunction | TimeBatch) -> None:
-        if u.dim != 1:
-            raise ValueError("scalar input expected")
+        super()._check_input(u)
         if not u.grid.compatible(self.h.grid):
             raise ValueError("input grid step differs from impulse-response step")
 
@@ -252,11 +254,8 @@ class LTISystem(SystemOp):
             raise ValueError("B row count must match A")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
             raise ValueError("A and B must be finite")
-        self.input_fam = input_fam
-        self.output_fam = output_fam
-        self.input_dim = self.B.shape[1]
-        self.output_dim = self.A.shape[0]
-        self.time_invariant = True
+        super().__init__(input_fam, output_fam, self.B.shape[1],
+                         self.A.shape[0])
         self._step_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def _stepper(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +277,6 @@ class LTISystem(SystemOp):
             raise ValueError(
                 "divergent tail: nonzero constant past input needs a Hurwitz A")
         return -np.linalg.solve(self.A, self.B @ ubar)
-
-    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
-        if u.dim != self.input_dim:
-            raise ValueError("input dimension mismatch")
 
     def _steps(self, x: np.ndarray, samples: np.ndarray, dt: float) -> np.ndarray:
         """The states after each input sample in turn, starting from ``x``.
@@ -359,11 +354,8 @@ class PolyIntegralOperator(SystemOp):
                 raise ValueError("kernel input dimension mismatch")
         self.kernels = {k.degree: k for k in kernels}
         self.constant = float(constant)
-        self.input_fam = input_fam
-        self.output_fam = output_fam
-        self.input_dim = input_dim
-        self.output_dim = 1
-        self.time_invariant = not any(k.time_varying for k in kernels)
+        super().__init__(input_fam, output_fam, input_dim, 1,
+                         not any(k.time_varying for k in kernels))
 
     @cached_property
     def symmetric_kernels(self) -> dict[int, PolyKernel]:
@@ -430,8 +422,8 @@ class PolyIntegralOperator(SystemOp):
         g = inputs[0].grid
         if any(u.grid != g for u in inputs):
             raise ValueError("grids differ; align windows first")
-        if any(u.dim != self.input_dim for u in inputs):
-            raise ValueError("input dimension mismatch")
+        for u in inputs:
+            self._check_input(u)
         lags: dict[tuple[int, int], np.ndarray] = {}
         out = []
         for ker, slots in terms:
@@ -492,11 +484,7 @@ class TimeAdvance(SystemOp):
         if k <= 0:
             raise ValueError("advance must be positive")
         self.k = k
-        self.input_fam = input_fam
-        self.output_fam = output_fam
-        self.input_dim = 1
-        self.output_dim = 1
-        self.time_invariant = True
+        super().__init__(input_fam, output_fam)
 
     def apply(self, u: TimeFunction) -> TimeFunction:
         g = u.grid
@@ -553,6 +541,17 @@ def truncation(system: SystemOp, t: float):
 # -- causality ----------------------------------------------------------------
 
 
+def _edited_after(u: TimeFunction, t_idx: int, rng) -> TimeFunction:
+    """``u`` with ``1 + rng.random()`` added to every sample strictly after
+    the instant ``t_idx * dt``, one draw per sample and component; the
+    samples up to it and the tail are kept."""
+    g = u.grid
+    edited = np.array(u.samples)
+    sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
+    edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), u.dim))
+    return TimeFunction(g, edited, u.tail_value)
+
+
 def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
     """Probe the defining causality property of the system.
 
@@ -571,10 +570,7 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
             t_idx = g.index_of(t)
             if t_idx >= g.i1 or t_idx < g.i0:
                 continue
-            edited = np.array(u.samples)
-            sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
-            edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), u.dim))
-            edits.append((t, t_idx, TimeFunction(g, edited, u.tail_value)))
+            edits.append((t, t_idx, _edited_after(u, t_idx, rng)))
         y_u, *y_vs = system.apply_all([u] + [v for _, _, v in edits])
         for (t, t_idx, _), y_v in zip(edits, y_vs):
             lo = min(y_u.grid.i0, y_v.grid.i0)

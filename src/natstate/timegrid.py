@@ -58,6 +58,11 @@ def _positive(x: float, what: str) -> float:
     return x
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def to_cells(length: float, dt: float) -> int:
     """``length`` seconds as a whole number of ``dt`` steps; a length that
     is not one is refused (``AlignmentError``), never snapped."""
@@ -136,11 +141,6 @@ class Interval:
         if not self.s < self.t:
             raise ValueError(f"need s < t, got ({self.s}, {self.t}]")
 
-    @staticmethod
-    def upto(t: float) -> "Interval":
-        return Interval(NEG_INF, t)
-
-
 
 class TimeFunction:
     """Vector-valued function of time, sampled on a :class:`Grid`.
@@ -182,21 +182,13 @@ class TimeFunction:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def value_at_index(self, i: int) -> np.ndarray:
-        """Value at instant ``i * dt``.  Queries beyond the grid end fail."""
-        if i <= self.grid.i0:
-            return self.tail_value
-        if i > self.grid.i1:
-            raise IndexError(
-                f"instant index {i} is beyond the represented horizon {self.grid.i1}"
-            )
-        return self.samples[i - self.grid.i0 - 1]
-
     def value(self, t: float) -> np.ndarray:
-        return self.value_at_index(self.grid.index_of(t))
+        """Value at instant ``t``; queries beyond the grid end fail."""
+        return self.values_at_indices([self.grid.index_of(t)])[0]
 
     def values_at_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value_at_index`; tail used below the window."""
+        """Values at the instants ``idx * dt``, the tail at or below the
+        window start; an instant beyond the grid end fails (``IndexError``)."""
         idx = np.asarray(idx, dtype=int)
         if np.any(idx > self.grid.i1):
             raise IndexError("instant index beyond the represented horizon")

@@ -1,13 +1,19 @@
+import contextlib
 import filecmp
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import natstate
 from natstate import PolyKernel, catalog
@@ -567,3 +573,92 @@ def test_readme_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert float(capsys.readouterr().out.split()[-1]) >= 1.0
+
+
+# -- config fuzz -------------------------------------------------------------
+
+_BIG = 10 ** 330  # an integer too large for a float
+_ODD = [math.nan, math.inf, -math.inf, 0.0, 0, -1.0, -3, 1e-300, 1e300, _BIG,
+        -_BIG, True, "x", [1.0], []]
+_FAMILY_KEYS = {
+    "kind": ["weighted_lp", "sup", "unweighted_sup", "output_window"],
+    "form": ["uniform", "exp", "box"], "p": [1.0, 2.0, 3.5],
+    "rate": [1.0, 0.5], "alpha": [1.0, 0.5], "memory": [1.0, 0.5],
+    "window_b": [1.0, 2.0], "vector_norm": ["euclidean", "max"]}
+_SYSTEM_KEYS = {
+    "variant": ["conv", "lti", "poly"], "support": [0.5, 1.0],
+    "response_form": ["box", "exp"], "rate": [1.0], "tail_gain": [0.0, 1.0],
+    "n_states": [1, 2], "A": [[-1.0], [-1.0, 0.0, 0.0, -2.0]],
+    "B": [[1.0], [1.0, 0.5]], "degree": [1, 2, 3],
+    "kernel_form": ["exp", "box"], "rates": [[1.0], [1.0, 2.0]],
+    "level": [1.0], "constant": [0.0, 1.0], "past_window": [1.0, 4.0],
+    "horizon": [1.0, 2.0], "input_family": ["uniform-l2", "exp-l2", "f"],
+    "output_family": ["esssup", "f"]}
+
+
+def _section(keys):
+    """A section of a few keys, each a value it takes or an odd one."""
+    pair = st.sampled_from(sorted(keys)).flatmap(lambda k: st.tuples(
+        st.just(k), st.sampled_from(keys[k] + _ODD)))
+    return st.lists(pair, max_size=5).map(dict)
+
+
+def _toml(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_toml, v)) + "]"
+    return json.dumps(v) if isinstance(v, str) else repr(v)
+
+
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _floats(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "family.f": _section(_FAMILY_KEYS), "system.s": _section(_SYSTEM_KEYS)}))
+# Values that crashed, or were misreported, before they were refused.
+@example({"run": {"dt": _BIG}})
+@example({"family.f": {"form": "exp", "rate": _BIG}})
+@example({"system.s": {"variant": "conv", "support": _BIG}})
+@example({"system.s": {"variant": "poly", "support": 1e-300}})
+@example({"system.s": {"variant": "nonesuch"}})
+@example({"family.f": {"form": "exp"}})
+@example({"family.f": {"form": "exp", "rate": [1.0]}})
+@example({"run": {"experiments": "taper"}})
+@example({"system.s": {"variant": "lti", "n_states": 1, "A": [1000.0],
+                       "B": [1.0]}})
+@example({"system.s": {"variant": "lti", "n_states": 2.5, "A": [-1.0],
+                       "B": [1.0]}})
+@example({"system.s": {"variant": "poly", "degree": 2.5}})
+@example({"system.s": {"variant": "conv", "support": 0.015}})
+@example({"system.s": {"variant": "poly", "kernel_csv": "nofile.csv"}})
+def test_config_fuzz_exits_cleanly(sections):
+    # Any value in a family or system section ends the run with exit 0, 1
+    # or 2 and no traceback; a refusal names the drawn section, and a
+    # written report holds only finite floats.
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {_toml(v)}\n"
+                                            for k, v in keys.items())
+                   for name, keys in sections.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "c.toml"), Path(tmp, "rep")
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(cfg), "--experiment", "taper",
+                       "--out", str(out)])
+        reports = [p.read_text() for p in out.glob("*")]
+    msg = err.getvalue()
+    assert rc in (0, 1, 2) and "Traceback" not in msg, msg
+    if rc == 2:
+        assert msg.startswith("config error: ") and not reports, msg
+        assert "run" in sections or any(f"[{name}]" in msg
+                                        for name in sections), msg
+    for text in reports:
+        assert all(map(math.isfinite, _floats(json.loads(text))))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from natstate import experiments
+from natstate import experiments, states
 from natstate.cli import main
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
@@ -215,3 +215,23 @@ def test_ff_axioms_control_witness_fails_on_a_monotone_weight(monkeypatch):
     assert witness(r) == {"control_witness_near": (True, 0.1),
                           "control_witness_far": (False, far)}
     assert r.metrics["control_detected"] is False
+
+
+def test_ladder_gap_bound_fails_on_a_splice_that_keeps_the_match(monkeypatch):
+    # v_i - u vanishes after tau_i, so each LTI ladder row's input gap is at
+    # most the norm of c_i 1_(-inf, tau_i], c_i its sup up to tau_i.  At
+    # seed 9 the gaps do not decrease (0.2212, then 0.2265) and every row
+    # holds its bound.  A splice that keeps the match past tau_i breaks the
+    # premise, and the last row reads a gap above its bound (at 37 of seeds
+    # 1-40; the bound is 1.9-5.4 times the gap, so not at 9, 18 and 26).
+    def rows(r):
+        return [c for c in r.checks
+                if c.name.startswith("lti_ladder_input_gap[")]
+
+    r = run_experiment("state-set-identity", RunConfig(seed=9))
+    assert r.passed and len(rows(r)) == 4
+    monkeypatch.setattr(states, "splice", lambda h, g, s: h)
+    r = run_experiment("state-set-identity", RunConfig())
+    failed = [c for c in rows(r) if not c.passed]
+    assert [c.name for c in failed] == ["lti_ladder_input_gap[4]"]
+    assert failed[0].observed > failed[0].bound and not r.passed

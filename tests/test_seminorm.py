@@ -41,7 +41,7 @@ def _window_single(fam, f, si, ti):
         lo = max(lo, ti - supp_idx)
         if si is None or si < ti - supp_idx:
             si = ti - supp_idx
-    tail_mag = fam._scalar_tail(f.tail_value)
+    tail_mag = float(fam._rownorm(f.tail_value[None])[0])
     tail_term = 0.0
     cut = min(ti, g.i0)
     if (si is None or si < cut) and tail_mag > 0.0:
@@ -485,10 +485,9 @@ def test_exp_weight_long_span_stays_finite(p):
         assert allt[ti - g.i0] == pytest.approx(
             _window_single(fam, f, None, ti), rel=1e-12)
     assert fam.bounding_norm(f) == float(np.max(allt))
-    mags = fam._rownorm(f.samples)[None]
+    mags, tail = fam._magnitudes(f.samples[None], f.tail_value[None])
     for si in (g.i0, 4321):
-        row = fam._running(g.i0, g.dt, fam._tail_coef(f.tail_value), mags,
-                           np.array([float(si)]))[0]
+        row = fam._running(g.i0, g.dt, tail, mags, np.array([float(si)]))[0]
         assert np.all(np.isfinite(row))
         for ti in range(si + 1, g.i1 + 1, 997):
             assert row[ti - g.i0] == pytest.approx(
@@ -514,8 +513,16 @@ def test_rownorm_of_one_component_keeps_the_reduction_bits(vector_norm):
         got = fam._rownorm(samples)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert fam._scalar_tail(np.array([-1e-200])) == (
-        1e-200 if vector_norm == "max" else 0.0)
+    # So is a tail: at p = inf its coefficient is its magnitude, and one
+    # that squares to zero keeps the least positive coefficient.
+    sup = FittedFamily.weighted_lp(math.inf, Weight.uniform(),
+                                   vector_norm=vector_norm)
+    for family, want in ((fam, tiny), (sup, 1e-200 if vector_norm == "max"
+                                       else tiny)):
+        mags, coef = family._magnitudes(col.reshape(1, 14, 1),
+                                        np.array([[-1e-200]]))
+        assert mags.tobytes() == family._rownorm(col[None, :, None]).tobytes()
+        assert coef.tolist() == [want]
 
 
 @pytest.mark.parametrize("fam", _SEMINORM_CASES, ids=lambda fam: fam.name)
@@ -548,12 +555,12 @@ def test_seminorms_take_magnitudes_up_to_the_latest_end(rough, fam,
     f = rough if not _divergent(fam, rough) else TimeFunction(
         rough.grid, rough.samples, np.zeros(1))
     g = f.grid
-    whole = fam._rownorm(f.samples)[None]
+    whole, tail = fam._magnitudes(f.samples[None], f.tail_value[None])
     rows = []
     rownorm = FittedFamily._rownorm
 
     def counting(self, samples):
-        rows.append(samples.shape[0])
+        rows.append(samples.shape[-2])
         return rownorm(self, samples)
 
     monkeypatch.setattr(FittedFamily, "_rownorm", counting)
@@ -566,8 +573,7 @@ def test_seminorms_take_magnitudes_up_to_the_latest_end(rough, fam,
         rows.clear()
         got = fam.seminorms(f, s, t)
         assert max(rows) <= max(t_max - g.i0, 1)
-        want = fam._seminorms(g.i0, g.dt, fam._tail_coef(f.tail_value),
-                              whole, 0, s, t)
+        want = fam._seminorms(g.i0, g.dt, tail, whole, 0, s, t)
         assert np.array_equal(got, want), t_max
 
 
@@ -727,7 +733,7 @@ def test_box_memory_off_the_grid_is_refused_in_both_norm_paths(rough):
 def test_future_norms_match_one_function_calls(rough, fam):
     # A batch on each of two grids, with zero and nonzero tails in each:
     # one batched call gives every function the bits of its own one-row
-    # ``_running`` call (a scalar tail coefficient), from a finite left end
+    # ``_running`` call (its own tail coefficient), from a finite left end
     # and from -inf.
     rng = np.random.default_rng(73)
     for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
@@ -738,9 +744,10 @@ def test_future_norms_match_one_function_calls(rough, fam):
             want = []
             for f in fs:
                 si = s if s == -math.inf else float(g.index_of(s))
+                mags, tail = fam._magnitudes(f.samples[None],
+                                             f.tail_value[None])
                 want.append(float(np.max(fam._running(
-                    g.i0, g.dt, fam._tail_coef(f.tail_value),
-                    fam._rownorm(f.samples)[None], np.array([si])))))
+                    g.i0, g.dt, tail, mags, np.array([si])))))
             got = fam.future_norms(fs, s)
             assert [x.hex() for x in got] == [x.hex() for x in want]
             assert [x.hex() for x in got] == [fam.future_norm(f, s).hex()
@@ -754,7 +761,7 @@ def test_future_norms_match_one_function_calls(rough, fam):
 def test_past_and_bounding_norms_match_one_function_calls(rough, fam):
     # A batch on each of two grids, with zero and nonzero tails in each:
     # one batched call gives every function the bits of its own one-window
-    # seminorms call and its own running row (a scalar tail coefficient),
+    # seminorms call and its own running row (its own tail coefficient),
     # at right ends before, at and after the grid start.
     rng = np.random.default_rng(74)
     for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
@@ -1083,6 +1090,35 @@ def test_check_ff_axioms_leaves_the_generator_as_the_scalar_loop(grid):
         _same_stream(*gens)
 
 
+def test_ff_axioms_report_does_not_read_the_probe_tails(grid):
+    # Every drawn triple has i0 <= r < s < t, and a shift window (s, t] is
+    # read on the origin i0 - h at (s - h, t - h]: no window starts before
+    # its origin, so none reads a tail, and zeroing every probe's tail
+    # leaves the report as it is.  The five families of ff-axioms and its
+    # control, on probes of two grids, each with its own nonzero tail.
+    gen = np.random.default_rng(41)
+    probes = [TimeFunction(g, gen.standard_normal((g.n, 1)),
+                           gen.standard_normal(1))
+              for g in (grid, Grid(grid.dt, -30, 25)) for _ in range(4)]
+    zeroed = [TimeFunction(f.grid, f.samples, np.zeros(1)) for f in probes]
+    i0 = np.array([[f.grid.i0] for f in probes])
+    dip = FittedFamily.weighted_lp(
+        2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
+        name="broken-dip", allow_nonmonotone=True)
+    for fam in (*map(catalog.family, ("sup-linf", "uniform-l2", "exp-l2",
+                                      "box-l2")),
+                FittedFamily.sup_family(catalog.family("uniform-l2")), dip):
+        rep = check_ff_axioms(fam, probes, rng=37, n_triples=9).to_dict()
+        assert rep == check_ff_axioms(fam, zeroed, rng=37,
+                                      n_triples=9).to_dict()
+        alpha_idx = (None if fam.alpha == math.inf
+                     else max(2, to_cells(fam.alpha, grid.dt)))
+        tri, _, _, cmp_tri = seminorm._axiom_draws(
+            np.random.default_rng(37), probes, 9, alpha_idx)
+        for r, s, t in (tri.transpose(2, 0, 1), cmp_tri.transpose(2, 0, 1)):
+            assert (r >= i0).all() and (s > r).all() and (t > s).all()
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
                                            np.random.Philox,
                                            np.random.SFC64,
@@ -1157,8 +1193,8 @@ def test_batched_shift_matches_shift_left(fam):
                   for sk in s])
     t[0] = g.i1
     shifts = np.resize([g.n - 1, -(g.n - 1), 0, 13, -29], s.shape[0])
-    got = fam._seminorms(g.i0 - shifts, g.dt, fam._tail_coef(f.tail_value),
-                         fam._rownorm(f.samples)[None], 0, s - shifts,
+    mags, tail = fam._magnitudes(f.samples[None], f.tail_value[None])
+    got = fam._seminorms(g.i0 - shifts, g.dt, tail, mags, 0, s - shifts,
                          t - shifts)
     want = np.array([fam.seminorms(shift_left(f, k * g.dt), [sk - k],
                                    [tk - k])[0]
@@ -1314,8 +1350,8 @@ def test_finite_windows_keep_their_bits_as_the_grid_grows(case):
 
     def running(f):
         g = f.grid
-        return fam._running(g.i0, g.dt, fam._tail_coef(f.tail_value),
-                            fam._rownorm(f.samples)[None].repeat(len(s), 0), s)
+        mags, tail = fam._magnitudes(f.samples[None], f.tail_value[None])
+        return fam._running(g.i0, g.dt, tail, mags.repeat(len(s), 0), s)
 
     cols = np.arange(i0, i1 + 1)
     want_run = running(grids[0])
@@ -1392,13 +1428,12 @@ def test_box_running_max_norms_match_sliding_window(rough, fam, monkeypatch):
     # the same bits as with the sliding-window maximum in its place.
     assert fam.weight.form == "box" and fam.p == math.inf
     g = rough.grid
-    mags = fam._rownorm(rough.samples)[None]
+    mags, tail = fam._magnitudes(rough.samples[None], rough.tail_value[None])
     s = np.array([-math.inf, g.i0, g.i0 + 13, g.i1 - 5], dtype=float)
     lefts = [-math.inf, g.i0 * g.dt, (g.i0 + 13) * g.dt, (g.i1 - 5) * g.dt]
 
     def norms():
-        return (fam._running(g.i0, g.dt, fam._tail_coef(rough.tail_value),
-                             mags, s),
+        return (fam._running(g.i0, g.dt, tail, mags, s),
                 [fam.future_norm(rough, t) for t in lefts])
 
     got_run, got_fut = norms()

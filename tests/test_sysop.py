@@ -140,7 +140,7 @@ def test_quadratic_pointwise_bound(quad):
     for u in _pasts(g, 3, 3):
         y = sysq.apply(u)
         for t_idx in range(g.i0 + 10, g.i1, 37):
-            lhs = abs(y.value_at_index(t_idx)[0])
+            lhs = abs(y.values_at_indices([t_idx])[0, 0])
             nu = sysq.input_fam.past_norm(u, t_idx * DT)
             assert lhs <= M * nu ** 2 * (1.0 + 1e-9)
 
@@ -234,7 +234,8 @@ def test_tv_centered_view_kernel_quadrature():
         uvals = u0.values_at_indices(p_idx - np.arange(1, Q + 1))[:, 0]
         K = ker.func(t + p_idx * DT, lags[:, None], lags[None, :])
         want = float(np.einsum("jk,j,k->", K, uvals, uvals)) * DT * DT
-        assert y0.value_at_index(p_idx)[0] == pytest.approx(want, abs=1e-12)
+        assert y0.values_at_indices([p_idx])[0, 0] == pytest.approx(
+            want, abs=1e-12)
 
 
 def test_tv_rejects_nonzero_tail():
