@@ -101,11 +101,16 @@ _KNOBS = {f.name for f in fields(RunConfig)} - {"custom_families",
                                                  "system_specs"}
 
 
-def _check_config(cfg: RunConfig) -> None:
-    """Refuse a config no experiment can run with (``ValueError``)."""
-    if not (isinstance(cfg.dt, float) and math.isfinite(cfg.dt)
-            and cfg.dt > 0.0):
+def _check_config(cfg: RunConfig) -> RunConfig:
+    """Refuse a config no experiment can run with (``ValueError``); return
+    it with an integer ``dt`` as a float."""
+    try:
+        dt = float(cfg.dt) if _is_int(cfg.dt) else cfg.dt
+    except OverflowError:  # an integer beyond every float
+        dt = math.inf
+    if not (isinstance(dt, float) and math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be a finite number > 0, got {cfg.dt!r}")
+    cfg = replace(cfg, dt=dt)
     if not _is_int(cfg.seed):
         raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
     for name in _COUNTS:
@@ -131,6 +136,7 @@ def _check_config(cfg: RunConfig) -> None:
         except ValueError as e:
             raise ValueError(f"[system.{name}] a unit step over its grid "
                              f"gives a {e}") from None
+    return cfg
 
 
 def _config_from_args(args) -> tuple[RunConfig, list, str]:
@@ -141,8 +147,6 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
     if unknown:
         raise ValueError(f"unknown [run] keys: {unknown}")
     overrides = {k: v for k, v in raw.items() if k in _KNOBS}
-    if _is_int(overrides.get("dt")):
-        overrides["dt"] = float(overrides["dt"])
     customs = {n: catalog.family_from_spec(n, s)
                for n, s in tables["family"].items()}
     cfg = replace(RunConfig(), **overrides, custom_families=customs,
@@ -166,8 +170,7 @@ def _config_from_args(args) -> tuple[RunConfig, list, str]:
     if unknown:
         raise ValueError(f"unknown experiments: {unknown}")
     out_dir = args.out or raw.get("out") or ""
-    _check_config(cfg)
-    return cfg, names, out_dir
+    return _check_config(cfg), names, out_dir
 
 
 # -- serialization -------------------------------------------------------------

@@ -823,6 +823,10 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     res.metric("negative_matches_ok", all(r["match_ok"] for r in neg["rows"]),
                "==", True)
     res.metric("negative_taper_met", neg["taper_hypothesis_met"], "==", False)
+    # The premise of each row's taper bound: v_i - u vanishes after tau_i.
+    for name, ladder in (("lti_ladder", lad), ("negative_ladder", neg)):
+        for r, gap in zip(ladder["rows"], ladder["premise_gaps"]):
+            res.check(f"{name}_premise[{r['i']}]", gap, "==", 0.0)
     res.tables.update(lti_ladder=lad["rows"], negative_ladder=neg["rows"],
                       vector_targets=rows)
 

@@ -154,14 +154,15 @@ class Weight:
         for every ``c`` (last axis); ``op`` is ``np.add`` (weighted running
         sums) or ``np.maximum`` (weighted running maxima).
 
-        Uniform and box weights take O(n) recurrences, an exponential weight
-        the O(n log n) scan of :func:`_exp_running`, and a table weight the
-        sequential ``op`` of each position's terms in lag order, one pass
-        per lag of nonzero weight.  Every form's value at ``c`` reads only
-        the samples up to ``c``, and zeros before a row's first sample leave
-        it as it is, so a running row may be cut at both ends.  Uniform and
-        exponential weights accumulate in place and return ``x``; the other
-        forms leave it as it is.
+        A uniform weight takes the O(n) running ``op``, an exponential weight
+        the O(n log n) scan of :func:`_exp_running`, a box maximum the O(n)
+        blocks of van Herk / Gil-Werman, and a box sum and a table weight the
+        sequential ``op`` of each position's terms in lag order, one pass per
+        lag of the memory (of nonzero weight, for a table).  Every form's
+        value at ``c`` reads only the samples up to ``c``, and zeros before a
+        row's first sample leave it as it is, so a running row may be cut at
+        both ends.  Uniform and exponential weights accumulate in place and
+        return ``x``; the other forms leave it as it is.
         """
         n = x.shape[-1]
         if self.form == "uniform":
@@ -171,10 +172,9 @@ class Weight:
         if self.form == "box":
             win = to_cells(self.params["memory"], dt)
             if op is np.add:
-                c = np.cumsum(x, axis=-1)
-                out = c.copy()
-                if n > win:
-                    out[..., win:] = c[..., win:] - c[..., :-win]
+                out = x.copy()
+                for j in range(1, min(win, n)):
+                    out[..., j:] += x[..., :-j]
                 return out
             # Sliding maximum over the zero-padded row by van Herk /
             # Gil-Werman: cut the row into blocks of ``win``; the window of
@@ -295,11 +295,11 @@ class FittedFamily:
     def _magnitudes(self, samples: np.ndarray, tails: np.ndarray):
         """Sample magnitudes ``(B, n)`` of ``samples`` ``(B, n, dim)``, and
         the factor ``(B,)`` of each of ``tails`` in every tail term (see
-        :meth:`_tail`): ``|tail| ** p`` by Python's float power, ``|tail|``
-        for ``p = inf``, 0.0 for a zero tail."""
+        :meth:`_tail`): ``|tail| ** p``, ``|tail|`` for ``p = inf``, 0.0
+        for a zero tail."""
         coef = self._rownorm(tails)
         if self.p < POS_INF:
-            coef = (coef.astype(object) ** self.p).astype(float)
+            coef **= self.p
         # A nonzero tail whose factor underflows keeps the least positive
         # one, so its unbounded past still diverges and is still refused.
         coef[(coef == 0.0) & tails.any(axis=-1)] = math.ulp(0.0)
@@ -315,8 +315,8 @@ class FittedFamily:
         start is the closed-form tail term, and a finite-support weight clips
         each window to its support, so ``|f|_t = |f|_{t-M,t}`` holds bit for
         bit.  Weighted sums run sequentially over lags from the window end,
-        and a sup family's running rows are cut to the columns its windows
-        read, each running value reading only the samples up to it.  So a
+        and a sup family takes one running row per window, from its left end
+        to its end, each value reading only the samples up to it.  So a
         window's value depends only on the samples inside it and the tail:
         not on the grid's extent, nor on the other windows.
         """
@@ -384,8 +384,8 @@ class FittedFamily:
                 np.add.accumulate(terms, axis=1, out=terms)
                 vals[idx] = terms[np.arange(terms.shape[0]), span[idx] - 1]
         if self.p == POS_INF:
-            return np.maximum(vals, tail)
-        return (vals * dt + tail) ** (1.0 / self.p)
+            return self._finite(np.maximum(vals, tail))
+        return self._finite((vals * dt + tail) ** (1.0 / self.p))
 
     def _spans(self, i0, dt: float, s: np.ndarray, t: np.ndarray):
         """Window ends counted from the origin, the left end clipped to a
@@ -400,45 +400,26 @@ class FittedFamily:
 
     def _sup_windows(self, i0, dt: float, tail, mags: np.ndarray, rows,
                      s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`_seminorms` of the sup kind: windows that share a row, an
-        origin-relative left end and a tail share one :meth:`_running` row
-        (a window and its shifted copy; ``(r, t]`` and ``(r, s]``), read at
-        each window's end.  A running value reads only the samples up to it
-        (:meth:`Weight._accumulate`), so every running row runs from its left
-        end to the last column its windows read.  A row cut at its left end
-        starts from a zero tail term, as the whole row has there.
-        The running rows go in buckets of similar length (:func:`_buckets`),
-        each holding its samples and running cells, gathered from the rows
-        laid back to back with one pad."""
-        keys = np.zeros((3, t.shape[0]))
-        keys[0], keys[1], keys[2] = rows, s - i0, tail
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        new = np.ones(t.shape, dtype=bool)
-        new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        # Window k reads running row group[k].
-        group = np.empty(t.shape, dtype=np.int64)
-        group[order] = np.cumsum(new) - 1
-        row, left, tail = keys[:, new]
-        col = np.maximum(t - i0, 0)
+        """:meth:`_seminorms` of the sup kind: each window is the value at its
+        end of one :meth:`_running` row of its own, run from its left end to
+        its end.  A running value reads only the samples up to it
+        (:meth:`Weight._accumulate`), and a row cut at its left end starts
+        from a zero tail term, as the whole row has there.  The running rows
+        go in buckets of similar length (:func:`_buckets`), each holding its
+        samples and running cells, gathered from the rows laid back to back
+        with one pad."""
+        left = s - i0
         lo = np.maximum(left, 0).astype(np.int64)  # -inf: column 0
-        hi = np.maximum(np.maximum.reduceat(col[order], np.flatnonzero(new)),
-                        lo + 1)
-        start = row.astype(np.int64) * mags.shape[1] + lo
-        col = col - lo[group]
-        buckets = _buckets(2 * (hi - lo) + 1, 2 * _PIECE)
+        col = np.maximum(t - i0, 0) - lo
+        start = rows * mags.shape[1] + lo
+        tail = np.broadcast_to(tail, t.shape)
+        buckets = _buckets(2 * np.maximum(col, 1) + 1, 2 * _PIECE)
         runs = _runs(mags, buckets[0][1] // 2)  # the longest row's samples
-        # Running row g is row pos[g] of bucket which[g].
-        which, pos = np.full((2, row.shape[0]), -1)
         vals = np.empty(t.shape)
-        for b, (idx, c) in enumerate(buckets):
+        for idx, c in buckets:
             run = self._running(0, dt, tail[idx], runs[start[idx], :c // 2],
                                 left[idx] - lo[idx])
-            if isinstance(idx, slice):  # every row, in order
-                return run[group, col]
-            which[idx], pos[idx] = b, np.arange(idx.shape[0])
-            sel = np.flatnonzero(which[group] == b)
-            vals[sel] = run[pos[group[sel]], col[sel]]
+            vals[idx] = run[np.arange(idx.shape[0]), col[idx]]
         return vals
 
     def _tail(self, dt: float, tail, s: np.ndarray,
@@ -506,13 +487,20 @@ class FittedFamily:
             run[:, 1:] = self.weight._accumulate(x, dt, np.maximum)
             if isinstance(tail, np.ndarray):
                 np.maximum(run, tail, out=run)
-            return run
+            return self._finite(run)
         x **= self.p
         x *= dt
         run[:, 1:] = self.weight._accumulate(x, dt, np.add)
         if isinstance(tail, np.ndarray):
             run += tail
-        return np.power(run, 1.0 / self.p, out=run)
+        return self._finite(np.power(run, 1.0 / self.p, out=run))
+
+    def _finite(self, out: np.ndarray) -> np.ndarray:
+        """``out``, refused (``ValueError``) where a norm overflowed float64:
+        samples are finite, so any ``inf`` or ``nan`` is an overflow."""
+        if np.isfinite(out).all():
+            return out
+        raise ValueError(f"{self.name}: a norm overflows float64")
 
     # -- public norms ------------------------------------------------------------
 
@@ -632,13 +620,10 @@ def _buckets(need: np.ndarray, piece: int) -> list:
     first, ``n`` the largest need in ``idx``.  Items whose needs round up
     to the same power of two, at least ``_BUCKET_FLOOR``, share a bucket,
     cut in pieces of at most ``piece`` elements (or one item), unless every
-    item fits in one bucket of ``_ONE_BUCKET`` elements; one bucket of every
-    item has the index ``slice(None)``."""
-    top = int(need.max())
-    if need.shape[0] * top <= _ONE_BUCKET and need.min() > 0:
-        return [(slice(None), top)]
+    item fits in one bucket of ``_ONE_BUCKET`` elements."""
     order = np.argsort(-need)[:np.count_nonzero(need)]
     srt = need[order]
+    top = int(need.max())
     if order.shape[0] * top <= _ONE_BUCKET:
         return [(order, top)] if order.size else []
     cap = np.maximum(_BUCKET_FLOOR, np.left_shift(
@@ -797,11 +782,11 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     (:func:`_axiom_draws`; a bit generator other than PCG64 is refused with
     a ``ValueError``).  Probes then go in chunks of consecutive probes, as
     many as stack at most ``_AXIOM_BUDGET`` row elements: a chunk stacks
-    its probes' magnitude rows with the rows of their edited differences
-    and evaluates every window of every condition, each on its own row and
-    origin, in one :meth:`FittedFamily._seminorms` call.  Every window
-    starts at or after its origin, so none reads a tail.  None builds a
-    shifted or edited :class:`TimeFunction`.
+    its probes' magnitude rows with a row per edit, zero inside the edit's
+    window, and evaluates every window of every condition, each on its own
+    row and origin, in one :meth:`FittedFamily._seminorms` call.  Every
+    window starts at or after its origin, so none reads a tail.  None builds
+    a shifted or edited :class:`TimeFunction`.
     """
     rng = np.random.default_rng(rng)
     res = {name: ConditionResult(True, 0) for name in
@@ -823,30 +808,25 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
             c.witness = c.witness or witness(int(k), int(j))
 
     per = max(1, _AXIOM_BUDGET // ((m + 1) * width))
-    # One stack for every chunk, zero past each probe's grid.
-    whole = np.zeros((min(per, len(probes)), m + 1, width))
     for c0 in range(0, len(probes), per):
         fs, tri, bump, h, cmp_tri = (x[c0:c0 + per] for x in (probes, *draws))
-        stack = whole[:len(fs)]
-        stack[...] = 0.0
+        stack = np.zeros((len(fs), m + 1, width))  # zero past each grid
         i0 = np.repeat([[f.grid.i0] for f in fs], 7 * m, axis=1)
         for k, f in enumerate(fs):
             g = f.grid
             stack[k, 0, :g.n] = fam._rownorm(f.samples)
+            # Row 1 + j stands for f minus its edit j: the bump outside
+            # (s, t], exactly 0 inside, which is all that locality reads.
             idx = np.arange(g.i0 + 1, g.i1 + 1)
             outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
-            diff = f.samples - np.where(outside[:, :, None],
-                                        f.samples + bump[k, :, None, None],
-                                        f.samples)
-            stack[k, 1:, :g.n] = fam._rownorm(
-                diff.reshape(-1, f.dim)).reshape(m, g.n)
+            np.multiply(outside, bump[k, :, None], out=stack[k, 1:, :g.n])
         # The 7 m windows of each probe k of the chunk, m at a time:
         # locality's (s, t] on the edited differences; (s, t], (r, t] and
         # (r, s]; (s, t] on shift_left(f, h dt) for the drawn shift h, which
         # is (s - h, t - h] read on the grid origin i0 - h; the comparison
         # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
-        # of the stack: its magnitudes, then its difference with edit j in
-        # row k (m + 1) + 1 + j.
+        # of the stack: its magnitudes, then the row of edit j in row
+        # k (m + 1) + 1 + j.
         r, s, t = tri.transpose(2, 0, 1)
         rc, sc, tc = cmp_tri.transpose(2, 0, 1)
         i0[:, 4 * m:5 * m] -= h

@@ -223,14 +223,16 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     question, and the final output gap at ``T`` is the verdict.  As
     ``v_i - u`` vanishes after ``tau_i``, it is at most ``c_i`` on
     ``(-inf, tau_i]`` and 0 after, ``c_i`` its sup (tail included), whose
-    norm at ``T`` is ``input_gap_bounds[i - 1]``.  State matches are
-    measured at weight power two.
+    norm at ``T`` is ``input_gap_bounds[i - 1]``.  That premise is
+    ``premise_gaps[i - 1]``, the largest ``|v_i - u|`` after ``tau_i`` on
+    ``u``'s grid, exactly 0.0 when it holds.  State matches are measured at
+    weight power two.
     """
     fam_in, fam_out = sys1.input_fam, sys1.output_fam
     futures = TimeBatch.stack(futures)
     y2 = sys2.apply(u)
     g = u.grid
-    rows, bounds = [], []
+    rows, bounds, premise = [], [], []
     for i in range(1, steps + 1):
         tau = T + 1.0 - i
         w = match_state(u, tau)
@@ -246,6 +248,8 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
         c = float(np.max(fam_in._rownorm(np.vstack([vu.tail_value[None],
                                                      vu.samples[upto]]))))
         bounds.append(fam_in.past_norm(TimeFunction(g, c * upto, [c]), T))
+        premise.append(float(np.max(fam_in._rownorm(vu.samples[~upto]),
+                                    initial=0.0)))
         rows.append({
             "i": i,
             "tau": tau,
@@ -259,6 +263,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     return {
         "rows": rows,
         "input_gap_bounds": bounds,
+        "premise_gaps": premise,
         "final_output_gap_at_T": final,
         "taper_hypothesis_met": cls["class"] in ("finite_memory", "tapered"),
     }

@@ -660,5 +660,6 @@ def test_config_fuzz_exits_cleanly(sections):
         assert msg.startswith("config error: ") and not reports, msg
         assert "run" in sections or any(f"[{name}]" in msg
                                         for name in sections), msg
+        assert "dt" not in sections.get("run", {}) or "dt" in msg, msg
     for text in reports:
         assert all(map(math.isfinite, _floats(json.loads(text))))

@@ -1245,6 +1245,36 @@ def test_exp_running_keeps_a_tiny_spike(p):
                                          rel=1e-12, abs=0.0)
 
 
+def test_box_running_sums_forget_a_huge_spike():
+    # A 1e9 sample at the grid start, then samples near 1e-3: each box sum
+    # reads only its own memory, so once the spike has left it the running
+    # value is the small samples' norm, not the round-off of a cumulative
+    # difference (which read 0.0 at 650 of the 800 right ends after the
+    # origin).
+    fam = catalog.family("box-l2")
+    g = Grid(0.01, -400, 400)
+    x = np.abs(np.random.default_rng(1).standard_normal((g.n, 1))) * 1e-3
+    x[0, 0] = 1e9
+    f = TimeFunction(g, x, np.zeros(1))
+    allt = fam.past_norms_all_t(f)
+    want = [fam.past_norm(f, i * g.dt) for i in range(g.i0, g.i1 + 1)]
+    assert np.count_nonzero(allt) == g.n
+    assert allt == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_norm_that_overflows_is_refused():
+    # 1e200 squares past float64: a weighted L2 norm of it is refused
+    # naming the family, never returned as inf; a sup norm reads it as is.
+    g = Grid(0.01, -100, 100)
+    f = TimeFunction(g, np.full((g.n, 1), 1e200), np.zeros(1))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="exp-l2.*overflows"):
+            catalog.family("exp-l2").past_norm(f, 0.0)
+        with pytest.raises(ValueError, match="uniform-l2.*overflows"):
+            catalog.family("uniform-l2").bounding_norm(f)
+    assert catalog.family("sup-linf").past_norm(f, 0.0) == 1e200
+
+
 
 def _exp_oracle(x, rate, dt, op, cols):
     """The direct ``O(n^2)`` running value at each column ``c`` of ``cols``:
@@ -1397,6 +1427,20 @@ def test_box_running_max_fuzz():
         x[rng.random((rows, n)) < 0.3] = 0.0
         got = Weight.box(win * dt)._accumulate(x, dt, np.maximum)
         assert got.tobytes() == _sliding_max(x, win).tobytes()
+
+
+@pytest.mark.parametrize("memory", [0.01, 0.05, 0.6, 5.0])
+def test_box_running_sums_are_sequential_in_lag_order(memory):
+    # Each position sums the samples of its own memory from itself back,
+    # bit for bit: a one-cell memory and one longer than the row included.
+    w, dt = Weight.box(memory), 0.01
+    x = np.random.default_rng(7).uniform(0.0, 2.0, (3, 260))
+    win = to_cells(memory, dt)
+    want = np.empty_like(x)
+    for c in range(x.shape[1]):
+        want[:, c] = np.add.accumulate(x[:, c::-1][:, :win], axis=-1)[:, -1]
+    got = w._accumulate(x, dt, np.add)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("op", [np.add, np.maximum], ids=["sum", "max"])
