@@ -187,17 +187,23 @@ class PolyKernel:
             self._cache[key] = vals
         return self._cache[key]
 
-    def grid_factors(self, dt: float) -> list[np.ndarray]:
-        """The time-invariant grid as one ``(QM, T)`` factor per slot,
+    def grid_factors(self, dt: float,
+                     at_time: Optional[float] = None) -> list[np.ndarray]:
+        """The grid (:meth:`grid_values`) as one ``(QM, T)`` factor per slot,
         ``K[d_1, .., d_n] = sum_t prod_s F_s[d_s, t]`` (:func:`_slot_major`
         indices), up to residual entries below the direct sum's rounding
-        level ``max|K| * size * eps``; once per ``dt``."""
+        level ``max|K| * size * eps``.  A time-invariant kernel factors once
+        per ``dt`` and keeps them; a time-varying one factors its grid at
+        the output instant ``at_time`` on every call and keeps nothing."""
         key = ("factors", dt)
-        if key not in self._cache:
-            A = _slot_major(self.grid_values(dt))
-            tol = np.max(np.abs(A)) * (A.size * np.finfo(float).eps)
-            self._cache[key] = _cross_factors(A, self.degree, tol)
-        return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
+        A = _slot_major(self.grid_values(dt, at_time))
+        tol = np.max(np.abs(A)) * (A.size * np.finfo(float).eps)
+        factors = _cross_factors(A, self.degree, tol)
+        if not self.time_varying:
+            self._cache[key] = factors
+        return factors
 
     def tail_abs_mass(self, dt: float, sigma: float) -> float:
         """Mass of ``|kernel|`` on cells with any lag beyond ``sigma``."""
@@ -300,19 +306,15 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
     permutations on random index tuples).
     """
     from .seminorm import FittedFamily
-    from .sysop import PolyIntegralOperator, _contract
+    from .sysop import PolyIntegralOperator
 
     rng = np.random.default_rng(rng)
     fam_in = FittedFamily.unweighted_sup()
     fam_out = FittedFamily.output_window(float("inf"))
-    op = PolyIntegralOperator([k], 0.0, fam_in, fam_out, input_dim=k.input_dim)
-    op_s = PolyIntegralOperator([symmetrize(k)], 0.0, fam_in, fam_out,
-                                input_dim=k.input_dim)
-    max_diff = 0.0
-    for u in probes:
-        ya = op.apply(u)
-        yb = op_s.apply(u)
-        max_diff = max(max_diff, float(np.max(np.abs(ya.samples - yb.samples))))
+    ya, yb = (PolyIntegralOperator([ker], 0.0, fam_in, fam_out,
+                                   input_dim=k.input_dim).apply_all(probes)
+              for ker in (k, symmetrize(k)))
+    max_diff = float(np.max(np.abs(ya.samples - yb.samples)))
 
     n = k.degree
     Ks = _symmetrized_array(k.grid_values(dt), n)
@@ -320,9 +322,11 @@ def check_symmetrization_properties(k: PolyKernel, probes, dt: float,
     M = k.input_dim
 
     def term(ix, u):
-        # The summed term of component tuple ``ix`` with component signals u.
-        sub = Ks[tuple(i - 1 for i in ix)][(None,) * n]
-        return float(_contract(sub, [u[i - 1].reshape(1, Q, 1) for i in ix])[0])
+        # The summed term of component tuple ``ix`` with component signals
+        # u: sum over lags j_1..j_n of Ks[ix; j_1..j_n] prod_s u[ix_s, j_s].
+        slots = [x for s, i in enumerate(ix) for x in (u[i - 1], [s])]
+        return float(np.einsum(Ks[tuple(i - 1 for i in ix)], list(range(n)),
+                               *slots, []))
 
     max_term_diff = 0.0
     for _ in range(6):

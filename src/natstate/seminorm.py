@@ -118,10 +118,14 @@ class Weight:
         return out
 
     def _at_lags(self, n: int, dt: float) -> np.ndarray:
-        """``w(j dt)`` for the lags ``j < n``; a uniform weight gives one
-        read-only 1.0 that broadcasts."""
+        """``w(j dt)`` for the lags ``j < n``, a box's memory counted in whole
+        cells (:func:`to_cells`); a uniform weight gives one read-only 1.0
+        that broadcasts."""
         if self.form == "uniform":
             return _ONE
+        if self.form == "box":
+            win = to_cells(self.params["memory"], dt)
+            return np.where(np.arange(n) < win, 1.0, 0.0)
         return self(np.arange(n) * dt)
 
     def integral(self, a, b):
@@ -158,10 +162,10 @@ class Weight:
         the O(n log n) scan of :func:`_exp_running`, a box maximum the O(n)
         blocks of van Herk / Gil-Werman, and a box sum and a table weight the
         sequential ``op`` of each position's terms in lag order, one pass per
-        lag of the memory (of nonzero weight, for a table).  Every form's
-        value at ``c`` reads only the samples up to ``c``, and zeros before a
-        row's first sample leave it as it is, so a running row may be cut at
-        both ends.  Uniform and exponential weights accumulate in place and
+        lag of nonzero weight (:meth:`_at_lags`).  Every form's value at
+        ``c`` reads only the samples up to ``c``, and zeros before a row's
+        first sample leave it as it is, so a running row may be cut at both
+        ends.  Uniform and exponential weights accumulate in place and
         return ``x``; the other forms leave it as it is.
         """
         n = x.shape[-1]
@@ -169,13 +173,8 @@ class Weight:
             return op.accumulate(x, axis=-1, out=x)
         if self.form == "exp":
             return _exp_running(x, self.params["rate"], dt, op)
-        if self.form == "box":
+        if self.form == "box" and op is np.maximum:
             win = to_cells(self.params["memory"], dt)
-            if op is np.add:
-                out = x.copy()
-                for j in range(1, min(win, n)):
-                    out[..., j:] += x[..., :-j]
-                return out
             # Sliding maximum over the zero-padded row by van Herk /
             # Gil-Werman: cut the row into blocks of ``win``; the window of
             # ``win`` samples from ``c`` is the suffix of one block joined
@@ -190,7 +189,7 @@ class Weight:
                               pre.reshape(padded.shape)[..., win - 1:m])
         # Lag by lag, so each position takes its terms in lag order from
         # itself back; a lag of zero weight adds nothing and is skipped.
-        wker = self(np.arange(n) * dt)
+        wker = self._at_lags(n, dt)
         out = x * wker[0]
         for j in np.flatnonzero(wker[1:]) + 1:
             op(out[..., j:], x[..., :-j] * wker[j], out=out[..., j:])

@@ -11,11 +11,12 @@ Three concrete operators are shipped:
   Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
-  kernels, optionally time varying.  A time-invariant term is one ``np.vecdot``
-  per slot of the inputs' strided lag windows against the kernel's cached slot
-  factors (:meth:`PolyKernel.grid_factors`), a time-varying term one
-  ``_contract`` call per instant and input, so every output row reads only its
-  own window and rounds alike in ``apply``, ``apply_at`` and ``apply_all``.
+  kernels, optionally time varying.  Every term is one ``np.vecdot`` per slot
+  of the inputs' strided lag windows against the kernel's slot factors
+  (:meth:`PolyKernel.grid_factors`): a time-invariant kernel's, cached, for
+  all rows at once, a time-varying kernel's, factored at each instant, for
+  that instant's row.  So every output row reads only its own window and
+  rounds alike in ``apply``, ``apply_at`` and ``apply_all``.
   One evaluator (``_terms``) serves ``apply_all`` and the Frechet pair,
   reading each input's lag windows in every slot and degree.
 
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import PolyKernel, _slot_major, symmetrize
+from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
 from .timegrid import (Grid, TimeBatch, TimeFunction, _values_after,
                        shift_left, shift_right, splice, to_cells)
@@ -79,13 +80,10 @@ class SystemOp:
             raise ValueError("input dimension mismatch")
 
     def apply(self, u: TimeFunction) -> TimeFunction:
-        """The one-element :meth:`apply_all`; a subclass defines either."""
+        """The one-element call of ``apply_all(us)``, the one method every
+        operator defines: the outputs for ``us`` (functions on one grid) as
+        one ``TimeBatch``."""
         return self.apply_all([u])[0]
-
-    def apply_all(self, us) -> TimeBatch:
-        """The outputs for ``us`` (functions on one grid) as a batch: one
-        :meth:`apply` each by default."""
-        return TimeBatch.stack([self.apply(u) for u in us])
 
     def apply_at(self, u: TimeFunction, t_indices: np.ndarray) -> np.ndarray:
         """Output values at selected instants only (default: full apply)."""
@@ -391,24 +389,25 @@ class PolyIntegralOperator(SystemOp):
 
         ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
         over the kernel grid.  Slots that read one input take one matrix,
-        the same object repeated.  A time-invariant kernel is contracted
-        as ``sum_t prod_s (X_s . F_s[:, t])``, one ``np.vecdot`` per slot
-        (a dot product per row and factor column); a time-varying one is
-        sampled per instant and contracted one row per call.
+        the same object repeated.  Each group of rows that shares the slot
+        factors ``F_s`` of :meth:`PolyKernel.grid_factors` (every row for a
+        time-invariant kernel, one row per instant for a time-varying one)
+        is contracted as ``sum_t prod_s (X_s . F_s[:, t])``, one
+        ``np.vecdot`` per slot: a dot product per row and factor column.
         """
-        scale = dt ** ker.degree
-        if not ker.time_varying:
-            out = 1.0
-            for m, f in zip(mats, ker.grid_factors(dt)):
-                out = out * np.vecdot(m.reshape(m.shape[:-2] + (1, -1)), f.T)
-            return out.sum(axis=-1) * scale
+        if ker.time_varying:
+            groups = ((slice(i, i + 1), ker.grid_factors(dt, float(t * dt)))
+                      for i, t in enumerate(t_idx))
+        else:
+            groups = [(slice(None), ker.grid_factors(dt))]
         out = np.empty(mats[0].shape[:-2])
-        for i, t in enumerate(t_idx):
-            K = ker.grid_values(dt, at_time=float(t * dt))
-            rows = [m[..., i:i + 1, :, :] for m in mats]
-            for b in np.ndindex(out.shape[:-1]):
-                out[b + (i,)] = _contract(K, [r[b].copy() for r in rows])[0]
-        return out * scale
+        for rows, factors in groups:
+            prod = 1.0
+            for m, f in zip(mats, factors):
+                x = m[..., rows, :, :]
+                prod = prod * np.vecdot(x.reshape(x.shape[:-2] + (1, -1)), f.T)
+            out[..., rows] = prod.sum(axis=-1)
+        return out * dt ** ker.degree
 
     def _terms(self, inputs: Sequence[TimeFunction], terms,
                t_idx: np.ndarray) -> list[np.ndarray]:
@@ -460,23 +459,6 @@ class PolyIntegralOperator(SystemOp):
         return TimeBatch(us.grid, y[:, 1:], y[:, 0])
 
 
-def _contract(K: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum K[a.., j..] prod_m mats[m][i, j_m, a_m]`` for every row ``i``,
-    directly over the grid: the per-instant path of time-varying kernels.
-
-    ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
-    ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
-    ``(QM, (QM)^(n-1))`` (:func:`_slot_major`); each further slot is one
-    row-wise reduction.  BLAS may round a row by its place among ``I``.
-    """
-    I = mats[0].shape[0]
-    T = mats[0].reshape(I, -1) @ _slot_major(K)
-    for x in mats[1:]:
-        T = np.einsum("id,ide->ie", x.reshape(I, -1),
-                      T.reshape(I, x[0].size, -1))
-    return T[:, 0]
-
-
 class TimeAdvance(SystemOp):
     """Deliberately anti-causal control operator: ``y(s) = u(s + k dt)``."""
 
@@ -486,10 +468,15 @@ class TimeAdvance(SystemOp):
         self.k = k
         super().__init__(input_fam, output_fam)
 
-    def apply(self, u: TimeFunction) -> TimeFunction:
-        g = u.grid
-        out = Grid(g.dt, g.i0 - self.k, g.i1 - self.k)
-        return TimeFunction(out, u.samples, u.tail_value)
+    apply = SystemOp.apply
+
+    def apply_all(self, us) -> TimeBatch:
+        """The batch's samples and tails on its grid shifted ``k`` cells
+        earlier."""
+        us = TimeBatch.stack(us)
+        g = us.grid
+        return TimeBatch(Grid(g.dt, g.i0 - self.k, g.i1 - self.k), us.samples,
+                         us.tails)
 
 
 def _tails(u: TimeFunction | TimeBatch) -> np.ndarray:

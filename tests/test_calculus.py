@@ -472,9 +472,10 @@ def test_trajectory_refusals(quad):
 def test_small_derivative_reports_are_pinned(tmp_path):
     # sha256 of the reports that one closed-form call per pair, the
     # trapezoid as masked np.where chains, one window call per uniform-ratio
-    # end, a second apply per spliced input and time-invariant terms
-    # contracted through the kernels' slot factors, one dot product per
-    # output row and factor column, wrote, at four pasts.
+    # end, a second apply per spliced input and every term contracted
+    # through the kernels' slot factors (a time-varying kernel's factored
+    # per instant), one dot product per output row and factor column,
+    # wrote, at four pasts.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\npasts = 4\nexperiments = ["state-closed-form", '
                        '"shift-derivative", "frechet-derivatives"]\n')
@@ -488,8 +489,8 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in names}
     assert digests == {
-        "state-closed-form.json": "1e4b421156af973e81ffa59d7e2d69f2"
-                                  "5c8c8f0f09c1f4364d20eb136c57eb1c",
+        "state-closed-form.json": "727a7f47a95a77c1e3b1c038ba2ac58d"
+                                  "915a02491f399ca1d81fbbeb77a105a2",
         "state-closed-form_quadratic.csv": "512b654d6f979581dbac6bb148f110b5"
                                            "092c78d81429e6a0ba760f7784ca535d",
         "shift-derivative.json": "885acaee91d895f008771e3763da10dd"

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from natstate import experiments, states, sysop
+from natstate import calculus, experiments, states, sysop
+from natstate.calculus import FrechetPair
 from natstate.cli import main
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
+from natstate.kernel import Permutation
 from natstate.seminorm import FittedFamily, Weight
 from natstate.sysop import LimsupConvolution, PolyIntegralOperator
 from natstate.timegrid import (AlignmentError, TimeBatch, TimeFunction,
@@ -309,3 +311,67 @@ def test_ladder_gap_bound_fails_on_a_splice_that_keeps_the_match(monkeypatch):
         premise = rows(r, "lti_ladder_premise[")["lti_ladder_premise[4]"]
         assert not premise.passed and premise.observed > 0.0, seed
         assert not r.passed
+
+
+def test_causality_fails_on_windows_that_read_two_cells_ahead(monkeypatch):
+    # Every polynomial output row reads the lag window of the instant two
+    # cells later (clipped to the horizon): edits after t reach the outputs
+    # up to t of the quadratic system, and of no other.
+    past_matrix = PolyIntegralOperator._past_matrix
+    monkeypatch.setattr(PolyIntegralOperator, "_past_matrix",
+                        lambda self, u, t_idx, Q: past_matrix(
+                            self, u, np.minimum(t_idx + 2, u.grid.i1 + 1), Q))
+    failed, run_failed = _failed("causality", "")
+    assert run_failed and [(c.name, c.observed) for c in failed] == [
+        ("causal[quadratic-volterra]", False)]
+
+
+def test_symmetrize_invariance_fails_on_a_missing_permutation(monkeypatch):
+    # A symmetrization that sums all but the last permutation (still
+    # divided by n!) changes the operator the kernel induces.
+    perms = Permutation.all
+    monkeypatch.setattr(Permutation, "all",
+                        staticmethod(lambda n: perms(n)[:-1]))
+    failed, run_failed = _failed("symmetrize-invariance", "")
+    assert run_failed and [c.name for c in failed] == [
+        "asym_operator_max_diff", "separable_operator_max_diff",
+        "asym3_operator_max_diff", "two_term_max_err",
+        "idempotent_max_err", "six_term_max_err"]
+    assert failed[0].observed == pytest.approx(0.1346, rel=1e-3)
+    assert all(c.observed > c.bound for c in failed)
+
+
+def _scaled_derivative(frechet_of):
+    """``frechet_of`` with every derivative ``L`` scaled by 1.01."""
+    def scaled(system):
+        fp = frechet_of(system)
+        return FrechetPair(lambda u, v: 1.01 * fp.L(u, v), fp.W)
+    return scaled
+
+
+def test_frechet_derivatives_fail_on_a_scaled_derivative(monkeypatch):
+    # F(u + hv) - F(u) - 1.01 h L(u, v) is first order in h, so the
+    # directional finite-difference gap no longer falls as h^2, and the
+    # linear systems' gaps are no longer 0.
+    monkeypatch.setattr(experiments, "frechet_of",
+                        _scaled_derivative(experiments.frechet_of))
+    failed, run_failed = _failed("frechet-derivatives", "")
+    assert run_failed and [c.name for c in failed] == [
+        "integrator_linear_gap", "averager-1x_linear_gap",
+        "directional_fd_order"]
+    order = failed[-1]
+    assert order.observed == pytest.approx(0.543, abs=1e-3)
+    assert order.observed < order.bound == 0.9
+
+
+def test_trajectory_derivative_fails_on_a_scaled_derivative(monkeypatch):
+    # The chain-rule derivative through 1.01 L misses the finite
+    # differences by a term that does not fall with the step: the fitted
+    # order drops to about 0.
+    monkeypatch.setattr(calculus, "frechet_of",
+                        _scaled_derivative(calculus.frechet_of))
+    failed, run_failed = _failed("trajectory-derivative", "fd_order")
+    assert run_failed and [c.name for c in failed] == ["fd_order"]
+    lo, hi = failed[0].bound
+    assert failed[0].observed == pytest.approx(-0.087, abs=1e-3)
+    assert not lo <= failed[0].observed <= hi

@@ -315,8 +315,9 @@ def test_symmetrize_degree_guard():
                                   "quadratic-volterra-tv"])
 def test_only_time_varying_kernels_keep_their_lag_mesh(name):
     # A time-invariant kernel reads its lag meshgrids once, to sample its
-    # grid, and keeps only what it samples; a time-varying one reads them at
-    # every output instant and keeps them.
+    # grid, and keeps only what it samples and its slot factors; a
+    # time-varying one reads them at every output instant and keeps them,
+    # but no factors of any one instant.
     dt = 0.01
     b = catalog.system(name, dt)
     b.system.apply(probe_set(b.grid(dt), 3, count=1)[0])
@@ -324,3 +325,4 @@ def test_only_time_varying_kernels_keep_their_lag_mesh(name):
     assert kernels
     for ker in kernels:
         assert (("mesh", dt) in ker._cache) == ker.time_varying
+        assert (("factors", dt) in ker._cache) != ker.time_varying

@@ -17,8 +17,8 @@ from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
 from natstate import catalog
-from natstate.kernel import symmetrize
-from natstate.sysop import _THETA13, _contract, _expm
+from natstate.kernel import _slot_major, symmetrize
+from natstate.sysop import _THETA13, _expm
 
 DT = 0.02
 
@@ -501,6 +501,23 @@ EINSUM_ORACLE = {1: "aj,ija->i", 2: "abjk,ija,ikb->i",
                  3: "abcjkl,ija,ikb,ilc->i"}
 
 
+def _contract(K, mats):
+    """``sum K[a.., j..] prod_m mats[m][i, j_m, a_m]`` for every row ``i``,
+    directly over the grid: the oracle of the factored term.
+
+    ``K`` has shape ``(M,)*n + (Q,)*n`` and each of the ``n`` matrices shape
+    ``(I, Q, M)``.  The first slot is one matmul against ``K`` flattened to
+    ``(QM, (QM)^(n-1))`` (``_slot_major``); each further slot is one
+    row-wise reduction.
+    """
+    I = mats[0].shape[0]
+    T = mats[0].reshape(I, -1) @ _slot_major(K)
+    for x in mats[1:]:
+        T = np.einsum("id,ide->ie", x.reshape(I, -1),
+                      T.reshape(I, x[0].size, -1))
+    return T[:, 0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("M", [1, 2])
 def test_contract_matches_einsum_oracle(n, M):
@@ -577,6 +594,30 @@ def test_factored_term_matches_the_direct_contraction(n, M, Q, I, seed, kind,
     assert F[0].shape[0] == D and F[0].shape[1] <= D ** (n - 1)
     if kind == "zero":  # no term, except a degree-1 grid's own column
         assert F[0].shape[1] == (1 if n == 1 else 0) and not np.any(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_time_varying_term_matches_the_direct_contraction(n):
+    # A kernel of full rank at every instant, not separable in t: each row
+    # of the term through the slot factors at its instant against _contract
+    # of the grid sampled there, within the same rounding bound.
+    rng = np.random.default_rng(n)
+    Q, I = 4, 7
+    A = rng.standard_normal((Q,) * n)
+    ker = PolyKernel(n, float(Q), time_varying=True, func=lambda t, *s: np.cos(
+        t + A[tuple(np.asarray(x, dtype=int) - 1 for x in s)]))
+    op = PolyIntegralOperator([ker], 0.0, catalog.family("uniform-l2"),
+                              catalog.family("esssup"))
+    mats = [rng.standard_normal((I, Q, 1)) for _ in range(n)]
+    t_idx = np.arange(I) - 3
+    got = op._term(ker, mats, t_idx, 1.0)
+    for i, t in enumerate(t_idx):
+        K = ker.grid_values(1.0, float(t))
+        rows = [m[i:i + 1] for m in mats]
+        bound = (K.size * np.finfo(float).eps * np.max(np.abs(K))
+                 * np.prod([np.abs(r).sum() for r in rows]))
+        assert abs(got[i] - _contract(K, rows)[0]) <= bound
+    assert ("factors", 1.0) not in ker._cache
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -823,16 +864,18 @@ def test_shared_lag_matrices_keep_every_bit(name):
                 D(u, v)
 
 
-@pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra"])
+@pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra",
+                                  "quadratic-volterra-tv"])
 def test_apply_at_subsets_agree_with_apply_to_rounding(name):
     # Each output row is a dot product of its own lag window with the slot
-    # factors, so any subset of instants gets the bits of the same rows of
-    # apply.
+    # factors (a time-varying kernel's factored at the row's instant), so
+    # any subset of instants gets the bits of the same rows of apply.
     dt = 0.01
     b = catalog.system(name, dt)
     g = b.grid(dt)
     rng = np.random.default_rng(5)
-    u = TimeFunction(g, rng.uniform(-1.0, 1.0, (g.n, 1)), np.array([0.3]))
+    tail = 0.3 if b.system.time_invariant else 0.0
+    u = TimeFunction(g, rng.uniform(-1.0, 1.0, (g.n, 1)), np.array([tail]))
     y = b.system.apply(u)
     rows = np.concatenate([y.tail_value, y.samples[:, 0]])
     instants = np.arange(g.i0, g.i1 + 1)
@@ -851,7 +894,7 @@ def test_apply_all_matches_a_loop_of_apply(name):
     # One batched call gives every input the bits of its own apply: the
     # convolution, the state equation, polynomial degrees 1-3, a
     # time-varying kernel, two inputs and two kernel grid sizes, and the
-    # default loop.
+    # time advance's stacked shift.
     dt = 0.05
     if name == "vector":
         op = _vector_operator()
