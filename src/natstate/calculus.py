@@ -151,15 +151,6 @@ class ShiftDerivative:
             return self.fam.bounding_norm(e)
         return self.fam.past_norm(e, t)
 
-    def ratio_sweep(self, h0: float) -> list:
-        """Residual ratios ``|r(h)| / h`` for ``h = h0 2^-k``,
-        ``k < DECAY_STEPS``."""
-        rows = []
-        for k in range(DECAY_STEPS):
-            h = h0 * 0.5 ** k
-            rows.append({"h": h, "ratio": self.residual_norm(h) / h})
-        return rows
-
     def uniform_ratio(self, h: float, ts) -> float:
         """``max_{s in ts}`` of the residual ratio: the uniform-in-s variant."""
         e = self.residual(h)  # one window call per end holds the least memory

@@ -9,7 +9,6 @@ splice-apply-shift machinery is checked against.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -122,14 +121,6 @@ def _quadratic_kernel_func(support: float):
     return f
 
 
-def _quadratic_kernel_func_tv(support: float):
-    base = _quadratic_kernel_func(support)
-
-    def f(t, s1, s2):
-        return (1.0 + 0.5 * math.sin(t)) * base(s1, s2)
-    return f
-
-
 def _lti_bundle(name: str, A, B, claim: str,
                 past_window: float) -> SystemBundle:
     """A state equation with a uniform-L2 input norm and ess-sup output."""
@@ -197,8 +188,8 @@ def _systems() -> dict:
     @define
     def quadratic_volterra_tv(dt):
         S = 2.0
-        ker = PolyKernel(2, S, func=_quadratic_kernel_func_tv(S),
-                         time_varying=True)
+        fixed = PolyKernel(2, S, func=_quadratic_kernel_func(S))
+        ker = PolyKernel(2, S, parts=[(lambda t: 1.0 + 0.5 * np.sin(t), fixed)])
         sys_ = PolyIntegralOperator([ker], 0.0, family("uniform-l2"),
                                     family("esssup"))
         return SystemBundle(
@@ -441,13 +432,16 @@ def system_from_spec(name: str, spec: dict, dt: float,
 
 
 def hilbert_schmidt_bound(op: PolyIntegralOperator, dt: float) -> float:
-    """Grid Hilbert-Schmidt size of the degree-2 kernel (at the instant 0
-    for a time-varying kernel).
+    """Grid Hilbert-Schmidt size of the degree-2 kernel, time invariant.
 
     This is the constant in the Cauchy-Schwarz chain bounding every windowed
     operator estimate at power two.
     """
-    K = op.kernels[2].grid_values(dt, at_time=0.0)
+    if op.kernels[2].time_varying:
+        raise ValueError("the Hilbert-Schmidt bound of a time-varying kernel "
+                         "needs sup|a_r| of each gain, which a gain callable "
+                         "does not give")
+    K = op.kernels[2].grid_values(dt)
     return float(np.sqrt(np.sum(K ** 2) * dt ** 2))
 
 
@@ -472,9 +466,10 @@ def quadratic_state_closed_form(ker: PolyKernel,
         np.arange(p.grid.index_of(t) - Q, p.grid.index_of(t) + 1))[:, 0]
         for p in pasts])  # u(t - q dt), q = Q..0, one row per past
 
-    def kval(ti, a1, a2):
+    def kval(ti, a1, a2):  # sum_r a_r(t) G_r, never the factors
         if ker.time_varying:
-            return np.asarray(ker.func(ti, a1, a2), dtype=float)
+            return sum(a(ti) * np.asarray(g.func(a1, a2), dtype=float)
+                       for a, g in ker.parts)
         return np.asarray(ker.func(a1, a2), dtype=float)
 
     for col, m in enumerate(sigma_indices):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,12 +102,15 @@ def permutation_change_of_variables(pi: Permutation, rho: Permutation) -> dict:
 class PolyKernel:
     """Degree-``n`` kernel over lag space ``[0, S]^n``.
 
-    Backed either by a vectorized callable or by dense grid samples at the
-    right endpoints ``j*dt`` of the lag cells.  Callable signatures::
+    Backed by a vectorized callable, by dense grid samples at the right
+    endpoints ``j*dt`` of the lag cells, or, time varying, by parts
+    ``(a_r, G_r)``: ``K(t; s) = sum_r a_r(t) G_r(s)``, each gain ``a_r`` a
+    vectorized function of the output instant ``t`` and each ``G_r`` a
+    time-invariant scalar kernel of the same degree and support.  Callable
+    signatures::
 
-        scalar, time-invariant:  f(s1, ..., sn)
-        scalar, time-varying:    f(t, s1, ..., sn)
-        vector, time-invariant:  f(idx_tuple, s1, ..., sn)
+        scalar:  f(s1, ..., sn)
+        vector:  f(idx_tuple, s1, ..., sn)
     """
 
     MAX_SYM_DEGREE = 4
@@ -115,13 +118,17 @@ class PolyKernel:
     def __init__(self, degree: int, support: float, input_dim: int = 1,
                  func: Optional[Callable] = None,
                  data: Optional[np.ndarray] = None, data_dt: Optional[float] = None,
-                 time_varying: bool = False):
+                 parts: Sequence[tuple[Callable, "PolyKernel"]] = ()):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        if (func is None) == (data is None):
-            raise ValueError("exactly one of func/data must be given")
-        if time_varying and (input_dim != 1 or data is not None):
-            raise ValueError("time-varying kernels must be scalar callables")
+        if (func is not None) + (data is not None) + bool(parts) != 1:
+            raise ValueError("exactly one of func/data/parts must be given")
+        if parts and (input_dim != 1 or any(
+                g.time_varying or g.input_dim != 1 or g.degree != degree
+                or g.support != float(support) for _, g in parts)):
+            raise ValueError("the parts of a time-varying kernel must be "
+                             "time-invariant scalar kernels of its degree "
+                             "and support")
         self.degree = degree
         self.support = float(support)
         self.input_dim = input_dim
@@ -136,35 +143,26 @@ class PolyKernel:
             if data_dt is None:
                 raise ValueError("grid-backed kernels need data_dt")
             self.data = data
-        self.time_varying = time_varying
+        self.parts = list(parts)
         self._cache: dict = {}
+
+    @property
+    def time_varying(self) -> bool:
+        return bool(self.parts)
 
     # -- grid evaluation -----------------------------------------------------
 
     def grid_size(self, dt: float) -> int:
         return to_cells(self.support, dt)
 
-    def _mesh(self, dt: float):
-        """The ``n`` lag meshgrids at ``dt``.  A time-varying kernel reads
-        them at every instant and keeps them; a time-invariant one reads
-        them once, to sample its grid, and does not."""
-        key = ("mesh", dt)
-        if key in self._cache:
-            return self._cache[key]
-        x = np.arange(1, self.grid_size(dt) + 1) * dt
-        mesh = np.meshgrid(*([x] * self.degree), indexing="ij")
+    def grid_values(self, dt: float, *_) -> np.ndarray:
+        """Dense samples, shape ``(M,)*n + (Q,)*n``, taken once per ``dt``
+        and kept.  A time-varying kernel has no grid of its own: each of its
+        parts has one.  (Extra arguments, such as the one
+        ``bench/layers.py``'s call counter passes, are ignored.)"""
         if self.time_varying:
-            self._cache[key] = mesh
-        return mesh
-
-    def grid_values(self, dt: float, at_time: Optional[float] = None) -> np.ndarray:
-        """Dense samples, shape ``(M,)*n + (Q,)*n``."""
-        if self.time_varying:
-            if at_time is None:
-                raise ValueError("time-varying kernel needs the output instant")
-            mesh = self._mesh(dt)
-            return np.asarray(self.func(at_time, *mesh), dtype=float)[
-                (None,) * self.degree]
+            raise ValueError("a time-varying kernel has no grid of its own; "
+                             "sample its parts")
         key = ("grid", dt)
         if key not in self._cache:
             if self.data is not None:
@@ -172,7 +170,8 @@ class PolyKernel:
                     raise ValueError("grid-backed kernel sampled at a different dt")
                 vals = self.data
             else:
-                mesh = self._mesh(dt)
+                x = np.arange(1, self.grid_size(dt) + 1) * dt
+                mesh = np.meshgrid(*([x] * self.degree), indexing="ij")
                 if self.input_dim == 1:
                     vals = np.asarray(self.func(*mesh), dtype=float)[
                         (None,) * self.degree]
@@ -187,28 +186,24 @@ class PolyKernel:
             self._cache[key] = vals
         return self._cache[key]
 
-    def grid_factors(self, dt: float,
-                     at_time: Optional[float] = None) -> list[np.ndarray]:
+    def grid_factors(self, dt: float) -> list[np.ndarray]:
         """The grid (:meth:`grid_values`) as one ``(QM, T)`` factor per slot,
         ``K[d_1, .., d_n] = sum_t prod_s F_s[d_s, t]`` (:func:`_slot_major`
         indices), up to residual entries below the direct sum's rounding
-        level ``max|K| * size * eps``.  A time-invariant kernel factors once
-        per ``dt`` and keeps them; a time-varying one factors its grid at
-        the output instant ``at_time`` on every call and keeps nothing."""
+        level ``max|K| * size * eps``; factored once per ``dt`` and kept."""
         key = ("factors", dt)
-        if key in self._cache:
-            return self._cache[key]
-        A = _slot_major(self.grid_values(dt, at_time))
-        tol = np.max(np.abs(A)) * (A.size * np.finfo(float).eps)
-        factors = _cross_factors(A, self.degree, tol)
-        if not self.time_varying:
-            self._cache[key] = factors
-        return factors
+        if key not in self._cache:
+            A = _slot_major(self.grid_values(dt))
+            tol = np.max(np.abs(A)) * (A.size * np.finfo(float).eps)
+            self._cache[key] = _cross_factors(A, self.degree, tol)
+        return self._cache[key]
 
     def tail_abs_mass(self, dt: float, sigma: float) -> float:
         """Mass of ``|kernel|`` on cells with any lag beyond ``sigma``."""
         if self.time_varying:
-            return float("nan")
+            raise ValueError("the tail mass of a time-varying kernel needs "
+                             "sup|a_r| of each gain, which a gain callable "
+                             "does not give")
         absval = np.abs(self.grid_values(dt)).sum(axis=tuple(range(self.degree)))
         outside = np.ones(absval.shape, dtype=bool)
         outside[(slice(0, to_cells(sigma, dt)),) * self.degree] = False
@@ -270,14 +265,15 @@ def symmetrize(k: PolyKernel) -> PolyKernel:
     """Average over simultaneous permutations of lags and component indices.
 
     Idempotent and linear in the kernel.  Grid-backed kernels symmetrize
-    their sample array; callables are wrapped.  A wrapped callable keeps
-    its leading argument: the output instant of a time-varying kernel is
-    passed through, the index tuple of a vector kernel is permuted with
-    the lags.
+    their sample array, time-varying kernels each part; callables are
+    wrapped, the index tuple of a vector kernel permuted with the lags.
     """
     n = k.degree
     if n > PolyKernel.MAX_SYM_DEGREE:
         raise ValueError(f"degree {n} too large to enumerate permutations")
+    if k.time_varying:
+        return PolyKernel(n, k.support,
+                          parts=[(a, symmetrize(g)) for a, g in k.parts])
     if k.data is not None:
         return PolyKernel(n, k.support, k.input_dim,
                           data=_symmetrized_array(k.data, n), data_dt=k.data_dt)
@@ -291,8 +287,7 @@ def symmetrize(k: PolyKernel) -> PolyKernel:
                 lead = (tuple(args[0][o] for o in order),)
             acc = acc + k.func(*lead, *[sig[o] for o in order])
         return acc / math.factorial(n)
-    return PolyKernel(n, k.support, k.input_dim, func=sym,
-                      time_varying=k.time_varying)
+    return PolyKernel(n, k.support, k.input_dim, func=sym)
 
 
 def check_symmetrization_properties(k: PolyKernel, probes, dt: float,

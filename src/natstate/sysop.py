@@ -11,12 +11,13 @@ Three concrete operators are shipped:
   Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
 * :class:`PolyIntegralOperator` -- sums of multilinear convolution-type
   integral operators of degree up to three, with dense-grid or closed-form
-  kernels, optionally time varying.  Every term is one ``np.vecdot`` per slot
-  of the inputs' strided lag windows against the kernel's slot factors
-  (:meth:`PolyKernel.grid_factors`): a time-invariant kernel's, cached, for
-  all rows at once, a time-varying kernel's, factored at each instant, for
-  that instant's row.  So every output row reads only its own window and
-  rounds alike in ``apply``, ``apply_at`` and ``apply_all``.
+  kernels, optionally time varying as gains times fixed kernels.  Every term
+  is one ``np.vecdot`` per slot of the inputs' strided lag windows against
+  a fixed kernel's slot factors (:meth:`PolyKernel.grid_factors`, cached per
+  ``dt``) for all rows at once; a time-varying term sums its parts' terms,
+  each scaled row by row by its gain at the output instant.  So every
+  output row reads only its own window and rounds alike in ``apply``,
+  ``apply_at`` and ``apply_all``.
   One evaluator (``_terms``) serves ``apply_all`` and the Frechet pair,
   reading each input's lag windows in every slot and degree.
 
@@ -332,9 +333,11 @@ class PolyIntegralOperator(SystemOp):
     ``y(t) = c0 + sum_n sum_{i_1..i_n} int k_n^{i...}(s_1..s_n)
     u_{i_1}(t-s_1) ... u_{i_n}(t-s_n) ds`` with kernels supported in
     ``[0, S]^n``.  Output is scalar (vector outputs are componentwise copies
-    of this).  Time-varying kernels take the absolute output instant as
-    their leading argument and require zero input tails, since then the
-    pre-window output is the constant ``c0`` exactly.
+    of this).  A time-varying kernel ``sum_r a_r(t) G_r(s)`` (parts of
+    :class:`PolyKernel`) requires zero input tails: then the pre-window
+    output is the constant ``c0`` exactly, where a constant nonzero tail
+    would give ``c0 + sum_r a_r(t) c_r``, which varies with ``t`` and is no
+    one tail value.
     """
 
     MAX_DEGREE = 3
@@ -387,27 +390,22 @@ class PolyIntegralOperator(SystemOp):
         """One multilinear term ``(..., I)`` at the instants ``t_idx``, one
         lag matrix (:meth:`_past_matrix` at ``ker``'s grid size) per slot.
 
-        ``dt^n sum K(t; j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
+        ``dt^n sum K(j_1..j_n) slot_1(t - j_1 dt) ... slot_n(t - j_n dt)``
         over the kernel grid.  Slots that read one input take one matrix,
-        the same object repeated.  Each group of rows that shares the slot
-        factors ``F_s`` of :meth:`PolyKernel.grid_factors` (every row for a
-        time-invariant kernel, one row per instant for a time-varying one)
-        is contracted as ``sum_t prod_s (X_s . F_s[:, t])``, one
-        ``np.vecdot`` per slot: a dot product per row and factor column.
+        the same object repeated.  Every row is contracted against the slot
+        factors ``F_s`` of :meth:`PolyKernel.grid_factors` as ``sum_t prod_s
+        (X_s . F_s[:, t])``, one ``np.vecdot`` per slot: a dot product per
+        row and factor column.  A time-varying kernel's term is ``sum_r
+        a_r(t) T_r`` over its parts ``(a_r, G_r)``, ``T_r`` the term of
+        ``G_r``.
         """
         if ker.time_varying:
-            groups = ((slice(i, i + 1), ker.grid_factors(dt, float(t * dt)))
-                      for i, t in enumerate(t_idx))
-        else:
-            groups = [(slice(None), ker.grid_factors(dt))]
-        out = np.empty(mats[0].shape[:-2])
-        for rows, factors in groups:
-            prod = 1.0
-            for m, f in zip(mats, factors):
-                x = m[..., rows, :, :]
-                prod = prod * np.vecdot(x.reshape(x.shape[:-2] + (1, -1)), f.T)
-            out[..., rows] = prod.sum(axis=-1)
-        return out * dt ** ker.degree
+            return sum(a(t_idx * dt) * self._term(g, mats, t_idx, dt)
+                       for a, g in ker.parts)
+        prod = 1.0
+        for m, f in zip(mats, ker.grid_factors(dt)):
+            prod = prod * np.vecdot(m.reshape(m.shape[:-2] + (1, -1)), f.T)
+        return prod.sum(axis=-1) * dt ** ker.degree
 
     def _terms(self, inputs: Sequence[TimeFunction], terms,
                t_idx: np.ndarray) -> list[np.ndarray]:

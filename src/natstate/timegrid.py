@@ -112,7 +112,7 @@ class Grid:
 
     def times(self) -> np.ndarray:
         """Sample instants (right cell endpoints), shape (n,)."""
-        return np.arange(self.i0 + 1, self.i1 + 1) * self.dt
+        return np.arange(self.i0 + 1, self.i1 + 1, dtype=float) * self.dt
 
     def index_of(self, t: float) -> int:
         """Snap instant ``t`` onto the lattice; reject misaligned instants."""

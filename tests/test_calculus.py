@@ -10,7 +10,7 @@ from natstate import (Grid, NaturalState, PolyIntegralOperator, TimeFunction,
                       input_to_state_frechet, remainder_decay,
                       shift_derivative, state_frechet, trajectory_derivative)
 from natstate import catalog
-from natstate.calculus import SmoothInput
+from natstate.calculus import DECAY_STEPS, SmoothInput
 from natstate.cli import main
 from natstate.probes import future_probes
 
@@ -70,8 +70,8 @@ def test_residual_ratio_sweep_decays():
     g = Grid(1e-3, -2000, 12000)
     sd = shift_derivative(SmoothInput.trapezoid(), g,
                           catalog.family("uniform-l2"))
-    rows = sd.ratio_sweep(0.25)
-    r = [row["ratio"] for row in rows]
+    hs = [0.25 * 0.5 ** k for k in range(DECAY_STEPS)]
+    r = [sd.residual_norm(h) / h for h in hs]
     assert all(b <= a for a, b in zip(r[1:], r[2:]))
     assert r[-1] <= 0.1 * r[0]
 
@@ -473,9 +473,9 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     # sha256 of the reports that one closed-form call per pair, the
     # trapezoid as masked np.where chains, one window call per uniform-ratio
     # end, a second apply per spliced input and every term contracted
-    # through the kernels' slot factors (a time-varying kernel's factored
-    # per instant), one dot product per output row and factor column,
-    # wrote, at four pasts.
+    # through the kernels' slot factors (a time-varying kernel's parts',
+    # each term scaled by its gain), one dot product per output row and
+    # factor column, wrote, at four pasts.
     cfgfile = tmp_path / "run.toml"
     cfgfile.write_text('[run]\npasts = 4\nexperiments = ["state-closed-form", '
                        '"shift-derivative", "frechet-derivatives"]\n')
@@ -489,8 +489,8 @@ def test_small_derivative_reports_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in names}
     assert digests == {
-        "state-closed-form.json": "727a7f47a95a77c1e3b1c038ba2ac58d"
-                                  "915a02491f399ca1d81fbbeb77a105a2",
+        "state-closed-form.json": "15d6b82b5767c2a3eff22be2e95ce9c5"
+                                  "344b4dc7cda5139da0d0c1fba1f5b093",
         "state-closed-form_quadratic.csv": "512b654d6f979581dbac6bb148f110b5"
                                            "092c78d81429e6a0ba760f7784ca535d",
         "shift-derivative.json": "885acaee91d895f008771e3763da10dd"

@@ -375,3 +375,60 @@ def test_trajectory_derivative_fails_on_a_scaled_derivative(monkeypatch):
     lo, hi = failed[0].bound
     assert failed[0].observed == pytest.approx(-0.087, abs=1e-3)
     assert not lo <= failed[0].observed <= hi
+
+
+def test_tail_separation_fails_on_a_convolution_without_its_level_term(
+        monkeypatch):
+    # Every convolution built with tail gain 0 whatever it is given: the
+    # eventual levels 1 and 2 no longer reach the outputs, and the states
+    # are only as far apart as their recent pasts make them.
+    init = LimsupConvolution.__init__
+    monkeypatch.setattr(LimsupConvolution, "__init__",
+                        lambda self, h, tail_gain, fin, fout: init(
+                            self, h, 0.0, fin, fout))
+    failed, run_failed = _failed("tail-separation", "")
+    assert run_failed and [c.name for c in failed] == ["min_distance"]
+    assert failed[0].observed == pytest.approx(0.649, abs=1e-3)
+    assert failed[0].observed < failed[0].bound
+
+
+def test_taper_fails_on_a_window_one_cell_short(monkeypatch):
+    # Every closed-form taper window one cell (dt = 0.01) short of its
+    # value: the exponential family's window misses log(1/eps^2) by a
+    # cell, and the box family's its memory.
+    taper_delta = experiments.taper_delta
+
+    def short(fam, eps, c):
+        delta = taper_delta(fam, eps, c)
+        return None if delta is None else delta - 0.01
+
+    monkeypatch.setattr(experiments, "taper_delta", short)
+    failed, run_failed = _failed("taper", "")
+    assert run_failed and [c.name for c in failed] == ["exp_delta_error",
+                                                       "box_delta"]
+    assert failed[0].observed == pytest.approx(0.01, rel=1e-9)
+    assert failed[0].observed > failed[0].bound == 1e-9
+
+
+def test_reachability_fails_on_a_drive_one_cell_short_of_the_response(
+        monkeypatch):
+    # A finite memory of 0.99 s, one cell short of reachable-conv's 1 s
+    # response: the drive leaves the source's sample at -1 s in every
+    # future output's window, and the reached state misses the target.
+    # (A drive one cell short of the box family's 1.5 s memory still
+    # reaches it exactly: the response reads only the last second.)
+    classify = states.classify
+
+    def short(fam):
+        cls = classify(fam)
+        finite = cls["class"] == "finite_memory"
+        return {**cls, "memory": 0.99} if finite else cls
+
+    monkeypatch.setattr(states, "classify", short)
+    r = run_experiment("reachability", RunConfig(**_SWEEP))
+    failed = [c for c in r.checks if not c.passed]
+    assert not r.passed and [(c.name, c.observed) for c in failed] == [
+        ("finite_memory_exact", False)]
+    fin = r.metrics["finite_memory"]
+    assert fin["drive_seconds"] == 0.99
+    assert fin["distance"] == pytest.approx(0.0047, abs=1e-4)

@@ -9,6 +9,7 @@ from natstate import (AlignmentError, Grid, NaturalState, Permutation,
                       kernel_from_cells, permutation_change_of_variables,
                       symmetrize)
 from natstate import catalog
+from natstate import kernel as kernel_mod
 from natstate.kernel import _symmetrized_array
 from natstate.probes import probe_set
 
@@ -313,16 +314,59 @@ def test_symmetrize_degree_guard():
 
 @pytest.mark.parametrize("name", ["quadratic-volterra", "cubic-volterra",
                                   "quadratic-volterra-tv"])
-def test_only_time_varying_kernels_keep_their_lag_mesh(name):
-    # A time-invariant kernel reads its lag meshgrids once, to sample its
-    # grid, and keeps only what it samples and its slot factors; a
-    # time-varying one reads them at every output instant and keeps them,
-    # but no factors of any one instant.
+def test_each_fixed_kernel_factors_once_per_dt(name, monkeypatch):
+    # Over two applies, each fixed kernel (a time-varying kernel's parts)
+    # samples its grid and factors it once, and keeps both; no kernel keeps
+    # its lag meshgrids, and a time-varying kernel keeps nothing itself.
     dt = 0.01
+    calls, depth = [], [0]
+    factor = kernel_mod._cross_factors
+
+    def counted(A, n, tol):  # the recursion into each row is not a call
+        if depth[0] == 0:
+            calls.append(n)
+        depth[0] += 1
+        try:
+            return factor(A, n, tol)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernel_mod, "_cross_factors", counted)
     b = catalog.system(name, dt)
-    b.system.apply(probe_set(b.grid(dt), 3, count=1)[0])
+    u = probe_set(b.grid(dt), 3, count=1)[0]
+    b.system.apply(u)
+    b.system.apply(u)
     kernels = list(b.system.kernels.values())
-    assert kernels
-    for ker in kernels:
-        assert (("mesh", dt) in ker._cache) == ker.time_varying
-        assert (("factors", dt) in ker._cache) != ker.time_varying
+    fixed = [g for k in kernels for g in ([p[1] for p in k.parts] or [k])]
+    assert sorted(calls) == sorted(g.degree for g in fixed)
+    for g in fixed:
+        assert set(g._cache) == {("grid", dt), ("factors", dt)}
+    tv = [k for k in kernels if k.time_varying]
+    assert len(tv) == (name == "quadratic-volterra-tv")
+    assert not any(k._cache for k in tv)
+
+
+def test_time_varying_kernel_parts_are_checked():
+    # Each part is a time-invariant scalar kernel of the kernel's degree and
+    # support, and parts exclude a callable or a grid of the kernel itself.
+    g = PolyKernel(2, 1.0, func=lambda a, b: a * b)
+    with pytest.raises(ValueError, match="exactly one of func/data/parts"):
+        PolyKernel(2, 1.0, func=g.func, parts=[(np.cos, g)])
+    tv = PolyKernel(2, 1.0, parts=[(np.cos, g)])
+    vector = PolyKernel(2, 1.0, input_dim=2, func=lambda ix, a, b: a * b)
+    for bad in (PolyKernel(1, 1.0, func=np.exp),
+                PolyKernel(2, 2.0, func=g.func), tv, vector):
+        with pytest.raises(ValueError, match="time-invariant scalar kernels"):
+            PolyKernel(2, 1.0, parts=[(np.cos, bad)])
+
+
+@pytest.mark.parametrize("bound", [
+    lambda op: op.kernels[2].tail_abs_mass(0.01, 1.0),
+    lambda op: catalog.hilbert_schmidt_bound(op, 0.01)],
+    ids=["tail_abs_mass", "hilbert_schmidt_bound"])
+def test_bounds_of_a_time_varying_kernel_are_refused(bound):
+    # A gain callable gives no sup|a_r|, so neither bound is read off a grid
+    # at some instant; each refuses instead of returning nan or a guess.
+    op = catalog.system("quadratic-volterra-tv", 0.01).system
+    with pytest.raises(ValueError, match=r"needs sup\|a_r\| of each gain"):
+        bound(op)

@@ -219,6 +219,12 @@ def test_tv_windowed_views_differ():
     assert np.max(np.abs(ya.samples - yb.samples)) > 1e-6
 
 
+def _kernel_at(ker, t, *lags):
+    """``sum_r a_r(t) G_r(lags)`` of a time-varying kernel, from its parts'
+    callables."""
+    return sum(a(t) * g.func(*lags) for a, g in ker.parts)
+
+
 def test_tv_centered_view_kernel_quadrature():
     # The recentred view of the time-varying operator evaluates the kernel
     # at the shifted absolute instant: direct double sums reproduce it.
@@ -232,7 +238,7 @@ def test_tv_centered_view_kernel_quadrature():
     lags = np.arange(1, Q + 1) * DT
     for p_idx in (-40, -10, 0):
         uvals = u0.values_at_indices(p_idx - np.arange(1, Q + 1))[:, 0]
-        K = ker.func(t + p_idx * DT, lags[:, None], lags[None, :])
+        K = _kernel_at(ker, t + p_idx * DT, lags[:, None], lags[None, :])
         want = float(np.einsum("jk,j,k->", K, uvals, uvals)) * DT * DT
         assert y0.values_at_indices([p_idx])[0, 0] == pytest.approx(
             want, abs=1e-12)
@@ -598,26 +604,31 @@ def test_factored_term_matches_the_direct_contraction(n, M, Q, I, seed, kind,
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_time_varying_term_matches_the_direct_contraction(n):
-    # A kernel of full rank at every instant, not separable in t: each row
-    # of the term through the slot factors at its instant against _contract
-    # of the grid sampled there, within the same rounding bound.
+    # A kernel of full rank at every instant, not separable in t,
+    # cos(t + A) = cos t cos A - sin t sin A as two parts: each row of the
+    # term through the parts' slot factors against _contract of the summed
+    # grid at its instant, within the same rounding bound.
     rng = np.random.default_rng(n)
     Q, I = 4, 7
     A = rng.standard_normal((Q,) * n)
-    ker = PolyKernel(n, float(Q), time_varying=True, func=lambda t, *s: np.cos(
-        t + A[tuple(np.asarray(x, dtype=int) - 1 for x in s)]))
+
+    def fixed(B):
+        return PolyKernel(n, float(Q), data=B[(None,) * n], data_dt=1.0)
+
+    ker = PolyKernel(n, float(Q), parts=[
+        (np.cos, fixed(np.cos(A))), (lambda t: -np.sin(t), fixed(np.sin(A)))])
     op = PolyIntegralOperator([ker], 0.0, catalog.family("uniform-l2"),
                               catalog.family("esssup"))
     mats = [rng.standard_normal((I, Q, 1)) for _ in range(n)]
     t_idx = np.arange(I) - 3
     got = op._term(ker, mats, t_idx, 1.0)
     for i, t in enumerate(t_idx):
-        K = ker.grid_values(1.0, float(t))
+        K = np.cos(t + A)[(None,) * n]
         rows = [m[i:i + 1] for m in mats]
         bound = (K.size * np.finfo(float).eps * np.max(np.abs(K))
                  * np.prod([np.abs(r).sum() for r in rows]))
         assert abs(got[i] - _contract(K, rows)[0]) <= bound
-    assert ("factors", 1.0) not in ker._cache
+    assert all(("factors", 1.0) in g._cache for _, g in ker.parts)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -641,10 +652,9 @@ def test_non_finite_kernel_grids_give_non_finite_outputs(n, bad):
 
 
 def _cubic_tv_operator(S):
-    def f(t, a, b, c):
-        return (1.0 + 0.5 * np.sin(t)) * np.exp(-(a + 2.0 * b + 3.0 * c))
-
-    ker = PolyKernel(3, S, func=f, time_varying=True)
+    fixed = PolyKernel(3, S, func=lambda a, b, c: np.exp(-(a + 2.0 * b
+                                                            + 3.0 * c)))
+    ker = PolyKernel(3, S, parts=[(lambda t: 1.0 + 0.5 * np.sin(t), fixed)])
     fam = catalog.family("uniform-l2")
     return PolyIntegralOperator([ker], 0.0, fam, catalog.family("esssup")), ker
 
@@ -663,7 +673,7 @@ def test_term_time_varying_degree3_distinct_slots():
     for i, t in enumerate(t_idx):
         past = [s.values_at_indices(t - np.arange(1, Q + 1))[:, 0]
                 for s in (u, v, w)]
-        K = ker.func(t * dt, *mesh)
+        K = _kernel_at(ker, t * dt, *mesh)
         want = np.einsum("jkl,j,k,l->", K, *past) * dt ** 3
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
