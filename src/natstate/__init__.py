@@ -6,7 +6,7 @@ lazy future-to-future operators, polynomial-kernel symmetrization and
 identification, and the derivative calculus tying them together.
 """
 
-from .timegrid import (AlignmentError, Grid, Interval, TimeBatch, TimeFunction,
+from .timegrid import (AlignmentError, Grid, Interval, TimeFunction,
                        shift_left, shift_right, splice)
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
                        classify, taper_certificate, taper_delta)

@@ -408,7 +408,7 @@ def system_from_spec(name: str, spec: dict, dt: float,
                         acc = np.zeros_like(np.asarray(sig[0], dtype=float))
                         for r, s in zip(rates, sig):
                             acc = acc + r * np.asarray(s, dtype=float)
-                        return np.exp(-acc)
+                        return np.exp(np.negative(acc, out=acc), out=acc)
                 elif form == "box":
                     level = float(spec.get("level", 1.0))
 
@@ -519,8 +519,7 @@ def poly_state_derivative_closed_form(op: PolyIntegralOperator,
     out = np.zeros(len(sigma_indices))
     for d, ker in sorted(op.kernels.items()):
         lags = np.arange(1, ker.grid_size(dt) + 1)
-        K = np.asarray(ker.func(*np.meshgrid(*([lags * dt] * d),
-                                             indexing="ij")), dtype=float)
+        K = ker.grid_values(dt)[(0,) * d]
         # C order: einsum's summation order follows the memory layout.
         K_slots = np.ascontiguousarray(
             sum(np.moveaxis(K, p, -1) for p in range(d)))

@@ -25,7 +25,8 @@ import numpy as np
 from . import catalog
 from .experiments import (EXPERIMENTS, ExperimentResult, RunConfig, claim,
                           run_experiment)
-from .timegrid import AlignmentError, TimeFunction, _is_int
+from .sysop import PolyIntegralOperator
+from .timegrid import AlignmentError, Grid, TimeFunction, _is_int
 
 __all__ = ["main", "parse_config_text"]
 
@@ -124,11 +125,16 @@ def _check_config(cfg: RunConfig) -> RunConfig:
             raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
     # Config systems are otherwise built only when an experiment asks for
     # one; a malformed section must stop the run before anything runs.
-    # Each is applied once to a unit step over its own grid, so one whose
-    # output is not finite, or that cannot run at this dt, stops it too.
+    # Each is applied once to a unit step, so one whose output is not
+    # finite, or that cannot run at this dt, stops it too.  A polynomial
+    # system's step spans its kernel support plus one cell: every later
+    # output row reads the same lags.  Others take their own grid.
     for name, spec in cfg.system_specs.items():
         b = catalog.system_from_spec(name, spec, cfg.dt, cfg.custom_families)
         g, m = b.grid(cfg.dt), b.system.input_dim
+        if isinstance(b.system, PolyIntegralOperator):
+            g = Grid(cfg.dt, 0, 1 + max(k.grid_size(cfg.dt) for k in
+                                        b.system.kernels.values()))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 b.system.apply(TimeFunction(g, np.ones((g.n, m)),
@@ -318,7 +324,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run experiments and emit reports")
-    p_run.add_argument("--config", help="config file (key = value, [run] section)")
+    p_run.add_argument("--config", help="TOML config file: [run], "
+                       "[family.<name>] and [system.<name>] tables")
     p_run.add_argument("--experiment", help="run a single experiment")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", help="report directory", default=None)

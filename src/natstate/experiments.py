@@ -38,7 +38,7 @@ from .sysop import (PolyIntegralOperator, TimeAdvance, _edited_after,
                     _recenter, centered_truncations, check_causality,
                     estimate_npower, hypothesis_uniformity_check,
                     steer_to_state, truncation)
-from .timegrid import (Grid, Interval, TimeBatch, TimeFunction, ceil_cells,
+from .timegrid import (Grid, Interval, TimeFunction, ceil_cells,
                        shift_left, splice, to_cells)
 
 __all__ = ["RunConfig", "ExperimentResult", "Check", "EXPERIMENTS", "claim",
@@ -262,8 +262,8 @@ def exp_shared_state_set(cfg: RunConfig, res: ExperimentResult) -> None:
     T = one.params["response_support"]
     h_l1 = one.system.l1_mass
     rng = cfg.rng(31)
-    futures = TimeBatch.stack(future_probes(cfg.dt, one.horizon, cfg.seed + 32,
-                                            count=cfg.futures))
+    futures = TimeFunction.stack(future_probes(
+        cfg.dt, one.horizon, cfg.seed + 32, count=cfg.futures))
     worst = 0.0
     rows = []
     for k in range(cfg.pasts):
@@ -466,13 +466,13 @@ def exp_npower_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     base = estimate_npower(in0, out0, N)
     for c in (0.5, 2.0):
         est_c = estimate_npower(
-            in0, out_fam.past_norms([c * y for y in ys], 0.0), N)
+            in0, out_fam.past_norms(c * ys, 0.0), N)
         res.check(f"homogeneity_gap[c={c}]", abs(est_c - c * base),
                   "<=", 1e-12 * max(1.0, est_c))
 
     # Zero operator.
     zero_est = estimate_npower(
-        in_b, out_fam.bounding_norms([0.0 * y for y in ys]), N)
+        in_b, out_fam.bounding_norms(0.0 * ys), N)
     res.check("zero_operator_estimate", zero_est, "==", 0.0)
 
     # Uniformity across window instants (the standing boundedness hypothesis).
@@ -692,7 +692,7 @@ def exp_reachability(cfg: RunConfig, res: ExperimentResult) -> None:
     under any drive"""
     dt = cfg.dt
     futures = future_probes(dt, 2.0, cfg.seed + 101, count=max(8, cfg.futures // 2))
-    futures = TimeBatch.stack([0.0 * futures[0]] + futures)
+    futures = TimeFunction.stack([0.0 * futures[0]] + futures)
 
     rb = catalog.system("reachable-conv", dt)
     g = rb.grid(dt)
@@ -743,7 +743,7 @@ def exp_state_set_identity(cfg: RunConfig, res: ExperimentResult) -> None:
     while the systems differ, and the failed premise is reported"""
     dt = cfg.dt
     futures = future_probes(dt, 2.0, cfg.seed + 111, count=10)
-    futures = TimeBatch.stack([0.0 * futures[0]] + futures)
+    futures = TimeFunction.stack([0.0 * futures[0]] + futures)
 
     # Identical systems, trivial matching.
     one, two = catalog.averager_pair(dt)
@@ -836,8 +836,8 @@ def exp_state_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     splice chain, with zero violations, and evaluations ignore the past
     beyond the state instant"""
     dt = cfg.dt
-    futures = TimeBatch.stack(future_probes(dt, 1.5, cfg.seed + 121,
-                                            count=max(20, cfg.bound_probes)))
+    futures = TimeFunction.stack(future_probes(
+        dt, 1.5, cfg.seed + 121, count=max(20, cfg.bound_probes)))
     total_probes = 0
     for name, n_states in (("quadratic-volterra", 2), ("averager-1x", 2)):
         b = catalog.system(name, dt)

@@ -170,19 +170,17 @@ class PolyKernel:
                     raise ValueError("grid-backed kernel sampled at a different dt")
                 vals = self.data
             else:
-                x = np.arange(1, self.grid_size(dt) + 1) * dt
-                mesh = np.meshgrid(*([x] * self.degree), indexing="ij")
-                if self.input_dim == 1:
-                    vals = np.asarray(self.func(*mesh), dtype=float)[
-                        (None,) * self.degree]
-                else:
-                    Q = self.grid_size(dt)
-                    shape = (self.input_dim,) * self.degree + (Q,) * self.degree
-                    vals = np.empty(shape)
-                    for idx in itertools.product(range(self.input_dim),
-                                                 repeat=self.degree):
-                        vals[idx] = np.asarray(
-                            self.func(tuple(i + 1 for i in idx), *mesh), dtype=float)
+                # An open mesh: the callable broadcasts its lag axes, so no
+                # full (Q,)*n array is built per axis.
+                Q = self.grid_size(dt)
+                x = np.arange(1, Q + 1) * dt
+                mesh = np.meshgrid(*([x] * self.degree), indexing="ij",
+                                   sparse=True)
+                n, M = self.degree, self.input_dim
+                vals = np.empty((M,) * n + (Q,) * n)
+                for idx in itertools.product(range(M), repeat=n):
+                    lead = (tuple(i + 1 for i in idx),) if M > 1 else ()
+                    vals[idx] = np.asarray(self.func(*lead, *mesh), dtype=float)
             self._cache[key] = vals
         return self._cache[key]
 

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .timegrid import (Interval, TimeBatch, TimeFunction, NEG_INF, POS_INF,
-                       _positive, ceil_cells, to_cells)
+from .timegrid import (Interval, TimeFunction, NEG_INF, POS_INF, _positive,
+                       ceil_cells, to_cells)
 
 __all__ = [
     "Weight",
@@ -38,6 +38,11 @@ __all__ = [
 
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
+
+# Room, in binary orders of magnitude, for the squares and p-th powers of a
+# row's magnitudes and their windowed sums to stay in the normal range of a
+# double (about 2**-1022 to 2**1024).
+_POWER_EXP = 900
 
 
 class Weight:
@@ -291,6 +296,31 @@ class FittedFamily:
         # np.linalg.norm(samples, axis=-1), without its dispatch overhead.
         return np.sqrt((samples * samples).sum(axis=-1))
 
+    def _scaled_magnitudes(self, samples: np.ndarray, tails: np.ndarray):
+        """:meth:`_magnitudes` of ``samples`` ``(B, n, dim)`` and ``tails``
+        ``(B, dim)``, each row scaled, and the scale of each row's norms
+        (:meth:`_unscale`).
+
+        A row whose largest magnitude ``m 2**e`` (``0.5 <= m < 1``) has
+        ``|e|`` beyond ``_POWER_EXP / max(2, p)`` (``p = inf`` counts as 2,
+        for the squares of a Euclidean value norm) would have its squares or
+        ``p``-th powers leave the normal range.  It is divided by
+        ``2**(2 ((e - 1) // 2))``, an even power of two that brings it to
+        ``[1, 4)`` exactly, and its norms are multiplied back.  Rows inside
+        the band are read as they are, and the scale is None when every row
+        is.
+        """
+        big = np.maximum(np.abs(samples).max(axis=(-2, -1), initial=0.0),
+                         np.abs(tails).max(axis=-1, initial=0.0))
+        e = np.frexp(big)[1]
+        power = 2.0 if self.p == POS_INF else max(2.0, self.p)
+        out = (big > 0.0) & (np.abs(e) * power > _POWER_EXP)
+        if not out.any():
+            return (*self._magnitudes(samples, tails), None)
+        scale = np.where(out, np.ldexp(1.0, 2 * ((e - 1) // 2)), 1.0)
+        return (*self._magnitudes(samples / scale[:, None, None],
+                                  tails / scale[:, None]), scale)
+
     def _magnitudes(self, samples: np.ndarray, tails: np.ndarray):
         """Sample magnitudes ``(B, n)`` of ``samples`` ``(B, n, dim)``, and
         the factor ``(B,)`` of each of ``tails`` in every tail term (see
@@ -303,6 +333,12 @@ class FittedFamily:
         # one, so its unbounded past still diverges and is still refused.
         coef[(coef == 0.0) & tails.any(axis=-1)] = math.ulp(0.0)
         return self._rownorm(samples), coef
+
+    def _unscale(self, out: np.ndarray, scale) -> np.ndarray:
+        """Norms ``out`` of rows scaled by :meth:`_scaled_magnitudes`
+        (``scale`` broadcasts against ``out``) in the rows' own units; a
+        norm beyond the largest double is refused (:meth:`_finite`)."""
+        return out if scale is None else self._finite(out * scale)
 
     # -- batched windows ---------------------------------------------------------
 
@@ -331,8 +367,10 @@ class FittedFamily:
             raise ValueError("window end beyond represented horizon")
         if not (s < t).all():
             raise ValueError("empty window")
-        mags, tail = self._magnitudes(f.samples[None, :hi], f.tail_value[None])
-        return self._seminorms(g.i0, g.dt, tail, mags, 0, s, t)
+        mags, tail, scale = self._scaled_magnitudes(f.samples[None, :hi],
+                                                    f.tail_value[None])
+        return self._unscale(self._seminorms(g.i0, g.dt, tail, mags, 0, s, t),
+                             scale)
 
     def _seminorms(self, i0, dt: float, tail, mags: np.ndarray, rows,
                    s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -523,26 +561,29 @@ class FittedFamily:
         functions on one grid): one :meth:`_seminorms` call on their rows."""
         if not len(fs):
             return []
-        fs = TimeBatch.stack(fs)
+        fs = TimeFunction.stack(fs)
         g, B, ti = fs.grid, len(fs), fs.grid.index_of(t)
         if ti - g.i0 > g.n:
             raise ValueError("window end beyond represented horizon")
-        mags, tails = self._magnitudes(fs.samples[:, :max(ti - g.i0, 0)],
-                                       fs.tails)
-        return self._seminorms(g.i0, g.dt, tails, mags, np.arange(B),
-                               np.full(B, NEG_INF), np.full(B, ti)).tolist()
+        mags, tails, scale = self._scaled_magnitudes(
+            fs.samples[:, :max(ti - g.i0, 0)], fs.tail_value)
+        return self._unscale(self._seminorms(
+            g.i0, g.dt, tails, mags, np.arange(B), np.full(B, NEG_INF),
+            np.full(B, ti)), scale).tolist()
 
     def past_norms_all_t(self, f: TimeFunction) -> np.ndarray:
         """``past_norm`` at every grid instant ``i0 .. i1`` (length n + 1)."""
         g = f.grid
-        mags, tail = self._magnitudes(f.samples[None], f.tail_value[None])
-        return self._running(g.i0, g.dt, tail, mags, np.array([NEG_INF]))[0]
+        mags, tail, scale = self._scaled_magnitudes(f.samples[None],
+                                                    f.tail_value[None])
+        return self._unscale(self._running(g.i0, g.dt, tail, mags,
+                                           np.array([NEG_INF]))[0], scale)
 
     def future_norm(self, f: TimeFunction, s: float) -> float:
         """``sup_{t > s} |f|_{s,t}`` with ``t`` running to the horizon."""
-        return self.future_norms(TimeBatch.stack([f]), s)[0]
+        return self.future_norms(TimeFunction.stack([f]), s)[0]
 
-    def future_norms(self, fs: TimeBatch, s: float) -> list[float]:
+    def future_norms(self, fs: TimeFunction, s: float) -> list[float]:
         """:meth:`future_norm` of every function of the batch ``fs``, in
         order: one :meth:`_running` call on the rows of the stack, each
         with its own tail coefficient."""
@@ -552,9 +593,10 @@ class FittedFamily:
             raise ValueError("window start at or beyond the horizon")
         if not len(fs):
             return []
-        mags, tails = self._magnitudes(fs.samples, fs.tails)
+        mags, tails, scale = self._scaled_magnitudes(fs.samples,
+                                                     fs.tail_value)
         run = self._running(g.i0, g.dt, tails, mags, np.full(len(fs), si))
-        return run.max(axis=1).tolist()
+        return self._unscale(run.max(axis=1), scale).tolist()
 
     def bounding_norm(self, f: TimeFunction) -> float:
         """``sup_t |f|_t``: the norm of the bounding space."""
@@ -563,7 +605,8 @@ class FittedFamily:
     def bounding_norms(self, fs) -> list[float]:
         """:meth:`bounding_norm` of every function of ``fs`` (a batch, or
         functions on one grid): its :meth:`future_norms` from ``-inf``."""
-        return self.future_norms(TimeBatch.stack(fs), NEG_INF) if len(fs) else []
+        return (self.future_norms(TimeFunction.stack(fs), NEG_INF)
+                if len(fs) else [])
 
     def __repr__(self) -> str:
         return f"FittedFamily({self.name!r}, p={self.p}, weight={self.weight})"

@@ -11,7 +11,8 @@ window and the eventual level for a convolution, the vector ``x(t)`` for
 a state equation, the past itself for the definitional
 splice-apply-recenter path).  All comparisons are probe maximizations of
 a weighted operator distance on shared, seeded probe sets; futures and
-outputs travel as ``TimeBatch`` stacks, and two states' outputs subtract.
+outputs travel as batched :class:`TimeFunction` stacks, and two states'
+outputs subtract.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
 from .sysop import SystemOp, _edited_after, _recenter, estimate_npower
-from .timegrid import (TimeBatch, TimeFunction, ceil_cells, shift_left,
-                       shift_right, splice)
+from .timegrid import TimeFunction, ceil_cells, shift_left, shift_right, splice
 
 __all__ = [
     "NaturalState",
@@ -66,17 +66,19 @@ class NaturalState:
         return self._summary
 
     def spliced_input(self, v: TimeFunction) -> TimeFunction:
-        """The full input ``past up to t, then v shifted out to start at t``."""
+        """The full input ``past up to t, then v shifted out to start at t``
+        (for each future of a batch ``v``)."""
         return splice(self.past, shift_right(v, self.t), self.t)
 
     def evaluate(self, v: TimeFunction) -> TimeFunction:
         """Centered future output on ``(0, H]`` for future input ``v`` on ``(0, H]``."""
         return self.evaluate_all([v])[0]
 
-    def evaluate_all(self, vs) -> TimeBatch:
+    def evaluate_all(self, vs) -> TimeFunction:
         """:meth:`evaluate` of every future input of ``vs`` (a batch, or
         functions on one grid), in order: one ``future_responses`` call."""
-        return self.system.future_responses(self.summary, TimeBatch.stack(vs))
+        return self.system.future_responses(self.summary,
+                                            TimeFunction.stack(vs))
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -111,7 +113,7 @@ def state_distances(xis: Sequence[NaturalState], etas: Sequence[NaturalState],
     """
     if not xis:
         return []
-    futures = TimeBatch.stack(futures)
+    futures = TimeFunction.stack(futures)
     out_fam = xis[0].system.output_fam
     ins = xis[0].system.input_fam.future_norms(futures, 0.0)
     eta_outs = [eta.evaluate_all(futures) for eta in etas]
@@ -154,7 +156,7 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
     rng = np.random.default_rng(rng)
     other = NaturalState(state.system, _edited_after(
         state.past, state._t_idx, rng), state.t)
-    futures = TimeBatch.stack(futures)
+    futures = TimeFunction.stack(futures)
     d = state.evaluate_all(futures) - other.evaluate_all(futures)
     return float(np.max(np.abs(d.samples), initial=0.0))
 
@@ -229,7 +231,7 @@ def state_matching_ladder(sys1: SystemOp, sys2: SystemOp, u: TimeFunction,
     weight power two.
     """
     fam_in, fam_out = sys1.input_fam, sys1.output_fam
-    futures = TimeBatch.stack(futures)
+    futures = TimeFunction.stack(futures)
     y2 = sys2.apply(u)
     g = u.grid
     rows, bounds, premise = [], [], []
@@ -291,12 +293,12 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     P = float(np.max(all_past[: t_idx - g.i0 + 1]))
     bound_factor = 1.0 + sum(math.comb(N, k) * P ** k for k in range(N + 1))
 
-    futures = TimeBatch.stack(futures)
-    zs = [state.spliced_input(v) for v in futures]
+    futures = TimeFunction.stack(futures)
+    zs = state.spliced_input(futures)
     fulls = state.system.apply_all(zs)
     est = estimate_npower(in_fam.bounding_norms(zs),
                           out_fam.bounding_norms(fulls), N)
-    evals = TimeBatch.stack([_recenter(y, state.t) for y in fulls])
+    evals = _recenter(fulls, state.t)
     ratios = [y / (1.0 + v ** N)
               for v, y in zip(in_fam.future_norms(futures, 0.0),
                               out_fam.future_norms(evals, 0.0), strict=True)]

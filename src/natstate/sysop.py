@@ -26,8 +26,9 @@ Every operator also answers for natural states (``past_summary`` and
 future response splices, applies and recenters; the convolution and the
 state equation keep only what the future reads of the past, and their
 future outputs equal the definitional ones bit for bit.  A batch of
-futures and its responses are each one ``TimeBatch`` on one grid, as are
-the inputs and outputs of ``apply_all``, whose one-element call is ``apply``.
+futures and its responses are each one batched :class:`TimeFunction` on
+one grid, as are the inputs and outputs of ``apply_all``, whose
+one-element call is ``apply``.
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
@@ -45,8 +46,8 @@ import numpy as np
 
 from .kernel import PolyKernel, symmetrize
 from .seminorm import FittedFamily
-from .timegrid import (Grid, TimeBatch, TimeFunction, _values_after,
-                       shift_left, shift_right, splice, to_cells)
+from .timegrid import (Grid, TimeFunction, shift_left, shift_right, splice,
+                       to_cells)
 
 __all__ = [
     "SystemOp",
@@ -76,14 +77,14 @@ class SystemOp:
         self.output_dim = output_dim
         self.time_invariant = time_invariant
 
-    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
+    def _check_input(self, u: TimeFunction) -> None:
         if u.dim != self.input_dim:
             raise ValueError("input dimension mismatch")
 
     def apply(self, u: TimeFunction) -> TimeFunction:
         """The one-element call of ``apply_all(us)``, the one method every
-        operator defines: the outputs for ``us`` (functions on one grid) as
-        one ``TimeBatch``."""
+        operator defines: the outputs for ``us`` (a batch, or functions on
+        one grid) as one batch."""
         return self.apply_all([u])[0]
 
     def apply_at(self, u: TimeFunction, t_indices: np.ndarray) -> np.ndarray:
@@ -99,17 +100,16 @@ class SystemOp:
         """
         return u, t_idx
 
-    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+    def future_responses(self, summary, vs: TimeFunction) -> TimeFunction:
         """Centered outputs on ``(0, H]`` after the past ``summary``
         describes, one per centered future input ``v`` on ``(0, H]`` of the
-        batch ``vs``.  By default each is the definition of a natural state:
-        splice ``v`` onto the past at ``t``, apply the system and recenter
-        the output.
+        batch ``vs``.  By default they are the definition of a natural
+        state: splice the futures onto the past at ``t``, apply the system
+        and recenter the outputs.
         """
         u, t_idx = summary
         t = t_idx * u.grid.dt
-        ys = self.apply_all([splice(u, shift_right(v, t), t) for v in vs])
-        return TimeBatch.stack([_recenter(y, t) for y in ys])
+        return _recenter(self.apply_all(splice(u, shift_right(vs, t), t)), t)
 
 
 class LimsupConvolution(SystemOp):
@@ -138,7 +138,7 @@ class LimsupConvolution(SystemOp):
     def l1_mass(self) -> float:
         return float(np.sum(np.abs(self.h.samples))) * self.h.grid.dt
 
-    def _check_input(self, u: TimeFunction | TimeBatch) -> None:
+    def _check_input(self, u: TimeFunction) -> None:
         super()._check_input(u)
         if not u.grid.compatible(self.h.grid):
             raise ValueError("input grid step differs from impulse-response step")
@@ -160,13 +160,14 @@ class LimsupConvolution(SystemOp):
 
     apply = SystemOp.apply  # in each class, for tracers of its own methods
 
-    def apply_all(self, us) -> TimeBatch:
+    def apply_all(self, us) -> TimeFunction:
         """One :meth:`_output` call for the batch."""
-        us = TimeBatch.stack(us)
+        us = TimeFunction.stack(us)
         self._check_input(us)
         g = us.grid
-        upad = _values_after(g, us.samples, us.tails, g.i0 - self.h.grid.n)
-        return TimeBatch(g, *self._output(upad[..., 0], us.tails, g.dt))
+        upad = us.values_after(g.i0 - self.h.grid.n)
+        return TimeFunction(g, *self._output(upad[..., 0], us.tail_value,
+                                             g.dt))
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """The last ``m`` inputs up to ``t`` (tail-filled), the eventual
@@ -176,15 +177,16 @@ class LimsupConvolution(SystemOp):
         window = u.values_at_indices(np.arange(t_idx + 1 - m, t_idx + 1))
         return window, u.tail_value, u.grid.dt
 
-    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+    def future_responses(self, summary, vs: TimeFunction) -> TimeFunction:
         """One convolution per future, the call :meth:`apply` makes, on rows
         that each start with the past window."""
         window, ubar, dt = summary
         self._check_input(vs)
         upad = np.hstack([np.broadcast_to(window[:, 0], (len(vs), len(window))),
-                          _values_after(vs.grid, vs.samples, vs.tails, 0)[..., 0]])
+                          vs.values_after(0)[..., 0]])
         vals, tail = self._output(upad, ubar, dt)
-        return TimeBatch(Grid(dt, 0, vs.grid.i1), vals, np.broadcast_to(tail, (len(vs), 1)))
+        return TimeFunction(Grid(dt, 0, vs.grid.i1), vals,
+                            np.broadcast_to(tail, vs.tail_value.shape))
 
 
 # Higham (2005): the [13/13] Pade numerator coefficients
@@ -300,12 +302,13 @@ class LTISystem(SystemOp):
 
     apply = SystemOp.apply
 
-    def apply_all(self, us) -> TimeBatch:
+    def apply_all(self, us) -> TimeFunction:
         """One stacked :meth:`_steps` call, each from its tail's state."""
-        us = TimeBatch.stack(us)
+        us = TimeFunction.stack(us)
         self._check_input(us)
         x0 = np.array([self.initial_state(u) for u in us])
-        return TimeBatch(us.grid, self._steps(x0, us.samples, us.grid.dt), x0)
+        return TimeFunction(us.grid, self._steps(x0, us.samples, us.grid.dt),
+                            x0)
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """The state ``x(t)``, the window's starting state ``x0`` (the output
@@ -315,15 +318,15 @@ class LTISystem(SystemOp):
         xs = self._steps(x0, u.samples[:max(0, t_idx - u.grid.i0)], u.grid.dt)
         return (xs[-1] if len(xs) else x0), x0, u.grid.dt
 
-    def future_responses(self, summary, vs: TimeBatch) -> TimeBatch:
+    def future_responses(self, summary, vs: TimeFunction) -> TimeFunction:
         """One :meth:`_steps` call for the batch, from ``x(t)``."""
         x, x0, dt = summary
         self._check_input(vs)
         g = Grid(dt, 0, vs.grid.i1)
         if not g.compatible(vs.grid):
             raise ValueError("future input grid step differs from the past's")
-        us = _values_after(vs.grid, vs.samples, vs.tails, 0)
-        return TimeBatch(g, self._steps(x, us, dt),
+        us = vs.values_after(0)
+        return TimeFunction(g, self._steps(x, us, dt),
                          np.broadcast_to(x0, (len(vs), x0.shape[0])))
 
 
@@ -375,7 +378,7 @@ class PolyIntegralOperator(SystemOp):
         g = u.grid
         if np.any(t_idx > g.i1 + 1):
             raise IndexError("instant index beyond the represented horizon")
-        tail = _tails(u)[..., None, :]
+        tail = u.tail_value[..., None, :]
         latest_first = np.concatenate([u.samples[..., ::-1, :], np.broadcast_to(
             tail, tail.shape[:-2] + (Q + 1, u.dim))], axis=-2)
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -424,7 +427,7 @@ class PolyIntegralOperator(SystemOp):
         lags: dict[tuple[int, int], np.ndarray] = {}
         out = []
         for ker, slots in terms:
-            if ker.time_varying and any(np.any(_tails(inputs[k]))
+            if ker.time_varying and any(np.any(inputs[k].tail_value)
                                         for k in slots):
                 raise ValueError(
                     "time-varying operator requires zero input tail")
@@ -449,12 +452,12 @@ class PolyIntegralOperator(SystemOp):
 
     apply = SystemOp.apply
 
-    def apply_all(self, us) -> TimeBatch:
+    def apply_all(self, us) -> TimeFunction:
         """One :meth:`_terms` call for the batch.  At ``i0`` every lag reads
         the constant input tail, so the first row is the output tail."""
-        us = TimeBatch.stack(us)
+        us = TimeFunction.stack(us)
         y = self.apply_at(us, np.arange(us.grid.i0, us.grid.i1 + 1))
-        return TimeBatch(us.grid, y[:, 1:], y[:, 0])
+        return TimeFunction(us.grid, y[..., 1:, :], y[..., 0, :])
 
 
 class TimeAdvance(SystemOp):
@@ -468,25 +471,18 @@ class TimeAdvance(SystemOp):
 
     apply = SystemOp.apply
 
-    def apply_all(self, us) -> TimeBatch:
-        """The batch's samples and tails on its grid shifted ``k`` cells
-        earlier."""
-        us = TimeBatch.stack(us)
-        g = us.grid
-        return TimeBatch(Grid(g.dt, g.i0 - self.k, g.i1 - self.k), us.samples,
-                         us.tails)
-
-
-def _tails(u: TimeFunction | TimeBatch) -> np.ndarray:
-    """The tail of a function, or the tails of a batch."""
-    return u.tails if isinstance(u, TimeBatch) else u.tail_value
+    def apply_all(self, us) -> TimeFunction:
+        """The batch shifted ``k`` cells earlier."""
+        us = TimeFunction.stack(us)
+        return shift_left(us, self.k * us.grid.dt)
 
 
 def _recenter(y: TimeFunction, t: float) -> TimeFunction:
-    """The part of ``y`` after ``t``, shifted back to start at 0."""
+    """The part of ``y`` (one function or a batch) after ``t``, shifted
+    back to start at 0."""
     t_idx = y.grid.index_of(t)
     future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
-                          y.samples[t_idx - y.grid.i0:], y.tail_value)
+                          y.samples[..., t_idx - y.grid.i0:, :], y.tail_value)
     return shift_left(future, t)
 
 
@@ -503,13 +499,14 @@ def centered_truncation(system: SystemOp, t: float):
     return lambda u0: centered_truncations(system, t, [u0])[0]
 
 
-def centered_truncations(system: SystemOp, t: float, u0s) -> list:
+def centered_truncations(system: SystemOp, t: float, u0s) -> TimeFunction:
     """:func:`centered_truncation` at ``t`` of every past input of ``u0s``
-    (functions on one grid), in order: one ``apply_all`` call."""
-    g = u0s[0].grid
-    i1 = g.index_of(t) + g.i1
-    ys = system.apply_all([shift_right(u0, t) for u0 in u0s])
-    return [shift_left(y.with_window(y.grid.i0, i1), t) for y in ys]
+    (a batch, or functions on one grid), as one batch: one ``apply_all``
+    call."""
+    u0s = TimeFunction.stack(u0s)
+    ys = system.apply_all(shift_right(u0s, t))
+    return shift_left(ys.with_window(ys.grid.i0, u0s.grid.index_of(t)
+                                     + u0s.grid.i1), t)
 
 
 def truncation(system: SystemOp, t: float):

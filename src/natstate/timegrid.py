@@ -7,8 +7,8 @@ the value at the *right* endpoint of its cell ``(s, s + dt]``; everything at
 or before the grid start takes a constant ``tail_value``.  The constant tail
 stands in for the infinite past, which makes eventual levels (the limit
 superior of the input as time runs to minus infinity) exact for
-eventually-constant functions.  A :class:`TimeBatch` stacks functions on
-one grid, validated once as a whole.
+eventually-constant functions.  Leading axes of the samples stack a
+batch of functions on one grid, validated once as a whole.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "Grid",
     "Interval",
     "TimeFunction",
-    "TimeBatch",
     "AlignmentError",
     "to_cells",
     "ceil_cells",
@@ -143,60 +142,88 @@ class Interval:
 
 
 class TimeFunction:
-    """Vector-valued function of time, sampled on a :class:`Grid`.
+    """Vector-valued function of time, sampled on a :class:`Grid`, or a
+    batch of them on one grid.
 
-    ``samples`` has shape ``(grid.n, dim)``; row ``j`` is the value at instant
-    ``(grid.i0 + 1 + j) * dt``.  For any instant at or before the grid start
-    the function equals ``tail_value``.  Instances are immutable; arithmetic
-    returns new objects and requires identical grids.
+    ``samples`` has shape ``(..., grid.n, dim)``; row ``j`` is the value at
+    instant ``(grid.i0 + 1 + j) * dt``.  For any instant at or before the
+    grid start the function equals ``tail_value`` (``(..., dim)``).
+    Leading axes index a batch: ``f[k]`` is one function and a slice or an
+    index array gives a batch, sharing the arrays.  Queries, arithmetic and
+    re-windowing broadcast over the batch axes.  Arrays are copied, checked
+    finite once as a whole and frozen; arithmetic returns new objects and
+    requires identical grids.
     """
 
     __slots__ = ("grid", "samples", "tail_value")
 
     def __init__(self, grid: Grid, samples: np.ndarray, tail_value: np.ndarray):
-        samples = np.atleast_1d(np.asarray(samples, dtype=float))
+        samples = np.array(samples, dtype=float, ndmin=1)
         if samples.ndim == 1:
             samples = samples[:, None]
-        tail_value = np.atleast_1d(np.asarray(tail_value, dtype=float)).ravel()
-        if samples.shape[0] != grid.n:
-            raise ValueError(
-                f"got {samples.shape[0]} samples for a grid of {grid.n} cells"
-            )
-        if samples.shape[1] != tail_value.shape[0]:
-            raise ValueError("sample dimension does not match tail_value dimension")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("non-finite sample")
-        if not np.all(np.isfinite(tail_value)):
-            raise ValueError("non-finite tail value")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        tail_value = tail_value.copy()
-        tail_value.setflags(write=False)
-        self.grid = grid
-        self.samples = samples
-        self.tail_value = tail_value
+        tail_value = np.array(tail_value, dtype=float)
+        if samples.ndim == 2:
+            tail_value = tail_value.ravel()
+        if (samples.shape[-2] != grid.n or tail_value.shape
+                != samples.shape[:-2] + samples.shape[-1:]):
+            raise ValueError(f"need samples (..., {grid.n}, dim) and "
+                             f"tail_value (..., dim), got {samples.shape} "
+                             f"and {tail_value.shape}")
+        if not (np.isfinite(samples).all() and np.isfinite(tail_value).all()):
+            raise ValueError("non-finite sample or tail value")
+        _shared(grid, samples, tail_value, self)
+
+    @staticmethod
+    def stack(fs) -> "TimeFunction":
+        """``fs`` as one batch: a batch as it is, or a non-empty sequence of
+        (already validated) functions on one grid, stacked (one, viewed)."""
+        if isinstance(fs, TimeFunction):
+            return fs
+        if not fs or any(f.grid != fs[0].grid for f in fs):
+            raise ValueError("need one or more functions on one grid")
+        stack = (lambda xs: xs[0][None]) if len(fs) == 1 else np.stack
+        return _shared(fs[0].grid, stack([f.samples for f in fs]),
+                       stack([f.tail_value for f in fs]))
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
+
+    def __len__(self) -> int:
+        if self.samples.ndim < 3:
+            raise TypeError("one function is not a batch")
+        return self.samples.shape[0]
+
+    def __getitem__(self, k) -> "TimeFunction":
+        len(self)  # one function is not a batch
+        return _shared(self.grid, self.samples[k], self.tail_value[k])
 
     def value(self, t: float) -> np.ndarray:
         """Value at instant ``t``; queries beyond the grid end fail."""
-        return self.values_at_indices([self.grid.index_of(t)])[0]
+        return self.values_at_indices([self.grid.index_of(t)])[..., 0, :]
 
     def values_at_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Values at the instants ``idx * dt``, the tail at or below the
-        window start; an instant beyond the grid end fails (``IndexError``)."""
+        """Values ``(..., I, dim)`` at the instants ``idx * dt``, the tail at
+        or below the window start; an instant beyond the grid end fails
+        (``IndexError``)."""
+        g = self.grid
         idx = np.asarray(idx, dtype=int)
-        if np.any(idx > self.grid.i1):
+        if np.any(idx > g.i1):
             raise IndexError("instant index beyond the represented horizon")
-        out = np.empty((idx.shape[0], self.dim))
-        past = idx <= self.grid.i0
-        out[past] = self.tail_value
-        out[~past] = self.samples[idx[~past] - self.grid.i0 - 1]
-        return out
+        past = idx <= g.i0
+        rows = self.samples[..., np.where(past, 0, idx - g.i0 - 1), :]
+        return np.where(past[:, None], self.tail_value[..., None, :], rows)
+
+    def values_after(self, i: int) -> np.ndarray:
+        """Values at the instants ``i + 1 .. grid.i1`` (none if ``i >=
+        grid.i1``), the tail filling those at or below ``grid.i0``."""
+        g, tail = self.grid, self.tail_value[..., None, :]
+        fill = np.broadcast_to(tail, tail.shape[:-2]
+                               + (max(0, g.i0 - i), self.dim))
+        return np.concatenate([fill, self.samples[..., max(0, i - g.i0):, :]],
+                              -2)
 
     # -- arithmetic (identical grids required) ----------------------------
 
@@ -242,76 +269,15 @@ class TimeFunction:
         )
 
 
-class TimeBatch:
-    """``B`` time functions on one :class:`Grid`: samples ``(B, grid.n,
-    dim)`` and tails ``(B, dim)``, checked finite once as a whole, copied
-    and frozen.  ``batch[k]`` is a :class:`TimeFunction` and a slice or an
-    index array gives a batch, both sharing the arrays.  Subtraction needs
-    identical grids.
-    """
-
-    __slots__ = ("grid", "samples", "tails")
-
-    def __init__(self, grid: Grid, samples: np.ndarray, tails: np.ndarray):
-        samples = np.array(samples, dtype=float)
-        tails = np.array(tails, dtype=float)
-        if (samples.ndim != 3 or samples.shape[1] != grid.n
-                or tails.shape != samples.shape[::2]):
-            raise ValueError(f"need samples (B, {grid.n}, dim) and tails (B, "
-                             f"dim), got {samples.shape} and {tails.shape}")
-        if not (np.isfinite(samples).all() and np.isfinite(tails).all()):
-            raise ValueError("non-finite sample or tail value")
-        _freeze(self, grid, samples, tails)
-
-    @staticmethod
-    def stack(fs) -> "TimeBatch":
-        """``fs`` as one batch: a batch as it is, or a non-empty sequence of
-        (already validated) functions on one grid, stacked (one, viewed)."""
-        if isinstance(fs, TimeBatch):
-            return fs
-        if not fs or any(f.grid != fs[0].grid for f in fs):
-            raise ValueError("need one or more functions on one grid")
-        stack = (lambda xs: xs[0][None]) if len(fs) == 1 else np.stack
-        return _freeze(object.__new__(TimeBatch), fs[0].grid,
-                       stack([f.samples for f in fs]),
-                       stack([f.tail_value for f in fs]))
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[2]
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, (int, np.integer)):
-            return _shared(self.grid, self.samples[k], self.tails[k])
-        return _freeze(object.__new__(TimeBatch), self.grid, self.samples[k],
-                       self.tails[k])
-
-    def __sub__(self, other: "TimeBatch") -> "TimeBatch":
-        if self.grid != other.grid:
-            raise ValueError("grids differ; align windows first")
-        return TimeBatch(self.grid, self.samples - other.samples,
-                         self.tails - other.tails)
-
-
-def _values_after(grid: Grid, samples: np.ndarray, tails: np.ndarray,
-                  i: int) -> np.ndarray:
-    """Values at the instants ``i + 1 .. grid.i1`` (none if ``i >=
-    grid.i1``) of one function or a stack of them (the second-to-last
-    axis), the tails filling those at or below ``grid.i0``."""
-    fill = np.broadcast_to(tails[..., None, :], tails.shape[:-1] + (
-        max(0, grid.i0 - i), tails.shape[-1]))
-    return np.concatenate([fill, samples[..., max(0, i - grid.i0):, :]], -2)
-
-
-def _freeze(batch: TimeBatch, grid: Grid, samples: np.ndarray,
-            tails: np.ndarray) -> TimeBatch:
+def _shared(grid: Grid, samples: np.ndarray, tail_value: np.ndarray,
+            out: TimeFunction | None = None) -> TimeFunction:
+    """A function (``out``, or a new one) on arrays already validated:
+    frozen and shared, not copied or checked again."""
     samples.setflags(write=False)
-    tails.setflags(write=False)
-    batch.grid, batch.samples, batch.tails = grid, samples, tails
-    return batch
+    tail_value.setflags(write=False)
+    out = object.__new__(TimeFunction) if out is None else out
+    out.grid, out.samples, out.tail_value = grid, samples, tail_value
+    return out
 
 
 def shift_left(f: TimeFunction, tau: float) -> TimeFunction:
@@ -324,14 +290,6 @@ def shift_left(f: TimeFunction, tau: float) -> TimeFunction:
                    f.tail_value)
 
 
-def _shared(grid: Grid, samples: np.ndarray, tail_value: np.ndarray):
-    """A function on arrays already validated and frozen: shared, not
-    copied or checked again."""
-    out = object.__new__(TimeFunction)
-    out.grid, out.samples, out.tail_value = grid, samples, tail_value
-    return out
-
-
 def shift_right(f: TimeFunction, tau: float) -> TimeFunction:
     """Right shift by ``tau``, i.e. ``shift_left`` by ``-tau``."""
     return shift_left(f, -tau)
@@ -342,7 +300,8 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
 
     The result equals ``h`` on ``(-inf, s]`` (including ``h``'s tail) and
     ``g`` on ``(s, +inf)``.  Both operands must share the step ``dt``; ``h``
-    must be defined up to ``s`` and ``g`` beyond it.
+    must be defined up to ``s`` and ``g`` beyond it.  Batch axes broadcast,
+    so one past splices onto each future of a batch.
     """
     if not h.grid.compatible(g.grid):
         raise ValueError("incompatible grids: different dt")
@@ -356,6 +315,10 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
     # The result starts at ``h``'s window or at ``si``, whichever is earlier,
     # so its past part is the first ``si - i0`` samples of ``h``.
     i0 = min(h.grid.i0, si)
-    vals = np.concatenate([h.samples[:si - i0],
-                           _values_after(g.grid, g.samples, g.tail_value, si)])
-    return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, h.tail_value)
+    parts = [h.samples[..., :si - i0, :], g.values_after(si)]
+    if parts[0].shape[:-2] != parts[1].shape[:-2]:
+        batch = np.broadcast_shapes(*(x.shape[:-2] for x in parts))
+        parts = [np.broadcast_to(x, batch + x.shape[-2:]) for x in parts]
+    vals = np.concatenate(parts, -2)
+    return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, np.broadcast_to(
+        h.tail_value, vals.shape[:-2] + (h.dim,)))

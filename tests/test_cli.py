@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import natstate
-from natstate import PolyKernel, catalog
-from natstate.cli import main, parse_config_text
-from natstate.experiments import EXPERIMENTS, claim
+from natstate import (Grid, PolyIntegralOperator, PolyKernel, TimeFunction,
+                      catalog)
+from natstate.cli import _check_config, main, parse_config_text
+from natstate.experiments import EXPERIMENTS, RunConfig, claim
 from natstate.kernel import write_kernel_csv
 
 
@@ -368,6 +370,31 @@ def test_bad_config_section_exits_2(tmp_path, capsys, toml, reason):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {reason}")
     assert "PASS" not in captured.out and not out.exists()
+
+
+def test_config_check_steps_a_polynomial_system_over_its_support(
+        monkeypatch):
+    # A polynomial section's unit step spans its kernel support plus one
+    # cell, 21 instants at support 0.4 s and dt 0.02, not the system's
+    # 6 s grid.  Every later row of the step over the whole grid equals
+    # the last row of the short one, so the check loses nothing.
+    spec = {"variant": "poly", "degree": 3, "support": 0.4, "constant": 0.1}
+    steps = []
+    apply_all = PolyIntegralOperator.apply_all
+
+    def spy(self, us):
+        steps.extend(us)
+        return apply_all(self, us)
+
+    monkeypatch.setattr(PolyIntegralOperator, "apply_all", spy)
+    _check_config(replace(RunConfig(dt=0.02), system_specs={"s": spec}))
+    assert [u.grid for u in steps] == [Grid(0.02, 0, 21)]
+    b = catalog.system_from_spec("s", spec, 0.02)
+    g = b.grid(0.02)
+    short = apply_all(b.system, steps)
+    full = apply_all(b.system, [TimeFunction(g, np.ones(g.n), 0.0)])
+    assert np.array_equal(full.samples[0, :21], short.samples[0])
+    assert (full.samples[0, 21:] == short.samples[0, -1]).all()
 
 
 @pytest.mark.parametrize("toml, reason", [

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from natstate import calculus, experiments, states, sysop
-from natstate.calculus import FrechetPair
+from natstate import kernel as kernel_mod
+from natstate.calculus import FrechetPair, SmoothInput
 from natstate.cli import main
 from natstate.experiments import (EXPERIMENTS, ExperimentResult, RunConfig,
                                   run_experiment)
 from natstate.kernel import Permutation
 from natstate.seminorm import FittedFamily, Weight
 from natstate.sysop import LimsupConvolution, PolyIntegralOperator
-from natstate.timegrid import (AlignmentError, TimeBatch, TimeFunction,
-                               splice, to_cells)
+from natstate.timegrid import AlignmentError, TimeFunction, splice, to_cells
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -194,17 +194,18 @@ def test_shared_state_set_evaluates_each_state_once_per_future(monkeypatch):
 
 def test_linear_states_build_few_time_functions(monkeypatch):
     # A batch of futures, a state's responses to it and the differences of
-    # two states' responses each travel as one validated stack, so no
+    # two states' responses each travel as one validated batch, so no
     # per-future TimeFunction is built.  At these sizes the four
-    # experiments build 156 (pasts, probes, ladder and steering inputs);
-    # with one TimeFunction per future output and per difference they
-    # built 1,060.
+    # experiments build 156 single functions (pasts, probes, ladder and
+    # steering inputs); with one TimeFunction per future output and per
+    # difference they built 1,060.  Batches are not counted.
     built = []
     init = TimeFunction.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(1)
         init(self, *args, **kwargs)
+        if self.samples.ndim == 2:
+            built.append(1)
 
     monkeypatch.setattr(TimeFunction, "__init__", counted)
     cfg = RunConfig(dt=0.02, pasts=4, futures=6)
@@ -254,7 +255,7 @@ def test_windowed_spread_fails_on_a_term_that_reads_the_absolute_instant(
         ys = apply_all(self, us)
         t = np.arange(ys.grid.i0 + 1, ys.grid.i1 + 1) * ys.grid.dt
         scale = 1.0 + 0.1 * np.tanh(t)[:, None]
-        return TimeBatch(ys.grid, ys.samples * scale, ys.tails)
+        return TimeFunction(ys.grid, ys.samples * scale, ys.tail_value)
 
     monkeypatch.setattr(PolyIntegralOperator, "apply_all", drifting)
     failed, run_failed = _failed("npower-bounds", "windowed_spread")
@@ -432,3 +433,76 @@ def test_reachability_fails_on_a_drive_one_cell_short_of_the_response(
     fin = r.metrics["finite_memory"]
     assert fin["drive_seconds"] == 0.99
     assert fin["distance"] == pytest.approx(0.0047, abs=1e-4)
+
+
+def test_shared_state_set_fails_on_a_match_that_keeps_the_level(monkeypatch):
+    # The double-gain system's match keeps the past's eventual level
+    # instead of halving it: its level term then reads twice the single-gain
+    # one, and the largest gap is the largest level, far above 5 dt |h|_1.
+    # (A match one cell short of the 1 s response still passes: its gap,
+    # about 0.012, is under that tolerance, though the true gap is 0.0.)
+    level_match = experiments._level_match
+    monkeypatch.setattr(experiments, "_level_match",
+                        lambda u, tau, T, level: level_match(u, tau, T,
+                                                             2.0 * level))
+    failed, run_failed = _failed("shared-state-set", "")
+    assert run_failed and [c.name for c in failed] == ["max_gap"]
+    assert failed[0].observed == pytest.approx(1.727, abs=1e-3)
+    assert failed[0].observed > failed[0].bound == pytest.approx(0.05)
+
+
+def test_memory_causality_fails_on_pasts_that_differ_inside_the_memory(
+        monkeypatch):
+    # The second past zeroed from one cell inside the box family's 1.5 s
+    # memory on: the finite-memory norm then sees the two pasts differ.
+    # (A convolution without its level term still passes: the outputs
+    # before -0.5 s read the zeroed samples, so the output gap stays > 0.)
+    monkeypatch.setattr(experiments, "to_cells",
+                        lambda length, dt: to_cells(length, dt) - 1)
+    failed, run_failed = _failed("memory-causality", "")
+    assert run_failed and [c.name for c in failed] == [
+        "input_gap_finite_memory_norm"]
+    assert failed[0].observed > failed[0].bound == 0.0
+
+
+def test_kernel_identify_fails_on_probes_five_percent_strong(monkeypatch):
+    # The oracle sees every probe 5% stronger than the scaling solved for:
+    # the degree-2 averages come out 1.05^2 times too large, past the
+    # first-order tolerance 2 dt / delta, and re-identifying the rebuilt
+    # kernel scales them again, so recovery is no fixed point.
+    coefficients = kernel_mod._degree_coefficients
+    monkeypatch.setattr(kernel_mod, "_degree_coefficients",
+                        lambda oracle, v, N, s: coefficients(
+                            lambda w: oracle(1.05 * w), v, N, s))
+    failed, run_failed = _failed("kernel-identify", "")
+    assert run_failed and [c.name for c in failed] == [
+        "max_rel_error", "reidentify_max_err"]
+    assert failed[0].observed == pytest.approx(0.1136, abs=1e-4)
+    assert all(c.observed > c.bound for c in failed)
+
+
+def test_shift_derivative_fails_on_a_derivative_ten_percent_steep(
+        monkeypatch):
+    # Every input's derivative taken 10% too steep: the residual
+    # u(t + h) - u(t) - h d keeps a first-order part, so the squared
+    # residual misses (4/3) h^3, the ratio at h = 0.01 misses its value,
+    # the sweep stalls near 0.15 of its start and the sine's residual
+    # ratio breaks its curvature bound.  (At 1% too steep every check
+    # still passes.)
+    shift_derivative = experiments.shift_derivative
+
+    def steep(src, grid, fam):
+        return shift_derivative(SmoothInput(
+            src.u, lambda t: 1.1 * np.asarray(src.d(t)), src.has_jumps),
+            grid, fam)
+
+    monkeypatch.setattr(experiments, "shift_derivative", steep)
+    failed, run_failed = _failed("shift-derivative", "")
+    assert run_failed and [c.name for c in failed] == [
+        "residual_sq_rel_err[h=0.25]", "residual_sq_rel_err[h=0.125]",
+        "residual_sq_rel_err[h=0.0625]", "ratio_at_0p01_rel_err",
+        "sweep_decay", "sine_ratio[h=0.05]", "sine_ratio[h=0.025]"]
+    assert failed[3].observed == pytest.approx(0.631, abs=1e-3)
+    assert failed[4].observed[-1] / failed[4].observed[0] > 0.1
+    assert all(c.observed > c.bound for c in failed
+               if c.name != "sweep_decay")

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, Interval,
-                      TimeBatch, TimeFunction, Weight, catalog,
-                      check_ff_axioms, classify, seminorm, shift_left,
-                      splice, taper_certificate, taper_delta)
+                      TimeFunction, Weight, catalog, check_ff_axioms,
+                      classify, seminorm, shift_left, splice,
+                      taper_certificate, taper_delta)
 from natstate.calculus import SmoothInput
 from natstate.cli import main
 from natstate.probes import probe_set
@@ -737,7 +737,7 @@ def test_future_norms_match_one_function_calls(rough, fam):
     # and from -inf.
     rng = np.random.default_rng(73)
     for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
-        fs = TimeBatch(g, rng.standard_normal((5, g.n, 2)), [
+        fs = TimeFunction(g, rng.standard_normal((5, g.n, 2)), [
             rng.standard_normal(2) if k % 3 and not _divergent(fam, rough)
             else np.zeros(2) for k in range(5)])
         for s in (0.0, 1.1, -math.inf):
@@ -765,7 +765,7 @@ def test_past_and_bounding_norms_match_one_function_calls(rough, fam):
     # at right ends before, at and after the grid start.
     rng = np.random.default_rng(74)
     for g in (rough.grid, Grid(rough.grid.dt, -10, 57)):
-        fs = TimeBatch(g, rng.standard_normal((5, g.n, 2)), [
+        fs = TimeFunction(g, rng.standard_normal((5, g.n, 2)), [
             rng.standard_normal(2) if k % 3 and not _divergent(fam, rough)
             else np.zeros(2) for k in range(5)])
         for ti in (g.i0 - 3, g.i0, g.i0 + 1, 0, g.i1):
@@ -1263,17 +1263,52 @@ def test_box_running_sums_forget_a_huge_spike():
 
 
 def test_a_norm_that_overflows_is_refused():
-    # 1e200 squares past float64: a weighted L2 norm of it is refused
-    # naming the family, never returned as inf; a sup norm reads it as is.
+    # A norm beyond the largest double is refused naming the family, never
+    # returned as inf: the largest double over 2 s of uniform weight, or
+    # with that tail under the exponential weight's mass of about 1.005.
+    # A sup norm reads the value as is, and a norm that fits is returned
+    # however far its samples' squares overflow.
     g = Grid(0.01, -100, 100)
-    f = TimeFunction(g, np.full((g.n, 1), 1e200), np.zeros(1))
+    top = np.finfo(float).max
+    f = TimeFunction(g, np.full((g.n, 1), top), [top])
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="exp-l2.*overflows"):
             catalog.family("exp-l2").past_norm(f, 0.0)
         with pytest.raises(ValueError, match="uniform-l2.*overflows"):
-            catalog.family("uniform-l2").bounding_norm(f)
-    assert catalog.family("sup-linf").past_norm(f, 0.0) == 1e200
+            catalog.family("uniform-l2").bounding_norm(
+                TimeFunction(g, f.samples, [0.0]))
+    assert catalog.family("sup-linf").past_norm(f, 0.0) == top
+    one = catalog.family("exp-l2").past_norm(f * (1.0 / top), 0.0)
+    assert catalog.family("exp-l2").past_norm(f * (1e200 / top), 0.0) == \
+        pytest.approx(1e200 * one, rel=1e-14)
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(catalog.FAMILIES)), st.integers(1, 2),
+       st.floats(-300.0, 300.0), st.integers(0, 2 ** 32 - 1))
+def test_norms_scale_with_samples_from_1e_minus_300_to_1e300(name, dim,
+                                                             exp10, seed):
+    # Every norm of a nonzero function is positive and scales with its
+    # samples, at magnitudes whose squares leave the double range: a
+    # weighted L2 norm of 1e-170 once read 0.0.  Tails are zero under the
+    # uniform weight, whose unbounded past would diverge.
+    fam = catalog.family(name)
+    g = Grid(0.05, -20, 20)
+    rng = np.random.default_rng(seed)
+    tail = np.zeros(dim) if name == "uniform-l2" else rng.standard_normal(dim)
+    f = TimeFunction(g, rng.standard_normal((g.n, dim)), tail)
+    a = 10.0 ** exp10
+
+    def norms(h):
+        return np.array([fam.past_norm(h, 0.0), fam.bounding_norm(h),
+                         fam.future_norm(h, -0.5),
+                         fam.seminorm(h, Interval(-0.5, 0.5)),
+                         *fam.past_norms_all_t(h)[1:]])
+
+    want = a * norms(f)
+    got = norms(f * a)
+    assert (got > 0.0).all()
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _exp_oracle(x, rate, dt, op, cols):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (Grid, NaturalState, TimeBatch, TimeFunction, drive,
+from natstate import (Grid, NaturalState, TimeFunction, drive,
                       reachability_experiment, representative_independence,
                       shift_left, shift_right, splice, state_bound_check,
                       state_distance, state_distances, state_matching_ladder,
@@ -133,7 +133,7 @@ def test_state_distances_match_pairwise(averager, futures):
     assert got == [[state_distance(xi, eta, 2, futures) for eta in etas]
                    for xi in xis]
     assert got[0][2] == 0.0 and min(got[k][0] for k in range(3)) >= 1.0 - 1e-9
-    none = TimeBatch.stack(futures)[:0]
+    none = TimeFunction.stack(futures)[:0]
     assert state_distances(xis, etas, 2, none) == [[0.0] * 3] * 3
     assert state_distance(xis[0], etas[0], 2, none) == 0.0
     assert state_distances([], etas, 2, futures) == []
@@ -199,6 +199,44 @@ def test_lti_transition_property(futures):
     _check_transition(catalog.system("oscillator", DT), 53, futures)
 
 
+@pytest.mark.parametrize("name, support, tail", [
+    ("averager-1x", 1.0, 1.0), ("quadratic-volterra", 2.0, 0.0)])
+def test_states_that_coincide_stay_equal_under_a_drive(name, support, tail,
+                                                       futures):
+    # State-space consistency: the transition map is well defined on
+    # states, not only on pasts.  Two pasts that share the level and the
+    # last support window of the response (1 s of the averager, whose
+    # summary is that window; Q = 100 cells of the quadratic operator,
+    # evaluated by splice, apply and recenter) but differ before it give
+    # one state at 0, and after the same drive to 0.5 still one state, bit
+    # for bit on a batch of futures.  A past that differs in one cell of
+    # the window gives another state.  Driving by v1 to 0.5 and then by v2
+    # to 1.2 reaches the state that their concatenation reaches.
+    b = catalog.system(name, DT)
+    g = b.grid(DT)
+    u, far, near = (_past(g, seed, tail) for seed in (61, 62, 63))
+    lag = -np.arange(g.i0 + 1, g.i1 + 1)
+    window = ((lag >= 0) & (lag < round(support / DT)))[:, None]
+    w = TimeFunction(g, np.where(window, u.samples, far.samples), [tail])
+    x = TimeFunction(g, np.where(window & (lag != 5)[:, None], u.samples,
+                                 near.samples), [tail])
+    assert (w.samples != u.samples).any()
+    futures = TimeFunction.stack(futures)
+    v1, v2 = future_probes(DT, 1.0, 64, count=2)
+
+    def gap(xi, eta):
+        d = xi.evaluate_all(futures) - eta.evaluate_all(futures)
+        return float(np.max(np.abs(d.samples)))
+
+    xi, eta, zeta = (NaturalState(b.system, p, 0.0) for p in (u, w, x))
+    assert gap(xi, eta) == 0.0 and gap(xi, zeta) > 0.0
+    assert gap(drive(xi, v1, 0.5), drive(eta, v1, 0.5)) == 0.0
+    assert gap(drive(xi, v1, 0.5), drive(zeta, v1, 0.5)) > 0.0
+    both = splice(v1, shift_right(v2, 0.5), 0.5)
+    assert gap(drive(drive(eta, v1, 0.5), v2, 1.2), drive(eta, both, 1.2)) \
+        == 0.0
+
+
 def test_summary_computed_once_per_state(futures, monkeypatch):
     b = catalog.system("oscillator", DT)
     calls = []
@@ -244,8 +282,8 @@ def test_batched_future_responses_match_each_future(make, dim, v0):
     rng = np.random.default_rng(7 + v0)
     past = TimeFunction(Grid(DT, -60, 10), rng.standard_normal((70, dim)),
                         rng.standard_normal(dim))
-    vs = TimeBatch(Grid(DT, v0, 45), rng.standard_normal((5, 45 - v0, dim)),
-                   rng.standard_normal((5, dim)))
+    vs = TimeFunction(Grid(DT, v0, 45), rng.standard_normal((5, 45 - v0, dim)),
+                      rng.standard_normal((5, dim)))
     state = NaturalState(system, past, -0.3)
     t_idx = past.grid.index_of(-0.3)
     got = system.future_responses(system.past_summary(past, t_idx), vs)
@@ -318,8 +356,9 @@ def test_evaluate_all_matches_evaluate_and_splice(case, data):
         v0 = data.draw(st.integers(-30, 30))
         v1 = max(v0, 0) + data.draw(st.sampled_from([1, 40, 120]))
         B = data.draw(st.integers(1, 4))
-        vs = TimeBatch(Grid(DT, v0, v1), rng.standard_normal((B, v1 - v0, 1)),
-                       rng.standard_normal((B, 1)))
+        vs = TimeFunction(Grid(DT, v0, v1),
+                          rng.standard_normal((B, v1 - v0, 1)),
+                          rng.standard_normal((B, 1)))
         got = state.evaluate_all(vs)
         assert len(got) == B
         for y, v in zip(got, vs):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
-                      TimeBatch, TimeFunction, centered_truncation,
+                      TimeFunction, centered_truncation,
                       check_causality, estimate_npower, frechet_of,
                       hypothesis_uniformity_check, shift_left, steer_to_state,
                       truncation)
@@ -922,10 +922,10 @@ def test_apply_all_matches_a_loop_of_apply(name):
                        np.full(M, 0.4 * (k % 2) if op.time_invariant else 0.0))
           for k in range(5)]
     ys = op.apply_all(us)
-    assert isinstance(ys, TimeBatch) and len(ys) == len(us)
+    assert isinstance(ys, TimeFunction) and len(ys) == len(us)
     for u, y in zip(us, ys):
         assert _same_bits(y, op.apply(u))
-    assert _same_bits(op.apply_all(TimeBatch.stack(us)[2:4])[1], ys[3])
+    assert _same_bits(op.apply_all(TimeFunction.stack(us)[2:4])[1], ys[3])
     if isinstance(op, PolyIntegralOperator):
         want = _apply_at_per_slot(op, us[1], np.arange(g.i0, g.i1 + 1))
         assert _same_bits(ys[1], TimeFunction(g, want[1:], want[0]))

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (AlignmentError, Grid, TimeBatch, TimeFunction,
+from natstate import (AlignmentError, Grid, TimeFunction,
                       shift_left, shift_right, splice)
 from natstate.calculus import SmoothInput
-from natstate.timegrid import _values_after
 
 
 def _same(a, b):
@@ -177,6 +176,11 @@ def test_splice_matches_mask_gather(si, g0, g1):
                      np.array([-3.0, 2.5]))
     got = splice(h, g, si * dt)
     assert _same(got, _splice_by_masks(h, g, si * dt))
+    # One past spliced onto a batch of futures: each row is its own splice.
+    fs = [g, -2.0 * g]
+    rows = splice(h, TimeFunction.stack(fs), si * dt)
+    assert [_same(rows[k], splice(h, f, si * dt))
+            for k, f in enumerate(fs)] == [True, True]
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,8 +204,8 @@ def test_splice_matches_mask_gather_random(h0, hn, g0, gn, data):
 
 def _batch(grid, seed, B=3, dim=2):
     rng = np.random.default_rng(seed)
-    return TimeBatch(grid, rng.standard_normal((B, grid.n, dim)),
-                     rng.standard_normal((B, dim)))
+    return TimeFunction(grid, rng.standard_normal((B, grid.n, dim)),
+                        rng.standard_normal((B, dim)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -211,45 +215,49 @@ def test_batch_refuses_non_finite_values(bad, where):
     samples, tails = np.zeros((3, g.n, 2)), np.zeros((3, 2))
     (samples if where == "samples" else tails)[2, -1, ...] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        TimeBatch(g, samples, tails)
+        TimeFunction(g, samples, tails)
 
 
 def test_batch_difference_that_overflows_is_refused():
     g = Grid(0.5, -4, 4)
-    big = TimeBatch(g, np.full((1, g.n, 1), 1e308), np.zeros((1, 1)))
+    big = TimeFunction(g, np.full((1, g.n, 1), 1e308), np.zeros((1, 1)))
     with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                    match="non-finite"):
-        big - TimeBatch(g, np.full((1, g.n, 1), -1e308), np.zeros((1, 1)))
+        big - TimeFunction(g, np.full((1, g.n, 1), -1e308), np.zeros((1, 1)))
 
 
 def test_batch_refuses_bad_shapes_and_mixed_grids():
     g = Grid(0.5, -4, 4)
     with pytest.raises(ValueError, match="need samples"):
-        TimeBatch(g, np.zeros((3, g.n - 1, 2)), np.zeros((3, 2)))
+        TimeFunction(g, np.zeros((3, g.n - 1, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="need samples"):
-        TimeBatch(g, np.zeros((3, g.n, 2)), np.zeros((2, 2)))
+        TimeFunction(g, np.zeros((3, g.n, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="grids differ"):
         _batch(g, 1) - _batch(Grid(0.5, -3, 5), 2)
     with pytest.raises(ValueError, match="one grid"):
-        TimeBatch.stack([TimeFunction(g, np.zeros(8), 0.0),
-                         TimeFunction(g.shifted(1), np.zeros(8), 0.0)])
+        TimeFunction.stack([TimeFunction(g, np.zeros(8), 0.0),
+                            TimeFunction(g.shifted(1), np.zeros(8), 0.0)])
     with pytest.raises(ValueError, match="one grid"):
-        TimeBatch.stack([])
+        TimeFunction.stack([])
+    one = TimeFunction(g, np.zeros(8), 0.0)
+    for query in (len, lambda f: f[0]):
+        with pytest.raises(TypeError, match="not a batch"):
+            query(one)
 
 
 def test_batch_arrays_are_read_only_and_shared():
     g = Grid(0.5, -4, 4)
     src = np.zeros((2, g.n, 1))
-    a = TimeBatch(g, src, np.zeros((2, 1)))
+    a = TimeFunction(g, src, np.zeros((2, 1)))
     src[0, 0, 0] = 1.0  # the batch holds its own copy
     assert a.samples[0, 0, 0] == 0.0
     fs = [TimeFunction(g, np.arange(8.0), 1.0), TimeFunction(g, np.ones(8), 2.0)]
-    for b in (a, TimeBatch.stack(fs), a - a, a[1:], a[[1, 0]]):
-        for arr in (b.samples, b.tails):
+    for b in (a, TimeFunction.stack(fs), a - a, a[1:], a[[1, 0]]):
+        for arr in (b.samples, b.tail_value):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 1.0
-    stacked = TimeBatch.stack(fs)
-    assert TimeBatch.stack(stacked) is stacked
+    stacked = TimeFunction.stack(fs)
+    assert TimeFunction.stack(stacked) is stacked
     for k, f in enumerate(fs):
         row = stacked[k]
         assert _same(row, f)
@@ -268,9 +276,9 @@ def test_values_after_reads_each_function_and_its_tail(i):
     g = Grid(0.5, -4, 4)
     b = _batch(g, 3)
     idx = np.arange(i + 1, g.i1 + 1)
-    got = _values_after(g, b.samples, b.tails, i)
+    got = b.values_after(i)
+    assert got.tobytes() == b.values_at_indices(idx).tobytes()
     for k, f in enumerate(b):
         want = f.values_at_indices(idx)
         assert got[k].tobytes() == want.tobytes()
-        assert _values_after(g, f.samples, f.tail_value, i).tobytes() == \
-            want.tobytes()
+        assert f.values_after(i).tobytes() == want.tobytes()
