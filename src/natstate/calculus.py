@@ -29,19 +29,10 @@ from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
                     SystemOp, _recenter)
 from .timegrid import Grid, TimeFunction, shift_right, splice
 
-__all__ = [
-    "SmoothInput",
-    "ShiftDerivative",
-    "shift_derivative",
-    "FrechetPair",
-    "frechet_of",
-    "remainder_decay",
-    "fd_directional_order",
-    "state_frechet",
-    "input_to_state_frechet",
-    "TrajectoryDerivative",
-    "trajectory_derivative",
-]
+__all__ = ["SmoothInput", "ShiftDerivative", "shift_derivative", "FrechetPair",
+           "frechet_of", "remainder_decay", "fd_directional_order",
+           "state_frechet", "input_to_state_frechet", "TrajectoryDerivative",
+           "trajectory_derivative"]
 
 RESIDUAL_REFINE = 16  # sub-grid sampling factor for residual norms
 DECAY_STEPS = 8  # halvings in every decaying-ratio sweep
@@ -68,10 +59,8 @@ class SmoothInput:
         return TimeFunction(grid, vals, np.array([tail]))
 
     def derivative_sample(self, grid: Grid) -> TimeFunction:
-        t = grid.times()
-        vals = np.asarray(self.d(t), dtype=float)
-        tail = float(np.asarray(self.d(np.array([grid.t_start]))).ravel()[0])
-        return TimeFunction(grid, vals, np.array([tail]))
+        """Grid samples of ``d``, as :meth:`sample` takes them of ``u``."""
+        return SmoothInput(self.d, self.d).sample(grid)
 
     @staticmethod
     def trapezoid() -> "SmoothInput":

@@ -19,18 +19,10 @@ from .seminorm import FittedFamily, Weight
 from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
 from .timegrid import CELL_CAP, Grid, TimeFunction, _is_int, _positive
 
-__all__ = [
-    "SystemBundle",
-    "family",
-    "system",
-    "FAMILIES",
-    "SYSTEMS",
-    "averager_pair",
-    "hilbert_schmidt_bound",
-    "quadratic_state_closed_form",
-    "poly_state_derivative_closed_form",
-    "integrator_state_closed_form",
-]
+__all__ = ["SystemBundle", "family", "system", "FAMILIES", "SYSTEMS",
+           "averager_pair", "hilbert_schmidt_bound",
+           "quadratic_state_closed_form", "poly_state_derivative_closed_form",
+           "integrator_state_closed_form"]
 
 
 # -- families -----------------------------------------------------------------

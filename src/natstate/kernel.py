@@ -24,15 +24,10 @@ import numpy as np
 
 from .timegrid import CELL_CAP, Grid, TimeFunction, to_cells
 
-__all__ = [
-    "Permutation",
-    "PolyKernel",
-    "symmetrize",
-    "check_symmetrization_properties",
-    "permutation_change_of_variables",
-    "identify_kernels",
-    "kernel_from_cells",
-]
+__all__ = ["Permutation", "PolyKernel", "symmetrize",
+           "check_symmetrization_properties",
+           "permutation_change_of_variables", "identify_kernels",
+           "kernel_from_cells"]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,15 +25,8 @@ import numpy as np
 from .timegrid import (Interval, TimeFunction, NEG_INF, POS_INF, _positive,
                        ceil_cells, to_cells)
 
-__all__ = [
-    "Weight",
-    "FittedFamily",
-    "NormReport",
-    "check_ff_axioms",
-    "taper_delta",
-    "taper_certificate",
-    "classify",
-]
+__all__ = ["Weight", "FittedFamily", "NormReport", "check_ff_axioms",
+           "taper_delta", "taper_certificate", "classify"]
 
 
 _ONE = np.ones(1)
@@ -437,14 +430,15 @@ class FittedFamily:
 
     def _sup_windows(self, i0, dt: float, tail, mags: np.ndarray, rows,
                      s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`_seminorms` of the sup kind: each window is the value at its
-        end of one :meth:`_running` row of its own, run from its left end to
-        its end.  A running value reads only the samples up to it
-        (:meth:`Weight._accumulate`), and a row cut at its left end starts
+        """:meth:`_seminorms` of the sup kind: each window is the largest
+        value, up to its end, of one base :meth:`_running` row of its own,
+        run from its left end.  A running value reads only the samples up to
+        it (:meth:`Weight._accumulate`), and a row cut at its left end starts
         from a zero tail term, as the whole row has there.  The running rows
         go in buckets of similar length (:func:`_buckets`), each holding its
         samples and running cells, gathered from the rows laid back to back
-        with one pad."""
+        with one pad; a row's cells past its window's end are masked out of
+        its maximum, which is exact in any order."""
         left = s - i0
         lo = np.maximum(left, 0).astype(np.int64)  # -inf: column 0
         col = np.maximum(t - i0, 0) - lo
@@ -454,9 +448,12 @@ class FittedFamily:
         runs = _runs(mags, buckets[0][1] // 2)  # the longest row's samples
         vals = np.empty(t.shape)
         for idx, c in buckets:
-            run = self._running(0, dt, tail[idx], runs[start[idx], :c // 2],
-                                left[idx] - lo[idx])
-            vals[idx] = run[np.arange(idx.shape[0]), col[idx]]
+            run = self.base._running(0, dt, tail[idx],
+                                     runs[start[idx], :c // 2],
+                                     left[idx] - lo[idx])
+            vals[idx] = np.maximum.reduce(
+                run, axis=1, initial=0.0,
+                where=np.arange(run.shape[1]) <= col[idx, None])
         return vals
 
     def _tail(self, dt: float, tail, s: np.ndarray,
@@ -639,8 +636,9 @@ def _runs(rows: np.ndarray, n: int, p: float = 1.0) -> np.ndarray:
     """Runs of ``n`` consecutive elements of ``rows`` raised to the power
     ``p``, laid back to back and followed by ``n`` zeros, one from each
     element: a strided view."""
-    x = np.zeros(rows.size + n)
+    x = np.empty(rows.size + n)
     x[:rows.size].reshape(rows.shape)[...] = rows
+    x[rows.size:] = 0.0
     if p != 1.0:
         x **= p
     return np.ndarray((rows.size + 1, n), x.dtype, x, 0,
@@ -710,10 +708,7 @@ class NormReport:
             "alpha": self.alpha,
             "K_declared": self.K_declared,
             "K_observed": self.K_observed,
-            "conditions": {
-                k: {"passed": c.passed, "checks": c.checks, "witness": c.witness}
-                for k, c in self.conditions.items()
-            },
+            "conditions": {k: asdict(c) for k, c in self.conditions.items()},
         }
 
 
@@ -723,55 +718,69 @@ _WORDS = 512
 
 @contextmanager
 def _pcg64_draws(gen):
-    """``(integers, random)`` on the raw words of the PCG64 generator ``gen``:
-    bit for bit what ``gen.integers(lo, hi)`` and ``gen.random()`` give, and
-    on exit ``gen`` is in the state those calls leave.  As in numpy,
-    ``random()`` is a word's top 53 bits, and a range of ``n > 1`` values is
-    Lemire's method on a 32-bit half, ``x * n >> 32``, drawn again while
-    ``x * n mod 2**32 < (2**32 - n) mod n``; a word's high half waits
-    (``has_uint32``/``uinteger``) for the next, and one value draws nothing."""
+    """``(draw, random)`` on the PCG64 generator ``gen``: ``lo + draw(hi -
+    lo)`` and ``random()`` are bit for bit ``gen.integers(lo, hi)`` and
+    ``gen.random()``, and leave ``gen`` as those calls do.  As in numpy,
+    ``random()`` is a word's top 53 bits, ``draw(1)`` reads nothing, and
+    ``draw(n > 1)`` is Lemire's method on the next 32-bit half ``x``:
+    ``x * n >> 32``, drawn again while ``x * n mod 2**32 < (2**32 - n) mod
+    n``.  One pass reads a list of the words' halves, low first, after the
+    held (or stale) half ``uinteger``; ``random()`` takes the next whole
+    word and moves the half before it past it, so that half is always
+    ``uinteger``, held if the next unread half is a high one.  Words come
+    ``_WORDS`` at a time, read halves are dropped, and the read-ahead is
+    rewound with ``advance``."""
     bg = gen.bit_generator
     if type(bg) is not np.random.PCG64:
         raise ValueError("random windows are read from a PCG64 stream; "
                          f"this generator runs {type(bg).__name__}")
     start = bg.state
-    has, u, used = start["has_uint32"], start["uinteger"], 0
+    halves = [start["uinteger"]]
+    i, dropped = 1 - start["has_uint32"], 0  # words start at odd halves
 
-    def fetch():
-        while True:
-            yield from bg.random_raw(_WORDS).tolist()
+    def fetch():  # keeps the half before i, and an even count dropped
+        nonlocal i, dropped
+        k = max(i - 1, 0) & ~1
+        del halves[:k]
+        i, dropped = i - k, dropped + k
+        raw = bg.random_raw(_WORDS)
+        halves.extend(np.stack([raw & 0xFFFFFFFF, raw >> 32], 1).ravel()
+                      .tolist())
 
-    words = fetch()
-
-    def integers(lo, hi):
-        nonlocal has, u, used
-        n = hi - lo
-        if not 1 <= n <= 1 << 32:
+    def draw(n):
+        nonlocal i
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0
             raise ValueError(f"ranges of 1 to 2**32 values only, got {n}")
-        m, least = 0, ((1 << 32) - n) % n
-        while n > 1:
-            if has:
-                x, has = u, 0
-            else:
-                v, used = next(words), used + 1
-                x, u, has = v & 0xFFFFFFFF, v >> 32, 1
-            m = x * n
-            if m & 0xFFFFFFFF >= least:
-                break
-        return lo + (m >> 32)
+        while True:
+            try:
+                m = halves[i] * n
+            except IndexError:
+                fetch()
+                continue
+            i += 1
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                return m >> 32
 
     def random():
-        nonlocal used
-        used += 1
-        return (next(words) >> 11) * 2.0 ** -53
+        nonlocal i
+        if (i | 1) + 1 >= len(halves):
+            fetch()
+        j = i | 1  # the next whole word
+        word = halves[j] | halves[j + 1] << 32
+        halves[j + 1] = halves[j - 1]
+        i += 2
+        return (word >> 11) * 2.0 ** -53
 
     try:
-        yield integers, random
+        yield draw, random
     finally:
-        # Rewind the read-ahead to the words drawn, then set the half.
+        at = dropped + i
         bg.state = start
-        bg.advance(used)
-        bg.state = {**bg.state, "has_uint32": has, "uinteger": u}
+        bg.advance(at // 2)
+        bg.state = {**bg.state, "has_uint32": 1 - at % 2,
+                    "uinteger": halves[i - at % 2]}
 
 
 def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
@@ -781,19 +790,20 @@ def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
     cmp_tri)``.  A triple draws its span in ``[2, cap]``, then ``r`` so
     that ``t = r + span`` stays in the grid, then ``s`` in ``(r, t)``."""
     tri, edits, cmp_tri = [], [], []
-    with _pcg64_draws(rng) as (integers, random):
-        def triples(out, g, cap):
+    with _pcg64_draws(rng) as (draw, random):
+        def triples(out, i0, n, cap):
+            spans = max(1, cap - 1)
             for _ in range(m):
-                span = integers(2, max(3, cap + 1))
-                r = integers(g.i0, g.i1 - span + 1)
-                out += (r, integers(r + 1, r + span), r + span)
+                span = 2 + draw(spans)
+                r = i0 + draw(n - span + 1)
+                out += (r, r + 1 + draw(span - 1), r + span)
 
         for f in probes:
-            g = f.grid
-            triples(tri, g, g.n)
+            i0, n = f.grid.i0, f.grid.n
+            triples(tri, i0, n, n)
             for _ in range(m):
-                edits += (random(), integers(-g.n, g.n))
-            triples(cmp_tri, g, min(g.n, alpha_idx or g.n))
+                edits += (random(), draw(2 * n) - n)
+            triples(cmp_tri, i0, n, min(n, alpha_idx or n))
     shape = (len(probes), m)
     bump, shift = np.array(edits).reshape(*shape, 2).transpose(2, 0, 1)
     tri, cmp_tri = (np.array(x, np.int64).reshape(*shape, 3)
@@ -805,10 +815,20 @@ def _axiom_draws(rng, probes, m: int, alpha_idx: Optional[int]):
 _AXIOM_RTOL = 1e-12
 
 # Float64 elements of the magnitude rows one window call of
-# ``check_ff_axioms`` stacks (256 KiB), which sets how many consecutive
-# probes share a call (at least one): each probe stacks m + 1 rows of the
-# widest grid.  The terms a call gathers are bounded apart, by _PIECE.
+# ``check_ff_axioms`` stacks (256 KiB): it sets how many consecutive probes
+# share a call (at least one), each stacking m + 1 rows of the widest grid.
+# It bounds the window pass only; the terms a call gathers are bounded
+# apart, by _PIECE.  The draw and condition passes span the whole check and
+# hold about 300 bytes per triple while the draws are read, then about 100
+# of window ends and values.
 _AXIOM_BUDGET = 1 << 15
+
+# A triple's 7 windows as columns (left, right) of its ends r, s, t and
+# the comparison triple's r, s, t: locality's (s, t] on an edited
+# difference; (s, t], (r, t] and (r, s]; (s, t] on shift_left(f, h dt),
+# which is (s - h, t - h] on the grid origin i0 - h; the comparison
+# triple's (r, s] and (r, t].
+_AXIOM_WINDOWS = ([1, 1, 0, 0, 1, 3, 3], [2, 2, 2, 1, 2, 4, 5])
 
 
 def check_ff_axioms(fam: FittedFamily, probes, rng=None,
@@ -819,102 +839,101 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     monotonicity and split-triangle conditions get a relative slack of
     ``_AXIOM_RTOL`` for floating-point rounding.  Failures carry a witness
     with the probe index and window: the first failing window in probe
-    order, then triple order.  The random windows and edits of the whole
-    check are drawn first, as one numpy call per draw would give them
-    (:func:`_axiom_draws`; a bit generator other than PCG64 is refused with
-    a ``ValueError``).  Probes then go in chunks of consecutive probes, as
-    many as stack at most ``_AXIOM_BUDGET`` row elements: a chunk stacks
-    its probes' magnitude rows with a row per edit, zero inside the edit's
-    window, and evaluates every window of every condition, each on its own
-    row and origin, in one :meth:`FittedFamily._seminorms` call.  Every
-    window starts at or after its origin, so none reads a tail.  None builds
-    a shifted or edited :class:`TimeFunction`.
+    order, then triple order.  The probes' grids must share one step (a
+    ``ValueError`` names two that differ); no probes give zero checks.
+
+    Three passes over the whole check.  The random windows and edits are
+    drawn first, in one pass of the reader, as one numpy call per draw
+    would give them (:func:`_axiom_draws`; a bit generator other than PCG64
+    is refused with a ``ValueError``), and every triple's ends are laid out
+    from its probe's grid origin.  Then probes go in chunks of consecutive
+    probes, as many as stack at most ``_AXIOM_BUDGET`` row elements: a
+    chunk stacks its probes' magnitude rows and, by broadcasting, a row per
+    edit that is zero inside the edit's window, and evaluates the 7 ``m``
+    windows of each probe (``_AXIOM_WINDOWS``), each on its own row and
+    origin, in one :meth:`FittedFamily._seminorms` call.  Every window
+    starts at or after its origin, so none reads a tail, and none builds a
+    shifted or edited :class:`TimeFunction`.  Last, the five conditions
+    are recorded once over ``(probes, m)`` arrays of window values.
     """
-    rng = np.random.default_rng(rng)
-    res = {name: ConditionResult(True, 0) for name in
-           ("locality", "shift_invariance", "monotone_in_s",
-            "triangle_over_split", "window_comparison")}
-    dt = probes[0].grid.dt
-    alpha_idx = None if fam.alpha == POS_INF else max(2, to_cells(fam.alpha, dt))
-    m = n_triples
-    width = max(f.grid.n for f in probes)
-    k_obs = 0.0
-    draws = _axiom_draws(rng, probes, m, alpha_idx)
-
-    def record(name, failed, witness):
-        c = res[name]
-        c.checks += failed.size
-        if failed.any():
-            c.passed = False
-            k, j = np.unravel_index(np.argmax(failed), failed.shape)
-            c.witness = c.witness or witness(int(k), int(j))
-
-    per = max(1, _AXIOM_BUDGET // ((m + 1) * width))
+    steps = list(dict.fromkeys(f.grid.dt for f in probes))
+    if len(steps) > 1:
+        raise ValueError("check_ff_axioms reads every probe at one step; got "
+                         f"grids of steps {steps[0]!r} and {steps[1]!r}")
+    dt, m = (steps or [1.0])[0], n_triples
+    alpha_idx = (None if fam.alpha == POS_INF or not probes
+                 else max(2, to_cells(fam.alpha, dt)))
+    tri, bump, h, cmp_tri = _axiom_draws(np.random.default_rng(rng), probes,
+                                         m, alpha_idx)
+    i0, n = np.array([(f.grid.i0, f.grid.n) for f in probes],
+                     np.int64).reshape(-1, 2).T
+    # Counted from the grid origin, the ends are in [0, n]: int32 holds
+    # them on any grid whose samples fit in memory.
+    ends = (np.concatenate([tri, cmp_tri], 2)
+            - i0[:, None, None]).astype(np.int32)
+    del tri, cmp_tri
+    # A chunk's probe k owns rows k (m + 1) .. of its stack: its
+    # magnitudes, then the row of edit j, which locality's window of
+    # triple j reads, in row k (m + 1) + 1 + j.
+    width = int(n.max(initial=0))
+    per = max(1, _AXIOM_BUDGET // ((m + 1) * width or 1))
+    rows = np.zeros((m, 7), np.int64) + (m + 1) * np.arange(
+        min(per, len(probes)))[:, None, None]
+    rows[..., 0] += 1 + np.arange(m)
+    left, right = _AXIOM_WINDOWS
+    cells, shifted = np.arange(1, width + 1), np.arange(7) == 4
+    vals = np.empty((len(probes), m, 7))
     for c0 in range(0, len(probes), per):
-        fs, tri, bump, h, cmp_tri = (x[c0:c0 + per] for x in (probes, *draws))
+        k = slice(c0, c0 + per)
+        fs, at = probes[k], ends[k]
         stack = np.zeros((len(fs), m + 1, width))  # zero past each grid
-        i0 = np.repeat([[f.grid.i0] for f in fs], 7 * m, axis=1)
-        for k, f in enumerate(fs):
-            g = f.grid
-            stack[k, 0, :g.n] = fam._rownorm(f.samples)
-            # Row 1 + j stands for f minus its edit j: the bump outside
-            # (s, t], exactly 0 inside, which is all that locality reads.
-            idx = np.arange(g.i0 + 1, g.i1 + 1)
-            outside = (idx <= tri[k, :, 1:2]) | (idx > tri[k, :, 2:])
-            np.multiply(outside, bump[k, :, None], out=stack[k, 1:, :g.n])
-        # The 7 m windows of each probe k of the chunk, m at a time:
-        # locality's (s, t] on the edited differences; (s, t], (r, t] and
-        # (r, s]; (s, t] on shift_left(f, h dt) for the drawn shift h, which
-        # is (s - h, t - h] read on the grid origin i0 - h; the comparison
-        # triples' (r, s] and (r, t].  Probe c0 + k owns rows k (m + 1) ..
-        # of the stack: its magnitudes, then the row of edit j in row
-        # k (m + 1) + 1 + j.
-        r, s, t = tri.transpose(2, 0, 1)
-        rc, sc, tc = cmp_tri.transpose(2, 0, 1)
-        i0[:, 4 * m:5 * m] -= h
-        rows = np.zeros((len(fs), 7 * m), dtype=np.int64)
-        rows[:, :m] = 1 + np.arange(m)
-        rows += (m + 1) * np.arange(len(fs))[:, None]
-        s, t = (np.concatenate([s, s, r, r, s - h, rc, rc], axis=1).ravel()
-                .astype(float),
-                np.concatenate([t, t, t, s, t - h, sc, tc], axis=1).ravel())
-        v, nst, nrt, nrs, a, near, far = np.moveaxis(fam._seminorms(
-            i0.ravel(), dt, 0.0, stack.reshape(-1, width),
-            rows.ravel(), s, t).reshape(len(fs), 7, m), 1, 0)
+        inside = cells <= n[k, None]
+        stack[:, 0][inside] = fam._rownorm(
+            np.concatenate([f.samples for f in fs]))
+        # Row 1 + j stands for f minus its edit j: the bump outside
+        # (s, t], exactly 0 inside, which is all that locality reads.
+        np.multiply(((cells <= at[..., 1:2]) | (cells > at[..., 2:3]))
+                    & inside[:, None], bump[k, :, None], out=stack[:, 1:])
+        origin = i0[k, None, None] - h[k, :, None] * shifted
+        vals[k] = fam._seminorms(
+            origin.ravel(), dt, 0.0, stack.reshape(-1, width),
+            rows[:len(fs)].ravel(), (at[..., left] + origin).ravel()
+            .astype(float), (at[..., right] + origin).ravel()
+            ).reshape(len(fs), m, 7)
+    v, nst, nrt, nrs, a, near, far = np.moveaxis(vals, 2, 0)
+    split = nrs + nst
+    pos = far > 0.0
+    k_obs = float(np.max(near[pos] / far[pos], initial=0.0))
+    res = {}
 
-        def window(k, j):
-            return {"probe": c0 + k, "window": [x * dt for x in
-                                                tri[k, j, 1:].tolist()]}
+    def record(name, failed, key, cols, **values):
+        # The witness: the first failure's window or triple, then values.
+        res[name] = ConditionResult(True, failed.size)
+        if failed.any():
+            k, j = map(int, np.unravel_index(np.argmax(failed), failed.shape))
+            res[name] = ConditionResult(False, failed.size, {
+                "probe": k, key: [(x + int(i0[k])) * dt
+                                  for x in ends[k, j, cols].tolist()],
+                **{w: x if isinstance(x, str) else float(x[k, j])
+                   for w, x in values.items()}})
 
-        def triple(k, j, tris=tri):
-            return {"probe": c0 + k,
-                    "triple": [x * dt for x in tris[k, j].tolist()]}
-
-        # (1) locality: each edit is strictly outside its (s, t].
-        record("locality", v != 0.0, lambda k, j: {
-            **window(k, j), "value": float(v[k, j])})
-        # (2)-(4) shift invariance, monotonicity and the split triangle.
-        record("shift_invariance", a != nst, lambda k, j: {
-            **window(k, j), "shift": int(h[k, j]) * dt,
-            "lhs": float(a[k, j]), "rhs": float(nst[k, j])})
-        record("monotone_in_s",
-               nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
-               lambda k, j: {**triple(k, j), "lhs": float(nst[k, j]),
-                             "rhs": float(nrt[k, j])})
-        split = nrs + nst
-        record("triangle_over_split",
-               nrt > split + _AXIOM_RTOL * np.maximum(1.0, split),
-               lambda k, j: {**triple(k, j), "lhs": float(nrt[k, j]),
-                             "rhs": float(split[k, j])})
-        # (5) window comparison within span alpha.
-        record("window_comparison", (near > 0.0) & (far == 0.0),
-               lambda k, j: {**triple(k, j, cmp_tri), "ratio": "inf"})
-        pos = far > 0.0
-        k_obs = max(k_obs, float(np.max(near[pos] / far[pos], initial=0.0)))
+    # (1) locality: each edit is strictly outside its (s, t].
+    record("locality", v != 0.0, "window", slice(1, 3), value=v)
+    # (2)-(4) shift invariance, monotonicity and the split triangle.
+    record("shift_invariance", a != nst, "window", slice(1, 3),
+           shift=h * dt, lhs=a, rhs=nst)
+    record("monotone_in_s", nst > nrt + _AXIOM_RTOL * np.maximum(1.0, nrt),
+           "triple", slice(0, 3), lhs=nst, rhs=nrt)
+    record("triangle_over_split",
+           nrt > split + _AXIOM_RTOL * np.maximum(1.0, split),
+           "triple", slice(0, 3), lhs=nrt, rhs=split)
+    # (5) window comparison within span alpha.
+    record("window_comparison", (near > 0.0) & (far == 0.0), "triple",
+           slice(3, 6), ratio="inf")
+    c = res["window_comparison"]
     if np.isfinite(fam.K) and k_obs > fam.K * (1.0 + 1e-9):
-        res["window_comparison"].passed = False
-        res["window_comparison"].witness = res["window_comparison"].witness or {
-            "K_observed": k_obs, "K_declared": fam.K}
+        c.passed = False
+        c.witness = c.witness or {"K_observed": k_obs, "K_declared": fam.K}
     return NormReport(family=fam.name, conditions=res, alpha=fam.alpha,
                       K_declared=fam.K, K_observed=k_obs)
 

@@ -215,6 +215,15 @@ def test_broken_weight_fails_with_witness(grid):
     assert set(failing) <= {"triangle_over_split", "window_comparison",
                             "monotone_in_s"}
     assert any(rep.conditions[k].witness for k in failing)
+    # Three copies of one probe fail at different triples, the third at
+    # an earlier triple than the first copy's first failure: the witness
+    # is the first failure by probe, then by triple, as the per-window
+    # check finds it.
+    copies = probe_set(Grid(grid.dt, -30, 25), 29, count=5, tails=True)[4:] * 3
+    rep = check_ff_axioms(broken, copies, rng=0, n_triples=9)
+    assert rep.conditions["window_comparison"].witness["probe"] == 0
+    assert rep.to_dict() == _check_ff_axioms_per_window(
+        broken, copies, 0, 9).to_dict()
 
 
 def test_nonmonotone_weight_rejected_by_default():
@@ -889,13 +898,14 @@ def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
     # Probes on two grids of one step, zero and nonzero tails side by side;
     # under the second budget the nine-triple runs take chunks of three
     # probes (ten rows of 80 cells each; the last chunk has one), one of
-    # them across the two grids.
+    # them across the two grids; the third takes one probe per chunk, and
+    # the fourth holds all 13 probes in one chunk.
     probes = (probe_set(grid, 23, count=8, tails=True)
               + probe_set(Grid(grid.dt, -30, 25), 29, count=5, tails=True))
     broken = FittedFamily.weighted_lp(
         2.0, Weight.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
         name="dip", allow_nonmonotone=True)
-    for budget in (seminorm._AXIOM_BUDGET, 3 * 10 * 80):
+    for budget in (seminorm._AXIOM_BUDGET, 3 * 10 * 80, 1, 13 * 10 * 80):
         monkeypatch.setattr(seminorm, "_AXIOM_BUDGET", budget)
         for fam in (SUP, UL2, EXP2, BOX2, FittedFamily.sup_family(UL2),
                     FittedFamily.sup_family(EXP2), broken):
@@ -905,6 +915,30 @@ def test_batched_axioms_keep_counts_and_report(grid, monkeypatch):
                            for c in rep.conditions.values())
                 assert rep.to_dict() == _check_ff_axioms_per_window(
                     fam, probes, 31, m).to_dict()
+
+
+def test_ff_axioms_without_probes_is_the_zero_check_report(grid):
+    # No probes give what no triples give: every condition passes with 0
+    # checks and K_observed is 0.0.
+    probes = probe_set(grid, 23, count=3, tails=True)
+    for fam in (SUP, EXP2, BOX2, FittedFamily.sup_family(UL2)):
+        rep = check_ff_axioms(fam, [], rng=5).to_dict()
+        assert rep == check_ff_axioms(fam, probes, rng=5,
+                                      n_triples=0).to_dict()
+        assert rep["passed"] and rep["K_observed"] == 0.0
+        assert all(c["checks"] == 0 and c["witness"] is None
+                   for c in rep["conditions"].values())
+
+
+def test_ff_axioms_refuses_probes_of_different_steps(grid):
+    # Every window is weighted and witnessed at one step, so probes at dt
+    # 0.05 and 0.1 are refused with both steps named, in either order.
+    fine = probe_set(grid, 23, count=2, tails=True)
+    coarse = probe_set(Grid(0.1, -20, 20), 29, count=2, tails=True)
+    for probes in (fine + coarse, coarse + fine[:1]):
+        with pytest.raises(ValueError, match="steps 0.(05 and 0.1|1 and "
+                                             "0.05)$"):
+            check_ff_axioms(EXP2, probes, rng=5, n_triples=3)
 
 
 @pytest.mark.parametrize("budget", [None, 5 * 21 * 400],
@@ -1019,8 +1053,8 @@ def test_read_draws_match_scalar_calls(seed, buffered, block, monkeypatch):
             g.integers(0, 5)
     assert gens[0].bit_generator.state["has_uint32"] == buffered
     want = _run_draws(gens[0].integers, gens[0].random, prog)
-    with _pcg64_draws(gens[1]) as (integers, random):
-        got = _run_draws(integers, random, prog)
+    with _pcg64_draws(gens[1]) as (draw, random):
+        got = _run_draws(lambda lo, hi: lo + draw(hi - lo), random, prog)
     assert got == want
     _same_stream(*gens)
 
@@ -1031,11 +1065,11 @@ def test_read_draws_reject_words_as_numpy_does():
     n = 3_000_000_000
     gens = np.random.default_rng(8), np.random.default_rng(8)
     want = [gens[0].integers(5, 5 + n) for _ in range(2000)]
-    with _pcg64_draws(gens[1]) as (integers, _):
-        got = [integers(5, 5 + n) for _ in range(2000)]
-        for bad in (5, 5 + 2**32 + 1):
+    with _pcg64_draws(gens[1]) as (draw, _):
+        got = [5 + draw(n) for _ in range(2000)]
+        for bad in (0, 2**32 + 1):
             with pytest.raises(ValueError, match="ranges of 1 to 2\\*\\*32"):
-                integers(5, bad)
+                draw(bad)
     assert got == want
     _same_stream(*gens)
     raw = np.random.default_rng(8).bit_generator.random_raw(1000)
