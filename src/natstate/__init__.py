@@ -7,13 +7,13 @@ identification, and the derivative calculus tying them together.
 """
 
 from .timegrid import (AlignmentError, Grid, Interval, TimeFunction,
-                       shift_left, shift_right, splice)
+                       recenter, shift_left, shift_right, splice)
 from .seminorm import (FittedFamily, NormReport, Weight, check_ff_axioms,
                        classify, taper_certificate, taper_delta)
 from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
-                    SystemOp, TimeAdvance, centered_truncation,
+                    SystemOp, TimeAdvance, centered_truncations,
                     check_causality, estimate_npower,
-                    hypothesis_uniformity_check, steer_to_state, truncation)
+                    hypothesis_uniformity_check, steer_to_state)
 from .kernel import (Permutation, PolyKernel, check_symmetrization_properties,
                      identify_kernels, kernel_from_cells,
                      permutation_change_of_variables, symmetrize)

@@ -25,9 +25,8 @@ import numpy as np
 
 from .seminorm import FittedFamily
 from .states import NaturalState
-from .sysop import (LimsupConvolution, LTISystem, PolyIntegralOperator,
-                    SystemOp, _recenter)
-from .timegrid import Grid, TimeFunction, shift_right, splice
+from .sysop import LimsupConvolution, LTISystem, PolyIntegralOperator, SystemOp
+from .timegrid import Grid, TimeFunction, recenter, shift_right, splice
 
 __all__ = ["SmoothInput", "ShiftDerivative", "shift_derivative", "FrechetPair",
            "frechet_of", "remainder_decay", "fd_directional_order",
@@ -268,7 +267,7 @@ def _at_splice(D: Callable, past: TimeFunction, dpast: TimeFunction,
     with the centered ``dfuture``."""
     a = splice(past, shift_right(future, t), t)
     b = splice(dpast, shift_right(dfuture, t), t)
-    return _recenter(D(a, b), t)
+    return recenter(D(a, b), t)
 
 
 def state_frechet(state: NaturalState, fp: FrechetPair) -> FrechetPair:

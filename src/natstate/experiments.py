@@ -28,17 +28,17 @@ from . import kernel as kernel_mod
 from .kernel import (PolyKernel, Permutation, check_symmetrization_properties,
                      identify_kernels, kernel_from_cells,
                      permutation_change_of_variables, symmetrize)
-from .probes import future_probes, probe_set, random_timefunction
+from .probes import (edited_after, future_probes, probe_set,
+                     random_timefunction)
 from .seminorm import (FittedFamily, Weight, check_ff_axioms, classify,
                        taper_certificate, taper_delta)
 from .states import (NaturalState, reachability_experiment,
                      representative_independence, state_bound_check,
                      state_distances, state_matching_ladder)
-from .sysop import (PolyIntegralOperator, TimeAdvance, _edited_after,
-                    _recenter, centered_truncations, check_causality,
-                    estimate_npower, hypothesis_uniformity_check,
-                    steer_to_state, truncation)
-from .timegrid import (Grid, Interval, TimeFunction, ceil_cells,
+from .sysop import (PolyIntegralOperator, TimeAdvance, centered_truncations,
+                    check_causality, estimate_npower,
+                    hypothesis_uniformity_check, steer_to_state)
+from .timegrid import (Grid, Interval, TimeFunction, ceil_cells, recenter,
                        shift_left, splice, to_cells)
 
 __all__ = ["RunConfig", "ExperimentResult", "Check", "EXPERIMENTS", "claim",
@@ -482,12 +482,13 @@ def exp_npower_bounds(cfg: RunConfig, res: ExperimentResult) -> None:
     res.check("time_invariant_consistent", uni["time_invariant_consistent"],
               "==", True)
 
-    # Centered and uncentered windowed estimates agree exactly.
+    # Centered and uncentered windowed estimates agree exactly; uncentered,
+    # each shifted probe is applied and re-windowed to (-inf, t].
     t = 0.5
-    trunc = truncation(sysq, t)
-    gaps = np.subtract(
-        out_fam.past_norms(centered_truncations(sysq, t, probes[:5]), 0.0),
-        out_fam.past_norms([trunc(shift_left(u, -t)) for u in probes[:5]], t))
+    cen = out_fam.past_norms(centered_truncations(sysq, t, probes[:5]), 0.0)
+    ys_t = [sysq.apply(shift_left(u, -t)) for u in probes[:5]]
+    gaps = np.subtract(cen, out_fam.past_norms(
+        [y.with_window(y.grid.i0, y.grid.index_of(t)) for y in ys_t], t))
     res.metrics["centered_equals_uncentered"] = res.check(
         "centered_minus_uncentered", float(np.max(np.abs(gaps))), "==", 0.0)
     res.metrics["per_point_ratio_bound_ok"] = res.check(
@@ -934,7 +935,7 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
     for w_dir in futs[3:]:
         bdir = splice(zero_past, w_dir, 0.0)
         y = fpq.L(a, bdir)  # recentred, the state differential sf.L(vv, w_dir)
-        est_state = max(est_state, fut_out(_recenter(y, 0.0)) / fut_in(w_dir))
+        est_state = max(est_state, fut_out(recenter(y, 0.0)) / fut_in(w_dir))
         est_sys = max(est_sys, out_norm(y) / in_norm(bdir))
     res.metrics["system_diff_norm"] = est_sys
     res.metric("state_diff_norm", est_state, "<=", est_sys * (1.0 + 1e-9))
@@ -988,8 +989,8 @@ def exp_frechet(cfg: RunConfig, res: ExperimentResult) -> None:
                "<=", (2 ** N + 1) * est_F_matched * (1.0 + 1e-9))
 
     # Equivalent pasts give the same differential samples.
-    st_alt = NaturalState(sysq, _edited_after(pastq, gq.index_of(0.0),
-                                              cfg.rng(138)), 0.0)
+    st_alt = NaturalState(sysq, edited_after(pastq, gq.index_of(0.0),
+                                             cfg.rng(138)), 0.0)
     sf_alt = state_frechet(st_alt, fpq)
     nerode_gap = float(np.max(np.abs(
         (sf.L(vv, ww) - sf_alt.L(vv, ww)).samples)))

@@ -16,7 +16,7 @@ import numpy.random  # noqa: F401
 
 from .timegrid import Grid, TimeFunction
 
-__all__ = ["probe_set", "future_probes"]
+__all__ = ["probe_set", "future_probes", "edited_after"]
 
 
 def _smooth_noise(rng, n: int) -> np.ndarray:
@@ -100,3 +100,14 @@ def random_timefunction(grid: Grid, rng, tail: float = 0.0) -> TimeFunction:
     if m > 0:
         vals *= 1.0 / m
     return TimeFunction(grid, vals + tail, np.array([float(tail)]))
+
+
+def edited_after(u: TimeFunction, t_idx: int, rng) -> TimeFunction:
+    """``u`` with ``1 + rng.random()`` added to every sample strictly after
+    the instant ``t_idx * dt``, one draw per sample and component; the
+    samples up to it and the tail are kept."""
+    g = u.grid
+    edited = np.array(u.samples)
+    sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
+    edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), u.dim))
+    return TimeFunction(g, edited, u.tail_value)

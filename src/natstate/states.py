@@ -3,13 +3,13 @@
 The state of a causal system at time ``t`` induced by a past input ``u`` is
 the operator that takes a centered future input ``v`` (supported on
 ``(0, H]``), splices it onto the past ``u`` at ``t``, applies the system,
-and recenters the output future.  A state holds the system, a past
-representative and the instant, plus what that past contributes to every
-future: the system's ``past_summary``, computed on the first evaluation
-and read by ``future_responses`` for a batch of futures (the last support
-window and the eventual level for a convolution, the vector ``x(t)`` for
-a state equation, the past itself for the definitional
-splice-apply-recenter path).  All comparisons are probe maximizations of
+and recenters the output future; :meth:`NaturalState.evaluate_all` is that
+definition, one ``apply_all`` call for a batch of futures.  A system may
+instead offer what the past contributes to every future, its
+``past_summary`` (the last support window and the eventual level for a
+convolution, the vector ``x(t)`` for a state equation), computed on the
+first evaluation and read by its ``future_responses``; its outputs equal
+the definition's bit for bit.  All comparisons are probe maximizations of
 a weighted operator distance on shared, seeded probe sets; futures and
 outputs travel as batched :class:`TimeFunction` stacks, and two states'
 outputs subtract.
@@ -18,13 +18,16 @@ outputs subtract.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .seminorm import FittedFamily, classify, taper_delta
-from .sysop import SystemOp, _edited_after, _recenter, estimate_npower
-from .timegrid import TimeFunction, ceil_cells, shift_left, shift_right, splice
+from .probes import edited_after
+from .sysop import SystemOp, estimate_npower
+from .timegrid import (TimeFunction, ceil_cells, recenter, shift_left,
+                       shift_right, splice)
 
 __all__ = [
     "NaturalState",
@@ -55,15 +58,12 @@ class NaturalState:
         self.past = past
         self.t = float(t)
         self._t_idx = t_idx
-        self._summary = None
 
-    @property
+    @cached_property
     def summary(self):
         """What the past contributes to every future (``past_summary`` of
-        the system), computed on first use."""
-        if self._summary is None:
-            self._summary = self.system.past_summary(self.past, self._t_idx)
-        return self._summary
+        the system, ``None`` if it offers none), computed on first use."""
+        return self.system.past_summary(self.past, self._t_idx)
 
     def spliced_input(self, v: TimeFunction) -> TimeFunction:
         """The full input ``past up to t, then v shifted out to start at t``
@@ -76,9 +76,13 @@ class NaturalState:
 
     def evaluate_all(self, vs) -> TimeFunction:
         """:meth:`evaluate` of every future input of ``vs`` (a batch, or
-        functions on one grid), in order: one ``future_responses`` call."""
-        return self.system.future_responses(self.summary,
-                                            TimeFunction.stack(vs))
+        functions on one grid), in order: the futures spliced onto the past,
+        one ``apply_all`` call and the outputs recentred, or one
+        ``future_responses`` call on the system's summary."""
+        vs = TimeFunction.stack(vs)
+        if self.summary is not None:
+            return self.system.future_responses(self.summary, vs)
+        return recenter(self.system.apply_all(self.spliced_input(vs)), self.t)
 
     def evaluate_at(self, v: TimeFunction, sigma_indices) -> np.ndarray:
         """Values of the centered future output at selected instants."""
@@ -154,7 +158,7 @@ def representative_independence(state: NaturalState, futures, rng=None) -> float
     Must be zero: the spliced input never reads those samples.
     """
     rng = np.random.default_rng(rng)
-    other = NaturalState(state.system, _edited_after(
+    other = NaturalState(state.system, edited_after(
         state.past, state._t_idx, rng), state.t)
     futures = TimeFunction.stack(futures)
     d = state.evaluate_all(futures) - other.evaluate_all(futures)
@@ -298,7 +302,7 @@ def state_bound_check(state: NaturalState, N: int, futures) -> dict:
     fulls = state.system.apply_all(zs)
     est = estimate_npower(in_fam.bounding_norms(zs),
                           out_fam.bounding_norms(fulls), N)
-    evals = _recenter(fulls, state.t)
+    evals = recenter(fulls, state.t)
     ratios = [y / (1.0 + v ** N)
               for v, y in zip(in_fam.future_norms(futures, 0.0),
                               out_fam.future_norms(evals, 0.0), strict=True)]

@@ -21,14 +21,13 @@ Three concrete operators are shipped:
   One evaluator (``_terms``) serves ``apply_all`` and the Frechet pair,
   reading each input's lag windows in every slot and degree.
 
-Every operator also answers for natural states (``past_summary`` and
-``future_responses``): by default a summary is the past itself and each
-future response splices, applies and recenters; the convolution and the
-state equation keep only what the future reads of the past, and their
-future outputs equal the definitional ones bit for bit.  A batch of
-futures and its responses are each one batched :class:`TimeFunction` on
-one grid, as are the inputs and outputs of ``apply_all``, whose
-one-element call is ``apply``.
+The convolution and the state equation also offer natural-state summaries
+(``past_summary`` and ``future_responses``): they keep only what the future
+reads of the past, and their future outputs equal the definitional ones of
+:mod:`natstate.states` bit for bit.  Other operators offer none
+(``past_summary`` is ``None``).  A batch of futures and its responses are
+each one batched :class:`TimeFunction` on one grid, as are the inputs and
+outputs of ``apply_all``, whose one-element call is ``apply``.
 
 Operator sizes are measured in the weighted supremum norm
 ``sup |F(u)| / (1 + |u|^N)``; estimates are maximizations over probe inputs
@@ -45,9 +44,9 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import PolyKernel, symmetrize
+from .probes import edited_after
 from .seminorm import FittedFamily
-from .timegrid import (Grid, TimeFunction, shift_left, shift_right, splice,
-                       to_cells)
+from .timegrid import Grid, TimeFunction, shift_left, shift_right, to_cells
 
 __all__ = [
     "SystemOp",
@@ -55,9 +54,7 @@ __all__ = [
     "LTISystem",
     "PolyIntegralOperator",
     "TimeAdvance",
-    "centered_truncation",
     "centered_truncations",
-    "truncation",
     "check_causality",
     "estimate_npower",
     "hypothesis_uniformity_check",
@@ -94,22 +91,10 @@ class SystemOp:
 
     def past_summary(self, u: TimeFunction, t_idx: int):
         """What ``u`` up to the instant ``t_idx * dt`` contributes to every
-        future output, in the form :meth:`future_responses` reads.
-
-        By default the summary is the past itself with the instant.
+        future output, in the form the operator's ``future_responses``
+        reads; ``None`` by default, for an operator that offers no summary.
         """
-        return u, t_idx
-
-    def future_responses(self, summary, vs: TimeFunction) -> TimeFunction:
-        """Centered outputs on ``(0, H]`` after the past ``summary``
-        describes, one per centered future input ``v`` on ``(0, H]`` of the
-        batch ``vs``.  By default they are the definition of a natural
-        state: splice the futures onto the past at ``t``, apply the system
-        and recenter the outputs.
-        """
-        u, t_idx = summary
-        t = t_idx * u.grid.dt
-        return _recenter(self.apply_all(splice(u, shift_right(vs, t), t)), t)
+        return None
 
 
 class LimsupConvolution(SystemOp):
@@ -477,61 +462,22 @@ class TimeAdvance(SystemOp):
         return shift_left(us, self.k * us.grid.dt)
 
 
-def _recenter(y: TimeFunction, t: float) -> TimeFunction:
-    """The part of ``y`` (one function or a batch) after ``t``, shifted
-    back to start at 0."""
-    t_idx = y.grid.index_of(t)
-    future = TimeFunction(Grid(y.grid.dt, t_idx, y.grid.i1),
-                          y.samples[..., t_idx - y.grid.i0:, :], y.tail_value)
-    return shift_left(future, t)
-
-
 # -- truncations -------------------------------------------------------------
 
 
-def centered_truncation(system: SystemOp, t: float):
-    """Window view at ``t`` recentred to zero; meaningful for causal systems
-    (all shipped variants are, and :func:`check_causality` probes it).
-
-    Maps a past input ending at 0 to the past output ending at 0 by shifting
-    to ``t``, applying the system, truncating, and shifting back.
-    """
-    return lambda u0: centered_truncations(system, t, [u0])[0]
-
-
 def centered_truncations(system: SystemOp, t: float, u0s) -> TimeFunction:
-    """:func:`centered_truncation` at ``t`` of every past input of ``u0s``
-    (a batch, or functions on one grid), as one batch: one ``apply_all``
-    call."""
+    """The window view at ``t``, recentred to zero, of each past input
+    ending at 0 of ``u0s`` (a batch, or functions on one grid) as one batch,
+    by one ``apply_all`` call: shift to ``t``, apply, truncate, shift back.
+    Meaningful for causal systems (all shipped variants are, and
+    :func:`check_causality` probes it)."""
     u0s = TimeFunction.stack(u0s)
     ys = system.apply_all(shift_right(u0s, t))
     return shift_left(ys.with_window(ys.grid.i0, u0s.grid.index_of(t)
                                      + u0s.grid.i1), t)
 
 
-def truncation(system: SystemOp, t: float):
-    """Uncentred truncation: apply and re-window the output to ``(-inf, t]``."""
-
-    def run(u: TimeFunction) -> TimeFunction:
-        t_idx = u.grid.index_of(t)
-        y = system.apply(u)
-        return y.with_window(y.grid.i0, t_idx)
-
-    return run
-
-
 # -- causality ----------------------------------------------------------------
-
-
-def _edited_after(u: TimeFunction, t_idx: int, rng) -> TimeFunction:
-    """``u`` with ``1 + rng.random()`` added to every sample strictly after
-    the instant ``t_idx * dt``, one draw per sample and component; the
-    samples up to it and the tail are kept."""
-    g = u.grid
-    edited = np.array(u.samples)
-    sel = np.arange(g.i0 + 1, g.i1 + 1) > t_idx
-    edited[sel] += 1.0 + rng.random(size=(int(sel.sum()), u.dim))
-    return TimeFunction(g, edited, u.tail_value)
 
 
 def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
@@ -552,7 +498,7 @@ def check_causality(system: SystemOp, probes, ts, rng=None) -> dict:
             t_idx = g.index_of(t)
             if t_idx >= g.i1 or t_idx < g.i0:
                 continue
-            edits.append((t, t_idx, _edited_after(u, t_idx, rng)))
+            edits.append((t, t_idx, edited_after(u, t_idx, rng)))
         y_u, *y_vs = system.apply_all([u] + [v for _, _, v in edits])
         for (t, t_idx, _), y_v in zip(edits, y_vs):
             lo = min(y_u.grid.i0, y_v.grid.i0)

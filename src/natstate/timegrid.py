@@ -28,6 +28,7 @@ __all__ = [
     "shift_left",
     "shift_right",
     "splice",
+    "recenter",
 ]
 
 # Relative slack when snapping a float instant onto the integer lattice.
@@ -322,3 +323,15 @@ def splice(h: TimeFunction, g: TimeFunction, s: float) -> TimeFunction:
     vals = np.concatenate(parts, -2)
     return TimeFunction(Grid(h.grid.dt, i0, g.grid.i1), vals, np.broadcast_to(
         h.tail_value, vals.shape[:-2] + (h.dim,)))
+
+
+def recenter(y: TimeFunction, t: float) -> TimeFunction:
+    """The part of ``y`` (one function or a batch) after ``t``, an instant
+    in ``[grid start, grid end)``, shifted back onto ``(0, H]``: a view of
+    ``y``'s samples, with its tail."""
+    g = y.grid
+    t_idx = g.index_of(t)
+    if not g.i0 <= t_idx < g.i1:
+        raise ValueError(f"instant {t} outside [{g.t_start}, {g.t_end})")
+    return _shared(Grid(g.dt, 0, g.i1 - t_idx),
+                   y.samples[..., t_idx - g.i0:, :], y.tail_value)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from natstate import calculus, experiments, states, sysop
+from natstate import calculus, experiments, states
 from natstate import kernel as kernel_mod
 from natstate.calculus import FrechetPair, SmoothInput
 from natstate.cli import main
@@ -277,7 +277,7 @@ def test_representative_dependence_fails_on_a_splice_that_keeps_the_past(
     # A default state evaluation whose splice keeps the past's first sample
     # after t: the quadratic system's states then read an edited past.  The
     # averager summarizes its past without a splice and still passes.
-    monkeypatch.setattr(sysop, "splice",
+    monkeypatch.setattr(states, "splice",
                         lambda h, g, s: splice(h, g, s + h.grid.dt))
     failed, run_failed = _failed("state-bounds", "representative_dependence")
     assert run_failed and [c.name for c in failed] == [

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natstate import (Grid, NaturalState, TimeFunction, drive,
-                      reachability_experiment, representative_independence,
-                      shift_left, shift_right, splice, state_bound_check,
-                      state_distance, state_distances, state_matching_ladder,
-                      steer_to_state, trajectory)
-from natstate import LimsupConvolution, LTISystem, SystemOp, catalog
+                      reachability_experiment, recenter,
+                      representative_independence, shift_left, shift_right,
+                      splice, state_bound_check, state_distance,
+                      state_distances, state_matching_ladder, steer_to_state,
+                      trajectory)
+from natstate import LimsupConvolution, LTISystem, catalog
 from natstate.experiments import RunConfig, run_experiment
 from natstate.probes import future_probes
 from natstate.sysop import estimate_npower
@@ -277,7 +278,7 @@ def _lti_two_inputs():
 def test_batched_future_responses_match_each_future(make, dim, v0):
     # One batch of futures: the system's batched answer, row by row, has
     # the bytes of the definition (splice, apply, recenter) for that row,
-    # and so has the default per-future path of the base class.
+    # and so has the definition read on the whole batch at once.
     system = make()
     rng = np.random.default_rng(7 + v0)
     past = TimeFunction(Grid(DT, -60, 10), rng.standard_normal((70, dim)),
@@ -287,7 +288,8 @@ def test_batched_future_responses_match_each_future(make, dim, v0):
     state = NaturalState(system, past, -0.3)
     t_idx = past.grid.index_of(-0.3)
     got = system.future_responses(system.past_summary(past, t_idx), vs)
-    base = SystemOp.future_responses(system, (past, t_idx), vs)
+    base = recenter(system.apply_all(splice(past, shift_right(vs, -0.3),
+                                            -0.3)), -0.3)
     assert len(got) == len(base) == len(vs)
     for k, v in enumerate(vs):
         want = _by_splice(state, v)

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from natstate import (AlignmentError, FittedFamily, Grid, LimsupConvolution,
                       LTISystem, PolyIntegralOperator, PolyKernel, TimeAdvance,
-                      TimeFunction, centered_truncation,
+                      TimeFunction, centered_truncations,
                       check_causality, estimate_npower, frechet_of,
-                      hypothesis_uniformity_check, shift_left, steer_to_state,
-                      truncation)
+                      hypothesis_uniformity_check, shift_left, steer_to_state)
 from natstate import catalog
 from natstate.kernel import _slot_major, symmetrize
 from natstate.sysop import _THETA13, _expm
@@ -192,8 +191,8 @@ def test_centered_truncation_time_invariant(quad):
     sysq = quad.system
     g0 = Grid(DT, -int(2.0 / DT), 0)
     u0 = _pasts(g0, 11, 1)[0]
-    ya = centered_truncation(sysq, -0.6)(u0)
-    yb = centered_truncation(sysq, 1.2)(u0)
+    ya = centered_truncations(sysq, -0.6, [u0])[0]
+    yb = centered_truncations(sysq, 1.2, [u0])[0]
     assert np.array_equal(ya.samples, yb.samples)
 
 
@@ -203,7 +202,7 @@ def test_centered_truncation_matches_definition(quad):
     t = 0.8
     g0 = Grid(DT, -int(2.0 / DT), 0)
     u0 = _pasts(g0, 13, 1)[0]
-    got = centered_truncation(sysq, t)(u0)
+    got = centered_truncations(sysq, t, [u0])[0]
     u = shift_left(u0, -t)
     y = sysq.apply(u)
     want = shift_left(y.with_window(y.grid.i0, y.grid.index_of(t)), t)
@@ -214,8 +213,8 @@ def test_tv_windowed_views_differ():
     b = catalog.system("quadratic-volterra-tv", DT)
     g0 = Grid(DT, -int(2.0 / DT), 0)
     u0 = _pasts(g0, 15, 1)[0]
-    ya = centered_truncation(b.system, 0.0)(u0)
-    yb = centered_truncation(b.system, 1.0)(u0)
+    ya = centered_truncations(b.system, 0.0, [u0])[0]
+    yb = centered_truncations(b.system, 1.0, [u0])[0]
     assert np.max(np.abs(ya.samples - yb.samples)) > 1e-6
 
 
@@ -233,7 +232,7 @@ def test_tv_centered_view_kernel_quadrature():
     t = 0.7
     g0 = Grid(DT, -int(2.0 / DT), 0)
     u0 = _pasts(g0, 16, 1)[0]
-    y0 = centered_truncation(b.system, t)(u0)
+    y0 = centered_truncations(b.system, t, [u0])[0]
     Q = ker.grid_size(DT)
     lags = np.arange(1, Q + 1) * DT
     for p_idx in (-40, -10, 0):
@@ -258,15 +257,15 @@ def test_centered_equals_truncated_estimate(quad):
     t = 0.5
     g0 = Grid(DT, -int(2.0 / DT), 0)
     probes0 = _pasts(g0, 17, 4)
-    op = centered_truncation(sysq, t)
     cen = estimate_npower(
         [sysq.input_fam.past_norm(u0, 0.0) for u0 in probes0],
-        [sysq.output_fam.past_norm(op(u0), 0.0) for u0 in probes0], 2)
-    tr = truncation(sysq, t)
+        [sysq.output_fam.past_norm(centered_truncations(sysq, t, [u0])[0],
+                                   0.0) for u0 in probes0], 2)
     best = 0.0
     for u0 in probes0:
         u = shift_left(u0, -t)
-        y = tr(u)
+        y = sysq.apply(u)
+        y = y.with_window(y.grid.i0, u.grid.index_of(t))
         best = max(best, sysq.output_fam.past_norm(y, t)
                    / (1.0 + sysq.input_fam.past_norm(u, t) ** 2))
     assert cen == best
@@ -315,8 +314,7 @@ def test_quadratic_pairwise_modulus(quad):
     M = catalog.hilbert_schmidt_bound(sysq, DT)
     g0 = Grid(DT, -int(1.5 / DT), 0)
     probes0 = _pasts(g0, 22, 5)
-    op = centered_truncation(sysq, 0.0)
-    outs = [op(u) for u in probes0]
+    outs = [centered_truncations(sysq, 0.0, [u])[0] for u in probes0]
     nrm = lambda u: sysq.input_fam.past_norm(u, 0.0)
     for i in range(len(probes0)):
         for j in range(i + 1, len(probes0)):
