@@ -831,6 +831,16 @@ _AXIOM_BUDGET = 1 << 15
 _AXIOM_WINDOWS = ([1, 1, 0, 0, 1, 3, 3], [2, 2, 2, 1, 2, 4, 5])
 
 
+def _probe_step(probes, who: str) -> float | None:
+    """The grid step every probe shares, ``None`` for no probes; probes of
+    two steps are refused with a ``ValueError`` that names both."""
+    steps = list(dict.fromkeys(f.grid.dt for f in probes))
+    if len(steps) > 1:
+        raise ValueError(f"{who} reads every probe at one step; got grids "
+                         f"of steps {steps[0]!r} and {steps[1]!r}")
+    return steps[0] if steps else None
+
+
 def check_ff_axioms(fam: FittedFamily, probes, rng=None,
                     n_triples: int = 50) -> NormReport:
     """Exercise the five defining conditions on probes and random windows.
@@ -856,11 +866,7 @@ def check_ff_axioms(fam: FittedFamily, probes, rng=None,
     shifted or edited :class:`TimeFunction`.  Last, the five conditions
     are recorded once over ``(probes, m)`` arrays of window values.
     """
-    steps = list(dict.fromkeys(f.grid.dt for f in probes))
-    if len(steps) > 1:
-        raise ValueError("check_ff_axioms reads every probe at one step; got "
-                         f"grids of steps {steps[0]!r} and {steps[1]!r}")
-    dt, m = (steps or [1.0])[0], n_triples
+    dt, m = _probe_step(probes, "check_ff_axioms") or 1.0, n_triples
     alpha_idx = (None if fam.alpha == POS_INF or not probes
                  else max(2, to_cells(fam.alpha, dt)))
     tri, bump, h, cmp_tri = _axiom_draws(np.random.default_rng(rng), probes,
@@ -989,9 +995,12 @@ def taper_certificate(fam: FittedFamily, delta: float, eps: float, c: float,
     """Probe check that ``delta`` works: max gap over bounded probes <= eps.
 
     Probes are rescaled to pointwise bound ``c``; ``delta`` is snapped up to
-    the grid (widening the window only strengthens the inequality).
+    the grid (widening the window only strengthens the inequality), so no
+    probes or probes of two steps are refused (``ValueError``).
     """
-    dt = probes[0].grid.dt
+    dt = _probe_step(probes, "taper_certificate")
+    if dt is None:
+        raise ValueError("taper_certificate needs one or more probes")
     delta_g = ceil_cells(delta, dt) * dt
     worst = 0.0
     for f in probes:

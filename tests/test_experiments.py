@@ -439,30 +439,53 @@ def test_shared_state_set_fails_on_a_match_that_keeps_the_level(monkeypatch):
     # The double-gain system's match keeps the past's eventual level
     # instead of halving it: its level term then reads twice the single-gain
     # one, and the largest gap is the largest level, far above 5 dt |h|_1.
-    # (A match one cell short of the 1 s response still passes: its gap,
-    # about 0.012, is under that tolerance, though the true gap is 0.0.)
     level_match = experiments._level_match
     monkeypatch.setattr(experiments, "_level_match",
                         lambda u, tau, T, level: level_match(u, tau, T,
                                                              2.0 * level))
     failed, run_failed = _failed("shared-state-set", "")
-    assert run_failed and [c.name for c in failed] == ["max_gap"]
+    assert run_failed and [c.name for c in failed] == ["max_gap",
+                                                       "max_gap_exact"]
     assert failed[0].observed == pytest.approx(1.727, abs=1e-3)
     assert failed[0].observed > failed[0].bound == pytest.approx(0.05)
+
+
+def test_shared_state_set_fails_on_a_match_one_cell_short(monkeypatch):
+    # A match that keeps only T - dt of the past: the gap, about 0.012, is
+    # under the tolerance 5 dt |h|_1 but not the exact match's 0.0.
+    level_match = experiments._level_match
+    monkeypatch.setattr(experiments, "_level_match",
+                        lambda u, tau, T, level: level_match(
+                            u, tau, T - u.grid.dt, level))
+    failed, run_failed = _failed("shared-state-set", "")
+    assert run_failed and [c.name for c in failed] == ["max_gap_exact"]
+    assert failed[0].observed == pytest.approx(0.0118, abs=1e-4)
 
 
 def test_memory_causality_fails_on_pasts_that_differ_inside_the_memory(
         monkeypatch):
     # The second past zeroed from one cell inside the box family's 1.5 s
     # memory on: the finite-memory norm then sees the two pasts differ.
-    # (A convolution without its level term still passes: the outputs
-    # before -0.5 s read the zeroed samples, so the output gap stays > 0.)
     monkeypatch.setattr(experiments, "to_cells",
                         lambda length, dt: to_cells(length, dt) - 1)
     failed, run_failed = _failed("memory-causality", "")
     assert run_failed and [c.name for c in failed] == [
         "input_gap_finite_memory_norm"]
     assert failed[0].observed > failed[0].bound == 0.0
+
+
+def test_memory_causality_fails_on_a_convolution_without_its_level_term(
+        monkeypatch):
+    # Every convolution built with tail gain 0: the outputs before -0.5 s
+    # read samples the second past zeroed, so the whole output gap stays
+    # > 0, but on (-0.5, 0] only the level term could tell them apart.
+    init = LimsupConvolution.__init__
+    monkeypatch.setattr(LimsupConvolution, "__init__",
+                        lambda self, h, tail_gain, fin, fout: init(
+                            self, h, 0.0, fin, fout))
+    failed, run_failed = _failed("memory-causality", "")
+    assert run_failed and [(c.name, c.observed) for c in failed] == [
+        ("recent_output_gap", 0.0)]
 
 
 def test_kernel_identify_fails_on_probes_five_percent_strong(monkeypatch):

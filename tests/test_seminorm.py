@@ -312,6 +312,18 @@ def test_taper_certificate_and_spike_witness():
         assert gap >= 1.0
 
 
+def test_taper_certificate_refuses_no_probes_and_mixed_steps():
+    # The window is snapped to one step, so probes at dt 0.01 and 0.02 are
+    # refused with both steps named, and no probes leave no step to snap to.
+    d = taper_delta(EXP2, 0.1, 1.0)
+    with pytest.raises(ValueError, match="one or more probes"):
+        taper_certificate(EXP2, d, 0.1, 1.0, [], 1.0)
+    fine = probe_set(Grid(0.01, -200, 0), 19, count=2, tails=True)
+    coarse = probe_set(Grid(0.02, -100, 0), 19, count=2, tails=True)
+    with pytest.raises(ValueError, match="steps 0.01 and 0.02$"):
+        taper_certificate(EXP2, 1.005, 0.1, 1.0, fine + coarse, 0.0)
+
+
 def test_classification():
     assert classify(BOX2) == {"class": "finite_memory", "memory": 1.5}
     assert classify(EXP2)["class"] == "tapered"

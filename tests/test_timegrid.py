@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natstate import (AlignmentError, Grid, TimeFunction,
+from natstate import (AlignmentError, Grid, TimeFunction, recenter,
                       shift_left, shift_right, splice)
 from natstate.calculus import SmoothInput
 
@@ -181,6 +181,38 @@ def test_splice_matches_mask_gather(si, g0, g1):
     rows = splice(h, TimeFunction.stack(fs), si * dt)
     assert [_same(rows[k], splice(h, f, si * dt))
             for k, f in enumerate(fs)] == [True, True]
+
+
+@pytest.mark.parametrize("si", [-25, -20, -7, 0, 10])
+def test_recenter_undoes_a_splice(si):
+    # A batch of futures on (0, H] spliced onto a past at t and recentred
+    # at t comes back bit for bit, as a view of the spliced samples that
+    # keeps their tail (the past's, not the futures' zero tails).
+    rng = np.random.default_rng(si + 40)
+    dt = 0.05
+    u = TimeFunction(Grid(dt, -20, 10), rng.standard_normal((30, 2)),
+                     np.array([0.7, -1.2]))
+    vs = TimeFunction(Grid(dt, 0, 12), rng.standard_normal((3, 12, 2)),
+                      np.zeros((3, 2)))
+    t = si * dt
+    z = splice(u, shift_right(vs, t), t)
+    got = recenter(z, t)
+    assert got.grid == vs.grid
+    assert got.samples.tobytes() == vs.samples.tobytes()
+    assert np.shares_memory(got.samples, z.samples)
+    assert np.array_equal(got.tail_value, np.broadcast_to(u.tail_value,
+                                                          (3, 2)))
+
+
+def test_recenter_refuses_instants_outside_the_window():
+    # On (-1, 0.5] an instant in [-1, 0.5) recentres; one before the start
+    # or at or after the end has no samples after it to view.
+    f = TimeFunction(Grid(0.05, -20, 10), np.arange(30.0), np.array([4.0]))
+    assert _same(recenter(f, -1.0), shift_left(f, -1.0))
+    assert recenter(f, 0.45).samples.tolist() == [[29.0]]
+    for t in (-1.05, 0.5, 0.55):
+        with pytest.raises(ValueError, match="outside"):
+            recenter(f, t)
 
 
 @settings(max_examples=60, deadline=None)
