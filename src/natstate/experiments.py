@@ -19,6 +19,9 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random module lazily; import it with the experiments, which
+# draw from it, so that the first probe draw does not pay for it.
+import numpy.random  # noqa: F401
 
 from . import catalog
 from .calculus import (DECAY_STEPS, SmoothInput, fd_directional_order,
